@@ -17,8 +17,6 @@ from .bezier import (
     compose_reparameterize,
     degree_elevate_curve,
     degree_reduce_curve,
-    eval_curve,
-    eval_surface,
     extract_subpatch,
     monomial_from_bernstein,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "compose_reparameterize",
     "degree_elevate_curve",
     "degree_reduce_curve",
-    "eval_curve",
-    "eval_surface",
     "extract_subpatch",
     "monomial_from_bernstein",
     "AlignmentError",

@@ -9,6 +9,20 @@ turns a trapezoid-domain restriction of a surface into a standard patch.
 All arithmetic is double precision.  Long accumulations (basis changes,
 polynomial products) go through math.fsum so the composition stays exact
 to about 1e-9 at the supported degree caps.
+
+Batched kernels.  `de_casteljau_many` and the curve methods built on it
+(`PiecewiseBezierCurve.evaluate_many` / `derivative_many`) evaluate many
+parameters at once with no per-sample Python work, and each sample goes
+through the same floating-point operations, in the same order, as the
+scalar `de_casteljau`: results equal the scalar ones bit for bit.  At
+t == 0.0 and t == 1.0 they return the first and last control point
+exactly.  The zero-gap guarantee relies on both properties: two patches
+whose stitched edges hold the same control polygon evaluate to the same
+bits there, whichever path evaluates them.  `all_bernstein` is vectorized
+over x with the scalar recurrence's arithmetic.  `BezierSurface.evaluate_many`
+is the one exception: it contracts tensor Bernstein basis matrices with the
+net and agrees with the scalar `evaluate` to rounding only, so it serves
+distance measurements, never boundary evaluation.
 """
 
 from __future__ import annotations
@@ -16,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -33,21 +48,27 @@ _UNIT_SLACK = 1e-12
 # Bernstein basis and de Casteljau primitives
 # ---------------------------------------------------------------------------
 
-def all_bernstein(degree: int, x: float) -> np.ndarray:
-    """All degree-`degree` Bernstein basis values at x, by the stable recurrence."""
+def all_bernstein(degree: int, x) -> np.ndarray:
+    """All degree-`degree` Bernstein basis values at x, by the stable recurrence.
+
+    x may be a scalar, giving shape (degree+1,), or an array of shape S,
+    giving S + (degree+1,).  Every entry takes the scalar recurrence's
+    operations in the same order.
+    """
     if degree < 0:
         raise IndexError("degree must be non-negative")
-    vals = np.zeros(degree + 1)
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    u = 1.0 - flat
+    vals = np.empty((degree + 1, flat.shape[0]))
     vals[0] = 1.0
-    u = 1.0 - x
     for j in range(1, degree + 1):
-        saved = 0.0
-        for k in range(j):
-            temp = vals[k]
-            vals[k] = saved + u * temp
-            saved = x * temp
-        vals[j] = saved
-    return vals
+        # Level j from level j-1, in place: B_k <- u*B_k + x*B_{k-1}.
+        vals[j] = flat * vals[j - 1]
+        shifted = flat * vals[:j - 1]
+        vals[:j] *= u
+        vals[1:j] += shifted
+    return vals.T.reshape(x.shape + (degree + 1,))
 
 
 def bernstein_basis(k: int, degree: int, x: float) -> float:
@@ -71,6 +92,27 @@ def de_casteljau(points: np.ndarray, t: float) -> np.ndarray:
     while pts.shape[0] > 1:
         pts = (1.0 - t) * pts[:-1] + t * pts[1:]
     return pts[0]
+
+
+def de_casteljau_many(points: np.ndarray, ts) -> np.ndarray:
+    """Evaluate Bezier polygons at K parameters at once; returns (K, dim).
+
+    `points` is one (n+1, dim) polygon shared by every parameter, or a
+    (K, n+1, dim) stack holding one polygon per parameter.  Each sample
+    takes the same operations as `de_casteljau`, including the exact
+    endpoint selection at t == 0.0 and t == 1.0.
+    """
+    pts = np.asarray(points, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    if pts.ndim == 2:
+        pts = pts[None]
+    first, last = pts[:, 0], pts[:, -1]
+    w = ts[:, None, None]
+    while pts.shape[1] > 1:
+        pts = (1.0 - w) * pts[:, :-1] + w * pts[:, 1:]
+    out = np.broadcast_to(pts[:, 0], (ts.shape[0], pts.shape[2]))
+    out = np.where(ts[:, None] == 0.0, first, out)
+    return np.where(ts[:, None] == 1.0, last, out)
 
 
 def de_casteljau_split(points: np.ndarray, t: float):
@@ -128,10 +170,7 @@ class BezierCurve:
         return de_casteljau(self.control_points, t)
 
     def derivative(self) -> "BezierCurve":
-        d = self.degree
-        if d == 0:
-            return BezierCurve(np.zeros((1, self.dim)))
-        return BezierCurve(d * np.diff(self.control_points, axis=0))
+        return BezierCurve(_derivative_polygon(self.control_points))
 
     def split(self, t: float):
         left, right = de_casteljau_split(self.control_points, t)
@@ -146,9 +185,12 @@ class BezierCurve:
         return BezierCurve(self.control_points[::-1].copy())
 
 
-def eval_curve(curve, t: float) -> np.ndarray:
-    """Evaluate a BezierCurve or PiecewiseBezierCurve at a global parameter."""
-    return curve.evaluate(t)
+def _derivative_polygon(points: np.ndarray) -> np.ndarray:
+    """Control polygon of the hodograph: degree * forward differences."""
+    d = points.shape[0] - 1
+    if d == 0:
+        return np.zeros((1, points.shape[1]))
+    return d * np.diff(points, axis=0)
 
 
 def degree_elevate_curve(curve: BezierCurve, target: int) -> BezierCurve:
@@ -178,8 +220,8 @@ def degree_reduce_curve(curve: BezierCurve, target: int, tol: float) -> BezierCu
         raise ValueError(f"target degree {target} not below current {curve.degree}")
     n_samples = max(10 * curve.degree, 4 * (target + 1))
     ts = np.linspace(0.0, 1.0, n_samples)
-    values = np.array([curve.evaluate(t) for t in ts])
-    basis = np.array([all_bernstein(target, t) for t in ts])
+    values = de_casteljau_many(curve.control_points, ts)
+    basis = all_bernstein(target, ts)
 
     if target == 0:
         cps = values.mean(axis=0, keepdims=True)
@@ -194,9 +236,8 @@ def degree_reduce_curve(curve: BezierCurve, target: int, tol: float) -> BezierCu
 
     reduced = BezierCurve(cps)
     dense = np.linspace(0.0, 1.0, 257)
-    deviation = max(
-        float(np.linalg.norm(curve.evaluate(t) - reduced.evaluate(t))) for t in dense
-    )
+    gaps = de_casteljau_many(curve.control_points, dense) - de_casteljau_many(cps, dense)
+    deviation = float(np.linalg.norm(gaps, axis=1).max())
     if deviation > tol:
         raise ReductionError(
             f"cannot reduce degree {curve.degree} curve to {target} within {tol:.3e}",
@@ -210,7 +251,9 @@ class PiecewiseBezierCurve:
     """Bezier segments chained over strictly increasing breakpoints in [0,1].
 
     Adjacent segments must share their junction control point exactly; the
-    global parameter spans [0,1].
+    global parameter spans [0,1].  Segments are not modified after
+    construction: the batched evaluators build their stacked (and
+    differentiated) control polygons on first use and keep them.
     """
 
     segments: list
@@ -259,42 +302,36 @@ class PiecewiseBezierCurve:
         """Derivative with respect to the global parameter."""
         idx, local = self.locate(t)
         span = self.breakpoints[idx + 1] - self.breakpoints[idx]
-        return self.segments[idx].derivative().evaluate(local) / span
+        return de_casteljau(self._derivative_stacks.polygons[idx], local) / span
 
-    def _batch(self, ts: np.ndarray, polygons) -> np.ndarray:
+    @cached_property
+    def _value_stacks(self) -> "_PolygonStacks":
+        return _PolygonStacks([seg.control_points for seg in self.segments])
+
+    @cached_property
+    def _derivative_stacks(self) -> "_PolygonStacks":
+        return _PolygonStacks(
+            [_derivative_polygon(seg.control_points) for seg in self.segments]
+        )
+
+    def _locate_many(self, ts: np.ndarray):
+        """Segment indices, local parameters and segment spans for many global t."""
         ts = np.asarray(ts, dtype=float)
         idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
         idx = np.clip(idx, 0, len(self.segments) - 1)
         lo = self.breakpoints[idx]
         hi = self.breakpoints[idx + 1]
-        local = (ts - lo) / (hi - lo)
-        out = np.empty((ts.shape[0], self.dim))
-        for seg_idx in np.unique(idx):
-            mask = idx == seg_idx
-            pts = np.broadcast_to(
-                polygons[seg_idx], (int(mask.sum()),) + polygons[seg_idx].shape
-            ).copy()
-            w = local[mask][:, None, None]
-            while pts.shape[1] > 1:
-                pts = (1.0 - w) * pts[:, :-1] + w * pts[:, 1:]
-            out[mask] = pts[:, 0]
-        return out
+        return idx, (ts - lo) / (hi - lo), hi - lo
 
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at many global parameters."""
-        return self._batch(ts, [seg.control_points for seg in self.segments])
+        idx, local, _ = self._locate_many(ts)
+        return self._value_stacks.evaluate(idx, local)
 
     def derivative_many(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized global-parameter derivatives at many parameters."""
-        ts = np.asarray(ts, dtype=float)
-        idx = np.clip(
-            np.searchsorted(self.breakpoints, ts, side="right") - 1,
-            0,
-            len(self.segments) - 1,
-        )
-        spans = self.breakpoints[idx + 1] - self.breakpoints[idx]
-        polys = [seg.derivative().control_points for seg in self.segments]
-        return self._batch(ts, polys) / spans[:, None]
+        idx, local, spans = self._locate_many(ts)
+        return self._derivative_stacks.evaluate(idx, local) / spans[:, None]
 
     def subdivide_at(self, params) -> "PiecewiseBezierCurve":
         """Insert breakpoints at the given global parameters (exact splits)."""
@@ -318,6 +355,34 @@ class PiecewiseBezierCurve:
             if abs(self.breakpoints[i] - w0) <= 1e-12 and abs(self.breakpoints[i + 1] - w1) <= 1e-12:
                 return i
         raise DomainError(f"no segment spans [{w0}, {w1}]")
+
+
+class _PolygonStacks:
+    """Per-segment control polygons, stacked by size for batched evaluation.
+
+    Built once per curve: segments of equal degree share one (S, n+1, dim)
+    array, so a batch gathers each sample's polygon in one indexing step.
+    """
+
+    def __init__(self, polygons):
+        self.polygons = polygons
+        sizes = np.array([p.shape[0] for p in polygons])
+        self.groups = []
+        self.position = np.empty(len(polygons), dtype=np.intp)
+        for size in np.unique(sizes):
+            members = np.flatnonzero(sizes == size)
+            self.position[members] = np.arange(members.shape[0])
+            self.groups.append((members, np.stack([polygons[i] for i in members])))
+
+    def evaluate(self, idx: np.ndarray, local: np.ndarray) -> np.ndarray:
+        """Segment idx[k]'s polygon at local parameter local[k], for every k."""
+        if len(self.groups) == 1:
+            return de_casteljau_many(self.groups[0][1][idx], local)
+        out = np.empty((idx.shape[0], self.polygons[0].shape[1]))
+        for members, stack in self.groups:
+            mask = np.isin(idx, members)
+            out[mask] = de_casteljau_many(stack[self.position[idx[mask]]], local[mask])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,19 +459,17 @@ class BezierSurface:
         return b[:, :, 0]
 
     def evaluate_many(self, uv: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at (K, 2) parameter pairs."""
+        """Vectorized evaluation at (K, 2) parameter pairs.
+
+        Contracts the net with the tensor Bernstein basis, B_u . net . B_v;
+        agrees with `evaluate` to rounding, not bit for bit.
+        """
         uv = np.asarray(uv, dtype=float)
-        a = np.broadcast_to(
-            self.control_net, (uv.shape[0],) + self.control_net.shape
-        ).copy()
-        w = uv[:, 0][:, None, None, None]
-        while a.shape[1] > 1:
-            a = (1.0 - w) * a[:, :-1] + w * a[:, 1:]
-        b = a[:, 0]
-        w = uv[:, 1][:, None, None]
-        while b.shape[1] > 1:
-            b = (1.0 - w) * b[:, :-1] + w * b[:, 1:]
-        return b[:, 0]
+        m, n = self.degree_u, self.degree_v
+        bu = all_bernstein(m, uv[:, 0])
+        bv = all_bernstein(n, uv[:, 1])
+        rows = (bu @ self.control_net.reshape(m + 1, -1)).reshape(-1, n + 1, 3)
+        return (bv[:, None, :] @ rows)[:, 0]
 
     def partial_u(self) -> "BezierSurface":
         net = self.control_net
@@ -468,10 +531,6 @@ class BezierSurface:
             for i in range(net.shape[0])
         ]
         return BezierSurface(np.stack(rows, axis=0))
-
-
-def eval_surface(surface: BezierSurface, u: float, v: float) -> np.ndarray:
-    return surface.evaluate(u, v)
 
 
 def extract_subpatch(surface: BezierSurface, u0: float, u1: float,

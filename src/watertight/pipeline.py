@@ -69,7 +69,7 @@ def keep_region_fn(spec: str, curve: PiecewiseBezierCurve):
         raise ValueError(f"keep spec must be one of {KEEP_CHOICES}")
     n = 64 * len(curve.segments) + 1
     ts = np.linspace(0.0, 1.0, n)
-    pts = np.array([curve.evaluate(t) for t in ts])
+    pts = curve.evaluate_many(ts)
 
     if spec in ("inside", "outside"):
         poly = pts if curve.is_closed else np.vstack([pts, pts[0]])
@@ -88,7 +88,7 @@ def keep_region_fn(spec: str, curve: PiecewiseBezierCurve):
             return inside
         return lambda u, v: not inside(u, v)
 
-    tangents = np.array([curve.derivative_at(t) for t in ts])
+    tangents = curve.derivative_many(ts)
 
     def side(u, v):
         p = np.array([u, v])

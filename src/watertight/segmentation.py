@@ -189,7 +189,7 @@ def monotone_split_params(curve: PiecewiseBezierCurve, refine_tol: float = 1e-10
     """Interior parameters where du/dw or dv/dw changes sign."""
     n_seg = len(curve.segments)
     ws = np.linspace(0.0, 1.0, 64 * n_seg + 1)
-    derivs = np.array([curve.derivative_at(w) for w in ws])
+    derivs = curve.derivative_many(ws)
     scale = max(float(np.abs(derivs).max()), 1e-30)
     params = []
     for comp in range(2):
@@ -248,10 +248,11 @@ def split_monotone(curve: PiecewiseBezierCurve, snap_tol: float = 1e-5):
     refined = curve.subdivide_at(inserts) if inserts else curve
     cut_list = sorted(cuts)
 
+    lows, highs = cut_list[:-1], cut_list[1:]
+    samples = refined.evaluate_many(np.linspace(lows, highs, 101, axis=1).reshape(-1))
+    samples = samples.reshape(len(lows), 101, -1)
     segments = []
-    for lo, hi in zip(cut_list[:-1], cut_list[1:]):
-        ws = np.linspace(lo, hi, 101)
-        pts = np.array([refined.evaluate(w) for w in ws])
+    for lo, hi, pts in zip(lows, highs, samples):
         u_trend = _trend(pts[:, 0])
         v_trend = _trend(pts[:, 1])
         if v_trend != 0:

@@ -3,11 +3,12 @@
 After both surfaces are decomposed and normalized, each trapezoid patch's
 curved edge corresponds to one interval of the intersection curve between
 two breakpoints.  Stitching degree-elevates that curve interval to the
-common edge degree of the matched patch pair (elevating the lower-degree
-patch along its trim direction first, which is exact) and writes the same
-control points into both edges.  Matched edges then hold bitwise-identical
-control polygons, so evaluating them with the same de Casteljau code yields
-a boundary gap of exactly zero.
+common edge degree of the matched patch pair, or to the interval's own
+degree where that is higher (elevating a lower-degree patch along its trim
+direction first, which is exact), and writes the same control points into
+both edges.  Matched edges then hold bitwise-identical control polygons,
+so evaluating them with the same de Casteljau code yields a boundary gap
+of exactly zero.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .bezier import (
     BezierSurface,
     Edge,
     PiecewiseBezierCurve,
-    de_casteljau,
+    de_casteljau_many,
     degree_elevate_curve,
     degree_reduce_curve,
 )
-from .errors import AlignmentError, ReductionError, StitchError
+from .errors import AlignmentError, ReductionError
 from .intersect import GapReport, IntersectionData
 from .segmentation import TRAPEZOID, PatchDecomposition
 
@@ -94,6 +95,12 @@ def align_boundary(data: IntersectionData, set_a: PatchSet, set_b: PatchSet):
     """
     entries_a = set_a.boundary_entries()
     entries_b = set_b.boundary_entries()
+    if not entries_a and not entries_b and data.points:
+        raise AlignmentError(
+            f"the intersection has {len(data.points)} points but neither side has "
+            "a boundary patch to stitch; the cut is not reparameterized onto any "
+            "patch edge (axis-aligned straight cuts are not supported)"
+        )
     if len(entries_a) != len(entries_b):
         raise AlignmentError(
             f"boundary patch counts differ: {len(entries_a)} vs {len(entries_b)}"
@@ -143,13 +150,8 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
         d_edge = max(
             _edge_degree(patch_a, triple.edge_a),
             _edge_degree(patch_b, triple.edge_b),
+            triple.segment.degree,
         )
-        if triple.segment.degree > d_edge:
-            raise StitchError(
-                f"curve segment degree {triple.segment.degree} exceeds the "
-                f"boundary edge degree {d_edge}; raise the fit degree or "
-                "elevate the surfaces"
-            )
         elevated = degree_elevate_curve(triple.segment, d_edge)
         patch_a = _elevate_along_edge(patch_a, triple.edge_a, d_edge)
         patch_b = _elevate_along_edge(patch_b, triple.edge_b, d_edge)
@@ -281,24 +283,20 @@ def verify_watertight(model: WatertightModel, samples: int = 65) -> GapReport:
     """
     if not model.triples:
         return GapReport(0.0, 0.0, 0, np.zeros(3))
-    distances = []
-    worst = np.zeros(3)
-    worst_d = -1.0
+    ts = np.linspace(0.0, 1.0, samples)
+    side_a, side_b = [], []
     for triple in model.triples:
         cps_a = model.set_a.patches[triple.patch_a].edge_curve(triple.edge_a).control_points
         cps_b = model.set_b.patches[triple.patch_b].edge_curve(triple.edge_b).control_points
-        for t in np.linspace(0.0, 1.0, samples):
-            pa = de_casteljau(cps_a, t)
-            pb = de_casteljau(cps_b, t)
-            d = float(np.linalg.norm(pa - pb))
-            distances.append(d)
-            if d > worst_d:
-                worst_d = d
-                worst = 0.5 * (pa + pb)
-    arr = np.array(distances)
+        side_a.append(de_casteljau_many(cps_a, ts))
+        side_b.append(de_casteljau_many(cps_b, ts))
+    pa = np.concatenate(side_a)
+    pb = np.concatenate(side_b)
+    arr = np.linalg.norm(pa - pb, axis=1)
+    worst = int(np.argmax(arr))
     return GapReport(
-        max_gap=float(arr.max()),
+        max_gap=float(arr[worst]),
         rms_gap=float(np.sqrt(np.mean(arr**2))),
         sample_count=arr.size,
-        worst_point=worst,
+        worst_point=0.5 * (pa[worst] + pb[worst]),
     )

@@ -28,7 +28,14 @@ from watertight import (
     extract_subpatch,
     monomial_from_bernstein,
 )
-from watertight.bezier import Edge, all_bernstein, rotate_edge, rotate_net
+from watertight.bezier import (
+    Edge,
+    all_bernstein,
+    de_casteljau,
+    de_casteljau_many,
+    rotate_edge,
+    rotate_net,
+)
 
 
 def direct_bernstein(k, l, x):
@@ -492,3 +499,124 @@ class TestNetRelabelings:
                 moved = rot.edge_curve(new_edge)
                 want = orig.control_points if sign == 1 else orig.control_points[::-1]
                 assert np.array_equal(moved.control_points, want)
+
+
+def scalar_bernstein(degree, x):
+    """The stable recurrence, one parameter at a time: the batched oracle."""
+    vals = np.zeros(degree + 1)
+    vals[0] = 1.0
+    u = 1.0 - x
+    for j in range(1, degree + 1):
+        saved = 0.0
+        for k in range(j):
+            temp = vals[k]
+            vals[k] = saved + u * temp
+            saved = x * temp
+        vals[j] = saved
+    return vals
+
+
+def chained_curve(rng, degrees, dim=3):
+    """Piecewise curve with one segment per entry of degrees, random breaks."""
+    segments = []
+    start = rng.standard_normal(dim)
+    for d in degrees:
+        cps = rng.standard_normal((d + 1, dim))
+        cps[0] = start
+        segments.append(BezierCurve(cps))
+        start = cps[-1]
+    inner = np.sort(rng.uniform(0.0, 1.0, len(degrees) - 1))
+    return PiecewiseBezierCurve(segments, np.concatenate([[0.0], inner, [1.0]]))
+
+
+def kernel_params(rng, curve):
+    return np.concatenate([[0.0, 1.0], curve.breakpoints, rng.uniform(0.0, 1.0, 50)])
+
+
+class TestBatchedKernels:
+    """Batched kernels take the scalar arithmetic, so they match bit for bit."""
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_de_casteljau_many_matches_scalar(self, degree):
+        rng = np.random.default_rng(100 + degree)
+        cps = rng.standard_normal((degree + 1, 3))
+        ts = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 40)])
+        want = np.array([de_casteljau(cps, t) for t in ts])
+        assert np.array_equal(de_casteljau_many(cps, ts), want)
+        stacks = rng.standard_normal((ts.shape[0], degree + 1, 2))
+        want = np.array([de_casteljau(p, t) for p, t in zip(stacks, ts)])
+        assert np.array_equal(de_casteljau_many(stacks, ts), want)
+
+    def test_de_casteljau_many_endpoints_exact(self):
+        cps = np.array([[-0.0, 1.0], [3.0, -2.0], [0.5, 0.25]])
+        out = de_casteljau_many(cps, np.array([0.0, 1.0]))
+        assert np.array_equal(out, cps[[0, -1]])
+        assert np.signbit(out[0, 0])
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_piecewise_batches_match_scalar(self, degree):
+        rng = np.random.default_rng(200 + degree)
+        curve = chained_curve(rng, [degree] * 5)
+        ts = kernel_params(rng, curve)
+        assert np.array_equal(
+            curve.evaluate_many(ts), np.array([curve.evaluate(t) for t in ts])
+        )
+        assert np.array_equal(
+            curve.derivative_many(ts), np.array([curve.derivative_at(t) for t in ts])
+        )
+
+    def test_mixed_degree_batches_match_scalar(self):
+        rng = np.random.default_rng(300)
+        curve = chained_curve(rng, [3, 0, 7, 1, 3, 5, 2, 6, 4], dim=2)
+        ts = kernel_params(rng, curve)
+        assert np.array_equal(
+            curve.evaluate_many(ts), np.array([curve.evaluate(t) for t in ts])
+        )
+        assert np.array_equal(
+            curve.derivative_many(ts), np.array([curve.derivative_at(t) for t in ts])
+        )
+        for i, seg in enumerate(curve.segments):
+            w = 0.5 * (curve.breakpoints[i] + curve.breakpoints[i + 1])
+            local = curve.locate(w)[1]
+            span = curve.breakpoints[i + 1] - curve.breakpoints[i]
+            want = seg.derivative().evaluate(local) / span
+            assert np.array_equal(curve.derivative_at(w), want)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 7, 12])
+    def test_all_bernstein_batch_matches_recurrence(self, degree):
+        rng = np.random.default_rng(400 + degree)
+        xs = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, 60)])
+        batch = all_bernstein(degree, xs)
+        assert batch.shape == (xs.shape[0], degree + 1)
+        for x, row in zip(xs, batch):
+            assert np.array_equal(row, scalar_bernstein(degree, x))
+            assert np.array_equal(all_bernstein(degree, x), row)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (1, 2), (3, 3), (3, 9), (5, 1)])
+    def test_surface_evaluate_many_matches_scalar(self, m, n):
+        rng = np.random.default_rng(500 + 10 * m + n)
+        s = random_surface(rng, m, n)
+        uv = np.vstack([
+            [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.5]],
+            rng.uniform(0.0, 1.0, (60, 2)),
+        ])
+        want = np.array([s.evaluate(u, v) for u, v in uv])
+        scale = np.abs(s.control_net).max()
+        assert np.abs(s.evaluate_many(uv) - want).max() <= 1e-14 * scale
+
+    def test_derivative_many_builds_no_curves_when_repeated(self, monkeypatch):
+        rng = np.random.default_rng(600)
+        curve = chained_curve(rng, [3] * 300, dim=2)
+        ts = np.linspace(0.0, 1.0, 64 * 300 + 1)
+        first = curve.derivative_many(ts)
+        builds = []
+        original = BezierCurve.__post_init__
+
+        def counting(self):
+            builds.append(1)
+            original(self)
+
+        monkeypatch.setattr(BezierCurve, "__post_init__", counting)
+        second = curve.derivative_many(ts)
+        assert not builds
+        assert np.array_equal(first, second)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from watertight import StitchError
+from watertight import StageError
 from watertight.bezier import BezierCurve, Edge
 from watertight.intersect import build_intersection_data, measure_gap
-from watertight.pipeline import PipelineConfig, prepare_decompositions
-from watertight.shapes import paraboloid_patch, plane_patch
+from watertight.pipeline import PipelineConfig, prepare_decompositions, run_pipeline
+from watertight.shapes import flat_patch, paraboloid_patch, plane_patch
 from watertight.stitching import (
     align_boundary,
     stitch_boundary,
@@ -194,3 +194,23 @@ class TestPlanarConsistency:
         model = stitch_boundary(set_a, set_b, triples, reduce_tolerance=1e-3)
         report = verify_watertight(model, samples=33)
         assert report.max_gap == 0.0
+
+
+class TestStraightCuts:
+    def test_straight_edge_elevated_to_cubic_segment(self):
+        # A planar cut fits a degree-1 boundary polynomial, so the patch edge
+        # has degree 2, below the cubic curve segment; elevating it is exact.
+        config = PipelineConfig(keep_a="left", keep_b="left")
+        result = run_pipeline(flat_patch(), plane_patch(1.0, 0.5, -0.6), config)
+        assert result.report["boundary_pairs"] > 0
+        assert result.report["post_stitch_gap"]["max"] == 0.0
+        assert result.model.report_post.sample_count > 0
+
+    def test_axis_aligned_cut_is_not_vacuously_watertight(self):
+        # The cut u = 0.5 splits each domain into rectangles only: no patch
+        # edge carries the curve, so there is nothing to stitch.
+        config = PipelineConfig(keep_a="left", keep_b="left")
+        with pytest.raises(StageError) as err:
+            run_pipeline(flat_patch(), plane_patch(1.0, 0.0, -0.5), config)
+        assert err.value.stage == "align"
+        assert "neither side has a boundary patch" in str(err.value)

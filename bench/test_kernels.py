@@ -10,9 +10,11 @@ test paths in pyproject.toml, so the plain test command never collects
 these files.
 
 Each benchmark times one kernel on the sizes the pipeline feeds it: a
-domain curve of 300 cubic segments (a dense march), the 441-point grid
-`_patch_deviation` inverts on a (3, 9) stitched patch, the degree
-reduction stitching tries, and the final gap check of a stitched model.
+domain curve of 300 cubic segments (a dense march), a 441-point grid on a
+(3, 9) patch, one batch of the stitch deviation's point inversion (16
+stacked patches, 441 samples each), the pre-stitch gap measurement and the
+lifting of a dense domain curve, the degree reduction stitching tries, and
+the final gap check of a stitched model.
 """
 
 import numpy as np
@@ -25,6 +27,7 @@ from watertight.bezier import (
     degree_elevate_curve,
     degree_reduce_curve,
 )
+from watertight.intersect import invert_points, lift_domain_curve, measure_gap
 from watertight.pipeline import PipelineConfig, run_pipeline
 from watertight.shapes import paraboloid_patch, plane_patch
 from watertight.stitching import verify_watertight
@@ -42,10 +45,14 @@ def chained_cubics(rng, count):
 
 
 @pytest.fixture(scope="module")
-def stitched_demo():
+def demo():
     """The demo circle: paraboloid against the plane z = 0.04, step 0.02."""
-    result = run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig())
-    return result.model
+    return run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig())
+
+
+@pytest.fixture(scope="module")
+def stitched_demo(demo):
+    return demo.model
 
 
 def test_derivative_many_300_segments(benchmark):
@@ -63,6 +70,35 @@ def test_surface_evaluate_many_441_points(benchmark):
     uv = np.stack([uu.reshape(-1), vv.reshape(-1)], axis=1)
     out = benchmark(surface.evaluate_many, uv)
     assert out.shape == (441, 3)
+
+
+def test_invert_points_16_nets_441_samples(benchmark):
+    rng = np.random.default_rng(4)
+    # Gently curved (8, 4) nets: a unit square with a small random height.
+    us, vs = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 5), indexing="ij")
+    nets = np.stack([
+        np.stack([us, vs, 0.05 * rng.standard_normal(us.shape)], axis=-1)
+        for _ in range(16)
+    ])
+    ts = np.linspace(0.0, 1.0, 21)
+    uu, vv = np.meshgrid(ts, ts, indexing="ij")
+    seeds = np.broadcast_to(np.stack([uu.reshape(-1), vv.reshape(-1)], axis=1), (16, 441, 2))
+    points = np.stack([
+        BezierSurface(net).evaluate_grid(ts, ts).reshape(-1, 3) for net in nets
+    ]) + rng.normal(0.0, 1e-4, (16, 441, 3))
+    uv, dist, converged = benchmark(invert_points, nets, points, seeds)
+    assert converged.all()
+
+
+def test_measure_gap_200_samples_demo(benchmark, demo):
+    data = demo.data
+    report = benchmark(measure_gap, data.curve_c, paraboloid_patch(), 200, data.domain_curve_a)
+    assert report.flagged == 0
+
+
+def test_lift_domain_curve_9001_samples(benchmark, demo):
+    lifted = benchmark(lift_domain_curve, paraboloid_patch(), demo.data.domain_curve_a, 9001)
+    assert lifted.shape == (9001, 3)
 
 
 def test_degree_reduce_8_to_3(benchmark):

@@ -32,7 +32,6 @@ from .errors import (
     ParseError,
     ReductionError,
     StageError,
-    StitchError,
     UnsupportedDegreeError,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "ParseError",
     "ReductionError",
     "StageError",
-    "StitchError",
     "UnsupportedDegreeError",
     "__version__",
 ]

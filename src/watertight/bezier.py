@@ -19,10 +19,16 @@ t == 0.0 and t == 1.0 they return the first and last control point
 exactly.  The zero-gap guarantee relies on both properties: two patches
 whose stitched edges hold the same control polygon evaluate to the same
 bits there, whichever path evaluates them.  `all_bernstein` is vectorized
-over x with the scalar recurrence's arithmetic.  `BezierSurface.evaluate_many`
-is the one exception: it contracts tensor Bernstein basis matrices with the
-net and agrees with the scalar `evaluate` to rounding only, so it serves
-distance measurements, never boundary evaluation.
+over x with the scalar recurrence's arithmetic.
+
+`evaluate_stacked` is the one surface kernel that agrees with the scalar
+`evaluate` to rounding only: it contracts the u and v Bernstein matrices
+with P stacked nets of one shape and returns the value and both partials
+at once (`BezierSurface.evaluate_many` is its one-net case).  It serves
+distance measurements (point inversion), never boundary evaluation; each
+sample's bits still do not depend on the rest of its batch.  Lifting a
+domain curve onto a surface stays on batched de Casteljau and keeps the
+scalar bits.
 """
 
 from __future__ import annotations
@@ -461,15 +467,11 @@ class BezierSurface:
     def evaluate_many(self, uv: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at (K, 2) parameter pairs.
 
-        Contracts the net with the tensor Bernstein basis, B_u . net . B_v;
-        agrees with `evaluate` to rounding, not bit for bit.
+        The one-net case of `evaluate_stacked`; agrees with `evaluate` to
+        rounding, not bit for bit.
         """
         uv = np.asarray(uv, dtype=float)
-        m, n = self.degree_u, self.degree_v
-        bu = all_bernstein(m, uv[:, 0])
-        bv = all_bernstein(n, uv[:, 1])
-        rows = (bu @ self.control_net.reshape(m + 1, -1)).reshape(-1, n + 1, 3)
-        return (bv[:, None, :] @ rows)[:, 0]
+        return evaluate_stacked(self.control_net[None], uv[None])[0][0]
 
     def partial_u(self) -> "BezierSurface":
         net = self.control_net
@@ -531,6 +533,71 @@ class BezierSurface:
             for i in range(net.shape[0])
         ]
         return BezierSurface(np.stack(rows, axis=0))
+
+
+def _bernstein_pair(degree: int, x: np.ndarray):
+    """Degree and degree-1 Bernstein values at x, from one recurrence run.
+
+    Returns (B^degree, B^(degree-1)) with a trailing basis axis; the lower
+    basis is None at degree 0.  B^degree takes the last recurrence level's
+    operations, so it equals `all_bernstein(degree, x)` bit for bit.
+    """
+    if degree == 0:
+        return np.ones(x.shape + (1,)), None
+    low = all_bernstein(degree - 1, x)
+    full = np.zeros(x.shape + (degree + 1,))
+    full[..., :-1] = (1.0 - x)[..., None] * low
+    full[..., 1:] += x[..., None] * low
+    return full, low
+
+
+def _contract(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_i basis[..., i] * coeffs[..., i, :, ...], accumulated in index order.
+
+    An explicit loop of elementwise products, not a BLAS contraction, so each
+    sample's sum takes the same operations whatever else is in the batch.
+    """
+    extra = (None,) * (coeffs.ndim - basis.ndim)
+    out = basis[(..., 0) + extra] * coeffs[:, :, 0]
+    for i in range(1, basis.shape[-1]):
+        out += basis[(..., i) + extra] * coeffs[:, :, i]
+    return out
+
+
+def evaluate_stacked(nets: np.ndarray, uv: np.ndarray):
+    """Values and both partials of P stacked nets of one shape at once.
+
+    `nets` is (P, m+1, n+1, 3) and `uv` is (P, K, 2): net p is evaluated at
+    its K parameter pairs.  Returns (S, S_u, S_v), each (P, K, 3).  The u and
+    v Bernstein matrices are built once and serve all three results; the
+    partials contract the hodograph nets with the degree-1-lower basis.  The
+    result agrees with `BezierSurface.evaluate` to rounding only, and each
+    sample's bits do not depend on the other samples of the batch.
+    """
+    nets = np.asarray(nets, dtype=float)
+    uv = np.asarray(uv, dtype=float)
+    m, n = nets.shape[1] - 1, nets.shape[2] - 1
+    if m < n:
+        # Collapse the longer axis first: the per-sample rows then hold the
+        # shorter one, which keeps the batch's intermediates small.
+        value, partial_v, partial_u = evaluate_stacked(
+            nets.transpose(0, 2, 1, 3), uv[..., ::-1]
+        )
+        return value, partial_u, partial_v
+    bu, bu_low = _bernstein_pair(m, uv[..., 0])
+    bv, bv_low = _bernstein_pair(n, uv[..., 1])
+    # (P, K, n+1, 3): the net collapsed along u at each sample, n <= m.
+    rows = _contract(bu, nets[:, None])
+    value = _contract(bv, rows)
+    if m == 0:
+        partial_u = np.zeros_like(value)
+    else:
+        partial_u = _contract(bv, _contract(bu_low, m * np.diff(nets, axis=1)[:, None]))
+    if n == 0:
+        partial_v = np.zeros_like(value)
+    else:
+        partial_v = n * _contract(bv_low, np.diff(rows, axis=2))
+    return value, partial_u, partial_v
 
 
 def extract_subpatch(surface: BezierSurface, u0: float, u1: float,

@@ -54,10 +54,6 @@ class AlignmentError(GeometryError):
     """Patch sets do not share the breakpoint structure of one intersection."""
 
 
-class StitchError(GeometryError):
-    """Boundary replacement is impossible at the current degrees."""
-
-
 class ParseError(GeometryError, ValueError):
     """A model file violates the schema."""
 

@@ -18,13 +18,20 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .bezier import BezierCurve, BezierSurface, PiecewiseBezierCurve
+from .bezier import (
+    BezierCurve,
+    BezierSurface,
+    PiecewiseBezierCurve,
+    de_casteljau_many,
+    evaluate_stacked,
+)
 from .errors import InversionError, NoIntersectionError
 
 log = logging.getLogger(__name__)
 
 _NEWTON_MAX_ITER = 50
 _PARAM_TOL = 1e-12
+_POINT_TOL = 1e-14
 
 
 @dataclass(eq=False)
@@ -80,32 +87,93 @@ class GapReport:
 # Point inversion
 # ---------------------------------------------------------------------------
 
-def invert_point(surface: BezierSurface, point: np.ndarray, seed) -> np.ndarray:
-    """Parameters (u, v) minimizing |S(u, v) - point|, by damped Gauss-Newton.
+def invert_points(nets: np.ndarray, points: np.ndarray, seeds: np.ndarray):
+    """Closest parameters on P stacked nets of one shape, by Gauss-Newton.
 
-    Parameters are clamped into [0,1]^2; converged when the (clamped) update
-    drops below 1e-12.  Raises InversionError after 50 iterations.
+    `nets` is (P, m+1, n+1, 3); `points` (P, K, 3) and `seeds` (P, K, 2)
+    hold net p's K samples.  Each iteration solves the 2x2 normal equations,
+    damped by 1e-10 of each diagonal term (Marquardt's scaling, so a nearly
+    collapsed direction still takes its full step) plus 1e-30 of their trace
+    (so an exactly collapsed one takes none and does not freeze the other),
+    and clamps (u, v) into [0,1]^2.  A parameter on an edge of the square
+    whose step leaves it is held there and the other one is solved alone,
+    so the iteration finds the closest point along that edge.  Each sample
+    stops on its own, keeping the parameters it was evaluated at, once its
+    clamped update is below 1e-12 or moves the surface point by less than
+    1e-14; only the samples still running are updated, so a sample's result
+    does not depend on the rest of its batch.
+
+    Returns (uv, distance, converged): (P, K, 2), (P, K) and (P, K) arrays,
+    distance = |S(uv) - point| by `evaluate_stacked`.  A sample still moving
+    after 50 iterations keeps its last evaluated parameters, unconverged.
     """
-    point = np.asarray(point, dtype=float)
-    params = np.clip(np.asarray(seed, dtype=float), 0.0, 1.0)
-    su = surface.partial_u()
-    sv = surface.partial_v()
-    for _ in range(_NEWTON_MAX_ITER):
-        r = surface.evaluate(*params) - point
-        jac = np.column_stack([su.evaluate(*params), sv.evaluate(*params)])
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        try:
-            step = np.linalg.solve(jtj, -jtr)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jtj, -jtr, rcond=None)[0]
-        new_params = np.clip(params + step, 0.0, 1.0)
-        update = np.linalg.norm(new_params - params)
-        params = new_params
-        if update < _PARAM_TOL:
-            return params
-    residual = float(np.linalg.norm(surface.evaluate(*params) - point))
-    raise InversionError("point inversion did not converge", params, residual)
+    nets = np.asarray(nets, dtype=float)
+    points = np.asarray(points, dtype=float)
+    uv = np.clip(np.asarray(seeds, dtype=float), 0.0, 1.0)
+    distance = np.zeros(uv.shape[:2])
+    converged = np.zeros(uv.shape[:2], dtype=bool)
+    running = np.ones(uv.shape[:2], dtype=bool)
+    for iteration in range(_NEWTON_MAX_ITER):
+        live = np.flatnonzero(running.any(axis=1))
+        if live.shape[0] == 0:
+            break
+        act = running[live]
+        params = uv[live]
+        value, su, sv = evaluate_stacked(nets[live], params)
+        r = value - points[live]
+        distance[live] = np.where(act, np.sqrt(_dot(r, r)), distance[live])
+        a, b, c = _dot(su, su), _dot(su, sv), _dot(sv, sv)
+        g1, g2 = _dot(su, r), _dot(sv, r)
+        trace = a + c
+        a = a * (1.0 + 1e-10) + 1e-30 * trace
+        c = c * (1.0 + 1e-10) + 1e-30 * trace
+        det = a * c - b * b
+        step = np.stack([_ratio(b * g2 - c * g1, det), _ratio(b * g1 - a * g2, det)], axis=-1)
+        # A parameter on the square's edge whose step leaves it is held, and
+        # the other one minimizes alone along that edge.
+        hold = ((params == 0.0) & (step < 0.0)) | ((params == 1.0) & (step > 0.0))
+        edge_step = np.stack([np.where(hold[..., 1], _ratio(-g1, a), step[..., 0]),
+                              np.where(hold[..., 0], _ratio(-g2, c), step[..., 1])], axis=-1)
+        step = np.where(hold, 0.0, edge_step)
+        du = np.clip(params + step, 0.0, 1.0) - params
+        moved = su * du[..., :1] + sv * du[..., 1:]
+        done = act & (
+            (np.sqrt(_dot(du, du)) < _PARAM_TOL) | (np.sqrt(_dot(moved, moved)) < _POINT_TOL)
+        )
+        converged[live] |= done
+        act &= ~done
+        running[live] = act
+        if iteration + 1 < _NEWTON_MAX_ITER:
+            uv[live] = np.where(act[..., None], params + du, params)
+    return uv, distance, converged
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, with a zero denominator (no curvature at all) giving 0."""
+    return num / np.where(den == 0.0, np.inf, den)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis, in a fixed order."""
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
+
+
+def invert_point(surface: BezierSurface, point: np.ndarray, seed) -> np.ndarray:
+    """Parameters (u, v) minimizing |S(u, v) - point|: one-sample `invert_points`.
+
+    Raises InversionError when the iteration does not converge.
+    """
+    uv, distance, converged = invert_points(
+        surface.control_net[None],
+        np.asarray(point, dtype=float).reshape(1, 1, 3),
+        np.asarray(seed, dtype=float).reshape(1, 1, 2),
+    )
+    if not converged[0, 0]:
+        raise InversionError("point inversion did not converge", uv[0, 0], float(distance[0, 0]))
+    return uv[0, 0]
 
 
 def _grid_argmin(surface: BezierSurface, point: np.ndarray, grid: int) -> np.ndarray:
@@ -436,14 +504,18 @@ def interpolate_domain_curve(params, breakpoints=None) -> PiecewiseBezierCurve:
 
 def lift_domain_curve(surface: BezierSurface, curve: PiecewiseBezierCurve,
                       samples: int) -> np.ndarray:
-    """Sample the domain curve and map each point through the surface."""
+    """Sample the domain curve and map each point through the surface.
+
+    Two de Casteljau passes, over u on the flattened net and then over v on
+    the collapsed rows: `BezierSurface.evaluate`'s operations, batched, so
+    every point equals the scalar evaluation bit for bit.
+    """
     if samples < 2:
         raise ValueError("need at least two samples")
-    out = np.empty((samples, 3))
-    for k, t in enumerate(np.linspace(0.0, 1.0, samples)):
-        uv = np.clip(curve.evaluate(t), 0.0, 1.0)
-        out[k] = surface.evaluate(uv[0], uv[1])
-    return out
+    uv = np.clip(curve.evaluate_many(np.linspace(0.0, 1.0, samples)), 0.0, 1.0)
+    net = surface.control_net
+    rows = de_casteljau_many(net.reshape(net.shape[0], -1), uv[:, 0])
+    return de_casteljau_many(rows.reshape(samples, net.shape[1], 3), uv[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -460,32 +532,24 @@ def measure_gap(curve: PiecewiseBezierCurve, surface: BezierSurface,
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    distances = np.empty(samples)
-    flagged = 0
-    worst = np.zeros(3)
     ts = np.linspace(0.0, 1.0, samples)
-    for k, t in enumerate(ts):
-        point = curve.evaluate(t)
-        if seed_curve is not None:
-            seed = np.clip(seed_curve.evaluate(t), 0.0, 1.0)
-        else:
-            seed = _grid_argmin(surface, point, 33)
-        try:
-            uv = invert_point(surface, point, seed)
-            dist = float(np.linalg.norm(surface.evaluate(uv[0], uv[1]) - point))
-        except InversionError:
-            uv = _grid_argmin(surface, point, 129)
-            dist = float(np.linalg.norm(surface.evaluate(uv[0], uv[1]) - point))
-            flagged += 1
-        distances[k] = dist
-    idx = int(np.argmax(distances))
-    worst = curve.evaluate(ts[idx])
+    points = curve.evaluate_many(ts)
+    if seed_curve is not None:
+        seeds = np.clip(seed_curve.evaluate_many(ts), 0.0, 1.0)
+    else:
+        seeds = np.array([_grid_argmin(surface, p, 33) for p in points])
+    _, dist, converged = invert_points(surface.control_net[None], points[None], seeds[None])
+    distances = dist[0]
+    failed = np.flatnonzero(~converged[0])
+    for k in failed:
+        uv = _grid_argmin(surface, points[k], 129)
+        distances[k] = np.linalg.norm(surface.evaluate(uv[0], uv[1]) - points[k])
     return GapReport(
         max_gap=float(distances.max()),
         rms_gap=float(np.sqrt(np.mean(distances**2))),
         sample_count=samples,
-        worst_point=worst,
-        flagged=flagged,
+        worst_point=points[int(np.argmax(distances))],
+        flagged=int(failed.shape[0]),
     )
 
 

@@ -28,7 +28,7 @@ from .bezier import (
     degree_reduce_curve,
 )
 from .errors import AlignmentError, ReductionError
-from .intersect import GapReport, IntersectionData
+from .intersect import GapReport, IntersectionData, invert_points
 from .segmentation import TRAPEZOID, PatchDecomposition
 
 
@@ -143,7 +143,7 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
     out_a = copy.deepcopy(set_a)
     out_b = copy.deepcopy(set_b)
     shared = []
-    deviation = 0.0
+    pairs = []
     for triple in triples:
         patch_a = out_a.patches[triple.patch_a]
         patch_b = out_b.patches[triple.patch_b]
@@ -157,11 +157,8 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
         patch_b = _elevate_along_edge(patch_b, triple.edge_b, d_edge)
         new_a = patch_a.with_edge(triple.edge_a, elevated.control_points)
         new_b = patch_b.with_edge(triple.edge_b, elevated.control_points)
-        deviation = max(
-            deviation,
-            _patch_deviation(out_a.patches[triple.patch_a], new_a),
-            _patch_deviation(out_b.patches[triple.patch_b], new_b),
-        )
+        pairs.append((out_a.patches[triple.patch_a], new_a))
+        pairs.append((out_b.patches[triple.patch_b], new_b))
         out_a.patches[triple.patch_a] = new_a
         out_b.patches[triple.patch_b] = new_b
         shared.append(elevated)
@@ -174,55 +171,43 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
         set_b=out_b,
         shared_boundary=shared,
         triples=list(triples),
-        deviation=float(deviation),
+        deviation=_stitch_deviation(pairs),
     )
 
 
-def _invert_batch(surface: BezierSurface, points: np.ndarray,
-                  seeds: np.ndarray, iters: int = 30) -> np.ndarray:
-    """Distances from points to the surface via batched Gauss-Newton."""
-    su = surface.partial_u()
-    sv = surface.partial_v()
-    uv = seeds.copy()
-    for _ in range(iters):
-        r = surface.evaluate_many(uv) - points
-        ju = su.evaluate_many(uv)
-        jv = sv.evaluate_many(uv)
-        a = np.sum(ju * ju, axis=1)
-        b = np.sum(ju * jv, axis=1)
-        c = np.sum(jv * jv, axis=1)
-        g1 = np.sum(ju * r, axis=1)
-        g2 = np.sum(jv * r, axis=1)
-        det = a * c - b * b
-        det = np.where(np.abs(det) < 1e-300, 1.0, det)
-        step = np.stack([-(c * g1 - b * g2) / det, -(a * g2 - b * g1) / det], axis=1)
-        new = np.clip(uv + step, 0.0, 1.0)
-        moved = np.abs(new - uv).max()
-        uv = new
-        if moved < 1e-13:
-            break
-    return np.linalg.norm(surface.evaluate_many(uv) - points, axis=1)
+# Patches per inversion batch in `_stitch_deviation`: 8 patches of 441
+# samples keep a batch's arrays to a few MB.
+_DEVIATION_BATCH = 8
 
 
-def _patch_deviation(before: BezierSurface, after: BezierSurface,
-                     grid: int = 20) -> float:
+def _stitch_deviation(pairs, grid: int = 20) -> float:
     """Max distance from post-stitch sample points to the pre-stitch patch.
 
-    A set distance, not a same-parameter one: the replacement curve carries
-    a chord-length-like parameterization, so comparing at equal parameters
+    Each (before, after) pair is sampled on a (grid+1)^2 parameter grid.  A
+    set distance, not a same-parameter one: the replacement curve carries a
+    chord-length-like parameterization, so comparing at equal parameters
     would report tangential sliding that does not move the surface.  The
-    same-parameter distance upper-bounds each sample's set distance.
+    same-parameter distance upper-bounds each sample's set distance and caps
+    it.  Pairs are inverted onto their `before` nets in fixed batches of
+    equal-shape nets, which bounds the memory a batch takes.
     """
     ts = np.linspace(0.0, 1.0, grid + 1)
-    pa = before.evaluate_grid(ts, ts)
-    pb = after.evaluate_grid(ts, ts)
-    bound = np.linalg.norm(pa - pb, axis=2).reshape(-1)
-    if bound.max() == 0.0:
-        return 0.0
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
     seeds = np.stack([uu.reshape(-1), vv.reshape(-1)], axis=1)
-    dist = _invert_batch(before, pb.reshape(-1, 3), seeds)
-    return float(np.minimum(dist, bound).max())
+    groups = {}
+    for before, after in pairs:
+        groups.setdefault(before.control_net.shape, []).append((before, after))
+    deviation = 0.0
+    for members in groups.values():
+        for k in range(0, len(members), _DEVIATION_BATCH):
+            chunk = members[k:k + _DEVIATION_BATCH]
+            nets = np.stack([before.control_net for before, _ in chunk])
+            pa = np.stack([before.evaluate_grid(ts, ts).reshape(-1, 3) for before, _ in chunk])
+            pb = np.stack([after.evaluate_grid(ts, ts).reshape(-1, 3) for _, after in chunk])
+            bound = np.linalg.norm(pa - pb, axis=2)
+            _, dist, _ = invert_points(nets, pb, np.broadcast_to(seeds, pb.shape[:2] + (2,)))
+            deviation = max(deviation, float(np.minimum(dist, bound).max()))
+    return deviation
 
 
 def _reduce_patch_rows(patch: BezierSurface, edge: Edge, target: int,

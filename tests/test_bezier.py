@@ -33,6 +33,7 @@ from watertight.bezier import (
     all_bernstein,
     de_casteljau,
     de_casteljau_many,
+    evaluate_stacked,
     rotate_edge,
     rotate_net,
 )
@@ -603,6 +604,48 @@ class TestBatchedKernels:
         want = np.array([s.evaluate(u, v) for u, v in uv])
         scale = np.abs(s.control_net).max()
         assert np.abs(s.evaluate_many(uv) - want).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 3), (2, 0), (1, 2), (3, 9), (8, 4)])
+    def test_evaluate_stacked_matches_evaluate_and_partials(self, m, n):
+        rng = np.random.default_rng(700 + 10 * m + n)
+        surfaces = [random_surface(rng, m, n) for _ in range(3)]
+        uv = np.concatenate([
+            np.broadcast_to([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.5]], (3, 4, 2)),
+            rng.uniform(0.0, 1.0, (3, 30, 2)),
+        ], axis=1)
+        value, su, sv = evaluate_stacked(np.stack([s.control_net for s in surfaces]), uv)
+        assert value.shape == su.shape == sv.shape == (3, 34, 3)
+        for p, s in enumerate(surfaces):
+            scale = np.abs(s.control_net).max() * max(m, n, 1)
+            pu, pv = s.partial_u(), s.partial_v()
+            for k, (u, v) in enumerate(uv[p]):
+                assert np.abs(value[p, k] - s.evaluate(u, v)).max() <= 1e-14 * scale
+                assert np.abs(su[p, k] - pu.evaluate(u, v)).max() <= 1e-13 * scale
+                assert np.abs(sv[p, k] - pv.evaluate(u, v)).max() <= 1e-13 * scale
+
+    def test_evaluate_stacked_partials_match_finite_differences(self):
+        rng = np.random.default_rng(800)
+        nets = rng.uniform(-1.0, 1.0, (2, 4, 6, 3))
+        uv = rng.uniform(0.1, 0.9, (2, 25, 2))
+        h = 1e-6
+        _, su, sv = evaluate_stacked(nets, uv)
+        for axis, partial in ((0, su), (1, sv)):
+            step = np.zeros(2)
+            step[axis] = h
+            plus = evaluate_stacked(nets, uv + step)[0]
+            minus = evaluate_stacked(nets, uv - step)[0]
+            assert np.abs((plus - minus) / (2 * h) - partial).max() <= 1e-7
+
+    def test_evaluate_stacked_sample_bits_independent_of_batch(self):
+        rng = np.random.default_rng(900)
+        nets = rng.uniform(-1.0, 1.0, (4, 5, 3, 3))
+        uv = rng.uniform(0.0, 1.0, (4, 17, 2))
+        batch = evaluate_stacked(nets, uv)
+        for p in range(4):
+            for k in range(17):
+                alone = evaluate_stacked(nets[p:p + 1], uv[p:p + 1, k:k + 1])
+                for whole, single in zip(batch, alone):
+                    assert np.array_equal(whole[p, k], single[0, 0])
 
     def test_derivative_many_builds_no_curves_when_repeated(self, monkeypatch):
         rng = np.random.default_rng(600)

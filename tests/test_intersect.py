@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+import watertight.intersect as intersect
+import watertight.stitching as stitching
 from watertight import BezierSurface, InversionError
 from watertight.intersect import (
     build_intersection_data,
     interpolate_domain_curve,
     interpolate_space_curve,
     invert_point,
+    invert_points,
     lift_domain_curve,
     march_intersection,
     measure_gap,
 )
+from watertight.pipeline import PipelineConfig, run_pipeline
 from watertight.shapes import flat_patch, paraboloid_height, paraboloid_patch, plane_patch
 
 
@@ -96,6 +100,64 @@ class TestInversion:
     def test_seed_clamped(self, flat):
         uv = invert_point(flat, np.array([0.5, 0.5, 0.0]), seed=(0.4, 0.6))
         assert np.allclose(uv, [0.5, 0.5], atol=1e-10)
+
+
+class TestBatchedInversion:
+    def test_sample_bits_independent_of_batch(self, rng):
+        nets = rng.uniform(-1.0, 1.0, (4, 3, 4, 3))
+        truth = rng.uniform(0.0, 1.0, (4, 12, 2))
+        points = np.array([
+            [BezierSurface(net).evaluate(u, v) for u, v in params]
+            for net, params in zip(nets, truth)
+        ]) + rng.normal(0.0, 0.05, (4, 12, 3))
+        seeds = np.clip(truth + rng.normal(0.0, 0.1, truth.shape), 0.0, 1.0)
+        uv, dist, converged = invert_points(nets, points, seeds)
+        # Far from these folded nets some samples run to the iteration cap
+        # while the rest stop early: both kinds share every batch below.
+        assert 0 < converged.sum() < converged.size
+        for p in range(4):
+            for k in range(12):
+                one = invert_points(nets[p:p + 1], points[p:p + 1, k:k + 1], seeds[p:p + 1, k:k + 1])
+                assert np.array_equal(one[0][0, 0], uv[p, k])
+                assert np.array_equal(one[1][0, 0], dist[p, k])
+                assert one[2][0, 0] == converged[p, k]
+            # The same samples in a smaller batch of their own net.
+            part = invert_points(nets[p:p + 1], points[p:p + 1, 3:9], seeds[p:p + 1, 3:9])
+            assert np.array_equal(part[0][0], uv[p, 3:9])
+            assert np.array_equal(part[1][0], dist[p, 3:9])
+
+    def test_closest_point_on_an_edge_of_the_square(self, paraboloid):
+        # Beyond u = 1 the closest point lies on the edge u = 1; the iteration
+        # must hold u there and minimize over v alone.
+        point = paraboloid.evaluate(1.0, 0.3) + np.array([0.2, 0.01, 0.0])
+        uv, dist, converged = invert_points(
+            paraboloid.control_net[None], point[None, None], np.array([[[0.9, 0.75]]])
+        )
+        assert converged[0, 0] and uv[0, 0, 0] == 1.0
+        edge = paraboloid.evaluate_grid(np.array([1.0]), np.linspace(0.0, 1.0, 2001))
+        assert dist[0, 0] <= np.linalg.norm(edge - point, axis=2).min()
+
+    def test_stitch_batches_converge_within_eight_iterations(self, monkeypatch):
+        iterations = []
+        evaluations = [0]
+        evaluate = intersect.evaluate_stacked
+        invert = stitching.invert_points
+
+        def counting_evaluate(*args):
+            evaluations[0] += 1
+            return evaluate(*args)
+
+        def counting_invert(*args):
+            evaluations[0] = 0
+            out = invert(*args)
+            iterations.append(evaluations[0])
+            return out
+
+        monkeypatch.setattr(intersect, "evaluate_stacked", counting_evaluate)
+        monkeypatch.setattr(stitching, "invert_points", counting_invert)
+        run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig())
+        assert len(iterations) >= 10
+        assert max(iterations) <= 8
 
 
 class TestSpaceCurveInterpolation:
@@ -198,6 +260,23 @@ class TestLifting:
             assert abs(p[2] - paraboloid_height(p[0], p[1])) <= 1e-12
 
 
+class TestBatchedLifting:
+    def test_matches_per_sample_evaluation_bitwise(self, rng):
+        # The reference is the per-sample loop lift_domain_curve replaced.
+        s = BezierSurface(rng.uniform(-1, 1, size=(4, 3, 3)))
+        pts = np.array([[0.0, 0.3], [0.2, 0.6], [0.5, 1.0], [1.0, 0.8], [0.7, 0.1], [0.3, 0.0]])
+        c = interpolate_domain_curve(pts)
+        assert min(seg.control_points.min() for seg in c.segments) == 0.0
+        assert max(seg.control_points.max() for seg in c.segments) == 1.0
+        for surface in (s, paraboloid_patch()):
+            lifted = lift_domain_curve(surface, c, 257)
+            ref = np.array([
+                surface.evaluate(*np.clip(c.evaluate(t), 0.0, 1.0))
+                for t in np.linspace(0.0, 1.0, 257)
+            ])
+            assert np.array_equal(lifted, ref)
+
+
 class TestGapMeasurement:
     def test_lifted_curve_has_tiny_gap(self, paraboloid):
         pts = circle_points(12, closed=True)[:, :2]
@@ -222,6 +301,20 @@ class TestGapMeasurement:
             data.curve_c, paraboloid, samples=100, seed_curve=data.domain_curve_a
         )
         assert report.max_gap > 0.0
+
+    def test_batched_measure_matches_per_sample_inversion(self, paraboloid, level_plane):
+        data = build_intersection_data(paraboloid, level_plane, step=0.02, tol=1e-10)
+        for surface, domain in ((paraboloid, data.domain_curve_a), (level_plane, data.domain_curve_b)):
+            report = measure_gap(data.curve_c, surface, 200, domain)
+            ref = []
+            for t in np.linspace(0.0, 1.0, 200):
+                point = data.curve_c.evaluate(t)
+                uv = invert_point(surface, point, np.clip(domain.evaluate(t), 0.0, 1.0))
+                ref.append(np.linalg.norm(surface.evaluate(*uv) - point))
+            ref = np.array(ref)
+            assert report.flagged == 0
+            assert abs(report.max_gap - ref.max()) <= 1e-15
+            assert abs(report.rms_gap - np.sqrt(np.mean(ref**2))) <= 1e-15
 
 
 class TestIntersectionData:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from watertight import StageError
-from watertight.bezier import BezierCurve, Edge
+from watertight.bezier import BezierCurve, BezierSurface, Edge
 from watertight.intersect import build_intersection_data, measure_gap
 from watertight.pipeline import PipelineConfig, prepare_decompositions, run_pipeline
 from watertight.shapes import flat_patch, paraboloid_patch, plane_patch
 from watertight.stitching import (
+    _stitch_deviation,
     align_boundary,
     stitch_boundary,
     verify_watertight,
@@ -214,3 +215,44 @@ class TestStraightCuts:
             run_pipeline(flat_patch(), plane_patch(1.0, 0.0, -0.5), config)
         assert err.value.stage == "align"
         assert "neither side has a boundary patch" in str(err.value)
+
+
+def same_parameter_bound(before, after, grid=20):
+    ts = np.linspace(0.0, 1.0, grid + 1)
+    return np.linalg.norm(before.evaluate_grid(ts, ts) - after.evaluate_grid(ts, ts), axis=2).max()
+
+
+def slid_edge(delta):
+    """flat_patch() elevated to degree 3 in u, its v=0 edge lifted by delta
+    along the normal and its inner control points slid along the edge."""
+    net = flat_patch().elevated_u(3).control_net.copy()
+    net[1:3, 0, 0] = [0.5, 0.8]
+    net[:, 0, 2] += delta
+    return BezierSurface(net)
+
+
+class TestDeviationOracles:
+    def test_lifted_edge_moves_by_the_lift(self):
+        delta = 1e-3
+        before = flat_patch()
+        net = before.control_net.copy()
+        net[:, 0, 2] += delta
+        deviation = _stitch_deviation([(before, BezierSurface(net))])
+        assert deviation == pytest.approx(delta, rel=1e-12)
+
+    def test_sliding_within_the_plane_does_not_move_the_surface(self):
+        before, after = flat_patch(), slid_edge(0.0)
+        assert same_parameter_bound(before, after) > 1e-3
+        assert _stitch_deviation([(before, after)]) <= 1e-12
+
+    def test_elevated_after_nets_of_other_shapes(self):
+        # One lifted-and-slid pair among pairs of other shapes and more
+        # pairs than one inversion batch holds: the set distance is the lift.
+        delta = 1e-3
+        pairs = [(flat_patch(), slid_edge(0.0)) for _ in range(20)]
+        pairs.insert(7, (flat_patch(), slid_edge(delta)))
+        paraboloid = paraboloid_patch()
+        pairs += [(paraboloid, paraboloid.elevated_v(4)) for _ in range(3)]
+        assert slid_edge(delta).control_net.shape != flat_patch().control_net.shape
+        assert same_parameter_bound(*pairs[7]) > 10 * delta
+        assert _stitch_deviation(pairs) == pytest.approx(delta, rel=1e-12)

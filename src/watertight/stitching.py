@@ -13,8 +13,7 @@ of exactly zero.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,14 +133,16 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
                     reduce_tolerance: float | None = None) -> WatertightModel:
     """Overwrite matched boundary edges with the shared curve's control points.
 
-    Works on private copies; interior control points are untouched.  The
-    recorded deviation is the max sampled distance between each modified
-    patch and its pre-stitch self.  With ``reduce_tolerance`` set, a degree
-    reduction of the stitched direction is attempted per matched pair and
-    silently skipped when infeasible.
+    Returns new patch sets with their own patch lists; the input sets and
+    their patches stay as they were, and the rest of each decomposition
+    (cells, maps, curved edges) is shared.  Interior control points are
+    untouched.  The recorded deviation is the max sampled distance between
+    each modified patch and its pre-stitch self.  With ``reduce_tolerance``
+    set, a degree reduction of the stitched direction is attempted per
+    matched pair and silently skipped when infeasible.
     """
-    out_a = copy.deepcopy(set_a)
-    out_b = copy.deepcopy(set_b)
+    out_a = PatchSet(replace(set_a.decomposition, patches=list(set_a.patches)))
+    out_b = PatchSet(replace(set_b.decomposition, patches=list(set_b.patches)))
     shared = []
     pairs = []
     for triple in triples:

@@ -5,6 +5,7 @@ direct basis summation for evaluation, pointwise sampling for subdivision,
 elevation and composition, and hand-evaluated polynomials for basis changes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,6 @@ from watertight import (
     degree_elevate_curve,
     degree_reduce_curve,
     extract_subpatch,
-    monomial_from_bernstein,
 )
 from watertight.bezier import (
     Edge,
@@ -62,10 +62,24 @@ def random_surface(rng, m, n, scale=10.0):
     return BezierSurface(rng.uniform(-scale, scale, size=(m + 1, n + 1, 3)))
 
 
+def monomial_from_bernstein(bern):
+    """Monomial coefficients of sum_k b_k C(p,k) t^k (1-t)^(p-k), by np.polynomial."""
+    t = np.polynomial.Polynomial([0.0, 1.0])
+    p = len(bern) - 1
+    total = sum(b * math.comb(p, k) * t**k * (1 - t) ** (p - k) for k, b in enumerate(bern))
+    return np.pad(total.coef, (0, p + 1 - len(total.coef)))
+
+
 def random_unit_polynomial(rng, p):
     """Valid boundary polynomial: Bernstein coefficients in [0,1] guarantee range."""
     bern = rng.uniform(0.0, 1.0, size=p + 1)
     return BoundaryPolynomial(monomial_from_bernstein(bern))
+
+
+def bernstein_sum(coeffs, t):
+    """sum_k coeffs[k] B_k(t) by the direct closed form; coeffs may be point-valued."""
+    l = coeffs.shape[0] - 1
+    return sum(direct_bernstein(k, l, t) * coeffs[k] for k in range(l + 1))
 
 
 def bilinear_flat():
@@ -204,7 +218,38 @@ class TestPiecewiseCurve:
             c.evaluate(1.5)
 
 
+def split_rows(pts, t):
+    """Reference de Casteljau split along axis 0, kept apart from bezier.py."""
+    left, right = [pts[0]], [pts[-1]]
+    while pts.shape[0] > 1:
+        pts = (1.0 - t) * pts[:-1] + t * pts[1:]
+        left.append(pts[0])
+        right.append(pts[-1])
+    return np.array(left), np.array(right[::-1])
+
+
+def restrict_rows(pts, a, b):
+    if a > 0.0:
+        pts = split_rows(pts, a)[1]
+        b = (b - a) / (1.0 - a)
+    if b < 1.0:
+        pts = split_rows(pts, b)[0]
+    return pts
+
+
 class TestSubpatchExtraction:
+    def test_matches_axis_split_reference_bitwise(self):
+        rng = np.random.default_rng(21)
+        for m, n in ((1, 1), (2, 3), (4, 2), (6, 6)):
+            s = random_surface(rng, m, n)
+            for box in ((0.0, 1.0, 0.0, 1.0), (0.2, 0.9, 0.0, 0.35), (0.0, 0.4, 0.6, 1.0),
+                        tuple(np.concatenate([np.sort(rng.uniform(0, 1, 2)) for _ in range(2)]))):
+                u0, u1, v0, v1 = box
+                want = restrict_rows(s.control_net, u0, u1)
+                want = restrict_rows(want.transpose(1, 0, 2), v0, v1).transpose(1, 0, 2)
+                got = extract_subpatch(s, u0, u1, v0, v1).control_net
+                assert np.array_equal(got, want)
+
     def test_full_domain_identity(self):
         rng = np.random.default_rng(19)
         s = random_surface(rng, 3, 3)
@@ -255,7 +300,42 @@ class TestSubpatchExtraction:
                 assert np.linalg.norm(sub.evaluate(a, b) - want) <= 1e-12
 
 
+def loop_elevate(pts, target):
+    """Reference: one degree step at a time, one control point at a time."""
+    while pts.shape[0] - 1 < target:
+        d = pts.shape[0] - 1
+        new = np.empty((d + 2, pts.shape[1]))
+        new[0] = pts[0]
+        new[-1] = pts[-1]
+        for i in range(1, d + 1):
+            a = i / (d + 1)
+            new[i] = a * pts[i - 1] + (1.0 - a) * pts[i]
+        pts = new
+    return pts
+
+
 class TestDegreeElevation:
+    def test_matches_pointwise_loop_bitwise(self):
+        rng = np.random.default_rng(33)
+        for degree in range(0, 5):
+            for target in range(degree, 9):
+                pts = rng.uniform(-10, 10, size=(degree + 1, 3))
+                e = degree_elevate_curve(BezierCurve(pts), target)
+                assert np.array_equal(e.control_points, loop_elevate(pts, target))
+
+    def test_surface_elevation_matches_per_row_loops_bitwise(self):
+        rng = np.random.default_rng(34)
+        s = random_surface(rng, 2, 3)
+        net = s.control_net
+        for target in (3, 4, 7):
+            want_u = np.stack([loop_elevate(net[:, j], target) for j in range(net.shape[1])], axis=1)
+            assert np.array_equal(s.elevated_u(target).control_net, want_u)
+        for target in (3, 5, 8):
+            want_v = np.stack([loop_elevate(net[i], target) for i in range(net.shape[0])], axis=0)
+            assert np.array_equal(s.elevated_v(target).control_net, want_v)
+        with pytest.raises(ValueError):
+            s.elevated_u(1)
+
     def test_linear_to_quadratic_midpoint(self):
         c = BezierCurve(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 0.0]]))
         e = degree_elevate_curve(c, 2)
@@ -327,13 +407,17 @@ class TestDegreeReduction:
 
 class TestBasisConversion:
     def test_degree_one(self):
-        assert np.allclose(monomial_from_bernstein(np.array([0.0, 1.0])), [0.0, 1.0])
+        assert np.array_equal(bernstein_from_monomial(np.array([0.0, 1.0])), [0.0, 1.0])
 
     def test_round_trip_degree6(self):
+        # Monomial coefficients in, Bernstein coefficients out: both forms
+        # must evaluate to the same polynomial (np.polynomial is the oracle).
         rng = np.random.default_rng(41)
-        b = rng.uniform(-5, 5, size=7)
-        back = bernstein_from_monomial(monomial_from_bernstein(b))
-        assert np.allclose(back, b, atol=1e-11)
+        a = rng.uniform(-5, 5, size=7)
+        b = bernstein_from_monomial(a)
+        for t in np.linspace(0.0, 1.0, 17):
+            want = np.polynomial.polynomial.polyval(t, a)
+            assert bernstein_sum(b, t) == pytest.approx(want, abs=1e-12)
 
     def test_shifted_square(self):
         # (t - 0.5)^2 has monomial coefficients (0.25, -1, 1); verify the
@@ -347,9 +431,12 @@ class TestBasisConversion:
 
     def test_point_valued_round_trip(self):
         rng = np.random.default_rng(43)
-        b = rng.uniform(-5, 5, size=(5, 3))
-        back = bernstein_from_monomial(monomial_from_bernstein(b))
-        assert np.allclose(back, b, atol=1e-11)
+        a = rng.uniform(-5, 5, size=(7, 3))
+        b = bernstein_from_monomial(a)
+        assert b.shape == (7, 3)
+        for t in np.linspace(0.0, 1.0, 17):
+            want = np.polynomial.polynomial.polyval(t, a)
+            assert np.allclose(bernstein_sum(b, t), want, rtol=0.0, atol=1e-12)
 
 
 class TestBoundaryPolynomial:
@@ -403,10 +490,14 @@ class TestComposition:
 
     def test_composition_exactness(self):
         rng = np.random.default_rng(59)
-        for _ in range(10):
-            m = int(rng.integers(1, 5))
-            n = int(rng.integers(1, 5))
-            p = int(rng.integers(1, 4))
+        # Ten random small shapes (drawn lazily, between the nets and the f's),
+        # then shapes up to the caps MAX_SURFACE_DEGREE and MAX_BOUNDARY_DEGREE.
+        random_shapes = (
+            (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+            for _ in range(10)
+        )
+        cap_shapes = [(4, 6, 3), (6, 6, 3), (8, 10, 3), (10, 10, 3)]
+        for m, n, p in itertools.chain(random_shapes, cap_shapes):
             s = random_surface(rng, m, n)
             f = random_unit_polynomial(rng, p)
             out = compose_reparameterize(s, f)

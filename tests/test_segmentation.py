@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from watertight import (
-    AmbiguousCaseError,
     BezierCurve,
     BezierSurface,
     BoundaryPolynomial,
@@ -19,9 +18,9 @@ from watertight.segmentation import (
     TRAPEZOID,
     DomainCell,
     GraphAxis,
+    _classify_candidates,
     build_patch_decomposition,
     cell_contains,
-    classify_trapezoid,
     decompose_domain,
     decompose_trim,
     fit_boundary_polynomial,
@@ -188,7 +187,7 @@ class TestClassification:
             toward_far_edge=False,
             sample=(0.2, 0.45),
         )
-        case = classify_trapezoid(cell)
+        case = _classify_candidates(cell)[0]
         assert case.case_id == 1
         assert case.rotation_quarter_turns == 0
         assert case.canonical_corner == (1, 1)
@@ -201,7 +200,7 @@ class TestClassification:
             toward_far_edge=False,
             sample=(0.2, 0.45),
         )
-        case_base = classify_trapezoid(base)
+        case_base = _classify_candidates(base)[0]
         # Rotate all defining data a quarter turn: (u, v) -> (1 - v, u).
         rot = lambda p: [1.0 - p[1], p[0]]
         cell = linear_trapezoid_cell(
@@ -211,7 +210,7 @@ class TestClassification:
             toward_far_edge=False,
             sample=tuple(rot([0.2, 0.45])),
         )
-        case = classify_trapezoid(cell)
+        case = _classify_candidates(cell)[0]
         assert case.case_id != case_base.case_id
         assert case.rotation_quarter_turns == (case_base.rotation_quarter_turns + 3) % 4
 
@@ -238,7 +237,7 @@ class TestClassification:
                     toward_far_edge=False,
                     sample=tuple(xform([0.2, 0.45])),
                 )
-                case = classify_trapezoid(cell)
+                case = _classify_candidates(cell)[0]
                 ids.add(case.case_id)
         assert ids == set(range(1, 9))
 
@@ -250,10 +249,11 @@ class TestClassification:
             toward_far_edge=True,
             sample=(0.4, 0.9),
         )
-        with pytest.raises(AmbiguousCaseError):
-            classify_trapezoid(cell, strict=True)
-        case = classify_trapezoid(cell, strict=False)
-        assert case.canonical_corner == (1, 1)
+        # A curve through two cell corners admits two rotations; the f(1) = 1
+        # family comes first.
+        candidates = _classify_candidates(cell)
+        assert len(candidates) == 2
+        assert candidates[0].canonical_corner == (1, 1)
 
 
 class TestBoundaryFit:

@@ -96,6 +96,24 @@ class TestStitching:
                     patch.control_net, model.set_a.patches[idx].control_net
                 )
 
+    def test_input_patch_sets_unchanged(self, demo):
+        s1, s2, data, set_a, set_b = demo
+        before = [list(set_a.patches), list(set_b.patches)]
+        nets = [[p.control_net.copy() for p in patches] for patches in before]
+        triples = align_boundary(data, set_a, set_b)
+        model = stitch_boundary(set_a, set_b, triples, reduce_tolerance=1e-3)
+        for patch_set, out, patches, copies in zip(
+            (set_a, set_b), (model.set_a, model.set_b), before, nets
+        ):
+            assert len(patch_set.patches) == len(patches)
+            assert all(now is then for now, then in zip(patch_set.patches, patches))
+            assert all(
+                np.array_equal(p.control_net, net) for p, net in zip(patches, copies)
+            )
+            assert out.patches is not patch_set.patches
+        assert all(model.set_a.patches[t.patch_a] is not set_a.patches[t.patch_a]
+                   for t in triples)
+
     def test_idempotent(self, demo):
         s1, s2, data, set_a, set_b = demo
         triples = align_boundary(data, set_a, set_b)

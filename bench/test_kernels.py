@@ -12,9 +12,10 @@ these files.
 Each benchmark times one kernel on the sizes the pipeline feeds it: a
 domain curve of 300 cubic segments (a dense march), a 441-point grid on a
 (3, 9) patch, one batch of the stitch deviation's point inversion (16
-stacked patches, 441 samples each), the pre-stitch gap measurement and the
-lifting of a dense domain curve, the degree reduction stitching tries, and
-the final gap check of a stitched model.
+stacked patches, 441 samples each), the march of a tilted arc at step
+0.01, the pre-stitch gap measurement and the lifting of a dense domain
+curve, the degree reduction stitching tries, and the final gap check of a
+stitched model.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ from watertight.bezier import (
     degree_elevate_curve,
     degree_reduce_curve,
 )
-from watertight.intersect import invert_points, lift_domain_curve, measure_gap
+from watertight.intersect import invert_points, lift_domain_curve, march_intersection, measure_gap
 from watertight.pipeline import PipelineConfig, run_pipeline
 from watertight.shapes import paraboloid_patch, plane_patch
 from watertight.stitching import verify_watertight
@@ -90,6 +91,12 @@ def test_invert_points_16_nets_441_samples(benchmark):
     ]) + rng.normal(0.0, 1e-4, (16, 441, 3))
     uv, dist, converged = benchmark(invert_points, nets, points, seeds)
     assert converged.all()
+
+
+def test_march_intersection_tilted_arc(benchmark):
+    # The shape of the dense-march workload's tilted arc.
+    points = benchmark(march_intersection, paraboloid_patch(), plane_patch(0.3, 0.0, 0.02), 0.01, 1e-10)
+    assert len(points) == 226
 
 
 def test_measure_gap_200_samples_demo(benchmark, demo):

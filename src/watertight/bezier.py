@@ -498,15 +498,6 @@ class BezierSurface:
             return BezierSurface(np.zeros_like(net))
         return BezierSurface(self.degree_v * np.diff(net, axis=1))
 
-    def normal(self, u: float, v: float) -> np.ndarray:
-        su = self.partial_u().evaluate(u, v)
-        sv = self.partial_v().evaluate(u, v)
-        n = np.cross(su, sv)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            return n
-        return n / norm
-
     def edge_curve(self, edge: Edge) -> BezierCurve:
         net = self.control_net
         if edge is Edge.U0:

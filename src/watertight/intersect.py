@@ -1,9 +1,16 @@
 """Surface-surface intersection data.
 
-Marches one intersection branch between two Bezier surfaces, inverts the
-points onto both parameter domains, interpolates the space curve and the two
-domain curves, lifts domain curves back onto the surfaces, and measures the
-gap between an approximate intersection curve and a surface.
+Marches one intersection branch between two Bezier surfaces, interpolates
+the space curve and the two domain curves through the marched points and
+their parameter pairs, lifts domain curves back onto the surfaces, and
+measures the gap between an approximate intersection curve and a surface.
+
+The march has one solver, `_match`: Gauss-Newton on S1(u1, v1) - S2(u2, v2),
+with an optional step-plane row and fixed parameters.  It corrects the seed
+candidates, each marching step and the finish on a domain edge.  Only one
+branch is marched; a converged seed candidate far from it is logged as a
+dropped branch.  Closest points on one surface come from the separate
+batched `invert_points`.
 
 All three curves share one global parameterization (normalized 3D chord
 length, breakpoints at the intersection points) so the k-th breakpoint of
@@ -176,105 +183,55 @@ def invert_point(surface: BezierSurface, point: np.ndarray, seed) -> np.ndarray:
     return uv[0, 0]
 
 
-def _grid_argmin(surface: BezierSurface, point: np.ndarray, grid: int) -> np.ndarray:
+def _grid_argmin(surface: BezierSurface, points: np.ndarray, grid: int) -> np.ndarray:
+    """(K, 2) parameters of the grid x grid lattice point nearest each of (K, 3) points."""
     ts = np.linspace(0.0, 1.0, grid)
-    pts = surface.evaluate_grid(ts, ts)
-    d2 = np.sum((pts - point) ** 2, axis=2)
-    i, j = np.unravel_index(np.argmin(d2), d2.shape)
-    return np.array([ts[i], ts[j]])
+    lattice = surface.evaluate_grid(ts, ts).reshape(-1, 3)
+    d2 = sum((lattice[:, k] - points[:, k, None]) ** 2 for k in range(3))
+    i, j = np.divmod(np.argmin(d2, axis=1), grid)
+    return np.stack([ts[i], ts[j]], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Marching
 # ---------------------------------------------------------------------------
 
-def _refine_match(s1, s2, q, tol, su1, sv1, su2, sv2):
-    """Gauss-Newton on S1(u,v) = S2(s,t) from a 4-parameter seed."""
+def _match(surfaces, q, fixed=None, plane=None):
+    """Gauss-Newton on F = S1(q[:2]) - S2(q[2:]) from a 4-parameter start.
+
+    `surfaces` is (S1, S2, S1u, S1v, S2u, S2v), the partials as hodograph
+    surfaces.  With `plane` = (n, p), F gets the extra row n.(S1 - p).  Each
+    step is the minimum-norm least-squares step over the free parameters,
+    as if a `fixed` parameter's Jacobian column were zeroed; it is solved
+    without those columns, so a fixed parameter keeps its bits.  q is
+    clamped into [0,1]^4 after each step, and the solve stops once the
+    clamped update is below 1e-12, or after 50 steps.
+
+    Returns (q, |F|, (S1u, S1v, S2u, S2v)): the residual, plane row
+    included, and the partials are evaluated at the returned q.
+    """
+    s1, s2, su1, sv1, su2, sv2 = surfaces
     q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-    for _ in range(_NEWTON_MAX_ITER):
-        r = s1.evaluate(q[0], q[1]) - s2.evaluate(q[2], q[3])
-        jac = np.column_stack([
-            su1.evaluate(q[0], q[1]),
-            sv1.evaluate(q[0], q[1]),
-            -su2.evaluate(q[2], q[3]),
-            -sv2.evaluate(q[2], q[3]),
-        ])
-        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+    free = np.ones(4, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)
+    update = np.inf
+    for iteration in range(_NEWTON_MAX_ITER + 1):
+        p1 = s1.evaluate(q[0], q[1])
+        f = p1 - s2.evaluate(q[2], q[3])
+        partials = (su1.evaluate(q[0], q[1]), sv1.evaluate(q[0], q[1]),
+                    su2.evaluate(q[2], q[3]), sv2.evaluate(q[2], q[3]))
+        jac = np.array([partials[0], partials[1], -partials[2], -partials[3]]).T
+        if plane is not None:
+            normal, point = plane
+            f = np.concatenate([f, [normal @ (p1 - point)]])
+            jac = np.concatenate([jac, [[normal @ partials[0], normal @ partials[1], 0.0, 0.0]]])
+        if update < _PARAM_TOL or iteration == _NEWTON_MAX_ITER:
+            break
+        step = np.zeros(4)
+        step[free] = np.linalg.lstsq(jac[:, free], -f, rcond=None)[0]
         new_q = np.clip(q + step, 0.0, 1.0)
         update = np.linalg.norm(new_q - q)
         q = new_q
-        if update < _PARAM_TOL:
-            break
-    r = s1.evaluate(q[0], q[1]) - s2.evaluate(q[2], q[3])
-    return q, float(np.linalg.norm(r))
-
-
-def _corrector(s1, s2, q, plane_normal, plane_point, tol, partials):
-    """Newton on [S1 - S2; n.(S1 - plane_point)] = 0; returns (q, residual) or None."""
-    su1, sv1, su2, sv2 = partials
-    q = np.asarray(q, dtype=float).copy()
-    for _ in range(_NEWTON_MAX_ITER):
-        if np.any(q < -0.2) or np.any(q > 1.2):
-            return None
-        qc = np.clip(q, 0.0, 1.0)
-        p1 = s1.evaluate(qc[0], qc[1])
-        p2 = s2.evaluate(qc[2], qc[3])
-        f = np.empty(4)
-        f[:3] = p1 - p2
-        f[3] = plane_normal @ (p1 - plane_point)
-        j1u = su1.evaluate(qc[0], qc[1])
-        j1v = sv1.evaluate(qc[0], qc[1])
-        jac = np.zeros((4, 4))
-        jac[:3, 0] = j1u
-        jac[:3, 1] = j1v
-        jac[:3, 2] = -su2.evaluate(qc[2], qc[3])
-        jac[:3, 3] = -sv2.evaluate(qc[2], qc[3])
-        jac[3, 0] = plane_normal @ j1u
-        jac[3, 1] = plane_normal @ j1v
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return None
-        q = q + step
-        if np.linalg.norm(step) < _PARAM_TOL:
-            break
-    qc = np.clip(q, 0.0, 1.0)
-    residual = float(np.linalg.norm(s1.evaluate(qc[0], qc[1]) - s2.evaluate(qc[2], qc[3])))
-    if residual > tol or np.any(q < -1e-9) or np.any(q > 1.0 + 1e-9):
-        return None
-    return np.clip(q, 0.0, 1.0), residual
-
-
-def _boundary_finish(s1, s2, q, tol, partials):
-    """Clamp exited parameters and re-solve the remaining ones."""
-    su1, sv1, su2, sv2 = partials
-    q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-    fixed = np.zeros(4, dtype=bool)
-    for k in range(4):
-        if q[k] in (0.0, 1.0):
-            fixed[k] = True
-    if fixed.all():
-        return None
-    for _ in range(_NEWTON_MAX_ITER):
-        r = s1.evaluate(q[0], q[1]) - s2.evaluate(q[2], q[3])
-        jac = np.column_stack([
-            su1.evaluate(q[0], q[1]),
-            sv1.evaluate(q[0], q[1]),
-            -su2.evaluate(q[2], q[3]),
-            -sv2.evaluate(q[2], q[3]),
-        ])
-        jac[:, fixed] = 0.0
-        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        new_q = np.clip(q + step, 0.0, 1.0)
-        update = np.linalg.norm(new_q - q)
-        q = new_q
-        if update < _PARAM_TOL:
-            break
-    r = s1.evaluate(q[0], q[1]) - s2.evaluate(q[2], q[3])
-    residual = float(np.linalg.norm(r))
-    if residual > tol:
-        return None
-    return q, residual
+    return q, float(np.linalg.norm(f)), partials
 
 
 def _make_point(s1, s2, q) -> IntersectionPoint:
@@ -290,16 +247,32 @@ def _make_point(s1, s2, q) -> IntersectionPoint:
     )
 
 
-def _march_direction(s1, s2, q0, direction, step, tol, partials, start_pos, max_points):
-    """March from q0 along +-direction; returns (points, closed)."""
+def _unit_normal(su: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    n = _cross(su, sv)
+    norm = np.linalg.norm(n)
+    return n if norm == 0.0 else n / norm
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors, by the same products, without its overhead."""
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _march_direction(surfaces, q, partials, direction, step, tol, start_pos, max_points):
+    """March from q along +-direction; returns (points, closed).
+
+    Each step corrects onto the plane through prev_pos + step * d normal to
+    the tangent d; a step the domain cuts off is finished on the edge with
+    the exited parameters fixed.
+    """
+    s1, s2 = surfaces[:2]
     points = []
-    q = q0.copy()
     prev_pos = s1.evaluate(q[0], q[1])
     prev_dir = None
     for _ in range(max_points):
-        n1 = s1.normal(q[0], q[1])
-        n2 = s2.normal(q[2], q[3])
-        d = np.cross(n1, n2)
+        d = _cross(_unit_normal(*partials[:2]), _unit_normal(*partials[2:]))
         norm = np.linalg.norm(d)
         if norm < 1e-10:
             log.warning("tangential contact; truncating intersection branch")
@@ -307,50 +280,51 @@ def _march_direction(s1, s2, q0, direction, step, tol, partials, start_pos, max_
         d = direction * d / norm
         if prev_dir is not None and d @ prev_dir < 0:
             d = -d
-        target = prev_pos + step * d
-        result = _corrector(s1, s2, q, d, target, tol, partials)
-        if result is None:
-            boundary = _boundary_finish(s1, s2, _predict(s1, s2, q, d, step, partials), tol, partials)
-            if boundary is not None:
-                bq, _ = boundary
-                bpos = 0.5 * (s1.evaluate(bq[0], bq[1]) + s2.evaluate(bq[2], bq[3]))
-                if points and np.linalg.norm(bpos - prev_pos) < 0.5 * step:
-                    points[-1] = _make_point(s1, s2, bq)
-                elif np.linalg.norm(bpos - prev_pos) > 1e-9:
-                    points.append(_make_point(s1, s2, bq))
+        new_q, residual, new_partials = _match(surfaces, q, plane=(d, prev_pos + step * d))
+        if residual > tol:
+            predicted = np.clip(_predict(q, d, step, partials), 0.0, 1.0)
+            bq, residual, _ = _match(surfaces, predicted, fixed=(predicted == 0.0) | (predicted == 1.0))
+            if residual <= tol:
+                end = _make_point(s1, s2, bq)
+                gap = np.linalg.norm(end.position - prev_pos)
+                if points and gap < 0.5 * step:
+                    points[-1] = end
+                elif gap > 1e-9:
+                    points.append(end)
             break
-        q, _ = result
+        q, partials = new_q, new_partials
         pt = _make_point(s1, s2, q)
-        new_pos = pt.position
-        if len(points) >= 4 and np.linalg.norm(new_pos - start_pos) < 0.6 * step:
+        if len(points) >= 4 and np.linalg.norm(pt.position - start_pos) < 0.6 * step:
             return points, True
         points.append(pt)
         prev_dir = d
-        prev_pos = new_pos
+        prev_pos = pt.position
     return points, False
 
 
-def _predict(s1, s2, q, d, step, partials):
-    su1, sv1, su2, sv2 = partials
-    j1 = np.column_stack([su1.evaluate(q[0], q[1]), sv1.evaluate(q[0], q[1])])
-    j2 = np.column_stack([su2.evaluate(q[2], q[3]), sv2.evaluate(q[2], q[3])])
-    duv = np.linalg.lstsq(j1, step * d, rcond=None)[0]
-    dst = np.linalg.lstsq(j2, step * d, rcond=None)[0]
-    return np.concatenate([q[:2] + duv, q[2:] + dst])
+def _predict(q, d, step, partials):
+    """Tangent predictor: each side's least-squares parameter step for step * d."""
+    return q + np.concatenate([
+        np.linalg.lstsq(np.column_stack(partials[k:k + 2]), step * d, rcond=None)[0] for k in (0, 2)
+    ])
 
 
 def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
                        tol: float, max_points: int = 4000) -> list:
     """Ordered intersection points along one branch.
 
-    Seeds from a coarse-grid proximity search, refines with Gauss-Newton,
-    then steps along the cross product of the surface normals with a
-    step-plane Newton corrector.  Closed loops return with the first point
-    repeated at the end.  Returns [] when no seed converges.
+    Corrects the 8 closest pairs of a coarse-grid proximity search with
+    `_match`, the one Gauss-Newton solver of the march, and seeds from the
+    first that converges.  Then steps along the cross product of the
+    surface normals, correcting each step with `_match` on a step plane and
+    finishing a step the domain cuts off with `_match` on the edge.  Logs a
+    warning when a converged candidate lies farther than `step` from every
+    marched point: that branch is dropped.  Closed loops return with the
+    first point repeated at the end.  Returns [] when no seed converges.
     """
     if step <= 0 or tol <= 0:
         raise ValueError("step and tol must be positive")
-    partials = (s1.partial_u(), s1.partial_v(), s2.partial_u(), s2.partial_v())
+    surfaces = (s1, s2, s1.partial_u(), s1.partial_v(), s2.partial_u(), s2.partial_v())
 
     grid = min(max(int(np.ceil(2.0 / step)), 8), 32)
     ts = np.linspace(0.0, 1.0, grid)
@@ -360,37 +334,35 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
     dist, nearest = tree.query(pts1)
     order = np.argsort(dist)
 
-    seed = None
+    candidates = []
     for idx in order[:8]:
         i1, j1 = divmod(int(idx), grid)
         i2, j2 = divmod(int(nearest[idx]), grid)
-        q0 = np.array([ts[i1], ts[j1], ts[i2], ts[j2]])
-        q, residual = _refine_match(s1, s2, q0, tol, *partials)
+        q, residual, partials = _match(surfaces, [ts[i1], ts[j1], ts[i2], ts[j2]])
         if residual <= tol:
-            seed = q
-            break
-    if seed is None:
+            candidates.append((q, partials))
+    if not candidates:
         return []
 
+    seed, partials = candidates[0]
     start = _make_point(s1, s2, seed)
     forward, closed = _march_direction(
-        s1, s2, seed, +1.0, step, tol, partials, start.position, max_points
+        surfaces, seed, partials, +1.0, step, tol, start.position, max_points
     )
     if closed:
-        chain = [start] + forward
-        closing = IntersectionPoint(
-            position=start.position.copy(),
-            params_a=start.params_a.copy(),
-            params_b=start.params_b.copy(),
-            residual_a=start.residual_a,
-            residual_b=start.residual_b,
+        chain = [start] + forward + [_make_point(s1, s2, seed)]
+    else:
+        backward, _ = _march_direction(
+            surfaces, seed, partials, -1.0, step, tol, start.position, max_points
         )
-        chain.append(closing)
-        return chain
-    backward, _ = _march_direction(
-        s1, s2, seed, -1.0, step, tol, partials, start.position, max_points
-    )
-    return list(reversed(backward)) + [start] + forward
+        chain = list(reversed(backward)) + [start] + forward
+    others = [_make_point(s1, s2, q).position for q, _ in candidates[1:]]
+    if others:
+        gap = float(cKDTree([p.position for p in chain]).query(others)[0].max())
+        if gap > step:
+            log.warning("a converged seed lies %.3g from the marched branch; "
+                        "another branch was dropped", gap)
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +509,13 @@ def measure_gap(curve: PiecewiseBezierCurve, surface: BezierSurface,
     if seed_curve is not None:
         seeds = np.clip(seed_curve.evaluate_many(ts), 0.0, 1.0)
     else:
-        seeds = np.array([_grid_argmin(surface, p, 33) for p in points])
+        seeds = _grid_argmin(surface, points, 33)
     _, dist, converged = invert_points(surface.control_net[None], points[None], seeds[None])
     distances = dist[0]
     failed = np.flatnonzero(~converged[0])
-    for k in failed:
-        uv = _grid_argmin(surface, points[k], 129)
-        distances[k] = np.linalg.norm(surface.evaluate(uv[0], uv[1]) - points[k])
+    if failed.size:
+        for k, uv in zip(failed, _grid_argmin(surface, points[failed], 129)):
+            distances[k] = np.linalg.norm(surface.evaluate(uv[0], uv[1]) - points[k])
     return GapReport(
         max_gap=float(distances.max()),
         rms_gap=float(np.sqrt(np.mean(distances**2))),

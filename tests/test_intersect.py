@@ -1,12 +1,16 @@
 """Intersection marching, inversion, interpolation, and gap metrics."""
 
+import logging
+
 import numpy as np
 import pytest
 
 import watertight.intersect as intersect
 import watertight.stitching as stitching
 from watertight import BezierSurface, InversionError
+from watertight.bezier import bernstein_from_monomial
 from watertight.intersect import (
+    _match,
     build_intersection_data,
     interpolate_domain_curve,
     interpolate_space_curve,
@@ -73,6 +77,73 @@ class TestMarching:
         a = plane_patch(0.0, 0.0, 0.0)
         b = plane_patch(0.0, 0.0, 1.0)
         assert march_intersection(a, b, step=0.05, tol=1e-10) == []
+
+    def test_line_ends_exactly_on_both_edges(self, flat):
+        points = march_intersection(flat, tilted_plane(), step=0.05, tol=1e-10)
+        assert len(points) == 21
+        for side in ("params_a", "params_b"):
+            assert getattr(points[0], side)[1] == 1.0
+            assert getattr(points[-1], side)[1] == 0.0
+
+    def test_tilted_arc_ends_exactly_on_the_u1_edge(self, paraboloid):
+        points = march_intersection(paraboloid, plane_patch(0.3, 0.0, 0.02), step=0.01, tol=1e-10)
+        for p in (points[0], points[-1]):
+            assert p.params_a[0] == 1.0 and p.params_b[0] == 1.0
+
+    def test_corner_clip_ends_exactly_on_two_edges(self, paraboloid):
+        points = march_intersection(paraboloid, plane_patch(0.5, 0.5, -0.2), step=0.02, tol=1e-10)
+        assert points[0].params_a[1] == 1.0 and points[0].params_b[1] == 1.0
+        assert points[-1].params_a[0] == 1.0 and points[-1].params_b[0] == 1.0
+
+
+def saddle_patch():
+    """Biquadratic patch (u, v, (u-0.5)^2 - (v-0.5)^2)."""
+    quad = bernstein_from_monomial(np.array([0.25, -1.0, 1.0]))
+    lin = np.array([0.0, 0.5, 1.0])
+    net = np.empty((3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            net[i, j] = (lin[i], lin[j], quad[i] - quad[j])
+    return BezierSurface(net)
+
+
+class TestDroppedBranch:
+    def test_second_branch_of_a_saddle_warns(self, caplog):
+        # z = 0.01 cuts the saddle in two hyperbola branches; one is marched.
+        with caplog.at_level(logging.WARNING, logger="watertight.intersect"):
+            points = march_intersection(saddle_patch(), plane_patch(0.0, 0.0, 0.01), step=0.02, tol=1e-10)
+        assert len(points) > 2
+        assert "branch was dropped" in caplog.text
+
+    def test_demo_circle_does_not_warn(self, caplog, paraboloid, level_plane):
+        with caplog.at_level(logging.WARNING, logger="watertight.intersect"):
+            march_intersection(paraboloid, level_plane, step=0.02, tol=1e-10)
+        assert caplog.text == ""
+
+
+def match_surfaces(s1, s2):
+    return (s1, s2, s1.partial_u(), s1.partial_v(), s2.partial_u(), s2.partial_v())
+
+
+class TestMatch:
+    def test_fixed_parameter_keeps_its_bits(self, paraboloid):
+        surfaces = match_surfaces(paraboloid, plane_patch(0.3, 0.0, 0.02))
+        q0 = np.array([0.8123, 0.8, 0.8, 0.85])
+        q, residual, partials = _match(surfaces, q0, fixed=np.array([True, False, False, False]))
+        assert q[0] == q0[0]
+        assert residual <= 1e-12
+        for hodograph, params, value in zip(surfaces[2:], (q[:2], q[:2], q[2:], q[2:]), partials):
+            assert np.array_equal(hodograph.evaluate(*params), value)
+
+    def test_residual_includes_the_plane_row(self, flat):
+        # The plane y = 1.5 lies beyond the edge v = 1: the clamped solve ends
+        # on that edge, on the line S1 = S2, but 0.5 from the plane.
+        surfaces = match_surfaces(flat, tilted_plane())
+        plane = (np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.5, 0.0]))
+        q, residual, _ = _match(surfaces, [0.5, 0.9, 0.5, 0.9], plane=plane)
+        assert q[1] == 1.0 and q[3] == 1.0
+        assert np.linalg.norm(flat.evaluate(q[0], q[1]) - tilted_plane().evaluate(q[2], q[3])) <= 1e-12
+        assert residual == pytest.approx(0.5, abs=1e-12)
 
 
 class TestInversion:
@@ -315,6 +386,41 @@ class TestGapMeasurement:
             assert report.flagged == 0
             assert abs(report.max_gap - ref.max()) <= 1e-15
             assert abs(report.rms_gap - np.sqrt(np.mean(ref**2))) <= 1e-15
+
+
+    def test_grid_seeds_match_the_per_point_search(self, monkeypatch, paraboloid, level_plane):
+        def per_point(surface, points, grid):
+            # Reference: one lattice search per point.
+            ts = np.linspace(0.0, 1.0, grid)
+            pts = surface.evaluate_grid(ts, ts)
+            seeds = []
+            for point in points:
+                d2 = np.sum((pts - point) ** 2, axis=2)
+                i, j = np.unravel_index(np.argmin(d2), d2.shape)
+                seeds.append([ts[i], ts[j]])
+            return np.array(seeds).reshape(-1, 2)
+
+        def every_fifth_unconverged(*args):
+            # Sends some samples down the 129-grid fallback as well.
+            uv, dist, converged = invert(*args)
+            converged[:, ::5] = False
+            return uv, dist, converged
+
+        data = build_intersection_data(paraboloid, level_plane, step=0.1, tol=1e-10)
+        points = data.curve_c.evaluate_many(np.linspace(0.0, 1.0, 60))
+        invert = intersect.invert_points
+        monkeypatch.setattr(intersect, "invert_points", every_fifth_unconverged)
+        for surface in (paraboloid, level_plane):
+            for grid in (33, 129):
+                assert np.array_equal(intersect._grid_argmin(surface, points, grid),
+                                      per_point(surface, points, grid))
+            report = measure_gap(data.curve_c, surface, 60)
+            with monkeypatch.context() as patched:
+                patched.setattr(intersect, "_grid_argmin", per_point)
+                ref = measure_gap(data.curve_c, surface, 60)
+            assert report.flagged == ref.flagged == 12
+            for name in ("max_gap", "rms_gap", "sample_count", "worst_point"):
+                assert np.array_equal(getattr(report, name), getattr(ref, name))
 
 
 class TestIntersectionData:

@@ -1,0 +1,51 @@
+"""Saving and loading a whole model through model_io."""
+
+import numpy as np
+
+from watertight import model_io
+from watertight.pipeline import PipelineConfig, run_pipeline
+from watertight.shapes import paraboloid_patch, plane_patch
+
+
+def assert_curves_equal(a, b):
+    assert np.array_equal(a.breakpoints, b.breakpoints)
+    assert len(a.segments) == len(b.segments)
+    for sa, sb in zip(a.segments, b.segments):
+        assert np.array_equal(sa.control_points, sb.control_points)
+
+
+def test_demo_model_round_trips_bit_for_bit(tmp_path):
+    surfaces = [paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)]
+    result = run_pipeline(*surfaces, PipelineConfig(march_step=0.18))
+    saved = model_io.ModelFile(
+        surfaces=surfaces,
+        intersection=result.data,
+        patch_sets=[model_io.encode_patch_set(result.model.set_a),
+                    model_io.encode_patch_set(result.model.set_b)],
+        reports=result.report,
+    )
+    path = tmp_path / "demo.json"
+    model_io.save_model(saved, str(path))
+    loaded = model_io.load_model(str(path))
+
+    for a, b in zip(saved.surfaces, loaded.surfaces, strict=True):
+        assert np.array_equal(a.control_net, b.control_net)
+    for patch_set, record in zip((result.model.set_a, result.model.set_b), loaded.patch_sets,
+                                 strict=True):
+        nets = [p.control_net for p in patch_set.patches]
+        back = [p.control_net for p in model_io.decode_patch_surfaces(record)]
+        assert len(nets) > 0 and len(back) == len(nets)
+        for a, b in zip(nets, back):
+            assert np.array_equal(a, b)
+
+    data, back = saved.intersection, loaded.intersection
+    assert back.closed == data.closed
+    assert len(back.points) == len(data.points) > 2
+    for p, q in zip(data.points, back.points):
+        for name in ("position", "params_a", "params_b", "residual_a", "residual_b"):
+            assert np.array_equal(getattr(p, name), getattr(q, name))
+    for name in ("curve_c", "domain_curve_a", "domain_curve_b"):
+        assert_curves_equal(getattr(data, name), getattr(back, name))
+    assert np.array_equal(data.lifted_a, back.lifted_a)
+    assert np.array_equal(data.lifted_b, back.lifted_b)
+    assert loaded.reports == saved.reports

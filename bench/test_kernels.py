@@ -14,8 +14,8 @@ domain curve of 300 cubic segments (a dense march), a 441-point grid on a
 (3, 9) patch, one batch of the stitch deviation's point inversion (16
 stacked patches, 441 samples each), the march of a tilted arc at step
 0.01, the pre-stitch gap measurement and the lifting of a dense domain
-curve, the degree reduction stitching tries, and the final gap check of a
-stitched model.
+curve, the segmentation of the demo's side a at step 0.005, the degree
+reduction stitching tries, and the final gap check of a stitched model.
 """
 
 import numpy as np
@@ -31,7 +31,8 @@ from watertight.bezier import (
     degree_reduce_curve,
 )
 from watertight.intersect import invert_points, lift_domain_curve, march_intersection, measure_gap
-from watertight.pipeline import PipelineConfig, run_pipeline
+from watertight.pipeline import PipelineConfig, keep_region_fn, run_pipeline
+from watertight.segmentation import TRAPEZOID, build_patch_decomposition
 from watertight.shapes import paraboloid_patch, plane_patch
 from watertight.stitching import verify_watertight
 
@@ -108,6 +109,17 @@ def test_measure_gap_200_samples_demo(benchmark, demo):
 def test_lift_domain_curve_9001_samples(benchmark, demo):
     lifted = benchmark(lift_domain_curve, paraboloid_patch(), demo.data.domain_curve_a, 9001)
     assert lifted.shape == (9001, 3)
+
+
+def test_build_patch_decomposition_demo(benchmark):
+    # Side a of the demo at step 0.005, on the trim curve the pipeline
+    # settled on (shared breakpoints and re-splits included).
+    result = run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig(march_step=0.005))
+    cells = result.model.set_a.decomposition.cells
+    curve = next(c.parent_curve for c in cells if c.kind == TRAPEZOID)
+    keep = keep_region_fn("outside", result.data.domain_curve_a)
+    dec = benchmark(build_patch_decomposition, paraboloid_patch(), curve, keep, 2, 1e-4)
+    assert len(dec.patches) == 263
 
 
 def test_degree_reduce_8_to_3(benchmark):

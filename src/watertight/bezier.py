@@ -192,9 +192,6 @@ class BezierCurve:
         left, right = de_casteljau_split(self.control_points, t)
         return BezierCurve(left), BezierCurve(right)
 
-    def reversed(self) -> "BezierCurve":
-        return BezierCurve(self.control_points[::-1].copy())
-
 
 def _derivative_polygon(points: np.ndarray) -> np.ndarray:
     """Control polygon of the hodograph: degree * forward differences."""
@@ -370,9 +367,9 @@ class PiecewiseBezierCurve:
 
     def segment_index_of(self, w0: float, w1: float) -> int:
         """Index of the segment spanning exactly [w0, w1]."""
-        for i in range(len(self.segments)):
-            if abs(self.breakpoints[i] - w0) <= 1e-12 and abs(self.breakpoints[i + 1] - w1) <= 1e-12:
-                return i
+        i = int(np.abs(self.breakpoints[:-1] - w0).argmin())
+        if abs(self.breakpoints[i] - w0) <= 1e-12 and abs(self.breakpoints[i + 1] - w1) <= 1e-12:
+            return i
         raise DomainError(f"no segment spans [{w0}, {w1}]")
 
 

@@ -207,8 +207,9 @@ def _match(surfaces, q, fixed=None, plane=None):
     clamped into [0,1]^4 after each step, and the solve stops once the
     clamped update is below 1e-12, or after 50 steps.
 
-    Returns (q, |F|, (S1u, S1v, S2u, S2v)): the residual, plane row
-    included, and the partials are evaluated at the returned q.
+    Returns (q, |F|, (S1u, S1v, S2u, S2v), (S1, S2)): the residual, plane
+    row included, the partials and the two surface points are evaluated at
+    the returned q.
     """
     s1, s2, su1, sv1, su2, sv2 = surfaces
     q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
@@ -216,7 +217,8 @@ def _match(surfaces, q, fixed=None, plane=None):
     update = np.inf
     for iteration in range(_NEWTON_MAX_ITER + 1):
         p1 = s1.evaluate(q[0], q[1])
-        f = p1 - s2.evaluate(q[2], q[3])
+        p2 = s2.evaluate(q[2], q[3])
+        f = p1 - p2
         partials = (su1.evaluate(q[0], q[1]), sv1.evaluate(q[0], q[1]),
                     su2.evaluate(q[2], q[3]), sv2.evaluate(q[2], q[3]))
         jac = np.array([partials[0], partials[1], -partials[2], -partials[3]]).T
@@ -231,12 +233,11 @@ def _match(surfaces, q, fixed=None, plane=None):
         new_q = np.clip(q + step, 0.0, 1.0)
         update = np.linalg.norm(new_q - q)
         q = new_q
-    return q, float(np.linalg.norm(f)), partials
+    return q, float(np.linalg.norm(f)), partials, (p1, p2)
 
 
-def _make_point(s1, s2, q) -> IntersectionPoint:
-    p1 = s1.evaluate(q[0], q[1])
-    p2 = s2.evaluate(q[2], q[3])
+def _make_point(q, surface_points) -> IntersectionPoint:
+    p1, p2 = surface_points
     position = 0.5 * (p1 + p2)
     return IntersectionPoint(
         position=position,
@@ -267,9 +268,8 @@ def _march_direction(surfaces, q, partials, direction, step, tol, start_pos, max
     the tangent d; a step the domain cuts off is finished on the edge with
     the exited parameters fixed.
     """
-    s1, s2 = surfaces[:2]
     points = []
-    prev_pos = s1.evaluate(q[0], q[1])
+    prev_pos = surfaces[0].evaluate(q[0], q[1])
     prev_dir = None
     for _ in range(max_points):
         d = _cross(_unit_normal(*partials[:2]), _unit_normal(*partials[2:]))
@@ -280,12 +280,12 @@ def _march_direction(surfaces, q, partials, direction, step, tol, start_pos, max
         d = direction * d / norm
         if prev_dir is not None and d @ prev_dir < 0:
             d = -d
-        new_q, residual, new_partials = _match(surfaces, q, plane=(d, prev_pos + step * d))
+        new_q, residual, new_partials, values = _match(surfaces, q, plane=(d, prev_pos + step * d))
         if residual > tol:
             predicted = np.clip(_predict(q, d, step, partials), 0.0, 1.0)
-            bq, residual, _ = _match(surfaces, predicted, fixed=(predicted == 0.0) | (predicted == 1.0))
+            bq, residual, _, values = _match(surfaces, predicted, fixed=(predicted == 0.0) | (predicted == 1.0))
             if residual <= tol:
-                end = _make_point(s1, s2, bq)
+                end = _make_point(bq, values)
                 gap = np.linalg.norm(end.position - prev_pos)
                 if points and gap < 0.5 * step:
                     points[-1] = end
@@ -293,7 +293,7 @@ def _march_direction(surfaces, q, partials, direction, step, tol, start_pos, max
                     points.append(end)
             break
         q, partials = new_q, new_partials
-        pt = _make_point(s1, s2, q)
+        pt = _make_point(q, values)
         if len(points) >= 4 and np.linalg.norm(pt.position - start_pos) < 0.6 * step:
             return points, True
         points.append(pt)
@@ -338,25 +338,25 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
     for idx in order[:8]:
         i1, j1 = divmod(int(idx), grid)
         i2, j2 = divmod(int(nearest[idx]), grid)
-        q, residual, partials = _match(surfaces, [ts[i1], ts[j1], ts[i2], ts[j2]])
+        q, residual, partials, values = _match(surfaces, [ts[i1], ts[j1], ts[i2], ts[j2]])
         if residual <= tol:
-            candidates.append((q, partials))
+            candidates.append((q, partials, values))
     if not candidates:
         return []
 
-    seed, partials = candidates[0]
-    start = _make_point(s1, s2, seed)
+    seed, partials, values = candidates[0]
+    start = _make_point(seed, values)
     forward, closed = _march_direction(
         surfaces, seed, partials, +1.0, step, tol, start.position, max_points
     )
     if closed:
-        chain = [start] + forward + [_make_point(s1, s2, seed)]
+        chain = [start] + forward + [_make_point(seed, values)]
     else:
         backward, _ = _march_direction(
             surfaces, seed, partials, -1.0, step, tol, start.position, max_points
         )
         chain = list(reversed(backward)) + [start] + forward
-    others = [_make_point(s1, s2, q).position for q, _ in candidates[1:]]
+    others = [_make_point(q, v).position for q, _, v in candidates[1:]]
     if others:
         gap = float(cKDTree([p.position for p in chain]).query(others)[0].max())
         if gap > step:

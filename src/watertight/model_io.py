@@ -17,7 +17,7 @@ import numpy as np
 
 from .bezier import BezierCurve, BezierSurface, PiecewiseBezierCurve
 from .errors import ParseError
-from .intersect import GapReport, IntersectionData, IntersectionPoint
+from .intersect import IntersectionData, IntersectionPoint
 
 FORMAT_VERSION = "1"
 
@@ -81,16 +81,6 @@ def _encode_intersection(data: IntersectionData) -> dict:
         "domain_curve_b": _encode_curve(data.domain_curve_b),
         "lifted_a": np.asarray(data.lifted_a).tolist(),
         "lifted_b": np.asarray(data.lifted_b).tolist(),
-    }
-
-
-def encode_gap_report(report: GapReport) -> dict:
-    return {
-        "max_gap": float(report.max_gap),
-        "rms_gap": float(report.rms_gap),
-        "sample_count": int(report.sample_count),
-        "worst_point": np.asarray(report.worst_point).tolist(),
-        "flagged": int(report.flagged),
     }
 
 

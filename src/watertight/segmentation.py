@@ -22,6 +22,14 @@ Conventions used throughout:
   {0 <= x <= f(y)} with f mapping [0,1] into [0,1] and reaching 1 at one
   endpoint (the through-vertex).  f may vanish at the other endpoint,
   which collapses one patch edge; such degenerate cells are legal.
+* One arc per trapezoid: a trapezoid's w_span runs between two adjacent
+  breakpoints, so its curved edge is exactly one Bezier segment of the
+  trim curve.  The map into the cell's local [0,1]^2 is affine, so the
+  segment's control polygon mapped once into that frame is the edge's
+  exact Bezier form there (affine invariance).  Every arc query -- the
+  classification end points, the retained sample, the canonical edge f of
+  each rotation, cell membership -- solves on that polygon and never
+  evaluates the trim curve again.
 * Cell membership is half-open (lower/left edges inclusive, upper/right
   exclusive except at the domain boundary), so tiling is assertable.
 """
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -40,7 +49,10 @@ from .bezier import (
     BoundaryPolynomial,
     Edge,
     PiecewiseBezierCurve,
+    _derivative_polygon,
+    all_bernstein,
     compose_reparameterize,
+    de_casteljau_many,
     extract_subpatch,
     flip_net_u,
     flip_net_v,
@@ -53,6 +65,14 @@ RECTANGLE = "rectangle"
 TRAPEZOID = "trapezoid"
 
 _COORD_TOL = 1e-9
+# Split parameters this close to an existing breakpoint snap to it.
+_SNAP_TOL = 1e-5
+# brentq tolerance of a monotone split parameter.
+_SPLIT_REFINE_TOL = 1e-10
+# Least-squares samples of a boundary-polynomial fit.
+_FIT_SAMPLES = 64
+# Seed table of every arc solve, in the arc's own Bezier parameter.
+_ARC_TABLE = np.linspace(0.0, 1.0, 257)
 
 
 class GraphAxis(Enum):
@@ -69,7 +89,6 @@ class MonotoneSegment:
     curve: PiecewiseBezierCurve
     w_range: tuple
     axis: GraphAxis
-    host_range: tuple
     u_trend: int
     v_trend: int
 
@@ -92,6 +111,53 @@ class TrapezoidCase:
     canonical_corner: tuple
 
 
+@lru_cache(maxsize=None)
+def _table_basis(degree: int) -> np.ndarray:
+    """Read-only Bernstein basis at `_ARC_TABLE`: a polygon's table in one product."""
+    basis = all_bernstein(degree, _ARC_TABLE)
+    basis.flags.writeable = False
+    return basis
+
+
+class _Arc:
+    """A trapezoid's curved edge in its cell's local [0,1]^2 frame.
+
+    Holds the trim segment's control polygon mapped into that frame and its
+    hodograph.
+    """
+
+    def __init__(self, polygon: np.ndarray, bounds):
+        u0, u1, v0, v1 = bounds
+        self.polygon = (polygon - (u0, v0)) / (u1 - u0, v1 - v0)
+        self.hodograph = _derivative_polygon(self.polygon)
+
+    def points_at(self, coord: int, values) -> np.ndarray:
+        """(K, 2) local arc points whose coordinate `coord` equals each value.
+
+        Seeds from a table of `coord` at `_ARC_TABLE`, then takes at most 8
+        Newton steps on the polygon, stopping once every sample is within
+        1e-13.  Values at or beyond the arc's range in `coord` return its end
+        point there.
+        """
+        values = np.atleast_1d(np.asarray(values, dtype=float))
+        heights = _table_basis(self.polygon.shape[0] - 1) @ self.polygon[:, coord]
+        params, ends = _ARC_TABLE, self.polygon[[0, -1]]
+        if heights[-1] < heights[0]:
+            heights, params, ends = heights[::-1], params[::-1], ends[::-1]
+        s = np.interp(np.clip(values, heights[0], heights[-1]), heights, params)
+        pts = de_casteljau_many(self.polygon, s)
+        for _ in range(8):
+            err = pts[:, coord] - values
+            if np.abs(err).max() <= 1e-13:
+                break
+            slope = de_casteljau_many(self.hodograph, s)[:, coord]
+            slope = np.where(slope == 0.0, 1.0, slope)
+            s = np.clip(s - err / slope, 0.0, 1.0)
+            pts = de_casteljau_many(self.polygon, s)
+        pts = np.where((values <= heights[0])[:, None], ends[0], pts)
+        return np.where((values >= heights[-1])[:, None], ends[1], pts)
+
+
 @dataclass(eq=False)
 class DomainCell:
     """A rectangle or curved-trapezoid sub-region of the parameter domain."""
@@ -99,16 +165,15 @@ class DomainCell:
     kind: str
     bounds: tuple
     axis: GraphAxis | None = None
-    keep_side: str | None = None
     toward_far_edge: bool | None = None
     w_span: tuple | None = None
-    source_breakpoints: tuple | None = None
     parent_curve: PiecewiseBezierCurve | None = None
     retained_sample: tuple | None = None
     case: TrapezoidCase | None = None
     boundary_fn: BoundaryPolynomial | None = None
     patch_bounds: tuple | None = None
     fit_residual: float = 0.0
+    arc: _Arc | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         u0, u1, v0, v1 = self.bounds
@@ -116,6 +181,12 @@ class DomainCell:
             raise DegenerateCellError(f"cell bounds {self.bounds} degenerate")
         if self.patch_bounds is None:
             self.patch_bounds = self.bounds
+        if self.kind == TRAPEZOID:
+            w0, w1 = self.w_span
+            polygon = self.parent_curve.segments[
+                self.parent_curve.segment_index_of(w0, w1)
+            ].control_points
+            self.arc = _Arc(polygon, self.bounds)
 
 
 @dataclass(eq=False)
@@ -186,7 +257,7 @@ def _unrotate(a: float, b: float, quarter_turns: int):
 # Monotone splitting
 # ---------------------------------------------------------------------------
 
-def monotone_split_params(curve: PiecewiseBezierCurve, refine_tol: float = 1e-10):
+def monotone_split_params(curve: PiecewiseBezierCurve):
     """Interior parameters where du/dw or dv/dw changes sign."""
     n_seg = len(curve.segments)
     ws = np.linspace(0.0, 1.0, 64 * n_seg + 1)
@@ -204,7 +275,7 @@ def monotone_split_params(curve: PiecewiseBezierCurve, refine_tol: float = 1e-10
             if last_nonzero is not None and s != last_nonzero:
                 lo, hi = ws[last_idx], ws[i]
                 root = brentq(
-                    lambda w: curve.derivative_at(w)[comp], lo, hi, xtol=refine_tol
+                    lambda w: curve.derivative_at(w)[comp], lo, hi, xtol=_SPLIT_REFINE_TOL
                 )
                 params.append(float(root))
             last_nonzero = s
@@ -225,10 +296,10 @@ def _trend(values: np.ndarray) -> int:
     raise DegenerateCellError("coordinate not monotone over segment")
 
 
-def split_monotone(curve: PiecewiseBezierCurve, snap_tol: float = 1e-5):
+def split_monotone(curve: PiecewiseBezierCurve):
     """Split the domain curve into segments monotone in both coordinates.
 
-    Split parameters snap to existing breakpoints when within snap_tol;
+    Split parameters snap to existing breakpoints when within _SNAP_TOL;
     otherwise the curve is subdivided, so segment endpoints always coincide
     with breakpoints of the (possibly refined) parent curve.
     """
@@ -241,7 +312,7 @@ def split_monotone(curve: PiecewiseBezierCurve, snap_tol: float = 1e-5):
     inserts = []
     for p in raw:
         near = curve.breakpoints[np.argmin(np.abs(curve.breakpoints - p))]
-        if abs(near - p) <= snap_tol:
+        if abs(near - p) <= _SNAP_TOL:
             cuts.add(float(near))
         else:
             inserts.append(p)
@@ -258,10 +329,8 @@ def split_monotone(curve: PiecewiseBezierCurve, snap_tol: float = 1e-5):
         v_trend = _trend(pts[:, 1])
         if v_trend != 0:
             axis = GraphAxis.U_OF_V
-            host = (float(min(pts[0, 1], pts[-1, 1])), float(max(pts[0, 1], pts[-1, 1])))
         elif u_trend != 0:
             axis = GraphAxis.V_OF_U
-            host = (float(min(pts[0, 0], pts[-1, 0])), float(max(pts[0, 0], pts[-1, 0])))
         else:
             raise DegenerateCellError("segment constant in both coordinates")
         segments.append(
@@ -269,7 +338,6 @@ def split_monotone(curve: PiecewiseBezierCurve, snap_tol: float = 1e-5):
                 curve=refined,
                 w_range=(float(lo), float(hi)),
                 axis=axis,
-                host_range=host,
                 u_trend=u_trend,
                 v_trend=v_trend,
             )
@@ -292,27 +360,31 @@ def _cell_bounds_from_graph(axis: GraphAxis, x_extent, y_extent):
     return (x_extent[0], x_extent[1], y_extent[0], y_extent[1])
 
 
-def _arc_cross_coordinate(cell: DomainCell, y_value: float) -> float:
-    """Independent coordinate of the cell's arc at the given band coordinate."""
-    xi, yi = _graph_indices(cell.axis)
-    w0, w1 = cell.w_span
-    curve = cell.parent_curve
+def _trapezoid(curve: PiecewiseBezierCurve, w_span, axis: GraphAxis,
+               toward_far: bool, x_extent, y_extent) -> DomainCell:
+    """A trapezoid cell and its retained sample.
 
-    def dep(w):
-        return curve.evaluate(w)[yi] - y_value
+    The sample lies at mid-band, halfway between the arc and the cell edge
+    on the retained side.
+    """
+    cell = DomainCell(
+        kind=TRAPEZOID,
+        bounds=_cell_bounds_from_graph(axis, x_extent, y_extent),
+        axis=axis,
+        toward_far_edge=toward_far,
+        w_span=w_span,
+        parent_curve=curve,
+    )
+    xi, yi = _graph_indices(axis)
+    local = [0.5, 0.5]
+    local[xi] = 0.5 * (cell.arc.points_at(yi, 0.5)[0, xi] + (1.0 if toward_far else 0.0))
+    u0, u1, v0, v1 = cell.bounds
+    cell.retained_sample = (u0 + local[0] * (u1 - u0), v0 + local[1] * (v1 - v0))
+    return cell
 
-    d0, d1 = dep(w0), dep(w1)
-    if abs(d0) <= 1e-13:
-        return float(curve.evaluate(w0)[xi])
-    if abs(d1) <= 1e-13:
-        return float(curve.evaluate(w1)[xi])
-    w = brentq(dep, w0, w1, xtol=1e-14)
-    return float(curve.evaluate(w)[xi])
 
-
-def decompose_domain(segment: MonotoneSegment, keep_side: str,
-                     emit_rectangles: bool = True):
-    """Cells for one monotone segment: one trapezoid per breakpoint interval.
+def decompose_domain(segment: MonotoneSegment, keep_side: str):
+    """Trapezoid cells for one monotone segment, one per trim segment.
 
     ``keep_side`` names the retained side in the dependent coordinate:
     "below" keeps dependent <= curve, "above" keeps dependent >= curve.
@@ -328,13 +400,10 @@ def decompose_domain(segment: MonotoneSegment, keep_side: str,
         raise DegenerateCellError("segment endpoints must lie at breakpoints")
     curve = segment.curve
     cells = []
-    y_values = []
-    for (k0, w0), (k1, w1) in zip(span[:-1], span[1:]):
-        p0 = curve.evaluate(w0)
-        p1 = curve.evaluate(w1)
-        x0, y0 = float(p0[xi]), float(p0[yi])
-        x1, y1 = float(p1[xi]), float(p1[yi])
-        y_values.extend([y0, y1])
+    for (k, w0), (_, w1) in zip(span[:-1], span[1:]):
+        polygon = curve.segments[k].control_points
+        x0, y0 = float(polygon[0, xi]), float(polygon[0, yi])
+        x1, y1 = float(polygon[-1, xi]), float(polygon[-1, yi])
         if abs(y1 - y0) <= 1e-12:
             continue
         if abs(x1 - x0) <= 1e-12:
@@ -344,38 +413,11 @@ def decompose_domain(segment: MonotoneSegment, keep_side: str,
         f_increasing = (y1 - y0 > 0) == (x1 - x0 > 0)
         toward_far = (keep_side == "below") == f_increasing
         x_extent = (min(x0, x1), 1.0) if toward_far else (0.0, max(x0, x1))
-        y_extent = (min(y0, y1), max(y0, y1))
         if x_extent[1] - x_extent[0] <= 1e-12:
             raise DegenerateCellError("keep side inconsistent with curve position")
-        y_mid = 0.5 * (y_extent[0] + y_extent[1])
-        cell = DomainCell(
-            kind=TRAPEZOID,
-            bounds=_cell_bounds_from_graph(segment.axis, x_extent, y_extent),
-            axis=segment.axis,
-            keep_side=keep_side,
-            toward_far_edge=toward_far,
-            w_span=(w0, w1),
-            source_breakpoints=(k0, k1),
-            parent_curve=curve,
-        )
-        x_arc = _arc_cross_coordinate(cell, y_mid)
-        far = 1.0 if toward_far else 0.0
-        sample_graph = (0.5 * (x_arc + far), y_mid)
-        cell.retained_sample = (
-            (sample_graph[1], sample_graph[0])
-            if segment.axis is GraphAxis.U_OF_V
-            else sample_graph
-        )
-        cells.append(cell)
-
-    if emit_rectangles and y_values:
-        y_min, y_max = min(y_values), max(y_values)
-        if keep_side == "below" and y_min > 1e-12:
-            bounds = _cell_bounds_from_graph(segment.axis, (0.0, 1.0), (0.0, y_min))
-            cells.append(_rectangle_cell(bounds))
-        if keep_side == "above" and y_max < 1.0 - 1e-12:
-            bounds = _cell_bounds_from_graph(segment.axis, (0.0, 1.0), (y_max, 1.0))
-            cells.append(_rectangle_cell(bounds))
+        cells.append(_trapezoid(
+            curve, (w0, w1), segment.axis, toward_far, x_extent, (min(y0, y1), max(y0, y1))
+        ))
     return cells
 
 
@@ -399,8 +441,8 @@ def cell_contains(cell: DomainCell, u: float, v: float) -> bool:
     if cell.kind == RECTANGLE:
         return True
     xi, yi = _graph_indices(cell.axis)
-    point = (u, v)
-    x_arc = _arc_cross_coordinate(cell, point[yi])
+    point = _local_coords(cell, u, v)
+    x_arc = cell.arc.points_at(yi, point[yi])[0, xi]
     if cell.toward_far_edge:
         return point[xi] >= x_arc
     return point[xi] <= x_arc
@@ -426,10 +468,7 @@ def _classify_candidates(cell: DomainCell):
     Candidates are ordered with the f(1) = 1 family first, then by rotation
     count; a curve through two cell corners admits two of them.
     """
-    curve = cell.parent_curve
-    w0, w1 = cell.w_span
-    e0 = _local_coords(cell, *curve.evaluate(w0))
-    e1 = _local_coords(cell, *curve.evaluate(w1))
+    e0, e1 = cell.arc.polygon[[0, -1]]
     sample = _local_coords(cell, *cell.retained_sample)
 
     candidates = []
@@ -447,7 +486,7 @@ def _classify_candidates(cell: DomainCell):
         corner = (1, int(round(through[1])))
         # Retained sample must sit on the {x <= f(y)} side.
         sx, sy = _rotate_point(*sample, r)
-        x_arc = _rotated_arc_x(cell, r, sy)
+        x_arc = _rotated_arc(cell, r, sy)[0][0]
         if sx > x_arc + _COORD_TOL:
             continue
         candidates.append(TrapezoidCase(_case_id(corner, r), r, corner))
@@ -457,31 +496,19 @@ def _classify_candidates(cell: DomainCell):
     return candidates
 
 
-def _rotated_arc_x(cell: DomainCell, rotation: int, y_value: float) -> float:
-    """x of the cell's arc at rotated-frame height y_value."""
-    curve = cell.parent_curve
-    w0, w1 = cell.w_span
-
-    def height(w):
-        local = _local_coords(cell, *curve.evaluate(w))
-        return _rotate_point(*local, rotation)[1] - y_value
-
-    h0, h1 = height(w0), height(w1)
-    if abs(h0) <= 1e-12:
-        w = w0
-    elif abs(h1) <= 1e-12:
-        w = w1
-    else:
-        w = brentq(height, w0, w1, xtol=1e-14)
-    local = _local_coords(cell, *curve.evaluate(w))
-    return _rotate_point(*local, rotation)[0]
+def _rotated_arc(cell: DomainCell, rotation: int, heights):
+    """(x, y) arrays of the cell's arc at the given heights y of the rotated frame."""
+    r = rotation % 4
+    heights = np.asarray(heights, dtype=float)
+    a, b = cell.arc.points_at(1 - r % 2, heights if r < 2 else 1.0 - heights).T
+    return _rotate_point(a, b, r)
 
 
 # ---------------------------------------------------------------------------
 # Boundary polynomial fitting
 # ---------------------------------------------------------------------------
 
-def fit_boundary_polynomial(edge_fn, degree: int, tol: float, samples: int = 64):
+def fit_boundary_polynomial(edge_fn, degree: int, tol: float):
     """Least-squares polynomial fit of a single-valued edge, endpoints exact.
 
     ``edge_fn`` maps [0,1] to the edge's cross coordinate.  Returns
@@ -490,7 +517,7 @@ def fit_boundary_polynomial(edge_fn, degree: int, tol: float, samples: int = 64)
     """
     if degree < 1:
         raise ValueError("fit degree must be at least 1")
-    ts = np.linspace(0.0, 1.0, samples)
+    ts = np.linspace(0.0, 1.0, _FIT_SAMPLES)
     ys = np.broadcast_to(edge_fn(ts), ts.shape)
     y0, y1 = ys[0], ys[-1]
     coeffs = np.zeros(degree + 1)
@@ -516,64 +543,6 @@ def fit_boundary_polynomial(edge_fn, degree: int, tol: float, samples: int = 64)
     return poly, residual
 
 
-class _CanonicalEdge:
-    """The cell's arc as x = f(y) in the rotated canonical frame.
-
-    Inverts y(w) through a sampled table plus a few Newton steps instead of
-    bisecting per query; the fit evaluates this a few hundred times per cell.
-    """
-
-    def __init__(self, cell: DomainCell, rotation: int, samples: int = 257):
-        self.cell = cell
-        self.rotation = rotation
-        w0, w1 = cell.w_span
-        self.w0, self.w1 = w0, w1
-        ws = np.linspace(w0, w1, samples)
-        pts = cell.parent_curve.evaluate_many(ws)
-        u0, u1, v0, v1 = cell.bounds
-        a = (pts[:, 0] - u0) / (u1 - u0)
-        b = (pts[:, 1] - v0) / (v1 - v0)
-        for _ in range(rotation % 4):
-            a, b = 1.0 - b, a
-        if b[-1] < b[0]:
-            ws, a, b = ws[::-1], a[::-1], b[::-1]
-        self.ws, self.xs, self.ys = ws, a, b
-
-    def _points(self, ws):
-        u0, u1, v0, v1 = self.cell.bounds
-        pts = self.cell.parent_curve.evaluate_many(ws)
-        a = (pts[:, 0] - u0) / (u1 - u0)
-        b = (pts[:, 1] - v0) / (v1 - v0)
-        for _ in range(self.rotation % 4):
-            a, b = 1.0 - b, a
-        return a, b
-
-    def _dys(self, ws):
-        u0, u1, v0, v1 = self.cell.bounds
-        d = self.cell.parent_curve.derivative_many(ws)
-        da = d[:, 0] / (u1 - u0)
-        db = d[:, 1] / (v1 - v0)
-        for _ in range(self.rotation % 4):
-            da, db = -db, da
-        return db
-
-    def __call__(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ws = np.interp(np.clip(ts, self.ys[0], self.ys[-1]), self.ys, self.ws)
-        x, y = self._points(ws)
-        for _ in range(8):
-            err = y - ts
-            if np.abs(err).max() <= 1e-13:
-                break
-            dy = self._dys(ws)
-            dy = np.where(dy == 0.0, 1.0, dy)
-            ws = np.clip(ws - err / dy, self.w0, self.w1)
-            x, y = self._points(ws)
-        x = np.where(ts <= self.ys[0], self.xs[0], x)
-        x = np.where(ts >= self.ys[-1], self.xs[-1], x)
-        return x
-
-
 def fit_cell(cell: DomainCell, fit_degree: int, fit_tol: float) -> DomainCell:
     """Classify a trapezoid, fit its boundary polynomial, widen for overshoot.
 
@@ -589,7 +558,8 @@ def fit_cell(cell: DomainCell, fit_degree: int, fit_tol: float) -> DomainCell:
     last_error = None
     for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
         for case in candidates:
-            edge_fn = _CanonicalEdge(cell, case.rotation_quarter_turns)
+            def edge_fn(ts, r=case.rotation_quarter_turns):
+                return _rotated_arc(cell, r, ts)[0]
             try:
                 poly, residual = fit_boundary_polynomial(edge_fn, degree, fit_tol)
             except FitError as err:
@@ -622,32 +592,13 @@ def tighten_cell(cell: DomainCell):
     xi, yi = _graph_indices(cell.axis)
     curve = cell.parent_curve
     w0, w1 = cell.w_span
-    p0, p1 = curve.evaluate(w0), curve.evaluate(w1)
-    x_lo, x_hi = sorted((float(p0[xi]), float(p1[xi])))
-    y_lo, y_hi = sorted((float(p0[yi]), float(p1[yi])))
-    tight = DomainCell(
-        kind=TRAPEZOID,
-        bounds=_cell_bounds_from_graph(cell.axis, (x_lo, x_hi), (y_lo, y_hi)),
-        axis=cell.axis,
-        keep_side=cell.keep_side,
-        toward_far_edge=cell.toward_far_edge,
-        w_span=cell.w_span,
-        source_breakpoints=cell.source_breakpoints,
-        parent_curve=curve,
+    ends = curve.segments[curve.segment_index_of(w0, w1)].control_points[[0, -1]]
+    x_lo, x_hi = sorted(float(p[xi]) for p in ends)
+    y_lo, y_hi = sorted(float(p[yi]) for p in ends)
+    tight = _trapezoid(
+        curve, cell.w_span, cell.axis, cell.toward_far_edge, (x_lo, x_hi), (y_lo, y_hi)
     )
-    y_mid = 0.5 * (y_lo + y_hi)
-    x_arc = _arc_cross_coordinate(tight, y_mid)
-    x_side = x_hi if cell.toward_far_edge else x_lo
-    sample_graph = (0.5 * (x_arc + x_side), y_mid)
-    tight.retained_sample = (
-        (sample_graph[1], sample_graph[0])
-        if cell.axis is GraphAxis.U_OF_V
-        else sample_graph
-    )
-    if cell.toward_far_edge:
-        filler_extent = (x_hi, 1.0)
-    else:
-        filler_extent = (0.0, x_lo)
+    filler_extent = (x_hi, 1.0) if cell.toward_far_edge else (0.0, x_lo)
     filler = None
     if filler_extent[1] - filler_extent[0] > 1e-12:
         filler = _rectangle_cell(
@@ -704,11 +655,8 @@ def _absorb_unit_range(cell: DomainCell, rotation: int, poly: BoundaryPolynomial
 # ---------------------------------------------------------------------------
 
 def _w_increases_canonical_t(cell: DomainCell, rotation: int) -> bool:
-    curve = cell.parent_curve
-    w0, w1 = cell.w_span
-    y0 = _rotate_point(*_local_coords(cell, *curve.evaluate(w0)), rotation)[1]
-    y1 = _rotate_point(*_local_coords(cell, *curve.evaluate(w1)), rotation)[1]
-    return y1 > y0
+    e0, e1 = cell.arc.polygon[[0, -1]]
+    return _rotate_point(*e1, rotation)[1] > _rotate_point(*e0, rotation)[1]
 
 
 def _normalize_trapezoid(surface: BezierSurface, cell: DomainCell):
@@ -805,7 +753,7 @@ def decompose_trim(curve: PiecewiseBezierCurve, keep_fn):
     covered = []
     for seg in segments:
         side = _segment_keep_side(seg, keep_fn)
-        seg_cells = decompose_domain(seg, side, emit_rectangles=False)
+        seg_cells = decompose_domain(seg, side)
         for cell in seg_cells:
             if not keep_fn(*cell.retained_sample):
                 raise DegenerateCellError(

@@ -129,18 +129,20 @@ class TestMatch:
     def test_fixed_parameter_keeps_its_bits(self, paraboloid):
         surfaces = match_surfaces(paraboloid, plane_patch(0.3, 0.0, 0.02))
         q0 = np.array([0.8123, 0.8, 0.8, 0.85])
-        q, residual, partials = _match(surfaces, q0, fixed=np.array([True, False, False, False]))
+        q, residual, partials, points = _match(surfaces, q0, fixed=np.array([True, False, False, False]))
         assert q[0] == q0[0]
         assert residual <= 1e-12
         for hodograph, params, value in zip(surfaces[2:], (q[:2], q[:2], q[2:], q[2:]), partials):
             assert np.array_equal(hodograph.evaluate(*params), value)
+        for surface, params, value in zip(surfaces[:2], (q[:2], q[2:]), points):
+            assert np.array_equal(surface.evaluate(*params), value)
 
     def test_residual_includes_the_plane_row(self, flat):
         # The plane y = 1.5 lies beyond the edge v = 1: the clamped solve ends
         # on that edge, on the line S1 = S2, but 0.5 from the plane.
         surfaces = match_surfaces(flat, tilted_plane())
         plane = (np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.5, 0.0]))
-        q, residual, _ = _match(surfaces, [0.5, 0.9, 0.5, 0.9], plane=plane)
+        q, residual, _, _ = _match(surfaces, [0.5, 0.9, 0.5, 0.9], plane=plane)
         assert q[1] == 1.0 and q[3] == 1.0
         assert np.linalg.norm(flat.evaluate(q[0], q[1]) - tilted_plane().evaluate(q[2], q[3])) <= 1e-12
         assert residual == pytest.approx(0.5, abs=1e-12)

@@ -3,12 +3,14 @@ trapezoid classification, boundary fitting, and patch normalization."""
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from watertight import (
     BezierCurve,
     BezierSurface,
     BoundaryPolynomial,
     DegenerateCellError,
+    DomainError,
     PiecewiseBezierCurve,
 )
 from watertight.bezier import Edge
@@ -19,6 +21,8 @@ from watertight.segmentation import (
     DomainCell,
     GraphAxis,
     _classify_candidates,
+    _normalize_trapezoid,
+    _rotated_arc,
     build_patch_decomposition,
     cell_contains,
     decompose_domain,
@@ -26,7 +30,9 @@ from watertight.segmentation import (
     fit_boundary_polynomial,
     fit_cell,
     normalize_patch,
+    rectangle_map,
     split_monotone,
+    tighten_cell,
 )
 from watertight.shapes import flat_patch, paraboloid_patch
 
@@ -59,7 +65,6 @@ def linear_trapezoid_cell(p0, p1, bounds, axis, toward_far_edge, sample):
         axis=axis,
         toward_far_edge=toward_far_edge,
         w_span=(0.0, 1.0),
-        source_breakpoints=(0, 1),
         parent_curve=line_curve(p0, p1),
         retained_sample=sample,
     )
@@ -73,7 +78,7 @@ class TestSplitMonotone:
         assert len(segments) == 1
         seg = segments[0]
         assert seg.axis is GraphAxis.U_OF_V
-        assert seg.host_range == (0.0, 1.0)
+        assert seg.w_range == (0.0, 1.0)
 
     def test_full_circle_splits_monotone(self):
         curve = domain_circle(16)
@@ -105,29 +110,6 @@ class TestSplitMonotone:
 
 
 class TestDecomposeDomain:
-    def test_straight_trim_single_rectangle(self):
-        curve = line_curve([0.5, 0.0], [0.5, 1.0])
-        (seg,) = split_monotone(curve)
-        cells = decompose_domain(seg, "below")
-        assert len(cells) == 1
-        cell = cells[0]
-        assert cell.kind == RECTANGLE
-        assert cell.bounds == pytest.approx((0.0, 0.5, 0.0, 1.0))
-
-    def test_three_breakpoint_segment(self):
-        # Boundary-to-boundary trim with one interior breakpoint.
-        curve = line_curve([0.3, 0.0], [0.8, 1.0]).subdivide_at([0.5])
-        (seg,) = split_monotone(curve)
-        cells = decompose_domain(seg, "below")
-        traps = [c for c in cells if c.kind == TRAPEZOID]
-        rects = [c for c in cells if c.kind == RECTANGLE]
-        assert len(traps) == 2
-        assert len(rects) == 1
-        assert rects[0].bounds == pytest.approx((0.0, 0.3, 0.0, 1.0))
-        for trap in traps:
-            k0, k1 = trap.source_breakpoints
-            assert k1 == k0 + 1
-
     def test_quadrant_with_8_breakpoints(self):
         angles = np.linspace(np.pi / 2, np.pi, 8)
         pts = np.stack([0.5 + 0.2 * np.cos(angles), 0.5 + 0.2 * np.sin(angles)], axis=1)
@@ -153,6 +135,26 @@ class TestDecomposeDomain:
 
 
 class TestDecomposeTrim:
+    def test_straight_trim_single_rectangle(self):
+        curve = line_curve([0.5, 0.0], [0.5, 1.0])
+        segments, cells = decompose_trim(curve, lambda u, v: u <= 0.5)
+        assert len(cells) == 1
+        cell = cells[0]
+        assert cell.kind == RECTANGLE
+        assert cell.bounds == pytest.approx((0.0, 0.5, 0.0, 1.0))
+
+    def test_three_breakpoint_segment(self):
+        # Boundary-to-boundary trim with one interior breakpoint.
+        curve = line_curve([0.3, 0.0], [0.8, 1.0]).subdivide_at([0.5])
+        segments, cells = decompose_trim(curve, lambda u, v: u <= 0.3 + 0.5 * v)
+        traps = [c for c in cells if c.kind == TRAPEZOID]
+        rects = [c for c in cells if c.kind == RECTANGLE]
+        assert len(traps) == 2
+        assert len(rects) == 1
+        assert rects[0].bounds == pytest.approx((0.0, 0.3, 0.0, 1.0))
+        # Each trapezoid spans exactly one segment of the trim.
+        assert sorted(t.w_span for t in traps) == [(0.0, 0.5), (0.5, 1.0)]
+
     def test_circle_keep_outside_tiles(self):
         curve = domain_circle(16)
         segments, cells = decompose_trim(curve, outside_circle)
@@ -256,6 +258,129 @@ class TestClassification:
         assert candidates[0].canonical_corner == (1, 1)
 
 
+def _quarter_turns(a, b, r):
+    for _ in range(r):
+        a, b = 1.0 - b, a
+    return a, b
+
+
+def _line_cells():
+    """Straight-edged cells in all eight orientations, plus a corner-to-corner one."""
+    cells = []
+    for transpose in (False, True):
+        for r in range(4):
+            def xform(p):
+                x, y = p
+                if transpose:
+                    x, y = y, x
+                return list(_quarter_turns(x, y, r))
+
+            p0, p1 = xform([0.5, 0.2]), xform([0.8, 0.7])
+            corners = np.array([xform([0.0, 0.2]), xform([0.8, 0.7])])
+            lo, hi = corners.min(axis=0), corners.max(axis=0)
+            axis = GraphAxis.U_OF_V if (r % 2 == 1) != transpose else GraphAxis.V_OF_U
+            cells.append((p0, p1, (lo[0], hi[0], lo[1], hi[1]), axis, tuple(xform([0.2, 0.45]))))
+    cells.append(([0.2, 0.0], [0.8, 1.0], (0.2, 0.8, 0.0, 1.0), GraphAxis.U_OF_V, (0.4, 0.9)))
+    return cells
+
+
+class TestArc:
+    @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
+    def test_straight_edge_matches_analytic_inverse(self, p0, p1, bounds, axis, sample):
+        cell = linear_trapezoid_cell(p0, p1, bounds, axis, False, sample)
+        u0, u1, v0, v1 = bounds
+        local = [((p[0] - u0) / (u1 - u0), (p[1] - v0) / (v1 - v0)) for p in (p0, p1)]
+        ts = np.linspace(0.0, 1.0, 257)
+        candidates = _classify_candidates(cell)
+        assert candidates
+        for case in candidates:
+            r = case.rotation_quarter_turns
+            (x0, y0), (x1, y1) = (_quarter_turns(*e, r) for e in local)
+            want = x0 + (x1 - x0) * (ts - y0) / (y1 - y0)
+            got = _rotated_arc(cell, r, ts)[0]
+            assert np.abs(got - want).max() <= 1e-15
+
+    def test_circle_edge_matches_brentq_on_the_trim(self):
+        curve = domain_circle(16)
+        _, cells = decompose_trim(curve, outside_circle)
+        traps = [c for c in cells if c.kind == TRAPEZOID]
+        assert len(traps) >= 12
+        ts = np.linspace(0.0, 1.0, 33)
+        for cell in traps:
+            u0, u1, v0, v1 = cell.bounds
+            w0, w1 = cell.w_span
+
+            def rotated(w, r):
+                u, v = cell.parent_curve.evaluate(w)
+                return _quarter_turns((u - u0) / (u1 - u0), (v - v0) / (v1 - v0), r)
+
+            for case in _classify_candidates(cell):
+                r = case.rotation_quarter_turns
+                want = []
+                for t in ts:
+                    h0, h1 = rotated(w0, r)[1] - t, rotated(w1, r)[1] - t
+                    if abs(h0) <= 1e-14:
+                        w = w0
+                    elif abs(h1) <= 1e-14:
+                        w = w1
+                    else:
+                        w = brentq(lambda w: rotated(w, r)[1] - t, w0, w1, xtol=1e-16)
+                    want.append(rotated(w, r)[0])
+                got = _rotated_arc(cell, r, ts)[0]
+                assert np.abs(got - np.array(want)).max() <= 1e-12
+
+    def test_span_across_a_breakpoint_raises(self):
+        curve = line_curve([0.3, 0.0], [0.8, 1.0]).subdivide_at([0.5])
+        with pytest.raises(DomainError, match="no segment spans"):
+            DomainCell(
+                kind=TRAPEZOID,
+                bounds=(0.3, 0.8, 0.0, 1.0),
+                axis=GraphAxis.U_OF_V,
+                toward_far_edge=False,
+                w_span=(0.0, 1.0),
+                parent_curve=curve,
+            )
+
+
+class TestTightenCell:
+    @staticmethod
+    def _quadrant_cells():
+        angles = np.linspace(np.pi / 2, np.pi, 6)
+        pts = np.stack([0.5 + 0.2 * np.cos(angles), 0.5 + 0.2 * np.sin(angles)], axis=1)
+        (seg,) = split_monotone(interpolate_domain_curve(pts))
+        return decompose_domain(seg, "below")
+
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_tight_cell_and_filler_tile_the_cell(self, index):
+        cell = self._quadrant_cells()[index]
+        tight, filler = tighten_cell(cell)
+        assert filler is not None
+        assert tight.w_span == cell.w_span
+        grid = np.linspace(0.0, 1.0, 101)
+        inside = 0
+        for u in grid:
+            for v in grid:
+                whole = cell_contains(cell, u, v)
+                parts = cell_contains(tight, u, v) + cell_contains(filler, u, v)
+                assert parts == whole, (u, v)
+                inside += whole
+        assert inside > 0
+
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_tight_cell_and_filler_fit_and_map_onto_the_surface(self, index):
+        surface = paraboloid_patch()
+        tight, filler = tighten_cell(self._quadrant_cells()[index])
+        fit_cell(tight, 2, 1e-2)
+        patch, _, pmap = _normalize_trapezoid(surface, tight)
+        pieces = [(patch, pmap), (normalize_patch(surface, filler), rectangle_map(filler))]
+        for piece, piece_map in pieces:
+            for s in np.linspace(0.0, 1.0, 11):
+                for t in np.linspace(0.0, 1.0, 11):
+                    u, v = piece_map.to_domain(s, t)
+                    want = surface.evaluate(min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
+                    assert np.linalg.norm(piece.evaluate(s, t) - want) <= 1e-9
+
+
 class TestBoundaryFit:
     def test_linear_edge_exact(self):
         poly, residual = fit_boundary_polynomial(lambda v: 0.2 + 0.6 * v, 1, 1e-9)
@@ -334,7 +459,7 @@ class TestNormalization:
         pts = np.stack([0.5 + 0.2 * np.cos(angles), 0.5 + 0.2 * np.sin(angles)], axis=1)
         curve = interpolate_domain_curve(pts)
         (seg,) = split_monotone(curve)
-        cells = decompose_domain(seg, "below", emit_rectangles=False)
+        cells = decompose_domain(seg, "below")
         cell = cells[2]
         fit_cell(cell, 2, 1e-2)
         patch = normalize_patch(surface, cell)

@@ -14,8 +14,9 @@ domain curve of 300 cubic segments (a dense march), a 441-point grid on a
 (3, 9) patch, one batch of the stitch deviation's point inversion (16
 stacked patches, 441 samples each), the march of a tilted arc at step
 0.01, the pre-stitch gap measurement and the lifting of a dense domain
-curve, the segmentation of the demo's side a at step 0.005, the degree
-reduction stitching tries, and the final gap check of a stitched model.
+curve, the segmentation of the demo's side a at step 0.005 and its one
+batched arc solve, the stitch deviation of the demo, the degree reduction
+stitching tries, and the final gap check of a stitched model.
 """
 
 import numpy as np
@@ -31,10 +32,25 @@ from watertight.bezier import (
     degree_reduce_curve,
 )
 from watertight.intersect import invert_points, lift_domain_curve, march_intersection, measure_gap
-from watertight.pipeline import PipelineConfig, keep_region_fn, run_pipeline
-from watertight.segmentation import TRAPEZOID, build_patch_decomposition
+from watertight.pipeline import (
+    PipelineConfig,
+    keep_region_fn,
+    prepare_decompositions,
+    run_pipeline,
+)
+from watertight.segmentation import (
+    _EDGE_HEIGHTS,
+    TRAPEZOID,
+    _rotated_arcs,
+    build_patch_decomposition,
+)
 from watertight.shapes import paraboloid_patch, plane_patch
-from watertight.stitching import verify_watertight
+from watertight.stitching import (
+    _stitch_deviation,
+    align_boundary,
+    stitch_boundary,
+    verify_watertight,
+)
 
 
 def chained_cubics(rng, count):
@@ -57,6 +73,12 @@ def demo():
 @pytest.fixture(scope="module")
 def stitched_demo(demo):
     return demo.model
+
+
+@pytest.fixture(scope="module")
+def fine_demo():
+    """The demo at step 0.005."""
+    return run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig(march_step=0.005))
 
 
 def test_derivative_many_300_segments(benchmark):
@@ -111,15 +133,34 @@ def test_lift_domain_curve_9001_samples(benchmark, demo):
     assert lifted.shape == (9001, 3)
 
 
-def test_build_patch_decomposition_demo(benchmark):
+def test_build_patch_decomposition_demo(benchmark, fine_demo):
     # Side a of the demo at step 0.005, on the trim curve the pipeline
     # settled on (shared breakpoints and re-splits included).
-    result = run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig(march_step=0.005))
-    cells = result.model.set_a.decomposition.cells
+    cells = fine_demo.model.set_a.decomposition.cells
     curve = next(c.parent_curve for c in cells if c.kind == TRAPEZOID)
-    keep = keep_region_fn("outside", result.data.domain_curve_a)
+    keep = keep_region_fn("outside", fine_demo.data.domain_curve_a)
     dec = benchmark(build_patch_decomposition, paraboloid_patch(), curve, keep, 2, 1e-4)
     assert len(dec.patches) == 263
+
+
+def test_arc_solve_demo_decomposition(benchmark, fine_demo):
+    # Every trapezoid of side a at step 0.005, in its fitted rotation, at
+    # the 64 fit and 257 check heights: a fit pass's one batched solve.
+    cells = [c for c in fine_demo.model.set_a.decomposition.cells if c.kind == TRAPEZOID]
+    rotations = [c.case.rotation_quarter_turns for c in cells]
+    edges = benchmark(_rotated_arcs, cells, rotations, _EDGE_HEIGHTS)
+    assert edges.shape == (len(cells), _EDGE_HEIGHTS.shape[0])
+
+
+def test_stitch_deviation_demo(benchmark, demo):
+    s1, s2 = paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)
+    set_a, set_b = prepare_decompositions(demo.data, s1, s2, PipelineConfig())
+    triples = align_boundary(demo.data, set_a, set_b)
+    model = stitch_boundary(set_a, set_b, triples)
+    pairs = [(set_a.patches[t.patch_a], model.set_a.patches[t.patch_a]) for t in triples]
+    pairs += [(set_b.patches[t.patch_b], model.set_b.patches[t.patch_b]) for t in triples]
+    deviation = benchmark(_stitch_deviation, pairs)
+    assert deviation == model.deviation
 
 
 def test_degree_reduce_8_to_3(benchmark):

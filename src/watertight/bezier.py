@@ -38,7 +38,7 @@ scalar bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -543,6 +543,17 @@ def _bernstein_pair(degree: int, x: np.ndarray):
     return full, low
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products over the last axis, in a fixed order.
+
+    Elementwise only, so each row's bits do not depend on the other rows.
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
+
+
 def _contract(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_i basis[..., i] * coeffs[..., i, :, ...], accumulated in index order.
 
@@ -685,6 +696,7 @@ class BoundaryPolynomial:
     """
 
     coefficients: np.ndarray
+    _range: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
@@ -709,15 +721,29 @@ class BoundaryPolynomial:
         return c[1:] * np.arange(1, c.shape[0])
 
     def unit_range(self):
-        """(min, max) of f over [0,1] via samples plus derivative root isolation."""
-        ts = list(np.linspace(0.0, 1.0, 257))
-        dc = self.derivative_coefficients()
-        if dc.shape[0] > 1 or dc[0] != 0.0:
-            for root in np.polynomial.polynomial.polyroots(dc):
-                if abs(root.imag) < 1e-9 and -1e-9 < root.real < 1.0 + 1e-9:
-                    ts.append(min(max(float(root.real), 0.0), 1.0))
-        values = self(np.array(ts))
-        return float(values.min()), float(values.max())
+        """(min, max) of f over [0,1] via samples plus derivative root isolation.
+
+        Computed once per polynomial and kept.
+        """
+        if self._range is None:
+            ts = list(np.linspace(0.0, 1.0, 257))
+            dc = self.derivative_coefficients()
+            if dc.shape[0] > 1 or dc[0] != 0.0:
+                for root in np.polynomial.polynomial.polyroots(dc):
+                    if abs(root.imag) < 1e-9 and -1e-9 < root.real < 1.0 + 1e-9:
+                        ts.append(min(max(float(root.real), 0.0), 1.0))
+            values = self(np.array(ts))
+            self._range = (float(values.min()), float(values.max()))
+        return self._range
+
+    def shifted_scaled(self, shift: float, scale: float) -> BoundaryPolynomial:
+        """(f + shift) / scale, whose range is mapped from f's, not searched again."""
+        lo, hi = self.unit_range()
+        coeffs = self.coefficients.copy()
+        coeffs[0] += shift
+        out = BoundaryPolynomial(coeffs / scale)
+        out._range = ((lo + shift) / scale, (hi + shift) / scale)
+        return out
 
     def validate_unit_range(self):
         lo, hi = self.unit_range()

@@ -29,6 +29,7 @@ from .bezier import (
     BezierCurve,
     BezierSurface,
     PiecewiseBezierCurve,
+    _dot,
     de_casteljau_many,
     evaluate_stacked,
 )
@@ -158,14 +159,6 @@ def invert_points(nets: np.ndarray, points: np.ndarray, seeds: np.ndarray):
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, with a zero denominator (no curvature at all) giving 0."""
     return num / np.where(den == 0.0, np.inf, den)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products over the last axis, in a fixed order."""
-    out = a[..., 0] * b[..., 0]
-    for k in range(1, a.shape[-1]):
-        out = out + a[..., k] * b[..., k]
-    return out
 
 
 def invert_point(surface: BezierSurface, point: np.ndarray, seed) -> np.ndarray:

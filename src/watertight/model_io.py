@@ -128,7 +128,7 @@ def model_to_dict(model: ModelFile) -> dict:
 
 
 def save_model(model: ModelFile, path: str) -> None:
-    payload = json.dumps(model_to_dict(model), indent=1)
+    payload = json.dumps(model_to_dict(model))
     _atomic_write(path, payload + "\n")
 
 

@@ -148,9 +148,11 @@ def prepare_decompositions(data: IntersectionData, s1: BezierSurface,
         except _NeedsSplit as err:
             log.info("fit tolerance needs %d extra splits", len(err.params))
             extra.extend(err.params)
+            residual, (w0, w1) = err.residual, err.w_span
     raise FitError(
-        f"fit tolerance {config.fit_tol:.3e} unreachable within the split budget",
-        float("nan"),
+        f"fit tolerance {config.fit_tol:.3e} unreachable within the split budget of "
+        f"{max_rounds} rounds; the trim interval [{w0:.6f}, {w1:.6f}] still misses it",
+        residual,
     )
 
 

@@ -30,6 +30,15 @@ Conventions used throughout:
   classification end points, the retained sample, the canonical edge f of
   each rotation, cell membership -- solves on that polygon and never
   evaluates the trim curve again.
+* Batched passes: arc queries are answered by one stacked Newton solver,
+  `_solve_arcs`, over many arcs at once; each sample stops on its own, so
+  its bits do not depend on its batch.  A decomposition makes one solve
+  for the retained samples of each monotone segment, one for the
+  classification probes of all trapezoids, and one for the canonical edge
+  of every (cell, candidate rotation) at the fit and check heights; the
+  tightened cells get a second pass.  Each fit is then a product with the
+  basis's pseudo-inverse, cached per degree, and the sampled heights are
+  dropped once the cells are fitted.
 * Cell membership is half-open (lower/left edges inclusive, upper/right
   exclusive except at the domain boundary), so tiling is assertable.
 """
@@ -49,10 +58,9 @@ from .bezier import (
     BoundaryPolynomial,
     Edge,
     PiecewiseBezierCurve,
-    _derivative_polygon,
+    _dot,
     all_bernstein,
     compose_reparameterize,
-    de_casteljau_many,
     extract_subpatch,
     flip_net_u,
     flip_net_v,
@@ -69,10 +77,16 @@ _COORD_TOL = 1e-9
 _SNAP_TOL = 1e-5
 # brentq tolerance of a monotone split parameter.
 _SPLIT_REFINE_TOL = 1e-10
-# Least-squares samples of a boundary-polynomial fit.
+# Least-squares samples of a boundary-polynomial fit, and its residual check.
 _FIT_SAMPLES = 64
+_FIT_TS = np.linspace(0.0, 1.0, _FIT_SAMPLES)
+_CHECK_TS = np.linspace(0.0, 1.0, 257)
+# Every height a fit samples a candidate's canonical edge at, in one solve.
+_EDGE_HEIGHTS = np.concatenate([_FIT_TS, _CHECK_TS])
 # Seed table of every arc solve, in the arc's own Bezier parameter.
 _ARC_TABLE = np.linspace(0.0, 1.0, 257)
+# Samples per batch of arc solves: a batch's arrays stay near 1 MB.
+_ARC_BATCH = 4096
 
 
 class GraphAxis(Enum):
@@ -113,49 +127,108 @@ class TrapezoidCase:
 
 @lru_cache(maxsize=None)
 def _table_basis(degree: int) -> np.ndarray:
-    """Read-only Bernstein basis at `_ARC_TABLE`: a polygon's table in one product."""
+    """Read-only Bernstein basis at `_ARC_TABLE`, for each arc's seed table."""
     basis = all_bernstein(degree, _ARC_TABLE)
     basis.flags.writeable = False
     return basis
 
 
+def _solve_arcs(polygons: np.ndarray, coords, values) -> np.ndarray:
+    """(C, K, 2) points of C arcs of one degree where a coordinate meets values.
+
+    `polygons` is (C, d+1, 2), arcs in their cells' local frames; arc c is
+    solved for coordinate `coords[c]` equal to each of `values[c]`, (C, K).
+    Each sample is seeded from its arc's table of that coordinate at
+    `_ARC_TABLE`, then takes at most 8 Newton steps and stops on its own
+    once within 1e-13, so its bits do not depend on the rest of the batch.
+    Values at or beyond an arc's range in its coordinate return its end
+    point there.
+    """
+    polygons = np.asarray(polygons, dtype=float)
+    values = np.asarray(values, dtype=float)
+    count, samples = values.shape
+    degree = polygons.shape[1] - 1
+    heights = polygons[np.arange(count), :, np.asarray(coords, dtype=int)]
+    table = _dot(_table_basis(degree), heights[:, None, :])
+    rising = table[:, -1] >= table[:, 0]
+    low = np.where(rising, table[:, 0], table[:, -1])[:, None]
+    high = np.where(rising, table[:, -1], table[:, 0])[:, None]
+    s = np.concatenate([
+        np.interp(v, t, _ARC_TABLE) if up else np.interp(v, t[::-1], _ARC_TABLE[::-1])
+        for v, t, up in zip(np.clip(values, low, high), table, rising)
+    ])
+    target = values.reshape(-1)
+    row = np.repeat(np.arange(count), samples)
+    slopes = degree * np.diff(heights, axis=1)
+    running = np.ones(s.shape, dtype=bool)
+    for _ in range(8):
+        live = np.flatnonzero(running)
+        if live.shape[0] == 0:
+            break
+        err = _dot(all_bernstein(degree, s[live]), heights[row[live]]) - target[live]
+        moving = np.abs(err) > 1e-13
+        running[live[~moving]] = False
+        live, err = live[moving], err[moving]
+        slope = _dot(all_bernstein(degree - 1, s[live]), slopes[row[live]])
+        slope = np.where(slope == 0.0, 1.0, slope)
+        s[live] = np.clip(s[live] - err / slope, 0.0, 1.0)
+    basis = all_bernstein(degree, s.reshape(count, samples))
+    pts = np.stack([_dot(basis, polygons[:, None, :, k]) for k in range(2)], axis=-1)
+    first, last = polygons[:, None, 0], polygons[:, None, -1]
+    pts = np.where((values <= low)[..., None], np.where(rising[:, None, None], first, last), pts)
+    return np.where((values >= high)[..., None], np.where(rising[:, None, None], last, first), pts)
+
+
 class _Arc:
     """A trapezoid's curved edge in its cell's local [0,1]^2 frame.
 
-    Holds the trim segment's control polygon mapped into that frame and its
-    hodograph.
+    Holds the trim segment's control polygon mapped into that frame.
     """
 
     def __init__(self, polygon: np.ndarray, bounds):
         u0, u1, v0, v1 = bounds
         self.polygon = (polygon - (u0, v0)) / (u1 - u0, v1 - v0)
-        self.hodograph = _derivative_polygon(self.polygon)
 
     def points_at(self, coord: int, values) -> np.ndarray:
         """(K, 2) local arc points whose coordinate `coord` equals each value.
 
-        Seeds from a table of `coord` at `_ARC_TABLE`, then takes at most 8
-        Newton steps on the polygon, stopping once every sample is within
-        1e-13.  Values at or beyond the arc's range in `coord` return its end
-        point there.
+        The one-arc case of `_solve_arcs`.
         """
         values = np.atleast_1d(np.asarray(values, dtype=float))
-        heights = _table_basis(self.polygon.shape[0] - 1) @ self.polygon[:, coord]
-        params, ends = _ARC_TABLE, self.polygon[[0, -1]]
-        if heights[-1] < heights[0]:
-            heights, params, ends = heights[::-1], params[::-1], ends[::-1]
-        s = np.interp(np.clip(values, heights[0], heights[-1]), heights, params)
-        pts = de_casteljau_many(self.polygon, s)
-        for _ in range(8):
-            err = pts[:, coord] - values
-            if np.abs(err).max() <= 1e-13:
-                break
-            slope = de_casteljau_many(self.hodograph, s)[:, coord]
-            slope = np.where(slope == 0.0, 1.0, slope)
-            s = np.clip(s - err / slope, 0.0, 1.0)
-            pts = de_casteljau_many(self.polygon, s)
-        pts = np.where((values <= heights[0])[:, None], ends[0], pts)
-        return np.where((values >= heights[-1])[:, None], ends[1], pts)
+        return _solve_arcs(self.polygon[None], [coord], values[None])[0]
+
+
+def _arc_points(cells, coords, values) -> np.ndarray:
+    """(C, K, 2) local points of each cell's arc where coordinate `coords[c]`
+    equals `values[c]`; `_solve_arcs` over the cells, one batch per arc degree."""
+    coords = np.asarray(coords, dtype=int)
+    values = np.asarray(values, dtype=float)
+    pts = np.empty(values.shape + (2,))
+    sizes = np.array([cell.arc.polygon.shape[0] for cell in cells], dtype=int)
+    rows = max(1, _ARC_BATCH // values.shape[1])
+    for size in np.unique(sizes):
+        same = np.flatnonzero(sizes == size)
+        for k in range(0, same.shape[0], rows):
+            idx = same[k:k + rows]
+            polygons = np.stack([cells[i].arc.polygon for i in idx])
+            pts[idx] = _solve_arcs(polygons, coords[idx], values[idx])
+    return pts
+
+
+def _rotated_arcs(cells, rotations, heights) -> np.ndarray:
+    """(C, K) x of each cell's arc at heights y of its rotated frame.
+
+    `heights` is (K,), shared by every cell, or (C, K).
+    """
+    r = np.asarray(rotations, dtype=int) % 4
+    heights = np.asarray(heights, dtype=float)
+    values = np.broadcast_to(heights, (len(cells), heights.shape[-1]))
+    pts = _arc_points(cells, 1 - r % 2, np.where((r < 2)[:, None], values, 1.0 - values))
+    x = np.empty(values.shape)
+    for turns in range(4):
+        rows = r == turns
+        x[rows] = _rotate_point(pts[rows, :, 0], pts[rows, :, 1], turns)[0]
+    return x
 
 
 @dataclass(eq=False)
@@ -229,11 +302,17 @@ class PatchDecomposition:
 
 
 class _NeedsSplit(Exception):
-    """Internal: the fit tolerance needs extra curve splits at these params."""
+    """Internal: the fit tolerance needs extra curve splits at these params.
 
-    def __init__(self, params):
+    `residual` is the smallest miss of the worst cell, whose trim interval is
+    `w_span`.
+    """
+
+    def __init__(self, params, residual: float, w_span):
         super().__init__(f"needs splits at {params}")
         self.params = list(params)
+        self.residual = residual
+        self.w_span = w_span
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +439,32 @@ def _cell_bounds_from_graph(axis: GraphAxis, x_extent, y_extent):
     return (x_extent[0], x_extent[1], y_extent[0], y_extent[1])
 
 
-def _trapezoid(curve: PiecewiseBezierCurve, w_span, axis: GraphAxis,
-               toward_far: bool, x_extent, y_extent) -> DomainCell:
-    """A trapezoid cell and its retained sample.
+def _trapezoids(curve: PiecewiseBezierCurve, axis: GraphAxis, specs) -> list:
+    """Trapezoid cells and their retained samples, from one batched arc solve.
 
-    The sample lies at mid-band, halfway between the arc and the cell edge
-    on the retained side.
+    `specs` holds one (w_span, toward_far, x_extent, y_extent) per cell.  A
+    cell's sample lies at mid-band, halfway between the arc and the cell
+    edge on the retained side.
     """
-    cell = DomainCell(
-        kind=TRAPEZOID,
-        bounds=_cell_bounds_from_graph(axis, x_extent, y_extent),
-        axis=axis,
-        toward_far_edge=toward_far,
-        w_span=w_span,
-        parent_curve=curve,
-    )
+    cells = [
+        DomainCell(
+            kind=TRAPEZOID,
+            bounds=_cell_bounds_from_graph(axis, x_extent, y_extent),
+            axis=axis,
+            toward_far_edge=toward_far,
+            w_span=w_span,
+            parent_curve=curve,
+        )
+        for w_span, toward_far, x_extent, y_extent in specs
+    ]
     xi, yi = _graph_indices(axis)
-    local = [0.5, 0.5]
-    local[xi] = 0.5 * (cell.arc.points_at(yi, 0.5)[0, xi] + (1.0 if toward_far else 0.0))
-    u0, u1, v0, v1 = cell.bounds
-    cell.retained_sample = (u0 + local[0] * (u1 - u0), v0 + local[1] * (v1 - v0))
-    return cell
+    arc_x = _arc_points(cells, [yi] * len(cells), np.full((len(cells), 1), 0.5))[:, 0, xi]
+    for cell, x in zip(cells, arc_x):
+        local = [0.5, 0.5]
+        local[xi] = 0.5 * (x + (1.0 if cell.toward_far_edge else 0.0))
+        u0, u1, v0, v1 = cell.bounds
+        cell.retained_sample = (u0 + local[0] * (u1 - u0), v0 + local[1] * (v1 - v0))
+    return cells
 
 
 def decompose_domain(segment: MonotoneSegment, keep_side: str):
@@ -399,7 +483,7 @@ def decompose_domain(segment: MonotoneSegment, keep_side: str):
     if len(span) < 2:
         raise DegenerateCellError("segment endpoints must lie at breakpoints")
     curve = segment.curve
-    cells = []
+    specs = []
     for (k, w0), (_, w1) in zip(span[:-1], span[1:]):
         polygon = curve.segments[k].control_points
         x0, y0 = float(polygon[0, xi]), float(polygon[0, yi])
@@ -415,10 +499,8 @@ def decompose_domain(segment: MonotoneSegment, keep_side: str):
         x_extent = (min(x0, x1), 1.0) if toward_far else (0.0, max(x0, x1))
         if x_extent[1] - x_extent[0] <= 1e-12:
             raise DegenerateCellError("keep side inconsistent with curve position")
-        cells.append(_trapezoid(
-            curve, (w0, w1), segment.axis, toward_far, x_extent, (min(y0, y1), max(y0, y1))
-        ))
-    return cells
+        specs.append(((w0, w1), toward_far, x_extent, (min(y0, y1), max(y0, y1))))
+    return _trapezoids(curve, segment.axis, specs)
 
 
 def _rectangle_cell(bounds) -> DomainCell:
@@ -462,78 +544,79 @@ def _case_id(corner: tuple, rotation: int) -> int:
     return base + rotation
 
 
-def _classify_candidates(cell: DomainCell):
-    """All rotations putting the cell into the canonical {x <= f(y)} form.
+def _classify_candidates(cells):
+    """Each cell's rotations putting it into the canonical {x <= f(y)} form.
 
+    A rotation qualifies when the arc's end points span the rotated frame's
+    height and reach x = 1, and the cell's retained sample lies on the
+    {x <= f(y)} side; one batched solve probes the arc at every sample.
     Candidates are ordered with the f(1) = 1 family first, then by rotation
     count; a curve through two cell corners admits two of them.
     """
-    e0, e1 = cell.arc.polygon[[0, -1]]
-    sample = _local_coords(cell, *cell.retained_sample)
-
-    candidates = []
-    for r in range(4):
-        r0 = _rotate_point(*e0, r)
-        r1 = _rotate_point(*e1, r)
-        ys = sorted((r0[1], r1[1]))
-        if not (abs(ys[0]) <= _COORD_TOL and abs(ys[1] - 1.0) <= _COORD_TOL):
-            continue
-        xs = (r0[0], r1[0])
-        hi = max(xs)
-        if abs(hi - 1.0) > _COORD_TOL:
-            continue
-        through = r0 if r0[0] >= r1[0] else r1
-        corner = (1, int(round(through[1])))
-        # Retained sample must sit on the {x <= f(y)} side.
-        sx, sy = _rotate_point(*sample, r)
-        x_arc = _rotated_arc(cell, r, sy)[0][0]
-        if sx > x_arc + _COORD_TOL:
-            continue
-        candidates.append(TrapezoidCase(_case_id(corner, r), r, corner))
-    candidates.sort(
-        key=lambda c: (c.canonical_corner != (1, 1), c.rotation_quarter_turns)
-    )
+    probes = []
+    for i, cell in enumerate(cells):
+        e0, e1 = cell.arc.polygon[[0, -1]]
+        sample = _local_coords(cell, *cell.retained_sample)
+        for r in range(4):
+            r0 = _rotate_point(*e0, r)
+            r1 = _rotate_point(*e1, r)
+            ys = sorted((r0[1], r1[1]))
+            if not (abs(ys[0]) <= _COORD_TOL and abs(ys[1] - 1.0) <= _COORD_TOL):
+                continue
+            if abs(max(r0[0], r1[0]) - 1.0) > _COORD_TOL:
+                continue
+            through = r0 if r0[0] >= r1[0] else r1
+            corner = (1, int(round(through[1])))
+            probes.append((i, r, corner, _rotate_point(*sample, r)))
+    x_arc = _rotated_arcs(
+        [cells[i] for i, *_ in probes],
+        [r for _, r, *_ in probes],
+        np.reshape([sy for *_, (_, sy) in probes], (-1, 1)),
+    )[:, 0]
+    candidates = [[] for _ in cells]
+    for (i, r, corner, (sx, _)), x in zip(probes, x_arc):
+        if sx <= x + _COORD_TOL:
+            candidates[i].append(TrapezoidCase(_case_id(corner, r), r, corner))
+    for cases in candidates:
+        cases.sort(key=lambda c: (c.canonical_corner != (1, 1), c.rotation_quarter_turns))
     return candidates
-
-
-def _rotated_arc(cell: DomainCell, rotation: int, heights):
-    """(x, y) arrays of the cell's arc at the given heights y of the rotated frame."""
-    r = rotation % 4
-    heights = np.asarray(heights, dtype=float)
-    a, b = cell.arc.points_at(1 - r % 2, heights if r < 2 else 1.0 - heights).T
-    return _rotate_point(a, b, r)
 
 
 # ---------------------------------------------------------------------------
 # Boundary polynomial fitting
 # ---------------------------------------------------------------------------
 
-def fit_boundary_polynomial(edge_fn, degree: int, tol: float):
+@lru_cache(maxsize=None)
+def _fit_pinv(degree: int) -> np.ndarray:
+    """Read-only pseudo-inverse of the fit basis t^i (1 - t), i = 1..degree-1,
+    at `_FIT_TS`; these vanish at both ends, so the fit keeps them exact."""
+    basis = np.stack([_FIT_TS**i * (1.0 - _FIT_TS) for i in range(1, degree)], axis=1)
+    pinv = np.linalg.pinv(basis)
+    pinv.flags.writeable = False
+    return pinv
+
+
+def fit_boundary_polynomial(fit_values, check_values, degree: int, tol: float):
     """Least-squares polynomial fit of a single-valued edge, endpoints exact.
 
-    ``edge_fn`` maps [0,1] to the edge's cross coordinate.  Returns
-    (BoundaryPolynomial, max_residual); raises FitError when the residual
-    exceeds tol.
+    `fit_values` and `check_values` are the edge's cross coordinate at
+    `_FIT_TS` and `_CHECK_TS`.  The fit is one product with the basis's
+    pseudo-inverse, cached per degree; the residual is the largest miss at
+    `_CHECK_TS`.  Returns (BoundaryPolynomial, max_residual); raises
+    FitError when the residual exceeds tol.
     """
     if degree < 1:
         raise ValueError("fit degree must be at least 1")
-    ts = np.linspace(0.0, 1.0, _FIT_SAMPLES)
-    ys = np.broadcast_to(edge_fn(ts), ts.shape)
-    y0, y1 = ys[0], ys[-1]
+    y0, y1 = fit_values[0], fit_values[-1]
     coeffs = np.zeros(degree + 1)
     coeffs[0] = y0
     coeffs[1] = y1 - y0
     if degree >= 2:
-        # Basis functions t^i (1 - t), i = 1..degree-1, vanish at both ends.
-        linear = y0 + (y1 - y0) * ts
-        basis = np.stack([ts**i * (1.0 - ts) for i in range(1, degree)], axis=1)
-        sol, *_ = np.linalg.lstsq(basis, ys - linear, rcond=None)
-        for i, c in enumerate(sol, start=1):
-            coeffs[i] += c
-            coeffs[i + 1] -= c
+        sol = _fit_pinv(degree) @ (fit_values - (y0 + (y1 - y0) * _FIT_TS))
+        coeffs[1:degree] += sol
+        coeffs[2:] -= sol
     poly = BoundaryPolynomial(coeffs)
-    dense = np.linspace(0.0, 1.0, 257)
-    residual = float(np.abs(poly(dense) - np.broadcast_to(edge_fn(dense), dense.shape)).max())
+    residual = float(np.abs(poly(_CHECK_TS) - check_values).max())
     if residual > tol:
         raise FitError(
             f"degree-{degree} fit misses tolerance {tol:.3e}; "
@@ -543,34 +626,32 @@ def fit_boundary_polynomial(edge_fn, degree: int, tol: float):
     return poly, residual
 
 
-def fit_cell(cell: DomainCell, fit_degree: int, fit_tol: float) -> DomainCell:
-    """Classify a trapezoid, fit its boundary polynomial, widen for overshoot.
+def fit_cell(cell: DomainCell, candidates, edges, fit_degree: int,
+             fit_tol: float) -> DomainCell:
+    """Fit a classified trapezoid's boundary polynomial, widen for overshoot.
 
-    Tries every canonical rotation candidate at each degree up to the cap
-    (degenerate cells admit two orientations, and near curve extrema only
-    one of them has bounded slope).  When no combination meets the
-    tolerance, raises _NeedsSplit carrying the arc's parametric midpoint.
-    Fills case, boundary_fn, fit_residual, and patch_bounds in place.
+    `candidates` are the cell's canonical rotations and `edges` holds each
+    one's canonical edge x at `_FIT_TS` then `_CHECK_TS`.  Tries every
+    candidate at each degree up to the cap (degenerate cells admit two
+    orientations, and near curve extrema only one of them has bounded
+    slope).  When no combination meets the tolerance, raises _NeedsSplit
+    carrying the arc's parametric midpoint and the smallest miss.  Fills
+    case, boundary_fn, fit_residual, and patch_bounds in place.
     """
-    candidates = _classify_candidates(cell)
     if not candidates:
         raise AmbiguousCaseError("cell does not match any of the eight cases")
-    last_error = None
+    closest = np.inf
     for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
-        for case in candidates:
-            def edge_fn(ts, r=case.rotation_quarter_turns):
-                return _rotated_arc(cell, r, ts)[0]
+        for case, edge in zip(candidates, edges):
             try:
-                poly, residual = fit_boundary_polynomial(edge_fn, degree, fit_tol)
-            except FitError as err:
-                last_error = err
-                continue
-            try:
+                poly, residual = fit_boundary_polynomial(
+                    edge[:_FIT_SAMPLES], edge[_FIT_SAMPLES:], degree, fit_tol
+                )
                 patch_bounds, poly = _absorb_unit_range(
                     cell, case.rotation_quarter_turns, poly
                 )
             except FitError as err:
-                last_error = err
+                closest = min(closest, err.residual)
                 continue
             cell.case = case
             cell.boundary_fn = poly
@@ -578,7 +659,30 @@ def fit_cell(cell: DomainCell, fit_degree: int, fit_tol: float) -> DomainCell:
             cell.patch_bounds = patch_bounds
             return cell
     w0, w1 = cell.w_span
-    raise _NeedsSplit([0.5 * (w0 + w1)]) from last_error
+    raise _NeedsSplit([0.5 * (w0 + w1)], closest, cell.w_span)
+
+
+def _fit_cells(cells, fit_degree: int, fit_tol: float) -> dict:
+    """Classify and fit trapezoids, solving each (cell, candidate) edge once.
+
+    One batched solve samples every candidate's canonical edge at the fit
+    and check heights; `fit_cell` then fits from those samples.  Returns the
+    _NeedsSplit of each cell that misses, keyed by cell.
+    """
+    candidates = _classify_candidates(cells)
+    owners = [cell for cell, cases in zip(cells, candidates) for _ in cases]
+    rotations = [case.rotation_quarter_turns for cases in candidates for case in cases]
+    edges = _rotated_arcs(owners, rotations, _EDGE_HEIGHTS)
+    misses = {}
+    start = 0
+    for cell, cases in zip(cells, candidates):
+        try:
+            fit_cell(cell, cases, edges[start:start + len(cases)], fit_degree, fit_tol)
+        except _NeedsSplit as err:
+            # Without its traceback the error holds no frames, and no arrays.
+            misses[cell] = err.with_traceback(None)
+        start += len(cases)
+    return misses
 
 
 def tighten_cell(cell: DomainCell):
@@ -595,8 +699,8 @@ def tighten_cell(cell: DomainCell):
     ends = curve.segments[curve.segment_index_of(w0, w1)].control_points[[0, -1]]
     x_lo, x_hi = sorted(float(p[xi]) for p in ends)
     y_lo, y_hi = sorted(float(p[yi]) for p in ends)
-    tight = _trapezoid(
-        curve, cell.w_span, cell.axis, cell.toward_far_edge, (x_lo, x_hi), (y_lo, y_hi)
+    (tight,) = _trapezoids(
+        curve, cell.axis, [(cell.w_span, cell.toward_far_edge, (x_lo, x_hi), (y_lo, y_hi))]
     )
     filler_extent = (x_hi, 1.0) if cell.toward_far_edge else (0.0, x_lo)
     filler = None
@@ -644,10 +748,7 @@ def _absorb_unit_range(cell: DomainCell, rotation: int, poly: BoundaryPolynomial
             "fit range excursion cannot be absorbed at the domain boundary",
             max(d0, d1),
         )
-    coeffs = poly.coefficients.copy()
-    coeffs[0] += d0
-    coeffs = coeffs / (d0 + max(1.0, hi))
-    return (u0, u1, v0, v1), BoundaryPolynomial(coeffs)
+    return (u0, u1, v0, v1), poly.shifted_scaled(d0, d0 + max(1.0, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -806,33 +907,27 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
                               fit_tol: float = 1e-4) -> PatchDecomposition:
     """Decompose, classify, fit, and normalize one trimmed surface.
 
-    Raises the internal _NeedsSplit (caught by the pipeline) when some cell
-    cannot meet the fit tolerance at the degree cap.
+    Trapezoids are classified and fitted in one batched pass; each one that
+    misses is tightened, and the tightened cells get a second pass.  Raises
+    the internal _NeedsSplit (caught by the pipeline) when some tightened
+    cell cannot meet the fit tolerance at the degree cap.
     """
     segments, cells = decompose_trim(curve, keep_fn)
-    needed = []
-    fitted_cells = []
+    missed = _fit_cells([c for c in cells if c.kind == TRAPEZOID], fit_degree, fit_tol)
+    tightened = {cell: tighten_cell(cell) for cell in missed}
+    still_missed = _fit_cells([tight for tight, _ in tightened.values()], fit_degree, fit_tol)
+    if still_missed:
+        worst = max(still_missed.values(), key=lambda err: err.residual)
+        raise _NeedsSplit(
+            [p for err in still_missed.values() for p in err.params], worst.residual, worst.w_span
+        )
+    fitted = []
     for cell in cells:
-        if cell.kind != TRAPEZOID:
-            fitted_cells.append(cell)
-            continue
-        try:
-            fit_cell(cell, fit_degree, fit_tol)
-            fitted_cells.append(cell)
-            continue
-        except _NeedsSplit:
-            pass
-        tight, filler = tighten_cell(cell)
-        try:
-            fit_cell(tight, fit_degree, fit_tol)
-            fitted_cells.append(tight)
-            if filler is not None:
-                fitted_cells.append(filler)
-        except _NeedsSplit as err:
-            needed.extend(err.params)
-    if needed:
-        raise _NeedsSplit(needed)
-    cells = fitted_cells
+        tight, filler = tightened.get(cell, (cell, None))
+        fitted.append(tight)
+        if filler is not None:
+            fitted.append(filler)
+    cells = fitted
 
     patches = []
     curved_edges = []

@@ -189,8 +189,11 @@ def _stitch_deviation(pairs, grid: int = 20) -> float:
     chord-length-like parameterization, so comparing at equal parameters
     would report tangential sliding that does not move the surface.  The
     same-parameter distance upper-bounds each sample's set distance and caps
-    it.  Pairs are inverted onto their `before` nets in fixed batches of
-    equal-shape nets, which bounds the memory a batch takes.
+    it, so a sample whose bound does not exceed the running maximum cannot
+    raise it and is not inverted; `invert_points` treats each sample on its
+    own, so the result keeps its bits.  Pairs are inverted onto their
+    `before` nets in fixed batches of equal-shape nets, which bounds the
+    memory a batch takes.
     """
     ts = np.linspace(0.0, 1.0, grid + 1)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
@@ -202,12 +205,24 @@ def _stitch_deviation(pairs, grid: int = 20) -> float:
     for members in groups.values():
         for k in range(0, len(members), _DEVIATION_BATCH):
             chunk = members[k:k + _DEVIATION_BATCH]
-            nets = np.stack([before.control_net for before, _ in chunk])
             pa = np.stack([before.evaluate_grid(ts, ts).reshape(-1, 3) for before, _ in chunk])
             pb = np.stack([after.evaluate_grid(ts, ts).reshape(-1, 3) for _, after in chunk])
             bound = np.linalg.norm(pa - pb, axis=2)
-            _, dist, _ = invert_points(nets, pb, np.broadcast_to(seeds, pb.shape[:2] + (2,)))
-            deviation = max(deviation, float(np.minimum(dist, bound).max()))
+            raises = bound > deviation
+            counts = raises.sum(axis=1)
+            live = np.flatnonzero(counts)
+            if live.shape[0] == 0:
+                continue
+            # Each live pair's samples that can raise the maximum, padded
+            # to one width with repeats of its first one.
+            order = np.argsort(~raises[live], axis=1, kind="stable")
+            width = int(counts.max())
+            pick = np.where(np.arange(width) < counts[live, None], order[:, :width], order[:, :1])
+            nets = np.stack([chunk[i][0].control_net for i in live])
+            points = np.take_along_axis(pb[live], pick[..., None], axis=1)
+            _, dist, _ = invert_points(nets, points, seeds[pick])
+            cap = np.take_along_axis(bound[live], pick, axis=1)
+            deviation = max(deviation, float(np.minimum(dist, cap).max()))
     return deviation
 
 

@@ -1,6 +1,8 @@
 """Domain segmentation: monotone splitting, cell decomposition,
 trapezoid classification, boundary fitting, and patch normalization."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -11,30 +13,35 @@ from watertight import (
     BoundaryPolynomial,
     DegenerateCellError,
     DomainError,
+    FitError,
     PiecewiseBezierCurve,
 )
 from watertight.bezier import Edge
-from watertight.intersect import interpolate_domain_curve
+from watertight.intersect import build_intersection_data, interpolate_domain_curve
+from watertight.pipeline import PipelineConfig, prepare_decompositions
 from watertight.segmentation import (
     RECTANGLE,
     TRAPEZOID,
     DomainCell,
     GraphAxis,
+    _CHECK_TS,
+    _FIT_TS,
     _classify_candidates,
+    _fit_cells,
     _normalize_trapezoid,
-    _rotated_arc,
+    _rotated_arcs,
+    _solve_arcs,
     build_patch_decomposition,
     cell_contains,
     decompose_domain,
     decompose_trim,
     fit_boundary_polynomial,
-    fit_cell,
     normalize_patch,
     rectangle_map,
     split_monotone,
     tighten_cell,
 )
-from watertight.shapes import flat_patch, paraboloid_patch
+from watertight.shapes import flat_patch, paraboloid_patch, plane_patch
 
 
 def line_curve(p0, p1):
@@ -69,6 +76,20 @@ def linear_trapezoid_cell(p0, p1, bounds, axis, toward_far_edge, sample):
         retained_sample=sample,
     )
     return cell
+
+
+def candidates_of(cell):
+    return _classify_candidates([cell])[0]
+
+
+def fit_one(cell, fit_degree, fit_tol):
+    """Classify and fit one trapezoid; it must meet the tolerance."""
+    assert not _fit_cells([cell], fit_degree, fit_tol)
+
+
+def sampled(edge_fn):
+    """An edge's values at the fit heights and at the check heights."""
+    return tuple(np.broadcast_to(edge_fn(ts), ts.shape) for ts in (_FIT_TS, _CHECK_TS))
 
 
 class TestSplitMonotone:
@@ -189,7 +210,7 @@ class TestClassification:
             toward_far_edge=False,
             sample=(0.2, 0.45),
         )
-        case = _classify_candidates(cell)[0]
+        case = candidates_of(cell)[0]
         assert case.case_id == 1
         assert case.rotation_quarter_turns == 0
         assert case.canonical_corner == (1, 1)
@@ -202,7 +223,7 @@ class TestClassification:
             toward_far_edge=False,
             sample=(0.2, 0.45),
         )
-        case_base = _classify_candidates(base)[0]
+        case_base = candidates_of(base)[0]
         # Rotate all defining data a quarter turn: (u, v) -> (1 - v, u).
         rot = lambda p: [1.0 - p[1], p[0]]
         cell = linear_trapezoid_cell(
@@ -212,7 +233,7 @@ class TestClassification:
             toward_far_edge=False,
             sample=tuple(rot([0.2, 0.45])),
         )
-        case = _classify_candidates(cell)[0]
+        case = candidates_of(cell)[0]
         assert case.case_id != case_base.case_id
         assert case.rotation_quarter_turns == (case_base.rotation_quarter_turns + 3) % 4
 
@@ -239,7 +260,7 @@ class TestClassification:
                     toward_far_edge=False,
                     sample=tuple(xform([0.2, 0.45])),
                 )
-                case = _classify_candidates(cell)[0]
+                case = candidates_of(cell)[0]
                 ids.add(case.case_id)
         assert ids == set(range(1, 9))
 
@@ -253,7 +274,7 @@ class TestClassification:
         )
         # A curve through two cell corners admits two rotations; the f(1) = 1
         # family comes first.
-        candidates = _classify_candidates(cell)
+        candidates = candidates_of(cell)
         assert len(candidates) == 2
         assert candidates[0].canonical_corner == (1, 1)
 
@@ -291,13 +312,13 @@ class TestArc:
         u0, u1, v0, v1 = bounds
         local = [((p[0] - u0) / (u1 - u0), (p[1] - v0) / (v1 - v0)) for p in (p0, p1)]
         ts = np.linspace(0.0, 1.0, 257)
-        candidates = _classify_candidates(cell)
+        candidates = candidates_of(cell)
         assert candidates
         for case in candidates:
             r = case.rotation_quarter_turns
             (x0, y0), (x1, y1) = (_quarter_turns(*e, r) for e in local)
             want = x0 + (x1 - x0) * (ts - y0) / (y1 - y0)
-            got = _rotated_arc(cell, r, ts)[0]
+            got = _rotated_arcs([cell], [r], ts)[0]
             assert np.abs(got - want).max() <= 1e-15
 
     def test_circle_edge_matches_brentq_on_the_trim(self):
@@ -314,7 +335,7 @@ class TestArc:
                 u, v = cell.parent_curve.evaluate(w)
                 return _quarter_turns((u - u0) / (u1 - u0), (v - v0) / (v1 - v0), r)
 
-            for case in _classify_candidates(cell):
+            for case in candidates_of(cell):
                 r = case.rotation_quarter_turns
                 want = []
                 for t in ts:
@@ -326,8 +347,27 @@ class TestArc:
                     else:
                         w = brentq(lambda w: rotated(w, r)[1] - t, w0, w1, xtol=1e-16)
                     want.append(rotated(w, r)[0])
-                got = _rotated_arc(cell, r, ts)[0]
+                got = _rotated_arcs([cell], [r], ts)[0]
                 assert np.abs(got - np.array(want)).max() <= 1e-12
+
+    def test_batched_solver_matches_points_at_bit_for_bit(self):
+        _, cells = decompose_trim(domain_circle(16), outside_circle)
+        traps = [c for c in cells if c.kind == TRAPEZOID]
+        polygons = np.stack([c.arc.polygon for c in traps])
+        coords = np.arange(len(traps)) % 2
+        # Heights inside, at and beyond each arc's range: the samples stop
+        # after different numbers of Newton steps.
+        rng = np.random.default_rng(7)
+        values = np.hstack([
+            rng.uniform(-0.1, 1.1, (len(traps), 40)), np.tile([0.0, 0.5, 1.0], (len(traps), 1))
+        ])
+        batch = _solve_arcs(polygons, coords, values)
+        for cell, coord, row, got in zip(traps, coords, values, batch):
+            assert np.array_equal(cell.arc.points_at(coord, row), got)
+            for k in (0, 17, 41):
+                assert np.array_equal(cell.arc.points_at(coord, row[k]), got[k:k + 1])
+        smaller = _solve_arcs(polygons[3:9], coords[3:9], values[3:9, 5:20])
+        assert np.array_equal(smaller, batch[3:9, 5:20])
 
     def test_span_across_a_breakpoint_raises(self):
         curve = line_curve([0.3, 0.0], [0.8, 1.0]).subdivide_at([0.5])
@@ -370,7 +410,7 @@ class TestTightenCell:
     def test_tight_cell_and_filler_fit_and_map_onto_the_surface(self, index):
         surface = paraboloid_patch()
         tight, filler = tighten_cell(self._quadrant_cells()[index])
-        fit_cell(tight, 2, 1e-2)
+        fit_one(tight, 2, 1e-2)
         patch, _, pmap = _normalize_trapezoid(surface, tight)
         pieces = [(patch, pmap), (normalize_patch(surface, filler), rectangle_map(filler))]
         for piece, piece_map in pieces:
@@ -381,14 +421,28 @@ class TestTightenCell:
                     assert np.linalg.norm(piece.evaluate(s, t) - want) <= 1e-9
 
 
+def lstsq_coefficients(ys, degree):
+    """The endpoint-exact least-squares fit by `np.linalg.lstsq`, monomial."""
+    ts = _FIT_TS
+    y0, y1 = ys[0], ys[-1]
+    basis = np.stack([ts**i * (1.0 - ts) for i in range(1, degree)], axis=1)
+    sol = np.linalg.lstsq(basis, ys - (y0 + (y1 - y0) * ts), rcond=None)[0]
+    coeffs = np.zeros(degree + 1)
+    coeffs[0], coeffs[1] = y0, y1 - y0
+    for i, c in enumerate(sol, start=1):
+        coeffs[i] += c
+        coeffs[i + 1] -= c
+    return coeffs
+
+
 class TestBoundaryFit:
     def test_linear_edge_exact(self):
-        poly, residual = fit_boundary_polynomial(lambda v: 0.2 + 0.6 * v, 1, 1e-9)
+        poly, residual = fit_boundary_polynomial(*sampled(lambda v: 0.2 + 0.6 * v), 1, 1e-9)
         assert np.allclose(poly.coefficients, [0.2, 0.6], atol=1e-12)
         assert residual <= 1e-12
 
     def test_constant_edge(self):
-        poly, residual = fit_boundary_polynomial(lambda v: 0.5, 1, 1e-9)
+        poly, residual = fit_boundary_polynomial(*sampled(lambda v: 0.5), 1, 1e-9)
         assert poly.degree == 0
         assert float(poly(0.3)) == pytest.approx(0.5, abs=1e-14)
         assert residual <= 1e-12
@@ -405,7 +459,7 @@ class TestBoundaryFit:
 
     def test_circle_arc_quadratic_vs_normal_equations(self):
         edge = self._circle_arc_edge
-        poly, residual = fit_boundary_polynomial(edge, 2, 1e-2)
+        poly, residual = fit_boundary_polynomial(*sampled(edge), 2, 1e-2)
         assert residual < 1e-2
         # Independent oracle: solve the constrained least squares by normal
         # equations on the single free basis function t(1-t).
@@ -418,11 +472,27 @@ class TestBoundaryFit:
         want = np.array([y0, (y1 - y0) + c, -c])
         assert np.allclose(poly.coefficients, want, atol=1e-10)
 
-    def test_tolerance_violation(self):
-        from watertight import FitError
+    def test_pinv_fit_matches_lstsq_on_circle_arc_edges(self):
+        _, cells = decompose_trim(domain_circle(16), outside_circle)
+        traps = [c for c in cells if c.kind == TRAPEZOID]
+        owners = [(c, case.rotation_quarter_turns) for c in traps for case in candidates_of(c)]
+        edges = _rotated_arcs(
+            [c for c, _ in owners], [r for _, r in owners], np.concatenate([_FIT_TS, _CHECK_TS])
+        )
+        samples = [(e[:_FIT_TS.shape[0]], e[_FIT_TS.shape[0]:]) for e in edges]
+        samples.append(sampled(self._circle_arc_edge))
+        assert len(samples) > 12
+        for fit_values, check_values in samples:
+            for degree in (2, 3):
+                poly, _ = fit_boundary_polynomial(fit_values, check_values, degree, np.inf)
+                got = np.zeros(degree + 1)
+                got[:poly.coefficients.shape[0]] = poly.coefficients
+                want = lstsq_coefficients(fit_values, degree)
+                assert np.abs(got - want).max() <= 1e-14
 
+    def test_tolerance_violation(self):
         with pytest.raises(FitError) as err:
-            fit_boundary_polynomial(self._circle_arc_edge, 1, 1e-6)
+            fit_boundary_polynomial(*sampled(self._circle_arc_edge), 1, 1e-6)
         assert err.value.residual > 1e-6
 
 
@@ -444,7 +514,7 @@ class TestNormalization:
             toward_far_edge=False,
             sample=(0.2, 0.8),
         )
-        fit_cell(cell, 1, 1e-9)
+        fit_one(cell, 1, 1e-9)
         assert cell.case.rotation_quarter_turns == 0
         patch = normalize_patch(flat_patch(), cell)
         want = np.array([
@@ -461,7 +531,7 @@ class TestNormalization:
         (seg,) = split_monotone(curve)
         cells = decompose_domain(seg, "below")
         cell = cells[2]
-        fit_cell(cell, 2, 1e-2)
+        fit_one(cell, 2, 1e-2)
         patch = normalize_patch(surface, cell)
         degrees = sorted((patch.degree_u, patch.degree_v))
         assert degrees == [3, 3 * cell.boundary_fn.degree + 3]
@@ -540,3 +610,27 @@ class TestPatchDecomposition:
                     want = surface.evaluate(u, v)
                     got = patch.evaluate(s, t)
                     assert np.linalg.norm(got - want) <= 1e-9
+
+    def test_normalization_reuses_the_fitted_range(self, monkeypatch):
+        surface = paraboloid_patch()
+        dec = build_patch_decomposition(surface, domain_circle(12), outside_circle, 2, 1e-2)
+        traps = [c for c in dec.cells if c.kind == TRAPEZOID]
+        # Some fits were widened, so their polynomial was remapped.
+        assert any(c.patch_bounds != c.bounds for c in traps)
+
+        def search(_):
+            raise AssertionError("the range of a fitted polynomial was searched again")
+
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", search)
+        for cell in traps:
+            _normalize_trapezoid(surface, cell)
+
+    def test_exhausted_split_budget_names_the_missing_interval(self):
+        s1, s2 = paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)
+        config = PipelineConfig(march_step=0.18, fit_tol=1e-6)
+        data = build_intersection_data(s1, s2, config.march_step, config.march_tol)
+        with pytest.raises(FitError, match="split budget") as err:
+            prepare_decompositions(data, s1, s2, config)
+        assert 1e-6 < err.value.residual < 1e-3
+        w0, w1 = map(float, re.search(r"interval \[(\S+), (\S+)\]", str(err.value)).groups())
+        assert 0.0 <= w0 < w1 <= 1.0

@@ -5,7 +5,7 @@ import pytest
 
 from watertight import StageError
 from watertight.bezier import BezierCurve, BezierSurface, Edge
-from watertight.intersect import build_intersection_data, measure_gap
+from watertight.intersect import build_intersection_data, invert_points, measure_gap
 from watertight.pipeline import PipelineConfig, prepare_decompositions, run_pipeline
 from watertight.shapes import flat_patch, paraboloid_patch, plane_patch
 from watertight.stitching import (
@@ -249,13 +249,48 @@ def slid_edge(delta):
     return BezierSurface(net)
 
 
+def lifted_edge(delta):
+    """flat_patch() and a copy whose v=0 edge is lifted by delta along the normal."""
+    before = flat_patch()
+    net = before.control_net.copy()
+    net[:, 0, 2] += delta
+    return before, BezierSurface(net)
+
+
+def mixed_pairs(delta):
+    """One lifted-and-slid pair among pairs of other shapes, more pairs than
+    one inversion batch holds."""
+    pairs = [(flat_patch(), slid_edge(0.0)) for _ in range(20)]
+    pairs.insert(7, (flat_patch(), slid_edge(delta)))
+    paraboloid = paraboloid_patch()
+    return pairs + [(paraboloid, paraboloid.elevated_v(4)) for _ in range(3)]
+
+
+def unpruned_deviation(pairs, grid=20):
+    """`_stitch_deviation` with every sample inverted, in the same batches."""
+    ts = np.linspace(0.0, 1.0, grid + 1)
+    uu, vv = np.meshgrid(ts, ts, indexing="ij")
+    seeds = np.stack([uu.reshape(-1), vv.reshape(-1)], axis=1)
+    groups = {}
+    for before, after in pairs:
+        groups.setdefault(before.control_net.shape, []).append((before, after))
+    deviation = 0.0
+    for members in groups.values():
+        for k in range(0, len(members), 8):
+            chunk = members[k:k + 8]
+            nets = np.stack([before.control_net for before, _ in chunk])
+            pa = np.stack([before.evaluate_grid(ts, ts).reshape(-1, 3) for before, _ in chunk])
+            pb = np.stack([after.evaluate_grid(ts, ts).reshape(-1, 3) for _, after in chunk])
+            bound = np.linalg.norm(pa - pb, axis=2)
+            _, dist, _ = invert_points(nets, pb, np.broadcast_to(seeds, pb.shape[:2] + (2,)))
+            deviation = max(deviation, float(np.minimum(dist, bound).max()))
+    return deviation
+
+
 class TestDeviationOracles:
     def test_lifted_edge_moves_by_the_lift(self):
         delta = 1e-3
-        before = flat_patch()
-        net = before.control_net.copy()
-        net[:, 0, 2] += delta
-        deviation = _stitch_deviation([(before, BezierSurface(net))])
+        deviation = _stitch_deviation([lifted_edge(delta)])
         assert deviation == pytest.approx(delta, rel=1e-12)
 
     def test_sliding_within_the_plane_does_not_move_the_surface(self):
@@ -267,10 +302,18 @@ class TestDeviationOracles:
         # One lifted-and-slid pair among pairs of other shapes and more
         # pairs than one inversion batch holds: the set distance is the lift.
         delta = 1e-3
-        pairs = [(flat_patch(), slid_edge(0.0)) for _ in range(20)]
-        pairs.insert(7, (flat_patch(), slid_edge(delta)))
-        paraboloid = paraboloid_patch()
-        pairs += [(paraboloid, paraboloid.elevated_v(4)) for _ in range(3)]
+        pairs = mixed_pairs(delta)
         assert slid_edge(delta).control_net.shape != flat_patch().control_net.shape
         assert same_parameter_bound(*pairs[7]) > 10 * delta
         assert _stitch_deviation(pairs) == pytest.approx(delta, rel=1e-12)
+
+    def test_pruned_deviation_matches_unpruned_reference(self, demo):
+        s1, s2, data, set_a, set_b = demo
+        triples = align_boundary(data, set_a, set_b)
+        model = stitch_boundary(set_a, set_b, triples)
+        demo_pairs = [(set_a.patches[t.patch_a], model.set_a.patches[t.patch_a]) for t in triples]
+        demo_pairs += [(set_b.patches[t.patch_b], model.set_b.patches[t.patch_b]) for t in triples]
+        assert model.deviation == unpruned_deviation(demo_pairs)
+        for pairs in (demo_pairs, [lifted_edge(1e-3)], [(flat_patch(), slid_edge(0.0))],
+                      mixed_pairs(1e-3)):
+            assert _stitch_deviation(pairs) == unpruned_deviation(pairs)

@@ -200,7 +200,8 @@ class _Arc:
 
 def _arc_points(cells, coords, values) -> np.ndarray:
     """(C, K, 2) local points of each cell's arc where coordinate `coords[c]`
-    equals `values[c]`; `_solve_arcs` over the cells, one batch per arc degree."""
+    equals `values[c]`: `_solve_arcs` over batches of one arc degree and at
+    most `_ARC_BATCH` samples."""
     coords = np.asarray(coords, dtype=int)
     values = np.asarray(values, dtype=float)
     pts = np.empty(values.shape + (2,))

@@ -16,8 +16,11 @@ stacked patches, 441 samples each), the march of a tilted arc at step
 0.01, the pre-stitch gap measurement and the lifting of a dense domain
 curve, the segmentation of the demo's side a at step 0.005 and its one
 batched arc solve, the stitch deviation of the demo, the degree reduction
-stitching tries, and the final gap check of a stitched model.
+of one curve and stitching's batched reduction of the corner clip, and the
+final gap check of a stitched model.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from watertight.bezier import (
     degree_elevate_curve,
     degree_reduce_curve,
 )
-from watertight.intersect import invert_points, lift_domain_curve, march_intersection, measure_gap
+from watertight.intersect import build_intersection_data, invert_points, lift_domain_curve, march_intersection, measure_gap
 from watertight.pipeline import (
     PipelineConfig,
     keep_region_fn,
@@ -46,7 +49,9 @@ from watertight.segmentation import (
 )
 from watertight.shapes import paraboloid_patch, plane_patch
 from watertight.stitching import (
+    PatchSet,
     _stitch_deviation,
+    _try_reduce,
     align_boundary,
     stitch_boundary,
     verify_watertight,
@@ -168,6 +173,25 @@ def test_degree_reduce_8_to_3(benchmark):
     curve = degree_elevate_curve(cubic, 8)
     reduced = benchmark(degree_reduce_curve, curve, 3, 1e-8)
     assert reduced.degree == 3
+
+
+def test_try_reduce_corner_clip(benchmark):
+    # The clip-reduce workload's corner clip, stitched at the elevated
+    # degree; each round reduces fresh copies of both patch sets.
+    s1, s2 = paraboloid_patch(), plane_patch(0.5, 0.5, -0.2)
+    config = PipelineConfig(reduce_tolerance=1e-3, keep_a="right", keep_b="right")
+    data = build_intersection_data(s1, s2, config.march_step, config.march_tol)
+    set_a, set_b = prepare_decompositions(data, s1, s2, config)
+    triples = align_boundary(data, set_a, set_b)
+    elevated = stitch_boundary(set_a, set_b, triples)
+
+    def fresh():
+        copies = [PatchSet(replace(s.decomposition, patches=list(s.patches)))
+                  for s in (elevated.set_a, elevated.set_b)]
+        return (*copies, triples, elevated.shared_boundary, 1e-3), {}
+
+    shared = benchmark.pedantic(_try_reduce, setup=fresh, rounds=20)
+    assert all(edge.degree == max(t.segment.degree, 1) for edge, t in zip(shared, triples))
 
 
 def test_verify_watertight_demo(benchmark, stitched_demo):

@@ -23,7 +23,11 @@ t == 0.0 and t == 1.0 they return the first and last control point
 exactly.  The zero-gap guarantee relies on both properties: two patches
 whose stitched edges hold the same control polygon evaluate to the same
 bits there, whichever path evaluates them.  `all_bernstein` is vectorized
-over x with the scalar recurrence's arithmetic.
+over x with the scalar recurrence's arithmetic, and `evaluate_grid_stacked`
+evaluates P stacked nets on one grid with `evaluate_grid`'s operations.
+`degree_reduce_many` reduces stacked polygons of one degree by products
+with matrices cached per (degree, target); `degree_reduce_curve` is its
+one-curve case.
 
 `evaluate_stacked` is the one surface kernel that agrees with the scalar
 `evaluate` to rounding only: it contracts the u and v Bernstein matrices
@@ -40,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -226,40 +230,75 @@ def degree_elevate_curve(curve: BezierCurve, target: int) -> BezierCurve:
     return BezierCurve(_elevate_axis0(curve.control_points, target))
 
 
+# Polygons per check product in `degree_reduce_many`: the 257 samples of
+# 64 three-dimensional rows take about 0.4 MB.
+_REDUCE_BATCH = 64
+
+
+@lru_cache(maxsize=None)
+def _reduction_matrices(degree: int, target: int):
+    """Read-only (fit, check) matrices of the reduction from `degree` to `target`.
+
+    `fit` (target+1, degree+1) maps a polygon to its least-squares reduction
+    over max(10*degree, 4*(target+1)) uniform samples, with both endpoints
+    interpolated (the mean at target 0).  `check` (257, degree+1) maps it to
+    the difference between the curve and its reduction at 257 uniform
+    parameters.
+    """
+    ts = np.linspace(0.0, 1.0, max(10 * degree, 4 * (target + 1)))
+    high = all_bernstein(degree, ts)
+    fit = np.zeros((target + 1, degree + 1))
+    if target == 0:
+        fit[0] = high.mean(axis=0)
+    else:
+        fit[0, 0] = fit[-1, -1] = 1.0
+    if target >= 2:
+        low = all_bernstein(target, ts)
+        high[:, 0] -= low[:, 0]
+        high[:, -1] -= low[:, -1]
+        fit[1:-1] = np.linalg.pinv(low[:, 1:-1]) @ high
+    dense = np.linspace(0.0, 1.0, 257)
+    check = all_bernstein(degree, dense) - all_bernstein(target, dense) @ fit
+    fit.flags.writeable = False
+    check.flags.writeable = False
+    return fit, check
+
+
+def degree_reduce_many(polygons: np.ndarray, target: int):
+    """Least-squares degree reduction of R stacked polygons of one degree.
+
+    `polygons` is (R, n+1, dim).  Returns the reduced (R, target+1, dim)
+    polygons and each one's deviation, the largest distance from its curve
+    at 257 uniform parameters.  Both are products with matrices cached per
+    (n, target), taken over fixed batches of rows; endpoints are selected
+    by unit rows, so a reduction to target >= 1 keeps them exactly.
+    """
+    polygons = np.asarray(polygons, dtype=float)
+    degree = polygons.shape[1] - 1
+    if not 0 <= target < degree:
+        raise ValueError(f"target degree {target} not below current {degree}")
+    fit, check = _reduction_matrices(degree, target)
+    reduced = fit @ polygons
+    deviation = np.empty(polygons.shape[0])
+    for k in range(0, polygons.shape[0], _REDUCE_BATCH):
+        gaps = check @ polygons[k:k + _REDUCE_BATCH]
+        deviation[k:k + _REDUCE_BATCH] = np.linalg.norm(gaps, axis=2).max(axis=1)
+    return reduced, deviation
+
+
 def degree_reduce_curve(curve: BezierCurve, target: int, tol: float) -> BezierCurve:
     """Least-squares degree reduction with interpolated endpoints.
 
-    Fits over 10*degree uniform samples; raises ReductionError carrying the
-    achieved deviation when the dense-sampled error exceeds tol.
+    The one-curve case of `degree_reduce_many`; raises ReductionError
+    carrying the achieved deviation when it exceeds tol.
     """
-    if not 0 <= target < curve.degree:
-        raise ValueError(f"target degree {target} not below current {curve.degree}")
-    n_samples = max(10 * curve.degree, 4 * (target + 1))
-    ts = np.linspace(0.0, 1.0, n_samples)
-    values = de_casteljau_many(curve.control_points, ts)
-    basis = all_bernstein(target, ts)
-
-    if target == 0:
-        cps = values.mean(axis=0, keepdims=True)
-    elif target == 1:
-        cps = np.array([curve.control_points[0], curve.control_points[-1]])
-    else:
-        p0 = curve.control_points[0]
-        pn = curve.control_points[-1]
-        rhs = values - np.outer(basis[:, 0], p0) - np.outer(basis[:, -1], pn)
-        interior, *_ = np.linalg.lstsq(basis[:, 1:-1], rhs, rcond=None)
-        cps = np.vstack([p0, interior, pn])
-
-    reduced = BezierCurve(cps)
-    dense = np.linspace(0.0, 1.0, 257)
-    gaps = de_casteljau_many(curve.control_points, dense) - de_casteljau_many(cps, dense)
-    deviation = float(np.linalg.norm(gaps, axis=1).max())
-    if deviation > tol:
+    reduced, deviation = degree_reduce_many(curve.control_points[None], target)
+    if deviation[0] > tol:
         raise ReductionError(
             f"cannot reduce degree {curve.degree} curve to {target} within {tol:.3e}",
-            deviation,
+            float(deviation[0]),
         )
-    return reduced
+    return BezierCurve(reduced[0])
 
 
 @dataclass(eq=False)
@@ -457,22 +496,17 @@ class BezierSurface:
         return de_casteljau(rows, v)
 
     def evaluate_grid(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on the outer product of parameter arrays."""
+        """Vectorized evaluation on the outer product of parameter arrays.
+
+        The one-net case of `evaluate_grid_stacked`.
+        """
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
         if us.size and (us.min() < 0.0 or us.max() > 1.0):
             raise DomainError("u samples outside [0, 1]")
         if vs.size and (vs.min() < 0.0 or vs.max() > 1.0):
             raise DomainError("v samples outside [0, 1]")
-        a = np.broadcast_to(self.control_net, (us.size,) + self.control_net.shape).copy()
-        w = us[:, None, None, None]
-        while a.shape[1] > 1:
-            a = (1.0 - w) * a[:, :-1] + w * a[:, 1:]
-        b = np.broadcast_to(a[:, 0][:, None], (us.size, vs.size) + a.shape[2:]).copy()
-        w = vs[None, :, None, None]
-        while b.shape[2] > 1:
-            b = (1.0 - w) * b[:, :, :-1] + w * b[:, :, 1:]
-        return b[:, :, 0]
+        return evaluate_grid_stacked(self.control_net[None], us, vs)[0]
 
     def evaluate_many(self, uv: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at (K, 2) parameter pairs.
@@ -525,6 +559,25 @@ class BezierSurface:
     def elevated_v(self, target: int) -> "BezierSurface":
         net = _elevate_axis0(self.control_net.transpose(1, 0, 2), target)
         return BezierSurface(net.transpose(1, 0, 2))
+
+
+def evaluate_grid_stacked(nets: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """P stacked nets of one shape on the outer product of us and vs.
+
+    Tensor de Casteljau, collapsing u and then v; returns (P, U, V, 3).
+    Elementwise only, so each sample's bits do not depend on the other
+    nets of the stack.
+    """
+    nets = np.asarray(nets, dtype=float)
+    a = np.broadcast_to(nets[:, None], (nets.shape[0], us.size) + nets.shape[1:])
+    w = us[None, :, None, None, None]
+    while a.shape[2] > 1:
+        a = (1.0 - w) * a[:, :, :-1] + w * a[:, :, 1:]
+    b = np.broadcast_to(a[:, :, None, 0], a.shape[:2] + (vs.size,) + a.shape[3:])
+    w = vs[None, None, :, None, None]
+    while b.shape[3] > 1:
+        b = (1.0 - w) * b[:, :, :, :-1] + w * b[:, :, :, 1:]
+    return b[:, :, :, 0].copy()
 
 
 def _bernstein_pair(degree: int, x: np.ndarray):
@@ -768,8 +821,12 @@ def _bernstein_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out / _binomials(k + l).reshape((-1,) + trail)
 
 
+@lru_cache(maxsize=None)
 def _binomials(n: int) -> np.ndarray:
-    return np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
+    """Read-only row n of Pascal's triangle, as floats."""
+    row = np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
+    row.flags.writeable = False
+    return row
 
 
 def compose_reparameterize(surface: BezierSurface, f: BoundaryPolynomial) -> BezierSurface:

@@ -9,6 +9,17 @@ direction first, which is exact), and writes the same control points into
 both edges.  Matched edges then hold bitwise-identical control polygons,
 so evaluating them with the same de Casteljau code yields a boundary gap
 of exactly zero.
+
+The stage works on stacks of patches.  Optional degree reduction brings the
+stitched direction back down to the segment's degree: every stitched row
+of every reducible pair (both patches and the shared segment) of one
+(edge degree, target) goes through one `degree_reduce_many`, whose fit and
+257-sample check are products with matrices cached per degree pair, cut at
+a fixed number of rows to bound their memory; a pair is rewritten only when
+all of its rows pass.  The deviation evaluates batches of equal-shape nets
+in one stacked de Casteljau pass, and `verify_watertight` evaluates the
+edges of one degree in one batched call, with the same bits as one call
+per edge.
 """
 
 from __future__ import annotations
@@ -24,9 +35,10 @@ from .bezier import (
     PiecewiseBezierCurve,
     de_casteljau_many,
     degree_elevate_curve,
-    degree_reduce_curve,
+    degree_reduce_many,
+    evaluate_grid_stacked,
 )
-from .errors import AlignmentError, ReductionError
+from .errors import AlignmentError
 from .intersect import GapReport, IntersectionData, invert_points
 from .segmentation import TRAPEZOID, PatchDecomposition
 
@@ -136,15 +148,16 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
     Returns new patch sets with their own patch lists; the input sets and
     their patches stay as they were, and the rest of each decomposition
     (cells, maps, curved edges) is shared.  Interior control points are
-    untouched.  The recorded deviation is the max sampled distance between
-    each modified patch and its pre-stitch self.  With ``reduce_tolerance``
-    set, a degree reduction of the stitched direction is attempted per
-    matched pair and silently skipped when infeasible.
+    untouched.  With ``reduce_tolerance`` set, the stitched direction of
+    every matched pair is reduced back to the curve segment's degree (at
+    least 1) in batches (see `_try_reduce`); a pair any of whose rows
+    misses the tolerance keeps its elevated form.  The recorded deviation
+    is the max sampled distance between each returned patch and its
+    pre-stitch self.
     """
     out_a = PatchSet(replace(set_a.decomposition, patches=list(set_a.patches)))
     out_b = PatchSet(replace(set_b.decomposition, patches=list(set_b.patches)))
     shared = []
-    pairs = []
     for triple in triples:
         patch_a = out_a.patches[triple.patch_a]
         patch_b = out_b.patches[triple.patch_b]
@@ -156,17 +169,15 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
         elevated = degree_elevate_curve(triple.segment, d_edge)
         patch_a = _elevate_along_edge(patch_a, triple.edge_a, d_edge)
         patch_b = _elevate_along_edge(patch_b, triple.edge_b, d_edge)
-        new_a = patch_a.with_edge(triple.edge_a, elevated.control_points)
-        new_b = patch_b.with_edge(triple.edge_b, elevated.control_points)
-        pairs.append((out_a.patches[triple.patch_a], new_a))
-        pairs.append((out_b.patches[triple.patch_b], new_b))
-        out_a.patches[triple.patch_a] = new_a
-        out_b.patches[triple.patch_b] = new_b
+        out_a.patches[triple.patch_a] = patch_a.with_edge(triple.edge_a, elevated.control_points)
+        out_b.patches[triple.patch_b] = patch_b.with_edge(triple.edge_b, elevated.control_points)
         shared.append(elevated)
 
     if reduce_tolerance is not None:
         shared = _try_reduce(out_a, out_b, triples, shared, reduce_tolerance)
 
+    pairs = [(set_a.patches[t.patch_a], out_a.patches[t.patch_a]) for t in triples]
+    pairs += [(set_b.patches[t.patch_b], out_b.patches[t.patch_b]) for t in triples]
     return WatertightModel(
         set_a=out_a,
         set_b=out_b,
@@ -191,22 +202,24 @@ def _stitch_deviation(pairs, grid: int = 20) -> float:
     same-parameter distance upper-bounds each sample's set distance and caps
     it, so a sample whose bound does not exceed the running maximum cannot
     raise it and is not inverted; `invert_points` treats each sample on its
-    own, so the result keeps its bits.  Pairs are inverted onto their
-    `before` nets in fixed batches of equal-shape nets, which bounds the
-    memory a batch takes.
+    own, so the result keeps its bits.  Pairs go in fixed batches of pairs
+    whose before nets and after nets each share a shape: one stacked grid
+    evaluation per side, one inversion onto the before nets, which bounds
+    the memory a batch takes.
     """
     ts = np.linspace(0.0, 1.0, grid + 1)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
     seeds = np.stack([uu.reshape(-1), vv.reshape(-1)], axis=1)
     groups = {}
     for before, after in pairs:
-        groups.setdefault(before.control_net.shape, []).append((before, after))
+        key = (before.control_net.shape, after.control_net.shape)
+        groups.setdefault(key, []).append((before.control_net, after.control_net))
     deviation = 0.0
     for members in groups.values():
         for k in range(0, len(members), _DEVIATION_BATCH):
-            chunk = members[k:k + _DEVIATION_BATCH]
-            pa = np.stack([before.evaluate_grid(ts, ts).reshape(-1, 3) for before, _ in chunk])
-            pb = np.stack([after.evaluate_grid(ts, ts).reshape(-1, 3) for _, after in chunk])
+            before, after = (np.stack(side) for side in zip(*members[k:k + _DEVIATION_BATCH]))
+            pa = evaluate_grid_stacked(before, ts, ts).reshape(before.shape[0], -1, 3)
+            pb = evaluate_grid_stacked(after, ts, ts).reshape(after.shape[0], -1, 3)
             bound = np.linalg.norm(pa - pb, axis=2)
             raises = bound > deviation
             counts = raises.sum(axis=1)
@@ -218,61 +231,66 @@ def _stitch_deviation(pairs, grid: int = 20) -> float:
             order = np.argsort(~raises[live], axis=1, kind="stable")
             width = int(counts.max())
             pick = np.where(np.arange(width) < counts[live, None], order[:, :width], order[:, :1])
-            nets = np.stack([chunk[i][0].control_net for i in live])
             points = np.take_along_axis(pb[live], pick[..., None], axis=1)
-            _, dist, _ = invert_points(nets, points, seeds[pick])
+            _, dist, _ = invert_points(before[live], points, seeds[pick])
             cap = np.take_along_axis(bound[live], pick, axis=1)
             deviation = max(deviation, float(np.minimum(dist, cap).max()))
     return deviation
 
 
-def _reduce_patch_rows(patch: BezierSurface, edge: Edge, target: int,
-                       tol: float) -> BezierSurface:
-    """Reduce the stitched direction of a patch to `target` degree."""
-    net = patch.control_net
-    if edge in (Edge.U0, Edge.U1):
-        rows = [
-            degree_reduce_curve(BezierCurve(net[i]), target, tol).control_points
-            for i in range(net.shape[0])
-        ]
-        return BezierSurface(np.stack(rows, axis=0))
-    cols = [
-        degree_reduce_curve(BezierCurve(net[:, j]), target, tol).control_points
-        for j in range(net.shape[1])
-    ]
-    return BezierSurface(np.stack(cols, axis=1))
+def _stitched_rows(net: np.ndarray, edge: Edge) -> np.ndarray:
+    """The net as a stack of curves along the edge's direction, and back."""
+    return net if edge in (Edge.U0, Edge.U1) else net.transpose(1, 0, 2)
 
 
 def _try_reduce(out_a: PatchSet, out_b: PatchSet, triples, shared, tol):
-    """Attempt per-pair degree reduction of the stitched direction.
+    """Reduce the stitched direction of every matched pair that allows it.
 
-    Both sides must reduce for a pair to be rewritten (identical edge rows
-    stay bitwise identical because the same reduction runs on both); an
-    infeasible pair keeps its elevated form.
+    Pairs whose edge degree exceeds the target (the curve segment's degree,
+    at least 1) are grouped by (edge degree, target).  A group's rows --
+    every stitched-direction row of patch a, every one of patch b and the
+    shared segment, pair by pair -- go through one `degree_reduce_many`.
+    A pair is rewritten only when all of its rows stay within tol, and the
+    reduced segment is written into both edges, so matched edges stay
+    bitwise identical; any other pair keeps its elevated form.
     """
-    new_shared = []
-    for triple, segment in zip(triples, shared):
+    new_shared = list(shared)
+    groups = {}
+    for k, (triple, segment) in enumerate(zip(triples, shared)):
         target = max(triple.segment.degree, 1)
-        if target >= segment.degree:
-            new_shared.append(segment)
-            continue
-        try:
-            red_a = _reduce_patch_rows(
-                out_a.patches[triple.patch_a], triple.edge_a, target, tol
-            )
-            red_b = _reduce_patch_rows(
-                out_b.patches[triple.patch_b], triple.edge_b, target, tol
-            )
-        except ReductionError:
-            new_shared.append(segment)
-            continue
-        reduced_edge = degree_reduce_curve(segment, target, tol)
-        red_a = red_a.with_edge(triple.edge_a, reduced_edge.control_points)
-        red_b = red_b.with_edge(triple.edge_b, reduced_edge.control_points)
-        out_a.patches[triple.patch_a] = red_a
-        out_b.patches[triple.patch_b] = red_b
-        new_shared.append(reduced_edge)
+        if target < segment.degree:
+            groups.setdefault((segment.degree, target), []).append(k)
+    for (_, target), members in groups.items():
+        parts = []
+        for k in members:
+            triple = triples[k]
+            parts += [
+                _stitched_rows(out_a.patches[triple.patch_a].control_net, triple.edge_a),
+                _stitched_rows(out_b.patches[triple.patch_b].control_net, triple.edge_b),
+                shared[k].control_points[None],
+            ]
+        sizes = [part.shape[0] for part in parts]
+        reduced, deviation = degree_reduce_many(np.concatenate(parts), target)
+        starts = np.cumsum([0] + sizes[:-1])
+        pair_deviation = np.maximum.reduceat(deviation, starts[::3])
+        pieces = np.split(reduced, starts[1:])
+        for j, k in enumerate(members):
+            if pair_deviation[j] > tol:
+                continue
+            triple = triples[k]
+            rows_a, rows_b, segment = pieces[3 * j:3 * j + 3]
+            edge = segment[0]
+            out_a.patches[triple.patch_a] = BezierSurface(
+                _stitched_rows(rows_a, triple.edge_a)).with_edge(triple.edge_a, edge)
+            out_b.patches[triple.patch_b] = BezierSurface(
+                _stitched_rows(rows_b, triple.edge_b)).with_edge(triple.edge_b, edge)
+            new_shared[k] = BezierCurve(edge)
     return new_shared
+
+
+# Edges per de Casteljau call in `verify_watertight`: 32 degree-12 edges at
+# 65 samples repeat their polygons into about 0.6 MB.
+_VERIFY_BATCH = 32
 
 
 def verify_watertight(model: WatertightModel, samples: int = 65) -> GapReport:
@@ -285,14 +303,22 @@ def verify_watertight(model: WatertightModel, samples: int = 65) -> GapReport:
     if not model.triples:
         return GapReport(0.0, 0.0, 0, np.zeros(3))
     ts = np.linspace(0.0, 1.0, samples)
-    side_a, side_b = [], []
-    for triple in model.triples:
-        cps_a = model.set_a.patches[triple.patch_a].edge_curve(triple.edge_a).control_points
-        cps_b = model.set_b.patches[triple.patch_b].edge_curve(triple.edge_b).control_points
-        side_a.append(de_casteljau_many(cps_a, ts))
-        side_b.append(de_casteljau_many(cps_b, ts))
-    pa = np.concatenate(side_a)
-    pb = np.concatenate(side_b)
+    edges = [model.set_a.patches[t.patch_a].edge_curve(t.edge_a).control_points
+             for t in model.triples]
+    edges += [model.set_b.patches[t.patch_b].edge_curve(t.edge_b).control_points
+              for t in model.triples]
+    # One de Casteljau call per batch of equal-degree edges; samples stay in
+    # triple order.
+    points = np.empty((len(edges), samples, 3))
+    sizes = np.array([cps.shape[0] for cps in edges])
+    for size in np.unique(sizes):
+        same = np.flatnonzero(sizes == size)
+        for k in range(0, same.shape[0], _VERIFY_BATCH):
+            members = same[k:k + _VERIFY_BATCH]
+            stack = np.repeat(np.stack([edges[i] for i in members]), samples, axis=0)
+            points[members] = de_casteljau_many(
+                stack, np.tile(ts, members.shape[0])).reshape(members.shape[0], samples, 3)
+    pa, pb = np.split(points.reshape(-1, 3), 2)
     arr = np.linalg.norm(pa - pb, axis=1)
     worst = int(np.argmax(arr))
     return GapReport(

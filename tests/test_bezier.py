@@ -33,6 +33,8 @@ from watertight.bezier import (
     all_bernstein,
     de_casteljau,
     de_casteljau_many,
+    degree_reduce_many,
+    evaluate_grid_stacked,
     evaluate_stacked,
     rotate_edge,
     rotate_net,
@@ -405,6 +407,75 @@ class TestDegreeReduction:
         assert err.value.deviation == pytest.approx(actual, rel=1e-9)
 
 
+def lstsq_reduction(cps, target):
+    """Endpoint-interpolating least-squares reduction by `np.linalg.lstsq`,
+    over the samples `degree_reduce_curve` fits: the reference for its
+    cached pseudo-inverse."""
+    degree = cps.shape[0] - 1
+    ts = np.linspace(0.0, 1.0, max(10 * degree, 4 * (target + 1)))
+    values = np.array([de_casteljau(cps, t) for t in ts])
+    basis = all_bernstein(target, ts)
+    rhs = values - np.outer(basis[:, 0], cps[0]) - np.outer(basis[:, -1], cps[-1])
+    interior = np.linalg.lstsq(basis[:, 1:-1], rhs, rcond=None)[0]
+    return np.vstack([cps[0], interior, cps[-1]])
+
+
+def reducible_and_bumped(rng, degree, target, count):
+    """`count` polygons of `degree`: even ones elevated from `target`, odd
+    ones the same with a bump of 1e-2 at one interior control point."""
+    rows = np.stack([
+        degree_elevate_curve(BezierCurve(rng.standard_normal((target + 1, 3))), degree).control_points
+        for _ in range(count)
+    ])
+    rows[1::2, degree // 2] += 1e-2 * rng.standard_normal((count // 2, 3))
+    return rows
+
+
+class TestBatchedReduction:
+    # More rows than one check batch holds, so the batch cut is crossed.
+    @pytest.mark.parametrize("degree, target", [(3, 1), (6, 1), (6, 3), (8, 2), (8, 3)])
+    def test_matches_one_curve_reduction(self, degree, target):
+        rng = np.random.default_rng(1000 + 10 * degree + target)
+        rows = reducible_and_bumped(rng, degree, target, 150)
+        tol = 1e-6
+        reduced, deviation = degree_reduce_many(rows, target)
+        assert reduced.shape == (150, target + 1, 3)
+        decisions = []
+        for row, got, dev in zip(rows, reduced, deviation):
+            scale = np.abs(row).max()
+            try:
+                one = degree_reduce_curve(BezierCurve(row), target, tol)
+            except ReductionError as err:
+                decisions.append(False)
+                assert dev > tol
+                assert err.deviation == pytest.approx(dev, rel=1e-12)
+            else:
+                decisions.append(True)
+                assert dev <= tol
+                assert np.abs(one.control_points - got).max() <= 1e-15 * scale
+        assert decisions == [k % 2 == 0 for k in range(150)]
+
+    @pytest.mark.parametrize("degree, target", [(3, 1), (6, 3), (8, 2), (8, 3)])
+    def test_pseudo_inverse_matches_lstsq(self, degree, target):
+        rng = np.random.default_rng(1100 + 10 * degree + target)
+        rows = reducible_and_bumped(rng, degree, target, 8)
+        reduced, _ = degree_reduce_many(rows, target)
+        for row, got in zip(rows, reduced):
+            assert np.array_equal(got[[0, -1]], row[[0, -1]])
+            assert np.abs(got - lstsq_reduction(row, target)).max() <= 1e-14 * np.abs(row).max()
+
+    def test_deviation_is_sampled_distance(self):
+        rng = np.random.default_rng(1200)
+        rows = reducible_and_bumped(rng, 6, 3, 4)
+        reduced, deviation = degree_reduce_many(rows, 3)
+        dense = np.linspace(0.0, 1.0, 257)
+        for row, got, dev in zip(rows, reduced, deviation):
+            want = np.linalg.norm(
+                de_casteljau_many(row, dense) - de_casteljau_many(got, dense), axis=1
+            ).max()
+            assert dev == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
 class TestBasisConversion:
     def test_degree_one(self):
         assert np.array_equal(bernstein_from_monomial(np.array([0.0, 1.0])), [0.0, 1.0])
@@ -737,6 +808,17 @@ class TestBatchedKernels:
                 alone = evaluate_stacked(nets[p:p + 1], uv[p:p + 1, k:k + 1])
                 for whole, single in zip(batch, alone):
                     assert np.array_equal(whole[p, k], single[0, 0])
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 3), (2, 0), (2, 6), (8, 4)])
+    def test_grid_stacked_matches_grid(self, m, n):
+        rng = np.random.default_rng(950 + 10 * m + n)
+        nets = rng.uniform(-1.0, 1.0, (5, m + 1, n + 1, 3))
+        us, vs = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 4)
+        stacked = evaluate_grid_stacked(nets, us, vs)
+        assert stacked.shape == (5, 7, 4, 3)
+        for net, grid in zip(nets, stacked):
+            assert np.array_equal(grid, BezierSurface(net).evaluate_grid(us, vs))
+            assert np.array_equal(grid[2, 3], BezierSurface(net).evaluate(us[2], vs[3]))
 
     def test_derivative_many_builds_no_curves_when_repeated(self, monkeypatch):
         rng = np.random.default_rng(600)

@@ -1,14 +1,23 @@
 """Boundary alignment, control point replacement, and watertight verification."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from watertight import StageError
-from watertight.bezier import BezierCurve, BezierSurface, Edge
-from watertight.intersect import build_intersection_data, invert_points, measure_gap
+from watertight import ReductionError, StageError
+from watertight.bezier import (
+    BezierCurve,
+    BezierSurface,
+    Edge,
+    de_casteljau_many,
+    degree_reduce_curve,
+)
+from watertight.intersect import GapReport, build_intersection_data, invert_points, measure_gap
 from watertight.pipeline import PipelineConfig, prepare_decompositions, run_pipeline
 from watertight.shapes import flat_patch, paraboloid_patch, plane_patch
 from watertight.stitching import (
+    PatchSet,
     _stitch_deviation,
     align_boundary,
     stitch_boundary,
@@ -317,3 +326,141 @@ class TestDeviationOracles:
         for pairs in (demo_pairs, [lifted_edge(1e-3)], [(flat_patch(), slid_edge(0.0))],
                       mixed_pairs(1e-3)):
             assert _stitch_deviation(pairs) == unpruned_deviation(pairs)
+
+
+def reduce_rows(patch, edge, target, tol):
+    """The stitched direction of a patch reduced one row at a time."""
+    net = patch.control_net if edge in (Edge.U0, Edge.U1) else patch.control_net.transpose(1, 0, 2)
+    rows = np.stack([degree_reduce_curve(BezierCurve(row), target, tol).control_points for row in net])
+    return BezierSurface(rows if edge in (Edge.U0, Edge.U1) else rows.transpose(1, 0, 2))
+
+
+def per_pair_reduction(set_a, set_b, triples, tol):
+    """Stitched patches and shared edges with each pair reduced on its own,
+    row by row: the reference for the batched reduction.  Returns the
+    patches of both sides and the shared edges."""
+    model = stitch_boundary(set_a, set_b, triples)
+    patches_a, patches_b = list(model.set_a.patches), list(model.set_b.patches)
+    shared = list(model.shared_boundary)
+    for k, triple in enumerate(triples):
+        target = max(triple.segment.degree, 1)
+        if target >= shared[k].degree:
+            continue
+        try:
+            net_a = reduce_rows(patches_a[triple.patch_a], triple.edge_a, target, tol)
+            net_b = reduce_rows(patches_b[triple.patch_b], triple.edge_b, target, tol)
+            edge = degree_reduce_curve(shared[k], target, tol)
+        except ReductionError:
+            continue
+        patches_a[triple.patch_a] = net_a.with_edge(triple.edge_a, edge.control_points)
+        patches_b[triple.patch_b] = net_b.with_edge(triple.edge_b, edge.control_points)
+        shared[k] = edge
+    return patches_a, patches_b, shared
+
+
+def with_line_segments(triples):
+    """The triples with each curve segment replaced by its chord (target 1)."""
+    return [replace(t, segment=BezierCurve(t.segment.control_points[[0, -1]])) for t in triples]
+
+
+def with_bumped_row(patch_set, triple, degree):
+    """A copy of side b whose patch of `triple` is elevated along its edge to
+    `degree` and carries a bump on the row opposite its edge."""
+    patch = patch_set.patches[triple.patch_b]
+    if triple.edge_b in (Edge.U0, Edge.U1):
+        net = patch.elevated_v(degree).control_net.copy()
+        net[-1 if triple.edge_b is Edge.U0 else 0, degree // 2, 2] += 0.05
+    else:
+        net = patch.elevated_u(degree).control_net.copy()
+        net[degree // 2, -1 if triple.edge_b is Edge.V0 else 0, 2] += 0.05
+    patches = list(patch_set.patches)
+    patches[triple.patch_b] = BezierSurface(net)
+    return PatchSet(replace(patch_set.decomposition, patches=patches))
+
+
+def per_triple_gap(model, samples):
+    """`verify_watertight` with one de Casteljau call per edge: its reference."""
+    ts = np.linspace(0.0, 1.0, samples)
+    side_a, side_b = [], []
+    for triple in model.triples:
+        cps_a = model.set_a.patches[triple.patch_a].edge_curve(triple.edge_a).control_points
+        cps_b = model.set_b.patches[triple.patch_b].edge_curve(triple.edge_b).control_points
+        side_a.append(de_casteljau_many(cps_a, ts))
+        side_b.append(de_casteljau_many(cps_b, ts))
+    pa, pb = np.concatenate(side_a), np.concatenate(side_b)
+    arr = np.linalg.norm(pa - pb, axis=1)
+    worst = int(np.argmax(arr))
+    return GapReport(float(arr[worst]), float(np.sqrt(np.mean(arr**2))), arr.size,
+                     0.5 * (pa[worst] + pb[worst]))
+
+
+class TestBatchedReduction:
+    @pytest.mark.parametrize("target", [1, 3])
+    def test_matches_per_pair_reference(self, demo, target):
+        # Target 3: the demo's cubic segments, every pair reduces.  Target 1:
+        # chords in place of the segments, about half the pairs miss 1e-3.
+        s1, s2, data, set_a, set_b = demo
+        triples = align_boundary(data, set_a, set_b)
+        if target == 1:
+            triples = with_line_segments(triples)
+        model = stitch_boundary(set_a, set_b, triples, reduce_tolerance=1e-3)
+        patches_a, patches_b, shared = per_pair_reduction(set_a, set_b, triples, 1e-3)
+        kept = [edge.degree == target for edge in shared]
+        assert [edge.degree == target for edge in model.shared_boundary] == kept
+        assert all(kept) if target == 3 else 0 < sum(kept) < len(kept)
+        for triple, got, want in zip(triples, model.shared_boundary, shared):
+            assert np.abs(got.control_points - want.control_points).max() <= 1e-15
+            for got_patch, want_patch in (
+                (model.set_a.patches[triple.patch_a], patches_a[triple.patch_a]),
+                (model.set_b.patches[triple.patch_b], patches_b[triple.patch_b]),
+            ):
+                assert got_patch.control_net.shape == want_patch.control_net.shape
+                scale = np.abs(want_patch.control_net).max()
+                assert np.abs(got_patch.control_net - want_patch.control_net).max() <= 1e-15 * scale
+
+    def test_failing_row_keeps_its_pair_elevated(self, demo):
+        s1, s2, data, set_a, set_b = demo
+        triples = align_boundary(data, set_a, set_b)
+        bad = triples[1]
+        degree = stitch_boundary(set_a, set_b, triples).shared_boundary[1].degree
+        bumped = with_bumped_row(set_b, bad, degree)
+        elevated = stitch_boundary(set_a, bumped, triples)
+        model = stitch_boundary(set_a, bumped, triples, reduce_tolerance=1e-3)
+        assert elevated.shared_boundary[1].degree > 3
+        assert np.array_equal(model.shared_boundary[1].control_points,
+                              elevated.shared_boundary[1].control_points)
+        assert np.array_equal(model.set_a.patches[bad.patch_a].control_net,
+                              elevated.set_a.patches[bad.patch_a].control_net)
+        assert np.array_equal(model.set_b.patches[bad.patch_b].control_net,
+                              elevated.set_b.patches[bad.patch_b].control_net)
+        others = [k for k in range(len(triples)) if k != 1]
+        assert all(model.shared_boundary[k].degree == 3 for k in others)
+        assert verify_watertight(model).max_gap == 0.0
+
+    def test_deviation_measured_on_returned_patches(self, demo):
+        # A bump that a loose tolerance lets the reduction flatten: the
+        # returned patch moves by far more than its stitched edge does.
+        s1, s2, data, set_a, set_b = demo
+        triples = align_boundary(data, set_a, set_b)
+        degree = stitch_boundary(set_a, set_b, triples).shared_boundary[1].degree
+        bumped = with_bumped_row(set_b, triples[1], degree)
+        model = stitch_boundary(set_a, bumped, triples, reduce_tolerance=5e-2)
+        assert all(edge.degree == 3 for edge in model.shared_boundary)
+        pairs = [(set_a.patches[t.patch_a], model.set_a.patches[t.patch_a]) for t in triples]
+        pairs += [(bumped.patches[t.patch_b], model.set_b.patches[t.patch_b]) for t in triples]
+        assert model.deviation == _stitch_deviation(pairs)
+        assert model.deviation > 4 * stitch_boundary(set_a, bumped, triples).deviation
+
+
+class TestBatchedVerify:
+    def test_matches_per_triple_reference(self, demo):
+        s1, s2, data, set_a, set_b = demo
+        triples = align_boundary(data, set_a, set_b)
+        reduced = stitch_boundary(set_a, set_b, triples, reduce_tolerance=1e-3)
+        unstitched = WatertightModel(set_a=set_a, set_b=set_b, shared_boundary=[], triples=triples)
+        for model, samples in ((reduced, 65), (unstitched, 65), (unstitched, 33)):
+            got, want = verify_watertight(model, samples), per_triple_gap(model, samples)
+            assert got.max_gap == want.max_gap
+            assert got.rms_gap == want.rms_gap
+            assert got.sample_count == want.sample_count
+            assert np.array_equal(got.worst_point, want.worst_point)

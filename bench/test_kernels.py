@@ -36,6 +36,7 @@ from watertight.bezier import (
 )
 from watertight.intersect import build_intersection_data, invert_points, lift_domain_curve, march_intersection, measure_gap
 from watertight.pipeline import (
+    MARCH_TOL,
     PipelineConfig,
     keep_region_fn,
     prepare_decompositions,
@@ -44,7 +45,7 @@ from watertight.pipeline import (
 from watertight.segmentation import (
     _EDGE_HEIGHTS,
     TRAPEZOID,
-    _rotated_arcs,
+    _frame_arcs,
     build_patch_decomposition,
 )
 from watertight.shapes import paraboloid_patch, plane_patch
@@ -149,11 +150,10 @@ def test_build_patch_decomposition_demo(benchmark, fine_demo):
 
 
 def test_arc_solve_demo_decomposition(benchmark, fine_demo):
-    # Every trapezoid of side a at step 0.005, in its fitted rotation, at
+    # Every trapezoid of side a at step 0.005, in its fitted orientation, at
     # the 64 fit and 257 check heights: a fit pass's one batched solve.
     cells = [c for c in fine_demo.model.set_a.decomposition.cells if c.kind == TRAPEZOID]
-    rotations = [c.case.rotation_quarter_turns for c in cells]
-    edges = benchmark(_rotated_arcs, cells, rotations, _EDGE_HEIGHTS)
+    edges = benchmark(_frame_arcs, cells, [c.case for c in cells], _EDGE_HEIGHTS)
     assert edges.shape == (len(cells), _EDGE_HEIGHTS.shape[0])
 
 
@@ -180,7 +180,7 @@ def test_try_reduce_corner_clip(benchmark):
     # degree; each round reduces fresh copies of both patch sets.
     s1, s2 = paraboloid_patch(), plane_patch(0.5, 0.5, -0.2)
     config = PipelineConfig(reduce_tolerance=1e-3, keep_a="right", keep_b="right")
-    data = build_intersection_data(s1, s2, config.march_step, config.march_tol)
+    data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
     set_a, set_b = prepare_decompositions(data, s1, s2, config)
     triples = align_boundary(data, set_a, set_b)
     elevated = stitch_boundary(set_a, set_b, triples)

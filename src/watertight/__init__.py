@@ -26,7 +26,6 @@ from .errors import (
     DomainError,
     FitError,
     GeometryError,
-    InversionError,
     NoIntersectionError,
     ParseError,
     ReductionError,
@@ -54,7 +53,6 @@ __all__ = [
     "DomainError",
     "FitError",
     "GeometryError",
-    "InversionError",
     "NoIntersectionError",
     "ParseError",
     "ReductionError",

@@ -667,53 +667,6 @@ def extract_subpatch(surface: BezierSurface, u0: float, u1: float,
 
 
 # ---------------------------------------------------------------------------
-# Net relabelings (exact; no arithmetic on coordinates)
-# ---------------------------------------------------------------------------
-
-def rotate_net(net: np.ndarray, quarter_turns: int) -> np.ndarray:
-    """Control net of the surface precomposed with a quarter-turn rotation.
-
-    One turn maps S to S'(x, y) = S(y, 1 - x), i.e. the new patch traverses
-    the old one rotated 90 degrees counterclockwise in the parameter square.
-    """
-    out = np.asarray(net)
-    for _ in range(quarter_turns % 4):
-        out = out.transpose(1, 0, 2)[::-1]
-    return out.copy()
-
-
-def flip_net_u(net: np.ndarray) -> np.ndarray:
-    return np.asarray(net)[::-1].copy()
-
-
-def flip_net_v(net: np.ndarray) -> np.ndarray:
-    return np.asarray(net)[:, ::-1].copy()
-
-
-# Edge images under one quarter turn of rotate_net: (edge, direction_sign).
-# With S'(x, y) = S(y, 1-x): old V1 becomes new U0 (forward), old V0 becomes
-# new U1 (forward), old U0/U1 become new V0/V1 reversed.
-_EDGE_ROT = {
-    Edge.U0: (Edge.V0, -1),
-    Edge.U1: (Edge.V1, -1),
-    Edge.V0: (Edge.U1, 1),
-    Edge.V1: (Edge.U0, 1),
-}
-
-
-def rotate_edge(edge: Edge, quarter_turns: int, direction: int = 1):
-    """Where an edge of the original net lands after rotate_net, with direction.
-
-    Returns (edge, sign); sign -1 means the edge parameter now runs reversed.
-    """
-    sign = direction
-    for _ in range(quarter_turns % 4):
-        edge, s = _EDGE_ROT[edge]
-        sign *= s
-    return edge, sign
-
-
-# ---------------------------------------------------------------------------
 # Basis conversion
 # ---------------------------------------------------------------------------
 

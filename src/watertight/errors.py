@@ -29,21 +29,12 @@ class FitError(GeometryError):
         self.residual = residual
 
 
-class InversionError(GeometryError):
-    """Newton point inversion failed to converge."""
-
-    def __init__(self, message: str, last_params, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e} at {last_params})")
-        self.last_params = last_params
-        self.residual = residual
-
-
 class NoIntersectionError(GeometryError):
     """No intersection branch could be seeded between the two surfaces."""
 
 
 class AmbiguousCaseError(GeometryError):
-    """A trapezoid cell does not match exactly one of the eight cases."""
+    """A trapezoid cell admits no orientation that puts it in the {x <= f(y)} form."""
 
 
 class DegenerateCellError(GeometryError):

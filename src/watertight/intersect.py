@@ -33,13 +33,17 @@ from .bezier import (
     de_casteljau_many,
     evaluate_stacked,
 )
-from .errors import InversionError, NoIntersectionError
+from .errors import NoIntersectionError
 
 log = logging.getLogger(__name__)
 
 _NEWTON_MAX_ITER = 50
 _PARAM_TOL = 1e-12
 _POINT_TOL = 1e-14
+# Points marched in each direction before a branch is cut off.
+_MAX_MARCH_POINTS = 4000
+# Samples per curve segment of the lifted domain polylines.
+_LIFT_SAMPLES = 40
 
 
 @dataclass(eq=False)
@@ -161,21 +165,6 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / np.where(den == 0.0, np.inf, den)
 
 
-def invert_point(surface: BezierSurface, point: np.ndarray, seed) -> np.ndarray:
-    """Parameters (u, v) minimizing |S(u, v) - point|: one-sample `invert_points`.
-
-    Raises InversionError when the iteration does not converge.
-    """
-    uv, distance, converged = invert_points(
-        surface.control_net[None],
-        np.asarray(point, dtype=float).reshape(1, 1, 3),
-        np.asarray(seed, dtype=float).reshape(1, 1, 2),
-    )
-    if not converged[0, 0]:
-        raise InversionError("point inversion did not converge", uv[0, 0], float(distance[0, 0]))
-    return uv[0, 0]
-
-
 def _grid_argmin(surface: BezierSurface, points: np.ndarray, grid: int) -> np.ndarray:
     """(K, 2) parameters of the grid x grid lattice point nearest each of (K, 3) points."""
     ts = np.linspace(0.0, 1.0, grid)
@@ -254,7 +243,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _march_direction(surfaces, q, partials, direction, step, tol, start_pos, max_points):
+def _march_direction(surfaces, q, partials, direction, step, tol, start_pos):
     """March from q along +-direction; returns (points, closed).
 
     Each step corrects onto the plane through prev_pos + step * d normal to
@@ -264,7 +253,7 @@ def _march_direction(surfaces, q, partials, direction, step, tol, start_pos, max
     points = []
     prev_pos = surfaces[0].evaluate(q[0], q[1])
     prev_dir = None
-    for _ in range(max_points):
+    for _ in range(_MAX_MARCH_POINTS):
         d = _cross(_unit_normal(*partials[:2]), _unit_normal(*partials[2:]))
         norm = np.linalg.norm(d)
         if norm < 1e-10:
@@ -303,7 +292,7 @@ def _predict(q, d, step, partials):
 
 
 def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
-                       tol: float, max_points: int = 4000) -> list:
+                       tol: float) -> list:
     """Ordered intersection points along one branch.
 
     Corrects the 8 closest pairs of a coarse-grid proximity search with
@@ -340,13 +329,13 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
     seed, partials, values = candidates[0]
     start = _make_point(seed, values)
     forward, closed = _march_direction(
-        surfaces, seed, partials, +1.0, step, tol, start.position, max_points
+        surfaces, seed, partials, +1.0, step, tol, start.position
     )
     if closed:
         chain = [start] + forward + [_make_point(seed, values)]
     else:
         backward, _ = _march_direction(
-            surfaces, seed, partials, -1.0, step, tol, start.position, max_points
+            surfaces, seed, partials, -1.0, step, tol, start.position
         )
         chain = list(reversed(backward)) + [start] + forward
     others = [_make_point(q, v).position for q, _, v in candidates[1:]]
@@ -523,7 +512,7 @@ def measure_gap(curve: PiecewiseBezierCurve, surface: BezierSurface,
 # ---------------------------------------------------------------------------
 
 def build_intersection_data(s1: BezierSurface, s2: BezierSurface, step: float,
-                            tol: float, lift_samples_per_segment: int = 40) -> IntersectionData:
+                            tol: float) -> IntersectionData:
     """March, interpolate, and lift: the full intersection record."""
     points = march_intersection(s1, s2, step, tol)
     if len(points) < 2:
@@ -534,7 +523,7 @@ def build_intersection_data(s1: BezierSurface, s2: BezierSurface, step: float,
     curve_c = interpolate_space_curve(positions)
     domain_a = interpolate_domain_curve(params_a, breakpoints=curve_c.breakpoints)
     domain_b = interpolate_domain_curve(params_b, breakpoints=curve_c.breakpoints)
-    n_lift = lift_samples_per_segment * len(curve_c.segments) + 1
+    n_lift = _LIFT_SAMPLES * len(curve_c.segments) + 1
     closed = bool(np.linalg.norm(positions[0] - positions[-1]) <= 1e-12)
     return IntersectionData(
         points=points,

@@ -19,7 +19,7 @@ from .bezier import BezierCurve, BezierSurface, PiecewiseBezierCurve
 from .errors import ParseError
 from .intersect import IntersectionData, IntersectionPoint
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 _GAP_KEYS = {"max_gap", "rms_gap", "sample_count", "worst_point", "flagged"}
 _REPORT_KEYS = {
@@ -96,8 +96,8 @@ def encode_patch_set(patch_set) -> dict:
         if cell.w_span is not None:
             record["w_span"] = [float(w) for w in cell.w_span]
         if cell.case is not None:
-            record["case_id"] = cell.case.case_id
-            record["rotation"] = cell.case.rotation_quarter_turns
+            record["s_axis"] = "uv"[cell.case.s_axis]
+            record["s_reversed"] = cell.case.s_reversed
         if cell.boundary_fn is not None:
             record["boundary_fn"] = cell.boundary_fn.coefficients.tolist()
             record["fit_residual"] = float(cell.fit_residual)
@@ -233,7 +233,7 @@ def _validate_patch_set(obj: dict, path: str) -> dict:
     _check_keys(obj, {"patches", "cells", "boundary"}, {"patches", "cells"}, path)
     for k, rec in enumerate(obj["patches"]):
         _decode_surface(rec, f"{path}.patches[{k}]")
-    cell_keys = {"kind", "bounds", "w_span", "case_id", "rotation",
+    cell_keys = {"kind", "bounds", "w_span", "s_axis", "s_reversed",
                  "boundary_fn", "fit_residual"}
     for k, rec in enumerate(obj.get("cells", [])):
         _check_keys(rec, cell_keys, {"kind", "bounds"}, f"{path}.cells[{k}]")

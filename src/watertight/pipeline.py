@@ -32,19 +32,23 @@ from .stitching import (
 log = logging.getLogger(__name__)
 
 KEEP_CHOICES = ("outside", "inside", "left", "right")
+# Residual that accepts a marched intersection point.
+MARCH_TOL = 1e-10
+# Curve samples of each pre-stitch gap measurement, and edge samples of the
+# post-stitch check.
+GAP_SAMPLES = 200
+VERIFY_SAMPLES = 65
+# Re-split rounds before an unmet fit tolerance is reported.
+MAX_SPLIT_ROUNDS = 6
 
 
 @dataclass
 class PipelineConfig:
     march_step: float = 0.02
-    march_tol: float = 1e-10
-    fit_degree: int = 2
     fit_tol: float = 1e-4
-    samples: int = 200
     reduce_tolerance: float | None = None
     keep_a: str = "outside"
     keep_b: str = "outside"
-    verify_samples: int = 65
 
 
 @dataclass(eq=False)
@@ -120,8 +124,7 @@ def _dedupe_params(params, existing, tol=1e-7):
 
 
 def prepare_decompositions(data: IntersectionData, s1: BezierSurface,
-                           s2: BezierSurface, config: PipelineConfig,
-                           max_rounds: int = 6):
+                           s2: BezierSurface, config: PipelineConfig):
     """Decompose both trimmed surfaces over one shared breakpoint set.
 
     Both domain curves are subdivided at the union of both sides' monotone
@@ -133,17 +136,13 @@ def prepare_decompositions(data: IntersectionData, s1: BezierSurface,
     keep_b = keep_region_fn(config.keep_b, data.domain_curve_b)
     extra = list(monotone_split_params(data.domain_curve_a))
     extra += monotone_split_params(data.domain_curve_b)
-    for _ in range(max_rounds):
+    for _ in range(MAX_SPLIT_ROUNDS):
         params = _dedupe_params(extra, data.curve_c.breakpoints)
         curve_a = data.domain_curve_a.subdivide_at(params)
         curve_b = data.domain_curve_b.subdivide_at(params)
         try:
-            dec_a = build_patch_decomposition(
-                s1, curve_a, keep_a, config.fit_degree, config.fit_tol
-            )
-            dec_b = build_patch_decomposition(
-                s2, curve_b, keep_b, config.fit_degree, config.fit_tol
-            )
+            dec_a = build_patch_decomposition(s1, curve_a, keep_a, fit_tol=config.fit_tol)
+            dec_b = build_patch_decomposition(s2, curve_b, keep_b, fit_tol=config.fit_tol)
             return PatchSet(dec_a), PatchSet(dec_b)
         except _NeedsSplit as err:
             log.info("fit tolerance needs %d extra splits", len(err.params))
@@ -151,7 +150,7 @@ def prepare_decompositions(data: IntersectionData, s1: BezierSurface,
             residual, (w0, w1) = err.residual, err.w_span
     raise FitError(
         f"fit tolerance {config.fit_tol:.3e} unreachable within the split budget of "
-        f"{max_rounds} rounds; the trim interval [{w0:.6f}, {w1:.6f}] still misses it",
+        f"{MAX_SPLIT_ROUNDS} rounds; the trim interval [{w0:.6f}, {w1:.6f}] still misses it",
         residual,
     )
 
@@ -174,7 +173,7 @@ def run_pipeline(s1: BezierSurface, s2: BezierSurface,
     """March, interpolate, decompose, normalize, stitch, and verify."""
     config = config or PipelineConfig()
     data = _stage(
-        "march", build_intersection_data, s1, s2, config.march_step, config.march_tol
+        "march", build_intersection_data, s1, s2, config.march_step, MARCH_TOL
     )
     set_a, set_b = _stage("segment", prepare_decompositions, data, s1, s2, config)
     triples = _stage("align", align_boundary, data, set_a, set_b)
@@ -182,12 +181,12 @@ def run_pipeline(s1: BezierSurface, s2: BezierSurface,
         "stitch", stitch_boundary, set_a, set_b, triples, config.reduce_tolerance
     )
     gap_a = _stage(
-        "measure", measure_gap, data.curve_c, s1, config.samples, data.domain_curve_a
+        "measure", measure_gap, data.curve_c, s1, GAP_SAMPLES, data.domain_curve_a
     )
     gap_b = _stage(
-        "measure", measure_gap, data.curve_c, s2, config.samples, data.domain_curve_b
+        "measure", measure_gap, data.curve_c, s2, GAP_SAMPLES, data.domain_curve_b
     )
-    post = _stage("verify", verify_watertight, model, config.verify_samples)
+    post = _stage("verify", verify_watertight, model, VERIFY_SAMPLES)
     model.report_pre = (gap_a, gap_b)
     model.report_post = post
     report = {

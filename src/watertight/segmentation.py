@@ -3,12 +3,12 @@
 A domain curve (the trim) is split into segments monotone in both
 parameter coordinates, the retained region is decomposed into rectangle
 cells plus curved trapezoids whose curved edge spans two adjacent curve
-breakpoints, each trapezoid is classified into one of eight rotationally
-equivalent cases, its curved edge is fitted by a low-degree polynomial in
-canonical coordinates, and every cell is normalized to a standard-domain
-Bezier patch: rectangles by plain subpatch extraction, trapezoids by
-rotating the control net to the canonical case, composing with the fitted
-boundary polynomial, and rotating back.
+breakpoints, each trapezoid is given the orientation of its patch
+parameters, its curved edge is fitted by a low-degree polynomial in that
+frame, and every cell is normalized to a standard-domain Bezier patch:
+rectangles by plain subpatch extraction, trapezoids by relabeling the
+control net into the frame and composing with the fitted boundary
+polynomial.
 
 Conventions used throughout:
 
@@ -17,25 +17,30 @@ Conventions used throughout:
   axis; a trapezoid cell occupies the band between the two breakpoint
   values and extends along the independent axis from the curve to the
   domain edge on the retained side.
-* Canonical frame: a trapezoid is rotated (a quarter-turn relabeling of
-  the control net, no arithmetic) so its retained region becomes
-  {0 <= x <= f(y)} with f mapping [0,1] into [0,1] and reaching 1 at one
-  endpoint (the through-vertex).  f may vanish at the other endpoint,
-  which collapses one patch edge; such degenerate cells are legal.
+* (s, t) frame: a trapezoid's orientation record names the cell-local axis
+  that s runs along and whether s runs toward the lower coordinate; t runs
+  along the other axis, with the trim parameter w.  Relabeling the cell
+  into that frame (a transpose and axis reversals of the control net, no
+  arithmetic) makes the retained region {0 <= x <= f(y)} with f mapping
+  [0,1] into [0,1] and reaching 1 at one endpoint (the through-vertex).  f
+  may vanish at the other endpoint, which collapses one patch edge; such
+  degenerate cells are legal.  The patch is S(s*f(t), t) in that frame,
+  transposed back when the relabeling is a reflection, so it keeps the
+  surface's orientation and its curved edge is U1 or V1, running with w.
 * One arc per trapezoid: a trapezoid's w_span runs between two adjacent
   breakpoints, so its curved edge is exactly one Bezier segment of the
   trim curve.  The map into the cell's local [0,1]^2 is affine, so the
   segment's control polygon mapped once into that frame is the edge's
   exact Bezier form there (affine invariance).  Every arc query -- the
-  classification end points, the retained sample, the canonical edge f of
-  each rotation, cell membership -- solves on that polygon and never
+  classification end points, the retained sample, the edge f of each
+  candidate frame, cell membership -- solves on that polygon and never
   evaluates the trim curve again.
 * Batched passes: arc queries are answered by one stacked Newton solver,
   `_solve_arcs`, over many arcs at once; each sample stops on its own, so
   its bits do not depend on its batch.  A decomposition makes one solve
   for the retained samples of each monotone segment, one for the
-  classification probes of all trapezoids, and one for the canonical edge
-  of every (cell, candidate rotation) at the fit and check heights; the
+  classification probes of all trapezoids, and one for the edge of every
+  (cell, candidate frame) at the fit and check heights; the
   tightened cells get a second pass.  Each fit is then a product with the
   basis's pseudo-inverse, cached per degree, and the sampled heights are
   dropped once the cells are fitted.
@@ -62,10 +67,6 @@ from .bezier import (
     all_bernstein,
     compose_reparameterize,
     extract_subpatch,
-    flip_net_u,
-    flip_net_v,
-    rotate_edge,
-    rotate_net,
 )
 from .errors import AmbiguousCaseError, DegenerateCellError, FitError
 
@@ -81,7 +82,7 @@ _SPLIT_REFINE_TOL = 1e-10
 _FIT_SAMPLES = 64
 _FIT_TS = np.linspace(0.0, 1.0, _FIT_SAMPLES)
 _CHECK_TS = np.linspace(0.0, 1.0, 257)
-# Every height a fit samples a candidate's canonical edge at, in one solve.
+# Every height a fit samples a candidate's edge at, in one solve.
 _EDGE_HEIGHTS = np.concatenate([_FIT_TS, _CHECK_TS])
 # Seed table of every arc solve, in the arc's own Bezier parameter.
 _ARC_TABLE = np.linspace(0.0, 1.0, 257)
@@ -118,11 +119,17 @@ class MonotoneSegment:
 
 @dataclass(frozen=True)
 class TrapezoidCase:
-    """One of the eight trapezoid configurations and its canonicalizing rotation."""
+    """Orientation of a trapezoid's patch: s runs along cell-local axis
+    `s_axis` (0 for u, 1 for v) from the straight edge to the arc, toward
+    the lower coordinate when `s_reversed`; t runs with w."""
 
-    case_id: int
-    rotation_quarter_turns: int
-    canonical_corner: tuple
+    s_axis: int
+    s_reversed: bool
+
+
+# The four candidate orientations, in the order the fit tries them.
+_CASES = (TrapezoidCase(0, False), TrapezoidCase(1, True),
+          TrapezoidCase(0, True), TrapezoidCase(1, False))
 
 
 @lru_cache(maxsize=None)
@@ -216,20 +223,18 @@ def _arc_points(cells, coords, values) -> np.ndarray:
     return pts
 
 
-def _rotated_arcs(cells, rotations, heights) -> np.ndarray:
-    """(C, K) x of each cell's arc at heights y of its rotated frame.
+def _frame_arcs(cells, cases, heights) -> np.ndarray:
+    """(C, K) x of each cell's arc at heights y of its (s, t) frame.
 
     `heights` is (K,), shared by every cell, or (C, K).
     """
-    r = np.asarray(rotations, dtype=int) % 4
     heights = np.asarray(heights, dtype=float)
     values = np.broadcast_to(heights, (len(cells), heights.shape[-1]))
-    pts = _arc_points(cells, 1 - r % 2, np.where((r < 2)[:, None], values, 1.0 - values))
-    x = np.empty(values.shape)
-    for turns in range(4):
-        rows = r == turns
-        x[rows] = _rotate_point(pts[rows, :, 0], pts[rows, :, 1], turns)[0]
-    return x
+    flip = np.array([_t_reversed(c, k) for c, k in zip(cells, cases)], dtype=bool)
+    pts = _arc_points(cells, [1 - k.s_axis for k in cases],
+                      np.where(flip.reshape(-1, 1), 1.0 - values, values))
+    x = [_relabel(c, k, points=p)[:, 0] for c, k, p in zip(cells, cases, pts)]
+    return np.reshape(x, values.shape)
 
 
 @dataclass(eq=False)
@@ -264,40 +269,12 @@ class DomainCell:
 
 
 @dataclass(eq=False)
-class PatchMap:
-    """Forward map from a normalized patch's parameters to domain parameters."""
-
-    patch_bounds: tuple
-    rotation: int
-    flip_t: bool
-    back_rotation: int
-    flip_edge_axis: bool
-    edge: Edge
-    f: BoundaryPolynomial
-
-    def to_domain(self, p1: float, p2: float):
-        if self.flip_edge_axis:
-            if self.edge in (Edge.U0, Edge.U1):
-                p2 = 1.0 - p2
-            else:
-                p1 = 1.0 - p1
-        x, y = _unrotate(p1, p2, self.back_rotation)
-        if self.flip_t:
-            y = 1.0 - y
-        xhat = x * float(self.f(y))
-        a, b = _unrotate(xhat, y, self.rotation)
-        u0, u1, v0, v1 = self.patch_bounds
-        return u0 + a * (u1 - u0), v0 + b * (v1 - v0)
-
-
-@dataclass(eq=False)
 class PatchDecomposition:
     """Cells of one trimmed surface and their normalized patches."""
 
     cells: list
     patches: list
     curved_edges: list
-    maps: list
     breakpoints: np.ndarray
     boundary_indices: list = field(default_factory=list)
 
@@ -314,23 +291,6 @@ class _NeedsSplit(Exception):
         self.params = list(params)
         self.residual = residual
         self.w_span = w_span
-
-
-# ---------------------------------------------------------------------------
-# Rotation helpers on the unit square
-# ---------------------------------------------------------------------------
-
-def _rotate_point(a: float, b: float, quarter_turns: int):
-    """Apply (a, b) -> (1-b, a) the given number of times."""
-    for _ in range(quarter_turns % 4):
-        a, b = 1.0 - b, a
-    return a, b
-
-
-def _unrotate(a: float, b: float, quarter_turns: int):
-    for _ in range(quarter_turns % 4):
-        a, b = b, 1.0 - a
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -540,47 +500,67 @@ def _local_coords(cell: DomainCell, u: float, v: float):
     return (u - u0) / (u1 - u0), (v - v0) / (v1 - v0)
 
 
-def _case_id(corner: tuple, rotation: int) -> int:
-    base = 1 if corner == (1, 1) else 5
-    return base + rotation
+def _t_reversed(cell: DomainCell, case: TrapezoidCase) -> bool:
+    """Whether w runs toward the lower coordinate of the axis across s."""
+    polygon = cell.arc.polygon
+    return bool(polygon[-1, 1 - case.s_axis] < polygon[0, 1 - case.s_axis])
+
+
+def _reflects(cell: DomainCell, case: TrapezoidCase) -> bool:
+    """Whether the (s, t) frame is a mirror image of the cell's (u, v) frame:
+    an odd count of transposes and reversals."""
+    return bool(case.s_axis ^ case.s_reversed ^ _t_reversed(cell, case))
+
+
+def _relabel(cell: DomainCell, case: TrapezoidCase, net=None, points=None):
+    """A trapezoid's control net, or (..., 2) local points, in its (s, t) frame.
+
+    Axis 0 then runs along s, from the straight edge to the arc, and axis 1
+    runs with w: a transpose when s runs along v, then a reversal of each
+    axis that runs toward the lower coordinate.  A net is only reordered;
+    a reversed point coordinate x becomes 1 - x.
+    """
+    flips = (case.s_reversed, _t_reversed(cell, case))
+    if points is not None:
+        out = points[..., ::-1] if case.s_axis else points
+        return np.where(flips, 1.0 - out, out)
+    out = net.transpose(1, 0, 2) if case.s_axis else net
+    return out[::-1 if flips[0] else 1, ::-1 if flips[1] else 1]
 
 
 def _classify_candidates(cells):
-    """Each cell's rotations putting it into the canonical {x <= f(y)} form.
+    """Each cell's orientations putting it into the {x <= f(y)} form.
 
-    A rotation qualifies when the arc's end points span the rotated frame's
+    An orientation qualifies when the arc's end points span its frame's
     height and reach x = 1, and the cell's retained sample lies on the
     {x <= f(y)} side; one batched solve probes the arc at every sample.
-    Candidates are ordered with the f(1) = 1 family first, then by rotation
-    count; a curve through two cell corners admits two of them.
+    Candidates whose through-vertex lies a counterclockwise quarter turn
+    from s come first, then in `_CASES` order; a curve through two cell
+    corners admits two of them.
     """
     probes = []
     for i, cell in enumerate(cells):
-        e0, e1 = cell.arc.polygon[[0, -1]]
-        sample = _local_coords(cell, *cell.retained_sample)
-        for r in range(4):
-            r0 = _rotate_point(*e0, r)
-            r1 = _rotate_point(*e1, r)
-            ys = sorted((r0[1], r1[1]))
-            if not (abs(ys[0]) <= _COORD_TOL and abs(ys[1] - 1.0) <= _COORD_TOL):
+        local = np.array([cell.arc.polygon[0], cell.arc.polygon[-1],
+                          _local_coords(cell, *cell.retained_sample)])
+        for case in _CASES:
+            (x0, y0), (x1, y1), frame_sample = _relabel(cell, case, points=local).tolist()
+            if not (abs(y0) <= _COORD_TOL and abs(y1 - 1.0) <= _COORD_TOL):
                 continue
-            if abs(max(r0[0], r1[0]) - 1.0) > _COORD_TOL:
+            if abs(max(x0, x1) - 1.0) > _COORD_TOL:
                 continue
-            through = r0 if r0[0] >= r1[0] else r1
-            corner = (1, int(round(through[1])))
-            probes.append((i, r, corner, _rotate_point(*sample, r)))
-    x_arc = _rotated_arcs(
+            # The through-vertex is at t = 1 when x1 > x0; that end lies a
+            # counterclockwise quarter turn from s unless the frame reflects.
+            probes.append((i, case, (x1 > x0) == _reflects(cell, case), frame_sample))
+    x_arc = _frame_arcs(
         [cells[i] for i, *_ in probes],
-        [r for _, r, *_ in probes],
+        [case for _, case, *_ in probes],
         np.reshape([sy for *_, (_, sy) in probes], (-1, 1)),
     )[:, 0]
     candidates = [[] for _ in cells]
-    for (i, r, corner, (sx, _)), x in zip(probes, x_arc):
+    for (i, case, later, (sx, _)), x in zip(probes, x_arc):
         if sx <= x + _COORD_TOL:
-            candidates[i].append(TrapezoidCase(_case_id(corner, r), r, corner))
-    for cases in candidates:
-        cases.sort(key=lambda c: (c.canonical_corner != (1, 1), c.rotation_quarter_turns))
-    return candidates
+            candidates[i].append((later, case))
+    return [[case for _, case in sorted(cases, key=lambda c: c[0])] for cases in candidates]
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +611,8 @@ def fit_cell(cell: DomainCell, candidates, edges, fit_degree: int,
              fit_tol: float) -> DomainCell:
     """Fit a classified trapezoid's boundary polynomial, widen for overshoot.
 
-    `candidates` are the cell's canonical rotations and `edges` holds each
-    one's canonical edge x at `_FIT_TS` then `_CHECK_TS`.  Tries every
+    `candidates` are the cell's candidate orientations and `edges` holds
+    each one's edge x at `_FIT_TS` then `_CHECK_TS`.  Tries every
     candidate at each degree up to the cap (degenerate cells admit two
     orientations, and near curve extrema only one of them has bounded
     slope).  When no combination meets the tolerance, raises _NeedsSplit
@@ -640,7 +620,7 @@ def fit_cell(cell: DomainCell, candidates, edges, fit_degree: int,
     case, boundary_fn, fit_residual, and patch_bounds in place.
     """
     if not candidates:
-        raise AmbiguousCaseError("cell does not match any of the eight cases")
+        raise AmbiguousCaseError("cell admits no orientation of the form {x <= f(y)}")
     closest = np.inf
     for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
         for case, edge in zip(candidates, edges):
@@ -648,9 +628,7 @@ def fit_cell(cell: DomainCell, candidates, edges, fit_degree: int,
                 poly, residual = fit_boundary_polynomial(
                     edge[:_FIT_SAMPLES], edge[_FIT_SAMPLES:], degree, fit_tol
                 )
-                patch_bounds, poly = _absorb_unit_range(
-                    cell, case.rotation_quarter_turns, poly
-                )
+                patch_bounds, poly = _absorb_unit_range(cell, case, poly)
             except FitError as err:
                 closest = min(closest, err.residual)
                 continue
@@ -666,14 +644,13 @@ def fit_cell(cell: DomainCell, candidates, edges, fit_degree: int,
 def _fit_cells(cells, fit_degree: int, fit_tol: float) -> dict:
     """Classify and fit trapezoids, solving each (cell, candidate) edge once.
 
-    One batched solve samples every candidate's canonical edge at the fit
+    One batched solve samples every candidate's edge at the fit
     and check heights; `fit_cell` then fits from those samples.  Returns the
     _NeedsSplit of each cell that misses, keyed by cell.
     """
     candidates = _classify_candidates(cells)
     owners = [cell for cell, cases in zip(cells, candidates) for _ in cases]
-    rotations = [case.rotation_quarter_turns for cases in candidates for case in cases]
-    edges = _rotated_arcs(owners, rotations, _EDGE_HEIGHTS)
+    edges = _frame_arcs(owners, [case for cases in candidates for case in cases], _EDGE_HEIGHTS)
     misses = {}
     start = 0
     for cell, cases in zip(cells, candidates):
@@ -712,103 +689,53 @@ def tighten_cell(cell: DomainCell):
     return tight, filler
 
 
-def _absorb_unit_range(cell: DomainCell, rotation: int, poly: BoundaryPolynomial):
+def _absorb_unit_range(cell: DomainCell, case: TrapezoidCase, poly: BoundaryPolynomial):
     """Stretch the extraction box so the fitted polynomial maps into [0,1].
 
     A least-squares fit may leave [0,1] by about its residual (overshoot past
     the through-vertex, undershoot past a collapsed end).  Extending the box
-    along the canonical x axis and remapping f affinely absorbs both without
-    changing the composed geometry: u = s*f(t) lands on the same domain
-    points either way.
+    along s and remapping f affinely absorbs both without changing the
+    composed geometry: u = s*f(t) lands on the same domain points either way.
     """
     lo, hi = poly.unit_range()
     d0 = max(0.0, -lo)
     d1 = max(0.0, hi - 1.0)
     if d0 == 0.0 and d1 == 0.0:
         return cell.bounds, poly
-
-    for local_edge in Edge:
-        if rotate_edge(local_edge, rotation)[0] is Edge.U1:
-            break
-    u0, u1, v0, v1 = cell.bounds
-    du, dv = u1 - u0, v1 - v0
-    if local_edge is Edge.U1:
-        u1 += d1 * du
-        u0 -= d0 * du
-    elif local_edge is Edge.U0:
-        u0 -= d1 * du
-        u1 += d0 * du
-    elif local_edge is Edge.V1:
-        v1 += d1 * dv
-        v0 -= d0 * dv
-    else:
-        v0 -= d1 * dv
-        v1 += d0 * dv
+    bounds = list(cell.bounds)
+    k = 2 * case.s_axis
+    size = bounds[k + 1] - bounds[k]
+    low, high = (d1, d0) if case.s_reversed else (d0, d1)
+    bounds[k] -= low * size
+    bounds[k + 1] += high * size
+    u0, u1, v0, v1 = bounds
     if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
         raise FitError(
             "fit range excursion cannot be absorbed at the domain boundary",
             max(d0, d1),
         )
-    return (u0, u1, v0, v1), poly.shifted_scaled(d0, d0 + max(1.0, hi))
+    return tuple(bounds), poly.shifted_scaled(d0, d0 + max(1.0, hi))
 
 
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
 
-def _w_increases_canonical_t(cell: DomainCell, rotation: int) -> bool:
-    e0, e1 = cell.arc.polygon[[0, -1]]
-    return _rotate_point(*e1, rotation)[1] > _rotate_point(*e0, rotation)[1]
-
-
 def _normalize_trapezoid(surface: BezierSurface, cell: DomainCell):
-    """Returns (patch, curved_edge, PatchMap); edge parameter runs with w."""
+    """(patch, curved edge) of a fitted trapezoid: S(s*f(t), t) in its frame.
+
+    The composed net is transposed back when the relabeling is a reflection,
+    so the patch keeps the surface's orientation; its curved edge is then
+    V1, else U1, and its parameter runs with w either way.
+    """
     if cell.case is None or cell.boundary_fn is None:
         raise ValueError("trapezoid cell must be classified and fitted first")
-    r = cell.case.rotation_quarter_turns
     sub = extract_subpatch(surface, *cell.patch_bounds)
-    canonical = BezierSurface(rotate_net(sub.control_net, r))
-    composed = compose_reparameterize(canonical, cell.boundary_fn)
-    net = composed.control_net
-    flip_t = not _w_increases_canonical_t(cell, r)
-    if flip_t:
-        net = flip_net_v(net)
-    back = (4 - r) % 4
-    net = rotate_net(net, back)
-    edge, sign = rotate_edge(Edge.U1, back)
-    flip_edge_axis = sign == -1
-    if flip_edge_axis:
-        net = flip_net_v(net) if edge in (Edge.U0, Edge.U1) else flip_net_u(net)
-    patch = BezierSurface(net)
-    pmap = PatchMap(
-        patch_bounds=cell.patch_bounds,
-        rotation=r,
-        flip_t=flip_t,
-        back_rotation=back,
-        flip_edge_axis=flip_edge_axis,
-        edge=edge,
-        f=cell.boundary_fn,
-    )
-    return patch, edge, pmap
-
-
-def normalize_patch(surface: BezierSurface, cell: DomainCell) -> BezierSurface:
-    """Standard-domain patch covering the cell's retained region exactly."""
-    if cell.kind == RECTANGLE:
-        return extract_subpatch(surface, *cell.bounds)
-    return _normalize_trapezoid(surface, cell)[0]
-
-
-def rectangle_map(cell: DomainCell) -> PatchMap:
-    return PatchMap(
-        patch_bounds=cell.bounds,
-        rotation=0,
-        flip_t=False,
-        back_rotation=0,
-        flip_edge_axis=False,
-        edge=Edge.U1,
-        f=BoundaryPolynomial(np.array([1.0])),
-    )
+    net = _relabel(cell, cell.case, net=sub.control_net).copy()
+    net = compose_reparameterize(BezierSurface(net), cell.boundary_fn).control_net
+    if _reflects(cell, cell.case):
+        return BezierSurface(net.transpose(1, 0, 2).copy()), Edge.V1
+    return BezierSurface(net), Edge.U1
 
 
 # ---------------------------------------------------------------------------
@@ -932,17 +859,14 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
 
     patches = []
     curved_edges = []
-    maps = []
     for cell in cells:
         if cell.kind == RECTANGLE:
             patches.append(extract_subpatch(surface, *cell.bounds))
             curved_edges.append(None)
-            maps.append(rectangle_map(cell))
         else:
-            patch, edge, pmap = _normalize_trapezoid(surface, cell)
+            patch, edge = _normalize_trapezoid(surface, cell)
             patches.append(patch)
             curved_edges.append(edge)
-            maps.append(pmap)
 
     boundary = sorted(
         (i for i, c in enumerate(cells) if c.kind == TRAPEZOID),
@@ -953,7 +877,6 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
         cells=cells,
         patches=patches,
         curved_edges=curved_edges,
-        maps=maps,
         breakpoints=parent.breakpoints.copy(),
         boundary_indices=boundary,
     )

@@ -147,7 +147,7 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
 
     Returns new patch sets with their own patch lists; the input sets and
     their patches stay as they were, and the rest of each decomposition
-    (cells, maps, curved edges) is shared.  Interior control points are
+    (cells, curved edges) is shared.  Interior control points are
     untouched.  With ``reduce_tolerance`` set, the stitched direction of
     every matched pair is reduced back to the curve segment's degree (at
     least 1) in batches (see `_try_reduce`); a pair any of whose rows

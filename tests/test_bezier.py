@@ -29,15 +29,12 @@ from watertight import (
     extract_subpatch,
 )
 from watertight.bezier import (
-    Edge,
     all_bernstein,
     de_casteljau,
     de_casteljau_many,
     degree_reduce_many,
     evaluate_grid_stacked,
     evaluate_stacked,
-    rotate_edge,
-    rotate_net,
 )
 
 
@@ -634,34 +631,6 @@ class TestAffineEquivariance:
             comp_t.control_net,
             atol=1e-11,
         )
-
-
-class TestNetRelabelings:
-    def test_rotation_is_evaluation_rotation(self):
-        rng = np.random.default_rng(71)
-        s = random_surface(rng, 3, 2)
-        rot = BezierSurface(rotate_net(s.control_net, 1))
-        # One turn: rotated(x, y) == original(y, 1 - x).
-        for x in np.linspace(0, 1, 6):
-            for y in np.linspace(0, 1, 6):
-                assert np.allclose(rot.evaluate(x, y), s.evaluate(y, 1.0 - x), atol=1e-13)
-
-    def test_four_turns_identity(self):
-        rng = np.random.default_rng(73)
-        s = random_surface(rng, 2, 4)
-        assert np.array_equal(rotate_net(s.control_net, 4), s.control_net)
-
-    def test_edge_tracking_matches_geometry(self):
-        rng = np.random.default_rng(79)
-        s = random_surface(rng, 3, 3)
-        for r in range(4):
-            rot = BezierSurface(rotate_net(s.control_net, r))
-            for edge in Edge:
-                new_edge, sign = rotate_edge(edge, r)
-                orig = s.edge_curve(edge)
-                moved = rot.edge_curve(new_edge)
-                want = orig.control_points if sign == 1 else orig.control_points[::-1]
-                assert np.array_equal(moved.control_points, want)
 
 
 def scalar_bernstein(degree, x):

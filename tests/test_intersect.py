@@ -7,14 +7,13 @@ import pytest
 
 import watertight.intersect as intersect
 import watertight.stitching as stitching
-from watertight import BezierSurface, InversionError
+from watertight import BezierSurface
 from watertight.bezier import bernstein_from_monomial
 from watertight.intersect import (
     _match,
     build_intersection_data,
     interpolate_domain_curve,
     interpolate_space_curve,
-    invert_point,
     invert_points,
     lift_domain_curve,
     march_intersection,
@@ -148,16 +147,25 @@ class TestMatch:
         assert residual == pytest.approx(0.5, abs=1e-12)
 
 
+def invert_one(surface, point, seed):
+    """One sample of `invert_points`; it must converge."""
+    uv, _, converged = invert_points(
+        surface.control_net[None], np.reshape(point, (1, 1, 3)), np.reshape(seed, (1, 1, 2))
+    )
+    assert converged[0, 0]
+    return uv[0, 0]
+
+
 class TestInversion:
     def test_on_surface_round_trip(self, rng):
         s = BezierSurface(rng.uniform(-1, 1, size=(4, 4, 3)))
         target = s.evaluate(0.3, 0.7)
-        uv = invert_point(s, target, seed=(0.25, 0.65))
+        uv = invert_one(s, target, seed=(0.25, 0.65))
         assert np.allclose(uv, [0.3, 0.7], atol=1e-10)
 
     def test_corner(self, paraboloid):
         corner = paraboloid.control_net[0, 0]
-        uv = invert_point(paraboloid, corner, seed=(0.1, 0.1))
+        uv = invert_one(paraboloid, corner, seed=(0.1, 0.1))
         assert np.allclose(uv, [0.0, 0.0], atol=1e-10)
 
     def test_off_surface_matches_grid_search(self, rng, paraboloid):
@@ -167,11 +175,11 @@ class TestInversion:
         d2 = np.sum((pts - point) ** 2, axis=2)
         i, j = np.unravel_index(np.argmin(d2), d2.shape)
         grid_best = np.array([ts[i], ts[j]])
-        uv = invert_point(paraboloid, point, seed=grid_best)
+        uv = invert_one(paraboloid, point, seed=grid_best)
         assert np.linalg.norm(uv - grid_best) <= 2e-3
 
     def test_seed_clamped(self, flat):
-        uv = invert_point(flat, np.array([0.5, 0.5, 0.0]), seed=(0.4, 0.6))
+        uv = invert_one(flat, np.array([0.5, 0.5, 0.0]), seed=(0.4, 0.6))
         assert np.allclose(uv, [0.5, 0.5], atol=1e-10)
 
 
@@ -382,7 +390,7 @@ class TestGapMeasurement:
             ref = []
             for t in np.linspace(0.0, 1.0, 200):
                 point = data.curve_c.evaluate(t)
-                uv = invert_point(surface, point, np.clip(domain.evaluate(t), 0.0, 1.0))
+                uv = invert_one(surface, point, np.clip(domain.evaluate(t), 0.0, 1.0))
                 ref.append(np.linalg.norm(surface.evaluate(*uv) - point))
             ref = np.array(ref)
             assert report.flagged == 0

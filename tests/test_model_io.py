@@ -49,3 +49,7 @@ def test_demo_model_round_trips_bit_for_bit(tmp_path):
     assert np.array_equal(data.lifted_a, back.lifted_a)
     assert np.array_equal(data.lifted_b, back.lifted_b)
     assert loaded.reports == saved.reports
+    assert loaded.version == model_io.FORMAT_VERSION == "2"
+    traps = [c for rec in loaded.patch_sets for c in rec["cells"] if c["kind"] == "trapezoid"]
+    assert traps and all(c["s_axis"] in ("u", "v") and c["s_reversed"] in (True, False)
+                         for c in traps)

@@ -15,29 +15,31 @@ from watertight import (
     DomainError,
     FitError,
     PiecewiseBezierCurve,
+    extract_subpatch,
 )
-from watertight.bezier import Edge
+from watertight.bezier import Edge, evaluate_stacked
 from watertight.intersect import build_intersection_data, interpolate_domain_curve
-from watertight.pipeline import PipelineConfig, prepare_decompositions
+from watertight.pipeline import MARCH_TOL, PipelineConfig, prepare_decompositions, run_pipeline
 from watertight.segmentation import (
     RECTANGLE,
     TRAPEZOID,
     DomainCell,
     GraphAxis,
+    TrapezoidCase,
     _CHECK_TS,
     _FIT_TS,
     _classify_candidates,
     _fit_cells,
+    _frame_arcs,
     _normalize_trapezoid,
-    _rotated_arcs,
+    _relabel,
     _solve_arcs,
+    _t_reversed,
     build_patch_decomposition,
     cell_contains,
     decompose_domain,
     decompose_trim,
     fit_boundary_polynomial,
-    normalize_patch,
-    rectangle_map,
     split_monotone,
     tighten_cell,
 )
@@ -85,6 +87,31 @@ def candidates_of(cell):
 def fit_one(cell, fit_degree, fit_tol):
     """Classify and fit one trapezoid; it must meet the tolerance."""
     assert not _fit_cells([cell], fit_degree, fit_tol)
+
+
+def to_frame(cell, case, point):
+    """A local cell point in the case's (s, t) frame: s from the straight edge
+    toward the arc, t with the arc's own direction."""
+    x, y = point[case.s_axis], point[1 - case.s_axis]
+    start, end = cell.arc.polygon[[0, -1], 1 - case.s_axis]
+    return (1.0 - x if case.s_reversed else x), (1.0 - y if end < start else y)
+
+
+def domain_point(cell, edge, p1, p2):
+    """The domain point a normalized patch's parameters stand for.
+
+    A rectangle maps its box affinely; a trapezoid's patch is u = s*f(t) in
+    its frame, with s and t swapped when its curved edge is V1.
+    """
+    u0, u1, v0, v1 = cell.patch_bounds
+    local = [p1, p2]
+    if cell.kind == TRAPEZOID:
+        s, t = (p1, p2) if edge is Edge.U1 else (p2, p1)
+        x, y, case = s * float(cell.boundary_fn(t)), t, cell.case
+        start, end = cell.arc.polygon[[0, -1], 1 - case.s_axis]
+        local[case.s_axis] = 1.0 - x if case.s_reversed else x
+        local[1 - case.s_axis] = 1.0 - y if end < start else y
+    return u0 + local[0] * (u1 - u0), v0 + local[1] * (v1 - v0)
 
 
 def sampled(edge_fn):
@@ -201,84 +228,6 @@ class TestDecomposeTrim:
             assert owners == (1 if retained else 0)
 
 
-class TestClassification:
-    def test_canonical_case(self):
-        cell = linear_trapezoid_cell(
-            [0.5, 0.2], [0.8, 0.7],
-            bounds=(0.0, 0.8, 0.2, 0.7),
-            axis=GraphAxis.V_OF_U,
-            toward_far_edge=False,
-            sample=(0.2, 0.45),
-        )
-        case = candidates_of(cell)[0]
-        assert case.case_id == 1
-        assert case.rotation_quarter_turns == 0
-        assert case.canonical_corner == (1, 1)
-
-    def test_rotated_cell_gets_different_case(self):
-        base = linear_trapezoid_cell(
-            [0.5, 0.2], [0.8, 0.7],
-            bounds=(0.0, 0.8, 0.2, 0.7),
-            axis=GraphAxis.V_OF_U,
-            toward_far_edge=False,
-            sample=(0.2, 0.45),
-        )
-        case_base = candidates_of(base)[0]
-        # Rotate all defining data a quarter turn: (u, v) -> (1 - v, u).
-        rot = lambda p: [1.0 - p[1], p[0]]
-        cell = linear_trapezoid_cell(
-            rot([0.5, 0.2]), rot([0.8, 0.7]),
-            bounds=(0.3, 0.8, 0.0, 0.8),
-            axis=GraphAxis.U_OF_V,
-            toward_far_edge=False,
-            sample=tuple(rot([0.2, 0.45])),
-        )
-        case = candidates_of(cell)[0]
-        assert case.case_id != case_base.case_id
-        assert case.rotation_quarter_turns == (case_base.rotation_quarter_turns + 3) % 4
-
-    def test_eight_distinct_cases(self):
-        ids = set()
-        for transpose in (False, True):
-            for r in range(4):
-                def xform(p):
-                    x, y = p
-                    if transpose:
-                        x, y = y, x
-                    for _ in range(r):
-                        x, y = 1.0 - y, x
-                    return [x, y]
-
-                p0, p1 = xform([0.5, 0.2]), xform([0.8, 0.7])
-                corners = np.array([xform([0.0, 0.2]), xform([0.8, 0.7])])
-                lo = corners.min(axis=0)
-                hi = corners.max(axis=0)
-                bounds = (lo[0], hi[0], lo[1], hi[1])
-                axis = GraphAxis.U_OF_V if (r % 2 == 1) != transpose else GraphAxis.V_OF_U
-                cell = linear_trapezoid_cell(
-                    p0, p1, bounds, axis,
-                    toward_far_edge=False,
-                    sample=tuple(xform([0.2, 0.45])),
-                )
-                case = candidates_of(cell)[0]
-                ids.add(case.case_id)
-        assert ids == set(range(1, 9))
-
-    def test_corner_to_corner_strict_vs_relaxed(self):
-        cell = linear_trapezoid_cell(
-            [0.2, 0.0], [0.8, 1.0],
-            bounds=(0.2, 0.8, 0.0, 1.0),
-            axis=GraphAxis.U_OF_V,
-            toward_far_edge=True,
-            sample=(0.4, 0.9),
-        )
-        # A curve through two cell corners admits two rotations; the f(1) = 1
-        # family comes first.
-        candidates = candidates_of(cell)
-        assert len(candidates) == 2
-        assert candidates[0].canonical_corner == (1, 1)
-
-
 def _quarter_turns(a, b, r):
     for _ in range(r):
         a, b = 1.0 - b, a
@@ -305,6 +254,87 @@ def _line_cells():
     return cells
 
 
+class TestClassification:
+    def test_canonical_case(self):
+        cell = linear_trapezoid_cell(
+            [0.5, 0.2], [0.8, 0.7],
+            bounds=(0.0, 0.8, 0.2, 0.7),
+            axis=GraphAxis.V_OF_U,
+            toward_far_edge=False,
+            sample=(0.2, 0.45),
+        )
+        assert candidates_of(cell) == [TrapezoidCase(0, False)]
+        assert not _t_reversed(cell, TrapezoidCase(0, False))
+
+    def test_rotated_cell_gets_different_case(self):
+        base = linear_trapezoid_cell(
+            [0.5, 0.2], [0.8, 0.7],
+            bounds=(0.0, 0.8, 0.2, 0.7),
+            axis=GraphAxis.V_OF_U,
+            toward_far_edge=False,
+            sample=(0.2, 0.45),
+        )
+        case_base = candidates_of(base)[0]
+        # Rotate all defining data a quarter turn: (u, v) -> (1 - v, u).
+        rot = lambda p: [1.0 - p[1], p[0]]
+        cell = linear_trapezoid_cell(
+            rot([0.5, 0.2]), rot([0.8, 0.7]),
+            bounds=(0.3, 0.8, 0.0, 0.8),
+            axis=GraphAxis.U_OF_V,
+            toward_far_edge=False,
+            sample=tuple(rot([0.2, 0.45])),
+        )
+        # The quarter turn carries the base's s direction, +u, onto +v.
+        assert case_base == TrapezoidCase(0, False)
+        assert candidates_of(cell) == [TrapezoidCase(1, False)]
+
+    def test_eight_distinct_cases(self):
+        # The eight symmetries of the square give eight distinct frames:
+        # (axis of s, s reversed, t reversed).
+        frames = set()
+        for p0, p1, bounds, axis, sample in _line_cells()[:8]:
+            cell = linear_trapezoid_cell(p0, p1, bounds, axis, False, sample)
+            (case,) = candidates_of(cell)
+            frames.add((case.s_axis, case.s_reversed, _t_reversed(cell, case)))
+        assert len(frames) == 8
+
+    def test_corner_to_corner_strict_vs_relaxed(self):
+        # A curve through two cell corners admits two orientations; the one
+        # whose through-vertex lies a counterclockwise quarter turn from s
+        # comes first.
+        cell = linear_trapezoid_cell(
+            [0.2, 0.0], [0.8, 1.0],
+            bounds=(0.2, 0.8, 0.0, 1.0),
+            axis=GraphAxis.U_OF_V,
+            toward_far_edge=True,
+            sample=(0.4, 0.9),
+        )
+        assert candidates_of(cell) == [TrapezoidCase(0, False), TrapezoidCase(1, True)]
+        # On the other diagonal that order is not the search order.
+        cell = linear_trapezoid_cell(
+            [0.2, 1.0], [0.8, 0.0],
+            bounds=(0.2, 0.8, 0.0, 1.0),
+            axis=GraphAxis.U_OF_V,
+            toward_far_edge=False,
+            sample=(0.38, 0.2),
+        )
+        assert candidates_of(cell) == [TrapezoidCase(1, False), TrapezoidCase(0, False)]
+
+    @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
+    def test_net_and_points_relabel_alike(self, rng, p0, p1, bounds, axis, sample):
+        # The relabeled net, read at a point's frame coordinates, is the
+        # cell's net at the point itself.
+        cell = linear_trapezoid_cell(p0, p1, bounds, axis, False, sample)
+        sub = BezierSurface(rng.uniform(-1.0, 1.0, (3, 4, 3)))
+        points = rng.uniform(0.0, 1.0, (20, 2))
+        for case in candidates_of(cell):
+            framed = BezierSurface(_relabel(cell, case, net=sub.control_net).copy())
+            at = _relabel(cell, case, points=points)
+            assert np.array_equal(at, [to_frame(cell, case, p) for p in points])
+            for p, q in zip(points, at):
+                assert np.abs(framed.evaluate(*q) - sub.evaluate(*p)).max() <= 1e-14
+
+
 class TestArc:
     @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
     def test_straight_edge_matches_analytic_inverse(self, p0, p1, bounds, axis, sample):
@@ -315,10 +345,9 @@ class TestArc:
         candidates = candidates_of(cell)
         assert candidates
         for case in candidates:
-            r = case.rotation_quarter_turns
-            (x0, y0), (x1, y1) = (_quarter_turns(*e, r) for e in local)
+            (x0, y0), (x1, y1) = (to_frame(cell, case, e) for e in local)
             want = x0 + (x1 - x0) * (ts - y0) / (y1 - y0)
-            got = _rotated_arcs([cell], [r], ts)[0]
+            got = _frame_arcs([cell], [case], ts)[0]
             assert np.abs(got - want).max() <= 1e-15
 
     def test_circle_edge_matches_brentq_on_the_trim(self):
@@ -331,23 +360,22 @@ class TestArc:
             u0, u1, v0, v1 = cell.bounds
             w0, w1 = cell.w_span
 
-            def rotated(w, r):
+            def framed(w, case):
                 u, v = cell.parent_curve.evaluate(w)
-                return _quarter_turns((u - u0) / (u1 - u0), (v - v0) / (v1 - v0), r)
+                return to_frame(cell, case, ((u - u0) / (u1 - u0), (v - v0) / (v1 - v0)))
 
             for case in candidates_of(cell):
-                r = case.rotation_quarter_turns
                 want = []
                 for t in ts:
-                    h0, h1 = rotated(w0, r)[1] - t, rotated(w1, r)[1] - t
+                    h0, h1 = framed(w0, case)[1] - t, framed(w1, case)[1] - t
                     if abs(h0) <= 1e-14:
                         w = w0
                     elif abs(h1) <= 1e-14:
                         w = w1
                     else:
-                        w = brentq(lambda w: rotated(w, r)[1] - t, w0, w1, xtol=1e-16)
-                    want.append(rotated(w, r)[0])
-                got = _rotated_arcs([cell], [r], ts)[0]
+                        w = brentq(lambda w: framed(w, case)[1] - t, w0, w1, xtol=1e-16)
+                    want.append(framed(w, case)[0])
+                got = _frame_arcs([cell], [case], ts)[0]
                 assert np.abs(got - np.array(want)).max() <= 1e-12
 
     def test_batched_solver_matches_points_at_bit_for_bit(self):
@@ -411,12 +439,12 @@ class TestTightenCell:
         surface = paraboloid_patch()
         tight, filler = tighten_cell(self._quadrant_cells()[index])
         fit_one(tight, 2, 1e-2)
-        patch, _, pmap = _normalize_trapezoid(surface, tight)
-        pieces = [(patch, pmap), (normalize_patch(surface, filler), rectangle_map(filler))]
-        for piece, piece_map in pieces:
+        patch, edge = _normalize_trapezoid(surface, tight)
+        pieces = [(patch, tight, edge), (extract_subpatch(surface, *filler.bounds), filler, None)]
+        for piece, cell, edge in pieces:
             for s in np.linspace(0.0, 1.0, 11):
                 for t in np.linspace(0.0, 1.0, 11):
-                    u, v = piece_map.to_domain(s, t)
+                    u, v = domain_point(cell, edge, s, t)
                     want = surface.evaluate(min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
                     assert np.linalg.norm(piece.evaluate(s, t) - want) <= 1e-9
 
@@ -475,9 +503,9 @@ class TestBoundaryFit:
     def test_pinv_fit_matches_lstsq_on_circle_arc_edges(self):
         _, cells = decompose_trim(domain_circle(16), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
-        owners = [(c, case.rotation_quarter_turns) for c in traps for case in candidates_of(c)]
-        edges = _rotated_arcs(
-            [c for c, _ in owners], [r for _, r in owners], np.concatenate([_FIT_TS, _CHECK_TS])
+        owners = [(c, case) for c in traps for case in candidates_of(c)]
+        edges = _frame_arcs(
+            [c for c, _ in owners], [k for _, k in owners], np.concatenate([_FIT_TS, _CHECK_TS])
         )
         samples = [(e[:_FIT_TS.shape[0]], e[_FIT_TS.shape[0]:]) for e in edges]
         samples.append(sampled(self._circle_arc_edge))
@@ -497,14 +525,14 @@ class TestBoundaryFit:
 
 
 class TestNormalization:
-    def test_rectangle_delegates_to_extraction(self, rng):
-        from watertight import extract_subpatch
-
-        s = BezierSurface(rng.uniform(-1, 1, size=(3, 3, 3)))
-        cell = DomainCell(kind=RECTANGLE, bounds=(0.1, 0.6, 0.2, 0.9))
-        patch = normalize_patch(s, cell)
-        want = extract_subpatch(s, 0.1, 0.6, 0.2, 0.9)
-        assert np.array_equal(patch.control_net, want.control_net)
+    def test_rectangle_delegates_to_extraction(self):
+        surface = paraboloid_patch()
+        dec = build_patch_decomposition(surface, domain_circle(12), outside_circle, 2, 1e-2)
+        rects = [(c, p) for c, p in zip(dec.cells, dec.patches) if c.kind == RECTANGLE]
+        assert rects
+        for cell, patch in rects:
+            want = extract_subpatch(surface, *cell.bounds)
+            assert np.array_equal(patch.control_net, want.control_net)
 
     def test_flat_diagonal_matches_composition_example(self):
         cell = linear_trapezoid_cell(
@@ -515,8 +543,9 @@ class TestNormalization:
             sample=(0.2, 0.8),
         )
         fit_one(cell, 1, 1e-9)
-        assert cell.case.rotation_quarter_turns == 0
-        patch = normalize_patch(flat_patch(), cell)
+        assert cell.case == TrapezoidCase(0, False)
+        patch, edge = _normalize_trapezoid(flat_patch(), cell)
+        assert edge is Edge.U1
         want = np.array([
             [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 1.0, 0.0]],
             [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [1.0, 1.0, 0.0]],
@@ -532,17 +561,13 @@ class TestNormalization:
         cells = decompose_domain(seg, "below")
         cell = cells[2]
         fit_one(cell, 2, 1e-2)
-        patch = normalize_patch(surface, cell)
+        patch, edge = _normalize_trapezoid(surface, cell)
         degrees = sorted((patch.degree_u, patch.degree_v))
         assert degrees == [3, 3 * cell.boundary_fn.degree + 3]
-
-        from watertight.segmentation import _normalize_trapezoid
-
-        _, edge, pmap = _normalize_trapezoid(surface, cell)
         worst = 0.0
         for s in np.linspace(0, 1, 21):
             for t in np.linspace(0, 1, 21):
-                u, v = pmap.to_domain(s, t)
+                u, v = domain_point(cell, edge, s, t)
                 want = surface.evaluate(min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0))
                 worst = max(worst, float(np.linalg.norm(patch.evaluate(s, t) - want)))
         assert worst <= 1e-9
@@ -598,14 +623,14 @@ class TestPatchDecomposition:
         assert all(s0 < s1 for s0, s1 in spans)
         assert spans == sorted(spans)
 
-    def test_patches_match_surface_via_maps(self):
+    def test_patches_match_surface_in_their_frames(self):
         surface = paraboloid_patch()
         curve = domain_circle(12)
         dec = build_patch_decomposition(surface, curve, outside_circle, 2, 1e-2)
-        for cell, patch, pmap in zip(dec.cells, dec.patches, dec.maps):
+        for cell, patch, edge in zip(dec.cells, dec.patches, dec.curved_edges):
             for s in np.linspace(0.05, 0.95, 4):
                 for t in np.linspace(0.05, 0.95, 4):
-                    u, v = pmap.to_domain(s, t)
+                    u, v = domain_point(cell, edge, s, t)
                     u, v = min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
                     want = surface.evaluate(u, v)
                     got = patch.evaluate(s, t)
@@ -628,9 +653,47 @@ class TestPatchDecomposition:
     def test_exhausted_split_budget_names_the_missing_interval(self):
         s1, s2 = paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)
         config = PipelineConfig(march_step=0.18, fit_tol=1e-6)
-        data = build_intersection_data(s1, s2, config.march_step, config.march_tol)
+        data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
         with pytest.raises(FitError, match="split budget") as err:
             prepare_decompositions(data, s1, s2, config)
         assert 1e-6 < err.value.residual < 1e-3
         w0, w1 = map(float, re.search(r"interval \[(\S+), (\S+)\]", str(err.value)).groups())
         assert 0.0 <= w0 < w1 <= 1.0
+
+
+def mirror_patch(lift):
+    """z = lift - (x - 0.5)^2 - (y - 0.5)^2 over the unit square."""
+    net = paraboloid_patch(-1.0).control_net.copy()
+    net[..., 2] += lift
+    return BezierSurface(net)
+
+
+# The demo and one case of each benchmark workload, each against the
+# paraboloid; every surface has x = u and y = v.
+_ORIENTATION_CASES = {
+    "demo": (plane_patch(0.0, 0.0, 0.04), PipelineConfig()),
+    "level-circle": (plane_patch(0.0, 0.0, 0.04), PipelineConfig(march_step=0.01)),
+    "mirror": (mirror_patch(0.1), PipelineConfig(fit_tol=1e-5)),
+    "corner-clip": (
+        plane_patch(0.5, 0.5, -0.2),
+        PipelineConfig(reduce_tolerance=1e-3, keep_a="right", keep_b="right"),
+    ),
+}
+
+
+class TestOrientation:
+    @pytest.mark.parametrize("name", sorted(_ORIENTATION_CASES))
+    def test_every_patch_keeps_the_surface_orientation(self, name):
+        # With x = u and y = v, d(x, y)/d(s, t) is the patch's Jacobian in
+        # the parameter domain; a mirror-image patch reads negative.
+        other, config = _ORIENTATION_CASES[name]
+        model = run_pipeline(paraboloid_patch(), other, config).model
+        ts = np.arange(1, 8) / 8.0
+        st = np.stack(np.meshgrid(ts, ts, indexing="ij"), axis=-1).reshape(1, -1, 2)
+        for patch_set in (model.set_a, model.set_b):
+            dec = patch_set.decomposition
+            assert {dec.curved_edges[i] for i in dec.boundary_indices} <= {Edge.U1, Edge.V1}
+            for patch in patch_set.patches:
+                _, xs, xt = evaluate_stacked(patch.control_net[None], st)
+                jacobian = xs[..., 0] * xt[..., 1] - xs[..., 1] * xt[..., 0]
+                assert jacobian.min() > 0.0

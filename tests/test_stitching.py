@@ -14,7 +14,7 @@ from watertight.bezier import (
     degree_reduce_curve,
 )
 from watertight.intersect import GapReport, build_intersection_data, invert_points, measure_gap
-from watertight.pipeline import PipelineConfig, prepare_decompositions, run_pipeline
+from watertight.pipeline import MARCH_TOL, PipelineConfig, prepare_decompositions, run_pipeline
 from watertight.shapes import flat_patch, paraboloid_patch, plane_patch
 from watertight.stitching import (
     PatchSet,
@@ -31,8 +31,8 @@ def demo():
     # The canonical coarse demo: about eight intersection points.
     s1 = paraboloid_patch()
     s2 = plane_patch(0.0, 0.0, 0.04)
-    config = PipelineConfig(march_step=0.18, march_tol=1e-10)
-    data = build_intersection_data(s1, s2, config.march_step, config.march_tol)
+    config = PipelineConfig(march_step=0.18)
+    data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
     set_a, set_b = prepare_decompositions(data, s1, s2, config)
     return s1, s2, data, set_a, set_b
 

@@ -14,10 +14,11 @@ domain curve of 300 cubic segments (a dense march), a 441-point grid on a
 (3, 9) patch, one batch of the stitch deviation's point inversion (16
 stacked patches, 441 samples each), the march of a tilted arc at step
 0.01, the pre-stitch gap measurement and the lifting of a dense domain
-curve, the segmentation of the demo's side a at step 0.005 and its one
-batched arc solve, the stitch deviation of the demo, the degree reduction
-of one curve and stitching's batched reduction of the corner clip, and the
-final gap check of a stitched model.
+curve, the segmentation of the demo's side a at step 0.005, its one
+batched arc solve and its vectorized boundary fit, the stacked composition
+of 300 nets, the stitch deviation of the demo, the degree reduction of one
+curve and stitching's batched reduction of the corner clip, and the final
+gap check of a stitched model.
 """
 
 from dataclasses import replace
@@ -31,6 +32,7 @@ from watertight.bezier import (
     BoundaryPolynomial,
     PiecewiseBezierCurve,
     compose_reparameterize,
+    compose_reparameterize_many,
     degree_elevate_curve,
     degree_reduce_curve,
 )
@@ -45,6 +47,8 @@ from watertight.pipeline import (
 from watertight.segmentation import (
     _EDGE_HEIGHTS,
     TRAPEZOID,
+    _classify_candidates,
+    _fit_stack,
     _frame_arcs,
     build_patch_decomposition,
 )
@@ -157,6 +161,17 @@ def test_arc_solve_demo_decomposition(benchmark, fine_demo):
     assert edges.shape == (len(cells), _EDGE_HEIGHTS.shape[0])
 
 
+def test_fit_stack_demo_trapezoids(benchmark, fine_demo):
+    # Every trapezoid of side a at step 0.005, fitted from its candidates'
+    # sampled edges in one vectorized pass; each round refits the same cells.
+    cells = [c for c in fine_demo.model.set_a.decomposition.cells if c.kind == TRAPEZOID]
+    candidates = _classify_candidates(cells)
+    owners = [cell for cell, cases in zip(cells, candidates) for _ in cases]
+    edges = _frame_arcs(owners, [case for cases in candidates for case in cases], _EDGE_HEIGHTS)
+    misses = benchmark(_fit_stack, cells, candidates, edges, 2, 1e-4)
+    assert not misses
+
+
 def test_stitch_deviation_demo(benchmark, demo):
     s1, s2 = paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)
     set_a, set_b = prepare_decompositions(demo.data, s1, s2, PipelineConfig())
@@ -207,3 +222,11 @@ def test_compose_reparameterize_cubic_f(benchmark, m, n):
     f = BoundaryPolynomial(np.array([0.3, 0.4, -0.2, 0.1]))
     out = benchmark(compose_reparameterize, surface, f)
     assert (out.degree_u, out.degree_v) == (m, 3 * m + n)
+
+
+def test_compose_reparameterize_many_300_nets(benchmark):
+    # 300 biquadratic nets, the size of a tight-fit round's trapezoids.
+    nets = np.random.default_rng(6).uniform(-1.0, 1.0, (300, 3, 3, 3))
+    fs = [BoundaryPolynomial(np.array([0.3, 0.4, -0.2, 0.1])) for _ in range(300)]
+    out = benchmark(compose_reparameterize_many, nets, fs)
+    assert out.shape == (300, 3, 9, 3)

@@ -27,7 +27,11 @@ over x with the scalar recurrence's arithmetic, and `evaluate_grid_stacked`
 evaluates P stacked nets on one grid with `evaluate_grid`'s operations.
 `degree_reduce_many` reduces stacked polygons of one degree by products
 with matrices cached per (degree, target); `degree_reduce_curve` is its
-one-curve case.
+one-curve case.  `compose_reparameterize_many` composes P nets of one
+shape with P boundary polynomials of one degree along a leading stack
+axis, and `unit_ranges` finds the ranges of R stacked polynomials; their
+one-net and one-polynomial cases (`compose_reparameterize`,
+`BoundaryPolynomial.unit_range`) have the same bits.
 
 `evaluate_stacked` is the one surface kernel that agrees with the scalar
 `evaluate` to rounding only: it contracts the u and v Bernstein matrices
@@ -674,24 +678,87 @@ def bernstein_from_monomial(coeffs: np.ndarray) -> np.ndarray:
     """Bernstein coefficients of a polynomial given by monomial a_0..a_l.
 
     Same degree; works on scalar coefficient vectors or on (l+1, d)
-    point-valued ones.
+    point-valued ones, one column at a time: b_k = sum_j C(k,j)/C(l,j) a_j,
+    each sum correctly rounded by `math.fsum`.
     """
     a = np.asarray(coeffs, dtype=float)
     flat = a.reshape(a.shape[0], -1)
     l = a.shape[0] - 1
     out = np.zeros_like(flat)
     for k in range(l + 1):
-        for col in range(flat.shape[1]):
-            out[k, col] = math.fsum(
-                math.comb(k, j) / math.comb(l, j) * flat[j, col]
-                for j in range(k + 1)
-            )
+        weights = np.array([math.comb(k, j) / math.comb(l, j) for j in range(k + 1)])
+        out[k] = [math.fsum(terms) for terms in (weights[:, None] * flat[:k + 1]).T.tolist()]
     return out.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
 # Boundary polynomial and reparameterization
 # ---------------------------------------------------------------------------
+
+# Uniform samples of a boundary polynomial's range search.
+_RANGE_TS = np.linspace(0.0, 1.0, 257)
+
+
+def _trim_rows(coeffs: np.ndarray):
+    """Zero each row's trailing coefficients at most 1e-14 of its scale.
+
+    `coeffs` is (R, l+1), monomial and ascending; the scale of a row is
+    max(1, its largest magnitude), and coefficient 0 is never trimmed.
+    Returns the trimmed copy and each row's degree after trimming.
+    """
+    out = np.array(coeffs, dtype=float)
+    scale = np.maximum(1.0, np.abs(out).max(axis=1))
+    small = np.abs(out[:, 1:]) <= 1e-14 * scale[:, None]
+    trailing = np.logical_and.accumulate(small[:, ::-1], axis=1)[:, ::-1]
+    out[:, 1:][trailing] = 0.0
+    return out, out.shape[1] - 1 - trailing.sum(axis=1)
+
+
+def polyval_rows(coeffs: np.ndarray, x) -> np.ndarray:
+    """Row r of monomial coefficients at x (shared, or row r of a stack).
+
+    The Horner steps of `np.polynomial.polynomial.polyval`, elementwise, so
+    each value equals the one-polynomial call bit for bit; trailing zero
+    coefficients leave the value's bits unchanged.
+    """
+    out = coeffs[:, -1:] + x * 0
+    for i in range(2, coeffs.shape[1] + 1):
+        out = coeffs[:, -i, None] + out * x
+    return out
+
+
+def unit_ranges(coeffs: np.ndarray, degrees, values=None):
+    """(lo, hi) of R stacked polynomials over [0, 1].
+
+    `coeffs` is (R, l+1) from `_trim_rows`, whose degrees are `degrees`, and
+    `values`, if given, holds the rows at `_RANGE_TS`.  The range is taken
+    over those samples plus the real roots of f' in [0, 1]: a linear f' is
+    solved directly and a higher one by the eigenvalues of its companion
+    matrix, as `polyroots` finds them, so each row gets the bits of its
+    one-polynomial search.
+    """
+    if values is None:
+        values = polyval_rows(coeffs, _RANGE_TS)
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    for degree in np.unique(degrees[degrees >= 2]):
+        rows = np.flatnonzero(degrees == degree)
+        dc = coeffs[rows, 1:degree + 1] * np.arange(1, degree + 1)
+        if degree == 2:
+            roots = -dc[:, :1] / dc[:, 1:]
+        else:
+            size = degree - 1
+            companion = np.zeros((rows.shape[0], size, size))
+            companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+            companion[:, :, -1] -= dc[:, :-1] / dc[:, -1:]
+            roots = np.linalg.eigvals(companion)
+        real = np.real(roots)
+        inside = (np.abs(np.imag(roots)) < 1e-9) & (-1e-9 < real) & (real < 1.0 + 1e-9)
+        at = polyval_rows(coeffs[rows], np.clip(real, 0.0, 1.0))
+        at = np.where(inside, at, values[rows, :1])
+        lo[rows] = np.minimum(lo[rows], at.min(axis=1))
+        hi[rows] = np.maximum(hi[rows], at.max(axis=1))
+    return lo, hi
+
 
 @dataclass(eq=False)
 class BoundaryPolynomial:
@@ -708,10 +775,8 @@ class BoundaryPolynomial:
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
         if c.ndim != 1 or not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be a finite 1D sequence")
-        scale = max(1.0, float(np.abs(c).max()))
-        while c.shape[0] > 1 and abs(c[-1]) <= 1e-14 * scale:
-            c = c[:-1]
-        self.coefficients = c
+        trimmed, degree = _trim_rows(c[None])
+        self.coefficients = trimmed[0, :degree[0] + 1]
 
     @property
     def degree(self) -> int:
@@ -720,36 +785,31 @@ class BoundaryPolynomial:
     def __call__(self, t):
         return np.polynomial.polynomial.polyval(t, self.coefficients)
 
-    def derivative_coefficients(self) -> np.ndarray:
-        c = self.coefficients
-        if c.shape[0] == 1:
-            return np.zeros(1)
-        return c[1:] * np.arange(1, c.shape[0])
-
     def unit_range(self):
-        """(min, max) of f over [0,1] via samples plus derivative root isolation.
+        """(min, max) of f over [0,1]: the one-polynomial case of `unit_ranges`.
 
         Computed once per polynomial and kept.
         """
         if self._range is None:
-            ts = list(np.linspace(0.0, 1.0, 257))
-            dc = self.derivative_coefficients()
-            if dc.shape[0] > 1 or dc[0] != 0.0:
-                for root in np.polynomial.polynomial.polyroots(dc):
-                    if abs(root.imag) < 1e-9 and -1e-9 < root.real < 1.0 + 1e-9:
-                        ts.append(min(max(float(root.real), 0.0), 1.0))
-            values = self(np.array(ts))
-            self._range = (float(values.min()), float(values.max()))
+            lo, hi = unit_ranges(self.coefficients[None], np.array([self.degree]))
+            self._range = (float(lo[0]), float(hi[0]))
         return self._range
+
+    @classmethod
+    def with_range(cls, coefficients, lo: float, hi: float) -> BoundaryPolynomial:
+        """A polynomial whose range over [0,1] is already known, (lo, hi)."""
+        out = cls(coefficients)
+        out._range = (lo, hi)
+        return out
 
     def shifted_scaled(self, shift: float, scale: float) -> BoundaryPolynomial:
         """(f + shift) / scale, whose range is mapped from f's, not searched again."""
         lo, hi = self.unit_range()
         coeffs = self.coefficients.copy()
         coeffs[0] += shift
-        out = BoundaryPolynomial(coeffs / scale)
-        out._range = ((lo + shift) / scale, (hi + shift) / scale)
-        return out
+        return BoundaryPolynomial.with_range(
+            coeffs / scale, (lo + shift) / scale, (hi + shift) / scale
+        )
 
     def validate_unit_range(self):
         lo, hi = self.unit_range()
@@ -760,17 +820,19 @@ class BoundaryPolynomial:
 
 
 def _bernstein_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bernstein coefficients of the product of two Bernstein polynomials.
+    """Bernstein coefficients of P stacked products of Bernstein polynomials.
 
     B_i^k * B_j^l = C(k,i) C(l,j) / C(k+l,i+j) * B_{i+j}^{k+l}: scale by the
-    binomials, convolve, unscale.  `b` may be point-valued, (l+1, d).
+    binomials, convolve, unscale.  `a` is (P, k+1) and `b` is (P, l+1) or
+    point-valued, (P, l+1, d); elementwise along the stack axis.
     """
-    k, l = a.shape[0] - 1, b.shape[0] - 1
-    trail = (1,) * (b.ndim - 1)
+    k, l = a.shape[1] - 1, b.shape[1] - 1
+    trail = (1,) * (b.ndim - 2)
     scaled_b = b * _binomials(l).reshape((-1,) + trail)
-    out = np.zeros((k + l + 1,) + b.shape[1:])
-    for i, ai in enumerate(a * _binomials(k)):
-        out[i:i + l + 1] += ai * scaled_b
+    scaled_a = a * _binomials(k)
+    out = np.zeros(b.shape[:1] + (k + l + 1,) + b.shape[2:])
+    for i in range(k + 1):
+        out[:, i:i + l + 1] += scaled_a[:, i].reshape((-1, 1) + trail) * scaled_b
     return out / _binomials(k + l).reshape((-1,) + trail)
 
 
@@ -782,17 +844,21 @@ def _binomials(n: int) -> np.ndarray:
     return row
 
 
-def compose_reparameterize(surface: BezierSurface, f: BoundaryPolynomial) -> BezierSurface:
-    """Exact Bezier form of (s, t) -> surface(s * f(t), t).
+def compose_reparameterize_many(nets: np.ndarray, fs) -> np.ndarray:
+    """Exact Bezier forms of (s, t) -> S_k(s * f_k(t), t) for P stacked nets.
 
-    Output bidegree is (m, m*p + n) for input bidegree (m, n) and deg f = p.
-    With B_i^m(s*x) = sum_q B_q^m(s) B_i^q(x), row q of the composed net is
-    sum_{i<=q} B_i^q(f(t)) * R_i(t), where R_i is row i of the net as a curve
-    in t and B_i^q(f) = C(q,i) f^i (1-f)^(q-i).  Every product is formed in
-    Bernstein form; each row is then elevated to degree m*p + n.
+    `nets` is (P, m+1, n+1, 3), all of one shape, and `fs` holds P boundary
+    polynomials of one degree p; returns the (P, m+1, m*p+n+1, 3) composed
+    nets.  With B_i^m(s*x) = sum_q B_q^m(s) B_i^q(x), row q of a composed
+    net is sum_{i<=q} B_i^q(f(t)) * R_i(t), where R_i is row i of the net as
+    a curve in t and B_i^q(f) = C(q,i) f^i (1-f)^(q-i).  Every product is
+    formed in Bernstein form along the stack axis, and row q of all P nets
+    is elevated to degree m*p + n in one call.  The operations are
+    elementwise, so net k's bits do not depend on the rest of the stack.
     """
-    m, n = surface.degree_u, surface.degree_v
-    p = f.degree
+    nets = np.asarray(nets, dtype=float)
+    m, n = nets.shape[1] - 1, nets.shape[2] - 1
+    p = fs[0].degree
     if m > MAX_SURFACE_DEGREE or n > MAX_SURFACE_DEGREE:
         raise UnsupportedDegreeError(
             f"surface bidegree ({m}, {n}) exceeds cap {MAX_SURFACE_DEGREE}"
@@ -801,10 +867,14 @@ def compose_reparameterize(surface: BezierSurface, f: BoundaryPolynomial) -> Bez
         raise UnsupportedDegreeError(
             f"boundary degree {p} exceeds cap {MAX_BOUNDARY_DEGREE}"
         )
-    f.validate_unit_range()
+    if any(f.degree != p for f in fs):
+        raise ValueError("stacked boundary polynomials must share one degree")
+    for f in fs:
+        f.validate_unit_range()
 
-    f_bern = bernstein_from_monomial(f.coefficients)
-    f_pow, g_pow = [np.ones(1)], [np.ones(1)]
+    f_bern = bernstein_from_monomial(np.stack([f.coefficients for f in fs], axis=1)).T
+    ones = np.ones((nets.shape[0], 1))
+    f_pow, g_pow = [ones], [ones]
     for _ in range(m):
         f_pow.append(_bernstein_product(f_pow[-1], f_bern))
         g_pow.append(_bernstein_product(g_pow[-1], 1.0 - f_bern))
@@ -814,9 +884,18 @@ def compose_reparameterize(surface: BezierSurface, f: BoundaryPolynomial) -> Bez
         row = sum(
             _bernstein_product(
                 math.comb(q, i) * _bernstein_product(f_pow[i], g_pow[q - i]),
-                surface.control_net[i],
+                nets[:, i],
             )
             for i in range(q + 1)
         )
-        rows.append(_elevate_axis0(row, m * p + n))
-    return BezierSurface(np.stack(rows))
+        rows.append(_elevate_axis0(row.transpose(1, 0, 2), m * p + n))
+    return np.ascontiguousarray(np.stack(rows).transpose(2, 0, 1, 3))
+
+
+def compose_reparameterize(surface: BezierSurface, f: BoundaryPolynomial) -> BezierSurface:
+    """Exact Bezier form of (s, t) -> surface(s * f(t), t).
+
+    Output bidegree is (m, m*p + n) for input bidegree (m, n) and deg f = p.
+    The one-net case of `compose_reparameterize_many`, with its bits.
+    """
+    return BezierSurface(compose_reparameterize_many(surface.control_net[None], [f])[0])

@@ -1,23 +1,27 @@
 """Versioned text model format.
 
 JSON with a strict schema: unknown fields are rejected with the offending
-path, dimensions are cross-checked against declared degrees, and numbers
-round-trip bitwise (shortest round-trippable decimals via repr).  Writes
-are atomic (temp file plus rename).
+path, dimensions are cross-checked against declared degrees, the values of
+cell and boundary records are checked (cell kind, bounds inside the unit
+square, orientation, edge name, patch index), and numbers round-trip
+bitwise (shortest round-trippable decimals via repr).  Writes are atomic
+(temp file plus rename).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezier import BezierCurve, BezierSurface, PiecewiseBezierCurve
+from .bezier import BezierCurve, BezierSurface, Edge, PiecewiseBezierCurve
 from .errors import ParseError
 from .intersect import IntersectionData, IntersectionPoint
+from .segmentation import RECTANGLE, TRAPEZOID
 
 FORMAT_VERSION = "2"
 
@@ -229,16 +233,43 @@ def _decode_intersection(obj: dict, path: str) -> IntersectionData:
     )
 
 
+def _validate_cell(rec: dict, path: str) -> None:
+    keys = {"kind", "bounds", "w_span", "s_axis", "s_reversed", "boundary_fn", "fit_residual"}
+    _check_keys(rec, keys, {"kind", "bounds"}, path)
+    if rec["kind"] not in (RECTANGLE, TRAPEZOID):
+        raise ParseError(f"cell kind {rec['kind']!r} is not one of {RECTANGLE!r}, {TRAPEZOID!r}",
+                         f"{path}.kind")
+    bounds = rec["bounds"]
+    if not (isinstance(bounds, list) and len(bounds) == 4
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in bounds)):
+        raise ParseError("bounds must be 4 finite numbers", f"{path}.bounds")
+    u0, u1, v0, v1 = bounds
+    if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
+        raise ParseError(f"bounds {bounds} do not span a box in [0, 1]^2", f"{path}.bounds")
+    if "s_axis" in rec and rec["s_axis"] not in ("u", "v"):
+        raise ParseError(f"s_axis {rec['s_axis']!r} is not 'u' or 'v'", f"{path}.s_axis")
+    if "s_reversed" in rec and not isinstance(rec["s_reversed"], bool):
+        raise ParseError("s_reversed must be true or false", f"{path}.s_reversed")
+
+
 def _validate_patch_set(obj: dict, path: str) -> dict:
     _check_keys(obj, {"patches", "cells", "boundary"}, {"patches", "cells"}, path)
     for k, rec in enumerate(obj["patches"]):
         _decode_surface(rec, f"{path}.patches[{k}]")
-    cell_keys = {"kind", "bounds", "w_span", "s_axis", "s_reversed",
-                 "boundary_fn", "fit_residual"}
     for k, rec in enumerate(obj.get("cells", [])):
-        _check_keys(rec, cell_keys, {"kind", "bounds"}, f"{path}.cells[{k}]")
+        _validate_cell(rec, f"{path}.cells[{k}]")
+    edges = [edge.value for edge in Edge]
     for k, rec in enumerate(obj.get("boundary", [])):
-        _check_keys(rec, {"patch", "edge"}, {"patch", "edge"}, f"{path}.boundary[{k}]")
+        rpath = f"{path}.boundary[{k}]"
+        _check_keys(rec, {"patch", "edge"}, {"patch", "edge"}, rpath)
+        patch = rec["patch"]
+        if not (isinstance(patch, int) and not isinstance(patch, bool)
+                and 0 <= patch < len(obj["patches"])):
+            raise ParseError(f"patch index {patch!r} is not one of the "
+                             f"{len(obj['patches'])} patches", f"{rpath}.patch")
+        if rec["edge"] not in edges:
+            raise ParseError(f"edge {rec['edge']!r} is not one of {edges}", f"{rpath}.edge")
     return obj
 
 

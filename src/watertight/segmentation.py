@@ -35,15 +35,22 @@ Conventions used throughout:
   classification end points, the retained sample, the edge f of each
   candidate frame, cell membership -- solves on that polygon and never
   evaluates the trim curve again.
-* Batched passes: arc queries are answered by one stacked Newton solver,
-  `_solve_arcs`, over many arcs at once; each sample stops on its own, so
-  its bits do not depend on its batch.  A decomposition makes one solve
-  for the retained samples of each monotone segment, one for the
-  classification probes of all trapezoids, and one for the edge of every
-  (cell, candidate frame) at the fit and check heights; the
-  tightened cells get a second pass.  Each fit is then a product with the
-  basis's pseudo-inverse, cached per degree, and the sampled heights are
-  dropped once the cells are fitted.
+* Batched passes: after `decompose_trim`, every step runs over all cells
+  of a decomposition at once.  Arc queries are answered by one stacked
+  Newton solver, `_solve_arcs`; a decomposition makes one solve for the
+  retained samples of each monotone segment, one for the classification
+  probes of all trapezoids, and one for the edge of every (cell,
+  candidate frame) at the fit and check heights.  The fit is one
+  vectorized pass per degree over every open (cell, candidate) row:
+  coefficients from a product with the basis's pseudo-inverse, cached per
+  degree, residuals and ranges from stacked Horner evaluation and
+  companion-matrix roots; the sampled heights are dropped once the cells
+  are fitted.  The cells that miss are tightened through one
+  `_trapezoids` call, one solve for all their retained samples, and get a
+  second fit pass.  Normalization composes the trapezoids of each
+  (relabeled net shape, deg f) in one `compose_reparameterize_many` call.
+  Each step is elementwise or row by row, so a cell's bits do not depend
+  on the rest of its batch: they equal its one-cell call's.
 * Cell membership is half-open (lower/left edges inclusive, upper/right
   exclusive except at the domain boundary), so tiling is assertable.
 """
@@ -64,9 +71,12 @@ from .bezier import (
     Edge,
     PiecewiseBezierCurve,
     _dot,
+    _trim_rows,
     all_bernstein,
-    compose_reparameterize,
+    compose_reparameterize_many,
     extract_subpatch,
+    polyval_rows,
+    unit_ranges,
 )
 from .errors import AmbiguousCaseError, DegenerateCellError, FitError
 
@@ -577,165 +587,243 @@ def _fit_pinv(degree: int) -> np.ndarray:
     return pinv
 
 
-def fit_boundary_polynomial(fit_values, check_values, degree: int, tol: float):
-    """Least-squares polynomial fit of a single-valued edge, endpoints exact.
+def _fit_rows(fit_values, check_values, degree: int):
+    """Endpoint-exact least-squares fits of R stacked edges at one degree.
 
-    `fit_values` and `check_values` are the edge's cross coordinate at
-    `_FIT_TS` and `_CHECK_TS`.  The fit is one product with the basis's
-    pseudo-inverse, cached per degree; the residual is the largest miss at
-    `_CHECK_TS`.  Returns (BoundaryPolynomial, max_residual); raises
-    FitError when the residual exceeds tol.
+    `fit_values` (R, 64) and `check_values` (R, 257) hold each edge's cross
+    coordinate at `_FIT_TS` and `_CHECK_TS`.  Each fit is a product with the
+    basis's pseudo-inverse, cached per degree, taken row by row so that its
+    bits do not depend on the stack.  Returns the monomial coefficients
+    (R, degree+1) trimmed as `BoundaryPolynomial` trims them, their
+    degrees, their values at `_CHECK_TS` and each row's residual, the
+    largest miss there.
     """
     if degree < 1:
         raise ValueError("fit degree must be at least 1")
-    y0, y1 = fit_values[0], fit_values[-1]
-    coeffs = np.zeros(degree + 1)
-    coeffs[0] = y0
-    coeffs[1] = y1 - y0
+    y0, y1 = fit_values[:, :1], fit_values[:, -1:]
+    coeffs = np.zeros((fit_values.shape[0], degree + 1))
+    coeffs[:, :1] = y0
+    coeffs[:, 1:2] = y1 - y0
     if degree >= 2:
-        sol = _fit_pinv(degree) @ (fit_values - (y0 + (y1 - y0) * _FIT_TS))
-        coeffs[1:degree] += sol
-        coeffs[2:] -= sol
-    poly = BoundaryPolynomial(coeffs)
-    residual = float(np.abs(poly(_CHECK_TS) - check_values).max())
+        linear = fit_values - (y0 + (y1 - y0) * _FIT_TS)
+        sol = (_fit_pinv(degree) @ linear[..., None])[..., 0]
+        coeffs[:, 1:degree] += sol
+        coeffs[:, 2:] -= sol
+    coeffs, degrees = _trim_rows(coeffs)
+    values = polyval_rows(coeffs, _CHECK_TS)
+    return coeffs, degrees, values, np.abs(values - check_values).max(axis=1)
+
+
+def fit_boundary_polynomial(fit_values, check_values, degree: int, tol: float):
+    """Least-squares polynomial fit of a single-valued edge, endpoints exact.
+
+    The one-edge case of `_fit_rows`.  Returns (BoundaryPolynomial,
+    max_residual); raises FitError when the residual exceeds tol.
+    """
+    coeffs, _, _, residual = _fit_rows(
+        np.asarray(fit_values, dtype=float)[None],
+        np.asarray(check_values, dtype=float)[None],
+        degree,
+    )
+    residual = float(residual[0])
     if residual > tol:
         raise FitError(
             f"degree-{degree} fit misses tolerance {tol:.3e}; "
             "raise the degree or re-split the cell",
             residual,
         )
-    return poly, residual
+    return BoundaryPolynomial(coeffs[0]), residual
+
+
+def _absorbed_bounds(bounds, cases, lo, hi):
+    """Extraction boxes stretched so that each fitted polynomial maps into [0,1].
+
+    A least-squares fit may leave [0,1] by about its residual (overshoot past
+    the through-vertex, undershoot past a collapsed end).  Extending the box
+    along s by d0 = max(0, -lo) below and d1 = max(0, hi - 1) above, in
+    units of its size, and remapping f to (f + d0) / (d0 + max(1, hi))
+    absorbs both without changing the composed geometry: u = s*f(t) lands
+    on the same domain points either way.  `bounds` is (R, 4) and `lo`,
+    `hi` are (R,); returns the boxes, whether each stays in the domain, d0
+    and d1.
+    """
+    k = 2 * np.array([case.s_axis for case in cases], dtype=int)
+    flip = np.array([case.s_reversed for case in cases], dtype=bool)
+    d0, d1 = np.maximum(0.0, -lo), np.maximum(0.0, hi - 1.0)
+    rows = np.arange(k.shape[0])
+    boxes = np.array(bounds, dtype=float)
+    size = boxes[rows, k + 1] - boxes[rows, k]
+    boxes[rows, k] -= np.where(flip, d1, d0) * size
+    boxes[rows, k + 1] += np.where(flip, d0, d1) * size
+    u0, u1, v0, v1 = boxes.T
+    inside = (0.0 <= u0) & (u0 < u1) & (u1 <= 1.0) & (0.0 <= v0) & (v0 < v1) & (v1 <= 1.0)
+    return boxes, inside, d0, d1
+
+
+def _fit_stack(cells, candidates, edges, fit_degree: int, fit_tol: float) -> dict:
+    """Fit classified trapezoids from their candidates' sampled edges, at once.
+
+    `candidates` holds each cell's candidate orientations, and `edges` one
+    row per (cell, candidate), in that order: the edge x at `_FIT_TS` then
+    `_CHECK_TS`.  Each degree from `fit_degree` up to the cap fits the rows
+    of every cell still open in one `_fit_rows` and ranges the rows within
+    tolerance in one `unit_ranges`.  A cell takes its first row in (degree,
+    candidate) order that meets the tolerance and whose range excursion its
+    box can absorb (degenerate cells admit two orientations, and near curve
+    extrema only one of them has bounded slope); that fills case,
+    boundary_fn, fit_residual and patch_bounds in place.  Returns a
+    _NeedsSplit for each cell with no such row, keyed by cell, carrying the
+    arc's parametric midpoint and the smallest miss: a residual past the
+    tolerance, else an excursion past the domain.
+    """
+    if not all(candidates):
+        raise AmbiguousCaseError("cell admits no orientation of the form {x <= f(y)}")
+    owner = np.repeat(np.arange(len(cells)), [len(cases) for cases in candidates])
+    cases = [case for cell_cases in candidates for case in cell_cases]
+    bounds = np.array([cells[i].bounds for i in owner], dtype=float)
+    closest = np.full(len(cells), np.inf)
+    open_ = np.ones(len(cells), dtype=bool)
+    for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
+        rows = np.flatnonzero(open_[owner])
+        if rows.shape[0] == 0:
+            break
+        coeffs, degrees, values, residual = _fit_rows(
+            edges[rows, :_FIT_SAMPLES], edges[rows, _FIT_SAMPLES:], degree
+        )
+        within = ~(residual > fit_tol)
+        lo, hi = np.full(rows.shape, np.nan), np.full(rows.shape, np.nan)
+        lo[within], hi[within] = unit_ranges(coeffs[within], degrees[within], values[within])
+        boxes, inside, d0, d1 = _absorbed_bounds(bounds[rows], [cases[r] for r in rows], lo, hi)
+        passing = within & inside
+        miss = np.where(within, np.maximum(d0, d1), residual)
+        np.minimum.at(closest, owner[rows[~passing]], miss[~passing])
+        hits = np.flatnonzero(passing)
+        fitted, first = np.unique(owner[rows[hits]], return_index=True)
+        for i, k in zip(fitted.tolist(), hits[first].tolist()):
+            cell = cells[i]
+            poly = BoundaryPolynomial.with_range(coeffs[k], float(lo[k]), float(hi[k]))
+            cell.case = cases[rows[k]]
+            cell.fit_residual = float(residual[k])
+            if d0[k] == 0.0 and d1[k] == 0.0:
+                cell.patch_bounds = cell.bounds
+            else:
+                cell.patch_bounds = tuple(boxes[k].tolist())
+                poly = poly.shifted_scaled(float(d0[k]), float(d0[k]) + max(1.0, float(hi[k])))
+            cell.boundary_fn = poly
+        open_[fitted] = False
+    misses = {}
+    for i in np.flatnonzero(open_).tolist():
+        w0, w1 = cells[i].w_span
+        misses[cells[i]] = _NeedsSplit([0.5 * (w0 + w1)], float(closest[i]), (w0, w1))
+    return misses
 
 
 def fit_cell(cell: DomainCell, candidates, edges, fit_degree: int,
              fit_tol: float) -> DomainCell:
-    """Fit a classified trapezoid's boundary polynomial, widen for overshoot.
+    """Fit one classified trapezoid's boundary polynomial, widened for overshoot.
 
-    `candidates` are the cell's candidate orientations and `edges` holds
-    each one's edge x at `_FIT_TS` then `_CHECK_TS`.  Tries every
-    candidate at each degree up to the cap (degenerate cells admit two
-    orientations, and near curve extrema only one of them has bounded
-    slope).  When no combination meets the tolerance, raises _NeedsSplit
-    carrying the arc's parametric midpoint and the smallest miss.  Fills
-    case, boundary_fn, fit_residual, and patch_bounds in place.
+    The one-cell case of `_fit_stack`: `edges` holds each candidate's edge x
+    at `_FIT_TS` then `_CHECK_TS`.  Raises _NeedsSplit when no (degree,
+    candidate) meets the tolerance.
     """
-    if not candidates:
-        raise AmbiguousCaseError("cell admits no orientation of the form {x <= f(y)}")
-    closest = np.inf
-    for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
-        for case, edge in zip(candidates, edges):
-            try:
-                poly, residual = fit_boundary_polynomial(
-                    edge[:_FIT_SAMPLES], edge[_FIT_SAMPLES:], degree, fit_tol
-                )
-                patch_bounds, poly = _absorb_unit_range(cell, case, poly)
-            except FitError as err:
-                closest = min(closest, err.residual)
-                continue
-            cell.case = case
-            cell.boundary_fn = poly
-            cell.fit_residual = float(residual)
-            cell.patch_bounds = patch_bounds
-            return cell
-    w0, w1 = cell.w_span
-    raise _NeedsSplit([0.5 * (w0 + w1)], closest, cell.w_span)
+    misses = _fit_stack([cell], [candidates], np.asarray(edges, dtype=float), fit_degree, fit_tol)
+    if misses:
+        raise misses[cell]
+    return cell
 
 
 def _fit_cells(cells, fit_degree: int, fit_tol: float) -> dict:
     """Classify and fit trapezoids, solving each (cell, candidate) edge once.
 
-    One batched solve samples every candidate's edge at the fit
-    and check heights; `fit_cell` then fits from those samples.  Returns the
-    _NeedsSplit of each cell that misses, keyed by cell.
+    One batched solve samples every candidate's edge at the fit and check
+    heights, and `_fit_stack` fits them all; the samples are dropped once
+    the cells are fitted.  Returns the _NeedsSplit of each cell that misses,
+    keyed by cell.
     """
+    if not cells:
+        return {}
     candidates = _classify_candidates(cells)
     owners = [cell for cell, cases in zip(cells, candidates) for _ in cases]
     edges = _frame_arcs(owners, [case for cases in candidates for case in cases], _EDGE_HEIGHTS)
-    misses = {}
-    start = 0
-    for cell, cases in zip(cells, candidates):
-        try:
-            fit_cell(cell, cases, edges[start:start + len(cases)], fit_degree, fit_tol)
-        except _NeedsSplit as err:
-            # Without its traceback the error holds no frames, and no arrays.
-            misses[cell] = err.with_traceback(None)
-        start += len(cases)
-    return misses
+    return _fit_stack(cells, candidates, edges, fit_degree, fit_tol)
+
+
+def _tighten_cells(cells) -> list:
+    """Shrink trapezoids to their arcs' bounding boxes, each plus a filler rectangle.
+
+    Used when a full-extent cell cannot be fitted: near a curve extremum
+    the band-axis orientation has unbounded slope, while the tight box also
+    admits the cross orientation.  A tight cell plus its filler (None when
+    empty) covers exactly the same region as the original cell.  The cells
+    share one trim curve and graph axis, as the trapezoids of one
+    decomposition do, so one `_trapezoids` call, one arc solve, finds all
+    their retained samples.  Returns (tight, filler) per cell.
+    """
+    if not cells:
+        return []
+    curve, axis = cells[0].parent_curve, cells[0].axis
+    if any(cell.parent_curve is not curve or cell.axis is not axis for cell in cells):
+        raise ValueError("tightened cells must share one trim curve and graph axis")
+    xi, yi = _graph_indices(axis)
+    specs, fillers = [], []
+    for cell in cells:
+        w0, w1 = cell.w_span
+        ends = curve.segments[curve.segment_index_of(w0, w1)].control_points[[0, -1]]
+        x_lo, x_hi = sorted(float(p[xi]) for p in ends)
+        y_lo, y_hi = sorted(float(p[yi]) for p in ends)
+        specs.append((cell.w_span, cell.toward_far_edge, (x_lo, x_hi), (y_lo, y_hi)))
+        filler_extent = (x_hi, 1.0) if cell.toward_far_edge else (0.0, x_lo)
+        filler = None
+        if filler_extent[1] - filler_extent[0] > 1e-12:
+            filler = _rectangle_cell(_cell_bounds_from_graph(axis, filler_extent, (y_lo, y_hi)))
+        fillers.append(filler)
+    return list(zip(_trapezoids(curve, axis, specs), fillers))
 
 
 def tighten_cell(cell: DomainCell):
-    """Shrink a trapezoid to the arc's bounding box, plus a filler rectangle.
-
-    Used when the full-extent cell cannot be fitted: near a curve extremum
-    the band-axis orientation has unbounded slope, while the tight box also
-    admits the cross orientation.  The tight cell plus filler covers exactly
-    the same region as the original cell.
-    """
-    xi, yi = _graph_indices(cell.axis)
-    curve = cell.parent_curve
-    w0, w1 = cell.w_span
-    ends = curve.segments[curve.segment_index_of(w0, w1)].control_points[[0, -1]]
-    x_lo, x_hi = sorted(float(p[xi]) for p in ends)
-    y_lo, y_hi = sorted(float(p[yi]) for p in ends)
-    (tight,) = _trapezoids(
-        curve, cell.axis, [(cell.w_span, cell.toward_far_edge, (x_lo, x_hi), (y_lo, y_hi))]
-    )
-    filler_extent = (x_hi, 1.0) if cell.toward_far_edge else (0.0, x_lo)
-    filler = None
-    if filler_extent[1] - filler_extent[0] > 1e-12:
-        filler = _rectangle_cell(
-            _cell_bounds_from_graph(cell.axis, filler_extent, (y_lo, y_hi))
-        )
-    return tight, filler
-
-
-def _absorb_unit_range(cell: DomainCell, case: TrapezoidCase, poly: BoundaryPolynomial):
-    """Stretch the extraction box so the fitted polynomial maps into [0,1].
-
-    A least-squares fit may leave [0,1] by about its residual (overshoot past
-    the through-vertex, undershoot past a collapsed end).  Extending the box
-    along s and remapping f affinely absorbs both without changing the
-    composed geometry: u = s*f(t) lands on the same domain points either way.
-    """
-    lo, hi = poly.unit_range()
-    d0 = max(0.0, -lo)
-    d1 = max(0.0, hi - 1.0)
-    if d0 == 0.0 and d1 == 0.0:
-        return cell.bounds, poly
-    bounds = list(cell.bounds)
-    k = 2 * case.s_axis
-    size = bounds[k + 1] - bounds[k]
-    low, high = (d1, d0) if case.s_reversed else (d0, d1)
-    bounds[k] -= low * size
-    bounds[k + 1] += high * size
-    u0, u1, v0, v1 = bounds
-    if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
-        raise FitError(
-            "fit range excursion cannot be absorbed at the domain boundary",
-            max(d0, d1),
-        )
-    return tuple(bounds), poly.shifted_scaled(d0, d0 + max(1.0, hi))
+    """(tight, filler) of one trapezoid: the one-cell case of `_tighten_cells`."""
+    return _tighten_cells([cell])[0]
 
 
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
 
-def _normalize_trapezoid(surface: BezierSurface, cell: DomainCell):
-    """(patch, curved edge) of a fitted trapezoid: S(s*f(t), t) in its frame.
+def _normalize_trapezoids(surface: BezierSurface, cells) -> list:
+    """(patch, curved edge) of each fitted trapezoid: S(s*f(t), t) in its frame.
 
-    The composed net is transposed back when the relabeling is a reflection,
-    so the patch keeps the surface's orientation; its curved edge is then
-    V1, else U1, and its parameter runs with w either way.
+    Each cell's subpatch is relabeled into its (s, t) frame (index-only),
+    and the cells of one relabeled net shape and one deg f are composed in
+    one `compose_reparameterize_many` call.  A composed net is transposed
+    back when its relabeling is a reflection, so the patch keeps the
+    surface's orientation; its curved edge is then V1, else U1, and its
+    parameter runs with w either way.
     """
-    if cell.case is None or cell.boundary_fn is None:
-        raise ValueError("trapezoid cell must be classified and fitted first")
-    sub = extract_subpatch(surface, *cell.patch_bounds)
-    net = _relabel(cell, cell.case, net=sub.control_net).copy()
-    net = compose_reparameterize(BezierSurface(net), cell.boundary_fn).control_net
-    if _reflects(cell, cell.case):
-        return BezierSurface(net.transpose(1, 0, 2).copy()), Edge.V1
-    return BezierSurface(net), Edge.U1
+    groups = {}
+    for k, cell in enumerate(cells):
+        if cell.case is None or cell.boundary_fn is None:
+            raise ValueError("trapezoid cell must be classified and fitted first")
+        sub = extract_subpatch(surface, *cell.patch_bounds)
+        net = _relabel(cell, cell.case, net=sub.control_net)
+        groups.setdefault((net.shape, cell.boundary_fn.degree), []).append((k, net))
+    out = [None] * len(cells)
+    for members in groups.values():
+        index = [k for k, _ in members]
+        nets = compose_reparameterize_many(
+            np.stack([net for _, net in members]), [cells[k].boundary_fn for k in index]
+        )
+        for k, net in zip(index, nets):
+            if _reflects(cells[k], cells[k].case):
+                out[k] = (BezierSurface(net.transpose(1, 0, 2).copy()), Edge.V1)
+            else:
+                out[k] = (BezierSurface(net), Edge.U1)
+    return out
+
+
+def _normalize_trapezoid(surface: BezierSurface, cell: DomainCell):
+    """(patch, curved edge) of one fitted trapezoid: the one-cell case of
+    `_normalize_trapezoids`."""
+    return _normalize_trapezoids(surface, [cell])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -835,14 +923,16 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
                               fit_tol: float = 1e-4) -> PatchDecomposition:
     """Decompose, classify, fit, and normalize one trimmed surface.
 
-    Trapezoids are classified and fitted in one batched pass; each one that
-    misses is tightened, and the tightened cells get a second pass.  Raises
-    the internal _NeedsSplit (caught by the pipeline) when some tightened
-    cell cannot meet the fit tolerance at the degree cap.
+    Trapezoids are classified and fitted in one batched pass; the ones that
+    miss are tightened together, and the tightened cells get a second pass.
+    The fitted trapezoids are then composed in one stacked call per (net
+    shape, deg f).  Raises the internal _NeedsSplit (caught by the
+    pipeline) when some tightened cell cannot meet the fit tolerance at the
+    degree cap.
     """
     segments, cells = decompose_trim(curve, keep_fn)
     missed = _fit_cells([c for c in cells if c.kind == TRAPEZOID], fit_degree, fit_tol)
-    tightened = {cell: tighten_cell(cell) for cell in missed}
+    tightened = dict(zip(missed, _tighten_cells(list(missed))))
     still_missed = _fit_cells([tight for tight, _ in tightened.values()], fit_degree, fit_tol)
     if still_missed:
         worst = max(still_missed.values(), key=lambda err: err.residual)
@@ -857,21 +947,15 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
             fitted.append(filler)
     cells = fitted
 
-    patches = []
-    curved_edges = []
-    for cell in cells:
-        if cell.kind == RECTANGLE:
-            patches.append(extract_subpatch(surface, *cell.bounds))
-            curved_edges.append(None)
-        else:
-            patch, edge = _normalize_trapezoid(surface, cell)
-            patches.append(patch)
-            curved_edges.append(edge)
+    traps = [i for i, c in enumerate(cells) if c.kind == TRAPEZOID]
+    patches = [extract_subpatch(surface, *c.bounds) if c.kind == RECTANGLE else None
+               for c in cells]
+    curved_edges = [None] * len(cells)
+    normalized = _normalize_trapezoids(surface, [cells[i] for i in traps])
+    for i, (patch, edge) in zip(traps, normalized):
+        patches[i], curved_edges[i] = patch, edge
 
-    boundary = sorted(
-        (i for i, c in enumerate(cells) if c.kind == TRAPEZOID),
-        key=lambda i: cells[i].w_span[0],
-    )
+    boundary = sorted(traps, key=lambda i: cells[i].w_span[0])
     parent = segments[0].curve
     return PatchDecomposition(
         cells=cells,

@@ -17,9 +17,10 @@ of every reducible pair (both patches and the shared segment) of one
 257-sample check are products with matrices cached per degree pair, cut at
 a fixed number of rows to bound their memory; a pair is rewritten only when
 all of its rows pass.  The deviation evaluates batches of equal-shape nets
-in one stacked de Casteljau pass, and `verify_watertight` evaluates the
-edges of one degree in one batched call, with the same bits as one call
-per edge.
+in one stacked de Casteljau pass, then inverts the pairs in descending
+order of their same-parameter bound until no bound can raise the maximum,
+and `verify_watertight` evaluates the edges of one degree in one batched
+call, with the same bits as one call per edge.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
     )
 
 
-# Patches per inversion batch in `_stitch_deviation`: 8 patches of 441
-# samples keep a batch's arrays to a few MB.
+# Patches per grid evaluation and per inversion batch in `_stitch_deviation`:
+# 8 patches of 441 samples keep a batch's arrays to a few MB.
 _DEVIATION_BATCH = 8
 
 
@@ -202,10 +203,15 @@ def _stitch_deviation(pairs, grid: int = 20) -> float:
     same-parameter distance upper-bounds each sample's set distance and caps
     it, so a sample whose bound does not exceed the running maximum cannot
     raise it and is not inverted; `invert_points` treats each sample on its
-    own, so the result keeps its bits.  Pairs go in fixed batches of pairs
-    whose before nets and after nets each share a shape: one stacked grid
-    evaluation per side, one inversion onto the before nets, which bounds
-    the memory a batch takes.
+    own, so the result keeps its bits whatever the order.
+
+    Pairs are grouped by the shapes of their before and after nets.  A
+    first pass evaluates both sides of every pair in fixed batches, one
+    stacked grid evaluation each, and keeps only the after points and the
+    bounds.  The pairs are then inverted in descending order of their
+    largest bound, in batches of one group, each onto its before nets,
+    until the next pair's largest bound does not exceed the running
+    maximum.
     """
     ts = np.linspace(0.0, 1.0, grid + 1)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
@@ -214,27 +220,39 @@ def _stitch_deviation(pairs, grid: int = 20) -> float:
     for before, after in pairs:
         key = (before.control_net.shape, after.control_net.shape)
         groups.setdefault(key, []).append((before.control_net, after.control_net))
-    deviation = 0.0
+    stacks = []
     for members in groups.values():
-        for k in range(0, len(members), _DEVIATION_BATCH):
-            before, after = (np.stack(side) for side in zip(*members[k:k + _DEVIATION_BATCH]))
-            pa = evaluate_grid_stacked(before, ts, ts).reshape(before.shape[0], -1, 3)
-            pb = evaluate_grid_stacked(after, ts, ts).reshape(after.shape[0], -1, 3)
-            bound = np.linalg.norm(pa - pb, axis=2)
-            raises = bound > deviation
-            counts = raises.sum(axis=1)
-            live = np.flatnonzero(counts)
-            if live.shape[0] == 0:
-                continue
-            # Each live pair's samples that can raise the maximum, padded
-            # to one width with repeats of its first one.
-            order = np.argsort(~raises[live], axis=1, kind="stable")
-            width = int(counts.max())
-            pick = np.where(np.arange(width) < counts[live, None], order[:, :width], order[:, :1])
-            points = np.take_along_axis(pb[live], pick[..., None], axis=1)
-            _, dist, _ = invert_points(before[live], points, seeds[pick])
-            cap = np.take_along_axis(bound[live], pick, axis=1)
-            deviation = max(deviation, float(np.minimum(dist, cap).max()))
+        before, after = (np.stack(side) for side in zip(*members))
+        pb = np.empty((before.shape[0], seeds.shape[0], 3))
+        bound = np.empty(pb.shape[:2])
+        for k in range(0, before.shape[0], _DEVIATION_BATCH):
+            batch = slice(k, k + _DEVIATION_BATCH)
+            pa = evaluate_grid_stacked(before[batch], ts, ts).reshape(-1, seeds.shape[0], 3)
+            pb[batch] = evaluate_grid_stacked(after[batch], ts, ts).reshape(pa.shape)
+            bound[batch] = np.linalg.norm(pa - pb[batch], axis=2)
+        top = bound.max(axis=1)
+        stacks.append((before, pb, bound, top, list(np.argsort(-top, kind="stable"))))
+    deviation = 0.0
+    while stacks:
+        # The group whose next pair has the largest bound goes next.
+        before, pb, bound, top, queue = max(stacks, key=lambda stack: stack[3][stack[4][0]])
+        if top[queue[0]] <= deviation:
+            break
+        take = np.array(queue[:_DEVIATION_BATCH])
+        del queue[:_DEVIATION_BATCH]
+        stacks = [stack for stack in stacks if stack[4]]
+        take = take[top[take] > deviation]
+        raises = bound[take] > deviation
+        counts = raises.sum(axis=1)
+        # Each pair's samples that can raise the maximum, padded to one
+        # width with repeats of its first one.
+        order = np.argsort(~raises, axis=1, kind="stable")
+        width = int(counts.max())
+        pick = np.where(np.arange(width) < counts[:, None], order[:, :width], order[:, :1])
+        points = np.take_along_axis(pb[take], pick[..., None], axis=1)
+        _, dist, _ = invert_points(before[take], points, seeds[pick])
+        cap = np.take_along_axis(bound[take], pick, axis=1)
+        deviation = max(deviation, float(np.minimum(dist, cap).max()))
     return deviation
 
 

@@ -1,10 +1,12 @@
-"""The benchmark's output checks pass on one case of each workload.
+"""The benchmark's output checks pass on every case of each workload.
 
 `perfbench/checks.py` checks every benchmark output against the analytic
 circle and surfaces; `perfbench/run.py` refuses a run whose outputs fail
 them.  This test loads `workloads.py` and `checks.py` from their files, runs
-one case of each workload at seed 0 through `run_pipeline` and a `model_io`
-save and load, and asserts that no check fails.  It only reads `perfbench/`.
+every case of each workload at seed 0 through `run_pipeline` and a
+`model_io` save and load, and asserts that no check fails, that the patch
+and control-point counts are the pinned ones and that the post-stitch gap is
+exactly zero.  It only reads `perfbench/`.
 """
 
 import importlib.util
@@ -32,11 +34,18 @@ workloads = load("workloads")
 checks = load("checks")
 
 
-@pytest.mark.parametrize("workload, name", [
-    ("dense-march", "level-circle"),
-    ("tight-fit", "mirror"),
-    ("clip-reduce", "corner-clip"),
-])
+# Patches per side and control points of both sides, at seed 0.
+COUNTS = {
+    ("dense-march", "level-circle"): (138, 4704),
+    ("dense-march", "tilted-arc"): (233, 8065),
+    ("tight-fit", "level-circle"): (94, 3456),
+    ("tight-fit", "mirror"): (99, 4230),
+    ("clip-reduce", "corner-clip"): (90, 1765),
+    ("clip-reduce", "off-centre-arc"): (69, 1345),
+}
+
+
+@pytest.mark.parametrize("workload, name", sorted(COUNTS))
 def test_workload_case_passes_the_output_checks(tmp_path, workload, name):
     (case,) = [c for c in workloads.build_cases(workload, 0) if c.name == name]
     result = run_pipeline(case.surface_a, case.surface_b, case.config)
@@ -52,3 +61,9 @@ def test_workload_case_passes_the_output_checks(tmp_path, workload, name):
     loaded = model_io.load_model(str(path))
     fails, _ = checks.check_case(case, result, saved, loaded)
     assert fails == []
+    sides = (result.model.set_a, result.model.set_b)
+    patches, control_points = COUNTS[workload, name]
+    assert [len(side.patches) for side in sides] == [patches, patches]
+    assert sum(p.control_net.shape[0] * p.control_net.shape[1]
+               for side in sides for p in side.patches) == control_points
+    assert result.report["post_stitch_gap"]["max"] == 0.0

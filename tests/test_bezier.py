@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from watertight import (
@@ -29,12 +29,15 @@ from watertight import (
     extract_subpatch,
 )
 from watertight.bezier import (
+    _trim_rows,
     all_bernstein,
+    compose_reparameterize_many,
     de_casteljau,
     de_casteljau_many,
     degree_reduce_many,
     evaluate_grid_stacked,
     evaluate_stacked,
+    unit_ranges,
 )
 
 
@@ -591,6 +594,70 @@ class TestComposition:
         s = bilinear_flat()
         with pytest.raises(DomainError):
             compose_reparameterize(s, BoundaryPolynomial(np.array([0.0, 2.0])))
+
+
+def polyroots_range(coeffs):
+    """The range search by `np.polynomial.polynomial.polyroots`, one polynomial."""
+    f = BoundaryPolynomial(coeffs)
+    ts = list(np.linspace(0.0, 1.0, 257))
+    c = f.coefficients
+    dc = c[1:] * np.arange(1, c.shape[0]) if c.shape[0] > 1 else np.zeros(1)
+    if dc.shape[0] > 1 or dc[0] != 0.0:
+        for root in np.polynomial.polynomial.polyroots(dc):
+            if abs(root.imag) < 1e-9 and -1e-9 < root.real < 1.0 + 1e-9:
+                ts.append(min(max(float(root.real), 0.0), 1.0))
+    values = f(np.array(ts))
+    return float(values.min()), float(values.max())
+
+
+class TestStackedComposition:
+    @given(
+        shape=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_net_matches_its_one_net_call_and_the_surface(self, shape, count, seed):
+        m, n, p = shape
+        rng = np.random.default_rng(seed)
+        nets = rng.uniform(-10.0, 10.0, size=(count, m + 1, n + 1, 3))
+        fs = [random_unit_polynomial(rng, p) for _ in range(count)]
+        assume(all(f.degree == p for f in fs))
+        stacked = compose_reparameterize_many(nets, fs)
+        assert stacked.shape == (count, m + 1, m * p + n + 1, 3)
+        ts = np.linspace(0.0, 1.0, 7)
+        for net, f, got in zip(nets, fs, stacked):
+            one = compose_reparameterize(BezierSurface(net), f).control_net
+            assert np.array_equal(got, one)
+            surface, composed = BezierSurface(net), BezierSurface(got)
+            for a in ts:
+                for b in ts:
+                    want = surface.evaluate(min(max(a * float(f(b)), 0.0), 1.0), b)
+                    assert np.abs(composed.evaluate(a, b) - want).max() <= 1e-12 * 10.0
+
+    def test_mixed_degrees_rejected(self):
+        nets = np.zeros((2, 2, 2, 3))
+        fs = [BoundaryPolynomial(np.array([0.5, 0.25])), BoundaryPolynomial(np.array([0.5]))]
+        with pytest.raises(ValueError, match="one degree"):
+            compose_reparameterize_many(nets, fs)
+
+    def test_every_polynomial_is_range_checked(self):
+        nets = np.zeros((2, 2, 2, 3))
+        fs = [BoundaryPolynomial(np.array([0.5, 0.25])), BoundaryPolynomial(np.array([0.0, 2.0]))]
+        with pytest.raises(DomainError):
+            compose_reparameterize_many(nets, fs)
+
+    def test_stacked_ranges_match_polyroots_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        rows = [rng.uniform(-2.0, 2.0, size=4) for _ in range(200)]
+        # Trimmed tops, a linear derivative, complex and repeated roots.
+        rows += [np.array([0.5, 0.25, 1e-16, 0.0]), np.array([0.0, 4.0, -4.0, 0.0]),
+                 np.array([0.2, 0.0, 0.0, 1.0]), np.array([0.3, 0.0, 0.0, 0.0])]
+        coeffs, degrees = _trim_rows(np.stack(rows))
+        lo, hi = unit_ranges(coeffs, degrees)
+        for row, a, b in zip(rows, lo, hi):
+            assert (float(a), float(b)) == polyroots_range(row)
+            assert BoundaryPolynomial(row).unit_range() == (float(a), float(b))
 
 
 class TestAffineEquivariance:

@@ -236,7 +236,11 @@ class TestBatchedInversion:
 
         monkeypatch.setattr(intersect, "evaluate_stacked", counting_evaluate)
         monkeypatch.setattr(stitching, "invert_points", counting_invert)
-        run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig())
+        # The deviation inverts only samples that can raise its maximum, so
+        # one demo run makes too few batches; the finer demo adds more.
+        for step in (0.02, 0.005):
+            run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04),
+                         PipelineConfig(march_step=step))
         assert len(iterations) >= 10
         assert max(iterations) <= 8
 

@@ -1,8 +1,13 @@
 """Saving and loading a whole model through model_io."""
 
+import copy
+import json
+
 import numpy as np
+import pytest
 
 from watertight import model_io
+from watertight.errors import ParseError
 from watertight.pipeline import PipelineConfig, run_pipeline
 from watertight.shapes import paraboloid_patch, plane_patch
 
@@ -53,3 +58,82 @@ def test_demo_model_round_trips_bit_for_bit(tmp_path):
     traps = [c for rec in loaded.patch_sets for c in rec["cells"] if c["kind"] == "trapezoid"]
     assert traps and all(c["s_axis"] in ("u", "v") and c["s_reversed"] in (True, False)
                          for c in traps)
+
+
+def first_trapezoid(record):
+    return next(c for c in record["cells"] if c["kind"] == "trapezoid")
+
+
+def set_kind(record):
+    record["cells"][0]["kind"] = "hexagon"
+    return "cells[0].kind"
+
+
+def set_bounds(value):
+    def edit(record):
+        record["cells"][0]["bounds"] = value
+        return "cells[0].bounds"
+    return edit
+
+
+def set_trapezoid(field, value):
+    def edit(record):
+        cell = first_trapezoid(record)
+        cell[field] = value
+        return f"cells[{record['cells'].index(cell)}].{field}"
+    return edit
+
+
+def set_boundary(field, value):
+    def edit(record):
+        record["boundary"][0][field] = value(record) if callable(value) else value
+        return f"boundary[0].{field}"
+    return edit
+
+
+@pytest.fixture(scope="module")
+def demo_record():
+    surfaces = [paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)]
+    result = run_pipeline(*surfaces, PipelineConfig(march_step=0.18))
+    model = model_io.ModelFile(
+        surfaces=surfaces,
+        patch_sets=[model_io.encode_patch_set(result.model.set_a)],
+    )
+    return model_io.model_to_dict(model)
+
+
+@pytest.mark.parametrize("edit", [
+    set_kind,
+    set_bounds("nonsense"),
+    set_bounds([0.0, 1.0, 0.5]),
+    set_bounds([0.0, 1.0, 0.0, float("inf")]),
+    set_bounds([0.0, 1.0, True, 1.0]),
+    set_bounds([0.6, 0.4, 0.0, 1.0]),
+    set_bounds([0.0, 1.0, 0.0, 1.5]),
+    set_bounds([-0.1, 0.5, 0.0, 1.0]),
+    set_trapezoid("s_axis", "x"),
+    set_trapezoid("s_reversed", "yes"),
+    set_trapezoid("s_reversed", 1),
+    set_boundary("edge", "diagonal"),
+    set_boundary("patch", lambda record: len(record["patches"])),
+    set_boundary("patch", -1),
+    set_boundary("patch", True),
+], ids=[
+    "kind", "bounds-not-a-list", "bounds-three-numbers", "bounds-infinite", "bounds-bool",
+    "bounds-u-reversed", "bounds-v-past-one", "bounds-u-below-zero", "s-axis", "s-reversed-str",
+    "s-reversed-int", "edge", "patch-past-end", "patch-negative", "patch-bool",
+])
+def test_invalid_patch_set_values_are_rejected(tmp_path, demo_record, edit):
+    raw = copy.deepcopy(demo_record)
+    field = edit(raw["patch_sets"][0])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError) as err:
+        model_io.load_model(str(path))
+    assert err.value.path == f"patch_sets[0].{field}"
+
+
+def test_unedited_demo_record_loads(tmp_path, demo_record):
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(demo_record))
+    assert len(model_io.load_model(str(path)).patch_sets) == 1

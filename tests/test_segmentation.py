@@ -1,7 +1,10 @@
 """Domain segmentation: monotone splitting, cell decomposition,
 trapezoid classification, boundary fitting, and patch normalization."""
 
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from watertight import (
     PiecewiseBezierCurve,
     extract_subpatch,
 )
-from watertight.bezier import Edge, evaluate_stacked
+import watertight.bezier
+import watertight.segmentation as segmentation
+from watertight.bezier import MAX_BOUNDARY_DEGREE, Edge, evaluate_stacked
 from watertight.intersect import build_intersection_data, interpolate_domain_curve
 from watertight.pipeline import MARCH_TOL, PipelineConfig, prepare_decompositions, run_pipeline
 from watertight.segmentation import (
@@ -30,11 +35,13 @@ from watertight.segmentation import (
     _FIT_TS,
     _classify_candidates,
     _fit_cells,
+    _fit_pinv,
     _frame_arcs,
     _normalize_trapezoid,
     _relabel,
     _solve_arcs,
     _t_reversed,
+    _tighten_cells,
     build_patch_decomposition,
     cell_contains,
     decompose_domain,
@@ -412,9 +419,9 @@ class TestArc:
 
 class TestTightenCell:
     @staticmethod
-    def _quadrant_cells():
+    def _quadrant_cells(radius=0.2):
         angles = np.linspace(np.pi / 2, np.pi, 6)
-        pts = np.stack([0.5 + 0.2 * np.cos(angles), 0.5 + 0.2 * np.sin(angles)], axis=1)
+        pts = np.stack([0.5 + radius * np.cos(angles), 0.5 + radius * np.sin(angles)], axis=1)
         (seg,) = split_monotone(interpolate_domain_curve(pts))
         return decompose_domain(seg, "below")
 
@@ -643,10 +650,10 @@ class TestPatchDecomposition:
         # Some fits were widened, so their polynomial was remapped.
         assert any(c.patch_bounds != c.bounds for c in traps)
 
-        def search(_):
+        def search(*_):
             raise AssertionError("the range of a fitted polynomial was searched again")
 
-        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", search)
+        monkeypatch.setattr(watertight.bezier, "unit_ranges", search)
         for cell in traps:
             _normalize_trapezoid(surface, cell)
 
@@ -697,3 +704,144 @@ class TestOrientation:
                 _, xs, xt = evaluate_stacked(patch.control_net[None], st)
                 jacobian = xs[..., 0] * xt[..., 1] - xs[..., 1] * xt[..., 0]
                 assert jacobian.min() > 0.0
+
+
+def load_workloads():
+    """The benchmark's workload definitions, loaded from their file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def reference_fit(cell, candidates, edges, fit_degree, fit_tol):
+    """The per-cell search the stacked fit replaces, one (degree, candidate)
+    at a time: the first endpoint-exact least-squares fit that meets the
+    tolerance and whose range excursion the cell's box absorbs.  Returns
+    (case, polynomial, residual, patch bounds), or (None, smallest miss)."""
+    closest = np.inf
+    for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
+        for case, edge in zip(candidates, edges):
+            ys, check = edge[:_FIT_TS.shape[0]], edge[_FIT_TS.shape[0]:]
+            y0, y1 = ys[0], ys[-1]
+            coeffs = np.zeros(degree + 1)
+            coeffs[0], coeffs[1] = y0, y1 - y0
+            if degree >= 2:
+                sol = _fit_pinv(degree) @ (ys - (y0 + (y1 - y0) * _FIT_TS))
+                coeffs[1:degree] += sol
+                coeffs[2:] -= sol
+            poly = BoundaryPolynomial(coeffs)
+            residual = float(np.abs(poly(_CHECK_TS) - check).max())
+            if residual > fit_tol:
+                closest = min(closest, residual)
+                continue
+            lo, hi = poly.unit_range()
+            d0, d1 = max(0.0, -lo), max(0.0, hi - 1.0)
+            if d0 == 0.0 and d1 == 0.0:
+                return case, poly, residual, cell.bounds
+            bounds = list(cell.bounds)
+            k = 2 * case.s_axis
+            size = bounds[k + 1] - bounds[k]
+            low, high = (d1, d0) if case.s_reversed else (d0, d1)
+            bounds[k] -= low * size
+            bounds[k + 1] += high * size
+            u0, u1, v0, v1 = bounds
+            if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
+                closest = min(closest, max(d0, d1))
+                continue
+            return case, poly.shifted_scaled(d0, d0 + max(1.0, hi)), residual, tuple(bounds)
+    return None, closest
+
+
+def _fit_cases():
+    """The demo and the six benchmark cases at seed 0, by name."""
+    cases = {"demo": (paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig())}
+    workloads = load_workloads()
+    for workload in ("dense-march", "tight-fit", "clip-reduce"):
+        for case in workloads.build_cases(workload, 0):
+            cases[f"{workload}/{case.name}"] = (case.surface_a, case.surface_b, case.config)
+    return cases
+
+
+_FIT_CASES = _fit_cases()
+
+
+class TestStackedFit:
+    @pytest.mark.parametrize("name", sorted(_FIT_CASES))
+    def test_choices_match_a_per_cell_reference(self, name, monkeypatch):
+        s1, s2, config = _FIT_CASES[name]
+        stacked = segmentation._fit_stack
+        counts = {"fitted": 0, "missed": 0}
+
+        def checked(cells, candidates, edges, fit_degree, fit_tol):
+            want, start = [], 0
+            for cell, cases in zip(cells, candidates):
+                rows = edges[start:start + len(cases)]
+                want.append(reference_fit(cell, cases, rows, fit_degree, fit_tol))
+                start += len(cases)
+            misses = stacked(cells, candidates, edges, fit_degree, fit_tol)
+            for cell, ref in zip(cells, want):
+                if ref[0] is None:
+                    counts["missed"] += 1
+                    w0, w1 = cell.w_span
+                    assert misses[cell].residual == ref[1]
+                    assert misses[cell].params == [0.5 * (w0 + w1)]
+                    continue
+                counts["fitted"] += 1
+                case, poly, residual, bounds = ref
+                assert cell not in misses
+                assert cell.case == case
+                assert np.array_equal(cell.boundary_fn.coefficients, poly.coefficients)
+                assert cell.boundary_fn.unit_range() == poly.unit_range()
+                assert cell.fit_residual == residual
+                assert cell.patch_bounds == bounds
+            return misses
+
+        monkeypatch.setattr(segmentation, "_fit_stack", checked)
+        data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
+        prepare_decompositions(data, s1, s2, config)
+        assert counts["fitted"] > 0
+        if name.startswith("tight-fit"):
+            assert counts["missed"] > 0
+
+    def test_tightened_cells_match_one_at_a_time(self):
+        cells = TestTightenCell._quadrant_cells()
+        together = _tighten_cells(cells)
+        for cell, (tight, filler) in zip(cells, together):
+            one, one_filler = tighten_cell(cell)
+            assert tight.bounds == one.bounds
+            assert tight.retained_sample == one.retained_sample
+            assert (filler is None) == (one_filler is None)
+            assert filler is None or filler.bounds == one_filler.bounds
+        with pytest.raises(ValueError, match="one trim curve"):
+            _tighten_cells(cells + TestTightenCell._quadrant_cells(0.3)[:1])
+
+    @staticmethod
+    def _two_candidate_rows():
+        """A whole-domain cell, and two sampled edges: the first an exact
+        quadratic whose range reaches 1 + 1/24 past the domain edge, the
+        second t^2."""
+        cell = linear_trapezoid_cell([0.0, 0.0], [1.0, 1.0], (0.0, 1.0, 0.0, 1.0),
+                                     GraphAxis.V_OF_U, False, (0.2, 0.8))
+        ts = np.concatenate([_FIT_TS, _CHECK_TS])
+        edges = np.stack([ts + 1.5 * ts * (1.0 - ts), ts**2])
+        return cell, [TrapezoidCase(0, False), TrapezoidCase(1, True)], edges
+
+    def test_unabsorbable_excursion_falls_through_to_the_next_candidate(self):
+        cell, cases, edges = self._two_candidate_rows()
+        want = reference_fit(cell, cases, edges, 2, 1e-6)
+        assert not segmentation._fit_stack([cell], [cases], edges, 2, 1e-6)
+        assert cell.case == want[0] == cases[1]
+        assert np.array_equal(cell.boundary_fn.coefficients, want[1].coefficients)
+        assert cell.patch_bounds == want[3] == cell.bounds
+
+    def test_miss_carries_the_smallest_excursion(self):
+        cell, cases, edges = self._two_candidate_rows()
+        _, closest = reference_fit(cell, cases[:1], edges[:1], 2, 1e-6)
+        assert closest == pytest.approx(1.0 / 24.0, rel=1e-12)
+        misses = segmentation._fit_stack([cell], [cases[:1]], edges[:1], 2, 1e-6)
+        assert misses[cell].residual == closest
+        assert cell.case is None

@@ -16,6 +16,7 @@ from watertight.bezier import (
 from watertight.intersect import GapReport, build_intersection_data, invert_points, measure_gap
 from watertight.pipeline import MARCH_TOL, PipelineConfig, prepare_decompositions, run_pipeline
 from watertight.shapes import flat_patch, paraboloid_patch, plane_patch
+import watertight.stitching as stitching
 from watertight.stitching import (
     PatchSet,
     _stitch_deviation,
@@ -317,15 +318,44 @@ class TestDeviationOracles:
         assert _stitch_deviation(pairs) == pytest.approx(delta, rel=1e-12)
 
     def test_pruned_deviation_matches_unpruned_reference(self, demo):
-        s1, s2, data, set_a, set_b = demo
-        triples = align_boundary(data, set_a, set_b)
-        model = stitch_boundary(set_a, set_b, triples)
-        demo_pairs = [(set_a.patches[t.patch_a], model.set_a.patches[t.patch_a]) for t in triples]
-        demo_pairs += [(set_b.patches[t.patch_b], model.set_b.patches[t.patch_b]) for t in triples]
+        model, demo_pairs = stitched_pairs(demo)
         assert model.deviation == unpruned_deviation(demo_pairs)
         for pairs in (demo_pairs, [lifted_edge(1e-3)], [(flat_patch(), slid_edge(0.0))],
                       mixed_pairs(1e-3)):
             assert _stitch_deviation(pairs) == unpruned_deviation(pairs)
+
+    def test_pair_order_does_not_change_the_bits(self, demo):
+        rng = np.random.default_rng(7)
+        for pairs in (stitched_pairs(demo)[1], mixed_pairs(1e-3)):
+            want = _stitch_deviation(pairs)
+            for _ in range(4):
+                assert _stitch_deviation([pairs[k] for k in rng.permutation(len(pairs))]) == want
+
+    def test_largest_bound_is_inverted_first(self, demo, monkeypatch):
+        _, pairs = stitched_pairs(demo)
+        calls = []
+
+        def recording(nets, points, seeds):
+            calls.append((nets, points.shape[0] * points.shape[1]))
+            return invert_points(nets, points, seeds)
+
+        monkeypatch.setattr(stitching, "invert_points", recording)
+        _stitch_deviation(pairs)
+        bounds = [same_parameter_bound(*pair) for pair in pairs]
+        first = pairs[int(np.argmax(bounds))][0]
+        assert np.array_equal(calls[0][0][0], first.control_net)
+        # Most samples cannot raise the maximum and are never inverted.
+        assert sum(count for _, count in calls) < 0.5 * 441 * len(pairs)
+
+
+def stitched_pairs(demo):
+    """The demo stitched, and its (input, returned) patch pairs."""
+    s1, s2, data, set_a, set_b = demo
+    triples = align_boundary(data, set_a, set_b)
+    model = stitch_boundary(set_a, set_b, triples)
+    pairs = [(set_a.patches[t.patch_a], model.set_a.patches[t.patch_a]) for t in triples]
+    pairs += [(set_b.patches[t.patch_b], model.set_b.patches[t.patch_b]) for t in triples]
+    return model, pairs
 
 
 def reduce_rows(patch, edge, target, tol):

@@ -14,11 +14,12 @@ domain curve of 300 cubic segments (a dense march), a 441-point grid on a
 (3, 9) patch, one batch of the stitch deviation's point inversion (16
 stacked patches, 441 samples each), the march of a tilted arc at step
 0.01, the pre-stitch gap measurement and the lifting of a dense domain
-curve, the segmentation of the demo's side a at step 0.005, its one
-batched arc solve and its vectorized boundary fit, the stacked composition
-of 300 nets, the stitch deviation of the demo, the degree reduction of one
-curve and stitching's batched reduction of the corner clip, and the final
-gap check of a stitched model.
+curve, the segmentation of the demo's side a at step 0.005, its batched
+keep test at every retained sample, its one batched arc solve and its
+vectorized boundary fit, a model_io save and load of that demo, the
+stacked composition of 300 nets, the stitch deviation of the demo, the
+degree reduction of one curve and stitching's batched reduction of the
+corner clip, and the final gap check of a stitched model.
 """
 
 from dataclasses import replace
@@ -36,6 +37,7 @@ from watertight.bezier import (
     degree_elevate_curve,
     degree_reduce_curve,
 )
+from watertight import model_io
 from watertight.intersect import build_intersection_data, invert_points, lift_domain_curve, march_intersection, measure_gap
 from watertight.pipeline import (
     MARCH_TOL,
@@ -151,6 +153,36 @@ def test_build_patch_decomposition_demo(benchmark, fine_demo):
     keep = keep_region_fn("outside", fine_demo.data.domain_curve_a)
     dec = benchmark(build_patch_decomposition, paraboloid_patch(), curve, keep, 2, 1e-4)
     assert len(dec.patches) == 263
+
+
+def test_keep_predicate_demo_retained_samples(benchmark, fine_demo):
+    # The batched keep test of side a at step 0.005, at every retained
+    # sample of its cells in one call.
+    samples = np.array([c.retained_sample for c in fine_demo.model.set_a.decomposition.cells])
+    keep = keep_region_fn("outside", fine_demo.data.domain_curve_a)
+    kept = benchmark(keep, samples[:, 0], samples[:, 1])
+    assert kept.all()
+
+
+def test_model_round_trip_demo(benchmark, fine_demo, tmp_path):
+    # save_model and load_model of the demo at step 0.005; loading lifts
+    # both domain curves again.
+    surfaces = [paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)]
+    model = model_io.ModelFile(
+        surfaces=surfaces,
+        intersection=fine_demo.data,
+        patch_sets=[model_io.encode_patch_set(fine_demo.model.set_a),
+                    model_io.encode_patch_set(fine_demo.model.set_b)],
+        reports=fine_demo.report,
+    )
+    path = str(tmp_path / "demo.json")
+
+    def round_trip():
+        model_io.save_model(model, path)
+        return model_io.load_model(path)
+
+    loaded = benchmark(round_trip)
+    assert np.array_equal(loaded.intersection.lifted_a, fine_demo.data.lifted_a)
 
 
 def test_arc_solve_demo_decomposition(benchmark, fine_demo):

@@ -122,14 +122,23 @@ def de_casteljau_many(points: np.ndarray, ts) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if pts.ndim == 2:
-        pts = pts[None]
-    first, last = pts[:, 0], pts[:, -1]
-    w = ts[:, None, None]
-    while pts.shape[1] > 1:
-        pts = (1.0 - w) * pts[:, :-1] + w * pts[:, 1:]
-    out = np.broadcast_to(pts[:, 0], (ts.shape[0], pts.shape[2]))
-    out = np.where(ts[:, None] == 0.0, first, out)
-    return np.where(ts[:, None] == 1.0, last, out)
+        return _de_casteljau_columns(pts[:, :, None], ts)
+    return _de_casteljau_columns(np.moveaxis(pts, 0, -1).copy(), ts)
+
+
+def _de_casteljau_columns(columns: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """`de_casteljau_many` on polygons laid out (n+1, dim, K), or (n+1, dim, 1)
+    for one shared polygon; returns (K, dim).
+
+    The samples run along the last axis, so each step works on long
+    contiguous rows rather than on rows of dim values.
+    """
+    first, last = columns[0], columns[-1]
+    pts = columns
+    while pts.shape[0] > 1:
+        pts = (1.0 - ts) * pts[:-1] + ts * pts[1:]
+    out = np.where(ts == 0.0, first, pts[0])
+    return np.where(ts == 1.0, last, out).T
 
 
 def de_casteljau_split(points: np.ndarray, t: float):
@@ -419,7 +428,7 @@ class PiecewiseBezierCurve:
 class _PolygonStacks:
     """Per-segment control polygons, stacked by size for batched evaluation.
 
-    Built once per curve: segments of equal degree share one (S, n+1, dim)
+    Built once per curve: segments of equal degree share one (n+1, dim, S)
     array, so a batch gathers each sample's polygon in one indexing step.
     """
 
@@ -431,16 +440,17 @@ class _PolygonStacks:
         for size in np.unique(sizes):
             members = np.flatnonzero(sizes == size)
             self.position[members] = np.arange(members.shape[0])
-            self.groups.append((members, np.stack([polygons[i] for i in members])))
+            self.groups.append((members, np.stack([polygons[i] for i in members], axis=-1)))
 
     def evaluate(self, idx: np.ndarray, local: np.ndarray) -> np.ndarray:
         """Segment idx[k]'s polygon at local parameter local[k], for every k."""
         if len(self.groups) == 1:
-            return de_casteljau_many(self.groups[0][1][idx], local)
+            return _de_casteljau_columns(self.groups[0][1].take(idx, axis=2), local)
         out = np.empty((idx.shape[0], self.polygons[0].shape[1]))
-        for members, stack in self.groups:
+        for members, columns in self.groups:
             mask = np.isin(idx, members)
-            out[mask] = de_casteljau_many(stack[self.position[idx[mask]]], local[mask])
+            segments = self.position[idx[mask]]
+            out[mask] = _de_casteljau_columns(columns.take(segments, axis=2), local[mask])
         return out
 
 

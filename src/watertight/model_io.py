@@ -1,11 +1,21 @@
-"""Versioned text model format.
+"""Versioned text model format, version "3".
 
 JSON with a strict schema: unknown fields are rejected with the offending
 path, dimensions are cross-checked against declared degrees, the values of
 cell and boundary records are checked (cell kind, bounds inside the unit
-square, orientation, edge name, patch index), and numbers round-trip
-bitwise (shortest round-trippable decimals via repr).  Writes are atomic
-(temp file plus rename).
+square, orientation, edge name, patch index), the intersection's scalars are
+checked (residuals finite and non-negative, `closed` a bool, `lift_samples`
+an int of at least 2), and numbers round-trip bitwise (shortest
+round-trippable decimals via repr).  Writes are atomic (temp file plus
+rename).
+
+The file holds only what cannot be recomputed exactly.  An intersection
+record stores the sample count of its lifted polylines, not the polylines:
+loading lifts each domain curve through its surface (the model's first two
+surfaces) with `intersect.lift_domain_curve`, which is deterministic, so the
+loaded `lifted_a` / `lifted_b` equal the saved ones bit for bit when they
+were lifted the same way.  Version "2" files, which stored the polylines,
+are rejected.
 """
 
 from __future__ import annotations
@@ -20,10 +30,10 @@ import numpy as np
 
 from .bezier import BezierCurve, BezierSurface, Edge, PiecewiseBezierCurve
 from .errors import ParseError
-from .intersect import IntersectionData, IntersectionPoint
+from .intersect import IntersectionData, IntersectionPoint, lift_domain_curve
 from .segmentation import RECTANGLE, TRAPEZOID
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 _GAP_KEYS = {"max_gap", "rms_gap", "sample_count", "worst_point", "flagged"}
 _REPORT_KEYS = {
@@ -83,8 +93,7 @@ def _encode_intersection(data: IntersectionData) -> dict:
         "curve_c": _encode_curve(data.curve_c),
         "domain_curve_a": _encode_curve(data.domain_curve_a),
         "domain_curve_b": _encode_curve(data.domain_curve_b),
-        "lifted_a": np.asarray(data.lifted_a).tolist(),
-        "lifted_b": np.asarray(data.lifted_b).tolist(),
+        "lift_samples": len(data.lifted_a),
     }
 
 
@@ -202,12 +211,35 @@ def _decode_curve(obj: dict, path: str) -> PiecewiseBezierCurve:
         raise ParseError(str(err), path)
 
 
-def _decode_intersection(obj: dict, path: str) -> IntersectionData:
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _residual(value, path: str) -> float:
+    if not (_finite_number(value) and value >= 0):
+        raise ParseError(f"residual {value!r} is not a finite non-negative number", path)
+    return float(value)
+
+
+def _decode_intersection(obj: dict, path: str, surfaces: list) -> IntersectionData:
     keys = {
-        "closed", "points", "curve_c", "domain_curve_a", "domain_curve_b",
-        "lifted_a", "lifted_b",
+        "closed", "points", "curve_c", "domain_curve_a", "domain_curve_b", "lift_samples",
     }
     _check_keys(obj, keys, keys, path)
+    if not isinstance(obj["closed"], bool):
+        raise ParseError("closed must be true or false", f"{path}.closed")
+    samples = obj["lift_samples"]
+    if not (isinstance(samples, int) and not isinstance(samples, bool) and samples >= 2):
+        raise ParseError(f"lift_samples {samples!r} is not an integer of at least 2",
+                         f"{path}.lift_samples")
+    if len(surfaces) < 2:
+        raise ParseError("an intersection needs the two surfaces it lifts onto", "surfaces")
     points = []
     for k, rec in enumerate(obj["points"]):
         ppath = f"{path}.points[{k}]"
@@ -218,18 +250,20 @@ def _decode_intersection(obj: dict, path: str) -> IntersectionData:
                 position=_number_grid(rec["position"], f"{ppath}.position", 1),
                 params_a=_number_grid(rec["params_a"], f"{ppath}.params_a", 1),
                 params_b=_number_grid(rec["params_b"], f"{ppath}.params_b", 1),
-                residual_a=float(rec["residual_a"]),
-                residual_b=float(rec["residual_b"]),
+                residual_a=_residual(rec["residual_a"], f"{ppath}.residual_a"),
+                residual_b=_residual(rec["residual_b"], f"{ppath}.residual_b"),
             )
         )
+    domain_a = _decode_curve(obj["domain_curve_a"], f"{path}.domain_curve_a")
+    domain_b = _decode_curve(obj["domain_curve_b"], f"{path}.domain_curve_b")
     return IntersectionData(
         points=points,
         curve_c=_decode_curve(obj["curve_c"], f"{path}.curve_c"),
-        domain_curve_a=_decode_curve(obj["domain_curve_a"], f"{path}.domain_curve_a"),
-        domain_curve_b=_decode_curve(obj["domain_curve_b"], f"{path}.domain_curve_b"),
-        lifted_a=_number_grid(obj["lifted_a"], f"{path}.lifted_a", 2),
-        lifted_b=_number_grid(obj["lifted_b"], f"{path}.lifted_b", 2),
-        closed=bool(obj["closed"]),
+        domain_curve_a=domain_a,
+        domain_curve_b=domain_b,
+        lifted_a=lift_domain_curve(surfaces[0], domain_a, samples),
+        lifted_b=lift_domain_curve(surfaces[1], domain_b, samples),
+        closed=obj["closed"],
     )
 
 
@@ -241,8 +275,7 @@ def _validate_cell(rec: dict, path: str) -> None:
                          f"{path}.kind")
     bounds = rec["bounds"]
     if not (isinstance(bounds, list) and len(bounds) == 4
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(x) for x in bounds)):
+            and all(_finite_number(x) for x in bounds)):
         raise ParseError("bounds must be 4 finite numbers", f"{path}.bounds")
     u0, u1, v0, v1 = bounds
     if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
@@ -296,7 +329,7 @@ def load_model(path: str) -> ModelFile:
     ]
     intersection = None
     if "intersection" in raw:
-        intersection = _decode_intersection(raw["intersection"], "intersection")
+        intersection = _decode_intersection(raw["intersection"], "intersection", surfaces)
     patch_sets = None
     if "patch_sets" in raw:
         patch_sets = [

@@ -12,6 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .bezier import BezierSurface, PiecewiseBezierCurve
 from .errors import FitError, GeometryError, NoIntersectionError, StageError
@@ -40,6 +41,12 @@ GAP_SAMPLES = 200
 VERIFY_SAMPLES = 65
 # Re-split rounds before an unmet fit tolerance is reported.
 MAX_SPLIT_ROUNDS = 6
+# Polyline samples per trim segment of the keep predicates, the k-d tree
+# candidates of a nearest-sample query, and the float temporaries (in
+# elements) of one block of keep queries: 2**17, about 1 MB.
+_KEEP_SAMPLES = 64
+_KEEP_NEAR = 8
+_KEEP_CHUNK = 2**17
 
 
 @dataclass
@@ -62,48 +69,108 @@ class PipelineResult:
 # Keep-region predicates
 # ---------------------------------------------------------------------------
 
+def _batched(test):
+    """A predicate of arrays u and v (or scalars) from a test of flat arrays."""
+    def predicate(u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        return test(u.reshape(-1), v.reshape(-1)).reshape(u.shape)[()]
+    return predicate
+
+
+def _crossing_test(poly: np.ndarray):
+    """Even-odd test against a closed polyline, edges grouped in blocks of
+    `_KEEP_SAMPLES`.
+
+    An edge straddles a query's v only when its block's v-range holds v, so
+    a query tests the edges of those blocks alone; each edge keeps the
+    straddle and `xs > u` expressions of a test over every edge.
+    """
+    blocks = -(-(poly.shape[0] - 1) // _KEEP_SAMPLES)
+    # Repeats of the last point add edges of zero height, which never straddle.
+    poly = np.vstack([poly, np.repeat(poly[-1:], blocks * _KEEP_SAMPLES + 1 - poly.shape[0], 0)])
+    starts = poly[:-1].reshape(blocks, _KEEP_SAMPLES, 2)
+    ends = poly[1:].reshape(blocks, _KEEP_SAMPLES, 2)
+    y_lo = np.minimum(starts[..., 1].min(axis=1), ends[:, -1, 1])
+    y_hi = np.maximum(starts[..., 1].max(axis=1), ends[:, -1, 1])
+    rows = max(1, _KEEP_CHUNK // blocks)
+    pairs = _KEEP_CHUNK // _KEEP_SAMPLES
+
+    def inside(u, v):
+        crossings = np.zeros(u.shape[0], dtype=int)
+        for k in range(0, u.shape[0], rows):
+            vk = v[k:k + rows, None]
+            query, block = np.nonzero((y_lo <= vk) & (vk <= y_hi))
+            query += k
+            for j in range(0, query.shape[0], pairs):
+                q, b = query[j:j + pairs], block[j:j + pairs]
+                (x0, y0), (x1, y1) = starts[b].transpose(2, 0, 1), ends[b].transpose(2, 0, 1)
+                uq, vq = u[q, None], v[q, None]
+                straddle = (y0 > vq) != (y1 > vq)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    xs = x0 + (vq - y0) * (x1 - x0) / (y1 - y0)
+                np.add.at(crossings, q, np.sum(straddle & (xs > uq), axis=1))
+        return crossings % 2 == 1
+
+    return inside
+
+
+def _side_test(pts: np.ndarray, tangents: np.ndarray):
+    """Cross product of the nearest sample's tangent with the offset to it.
+
+    The nearest sample is the first of least squared distance, as
+    `np.argmin` over every sample gives it: the k-d tree's `_KEEP_NEAR`
+    nearest are re-ranked by that expression.  A query whose candidates
+    might leave out a tie (its farthest candidate is as near as its
+    nearest, up to rounding) is ranked over every sample.
+    """
+    tree = cKDTree(pts)
+    rows = max(1, _KEEP_CHUNK // (2 * pts.shape[0]))
+
+    def side(u, v):
+        p = np.stack([u, v], axis=1)
+        dist, idx = tree.query(p, k=_KEEP_NEAR)
+        near = np.sum((pts[idx] - p[:, None]) ** 2, axis=2)
+        ties = near == near.min(axis=1, keepdims=True)
+        nearest = np.where(ties, idx, pts.shape[0]).min(axis=1)
+        wide = np.flatnonzero(dist[:, -1] <= dist[:, 0] * (1.0 + 1e-12))
+        for k in range(0, wide.shape[0], rows):
+            q = wide[k:k + rows]
+            nearest[q] = np.argmin(np.sum((pts - p[q, None]) ** 2, axis=2), axis=1)
+        t, off = tangents[nearest], p - pts[nearest]
+        return t[:, 0] * off[:, 1] - t[:, 1] * off[:, 0]
+
+    return side
+
+
 def keep_region_fn(spec: str, curve: PiecewiseBezierCurve):
     """Point membership test for the retained side of a trim curve.
 
+    The predicate takes arrays u and v of one shape, or scalars, and
+    returns a bool array of that shape (a numpy bool for scalars).
     "inside"/"outside" use even-odd counting against a dense polyline of the
-    (closed) curve; "left"/"right" take the sign of the cross product of the
-    nearest sampled tangent with the offset, relative to curve direction.
+    (closed) curve, `_KEEP_SAMPLES` samples per trim segment; "left"/"right"
+    take the sign of the cross product of the nearest sampled tangent with
+    the offset, relative to curve direction.  A query tests only the edges
+    of the polyline blocks whose v-range holds it, and finds its nearest
+    sample through a k-d tree; the answers are those of a test of every
+    edge and every sample.
     """
     if spec not in KEEP_CHOICES:
         raise ValueError(f"keep spec must be one of {KEEP_CHOICES}")
-    n = 64 * len(curve.segments) + 1
+    n = _KEEP_SAMPLES * len(curve.segments) + 1
     ts = np.linspace(0.0, 1.0, n)
     pts = curve.evaluate_many(ts)
 
     if spec in ("inside", "outside"):
-        poly = pts if curve.is_closed else np.vstack([pts, pts[0]])
-
-        def inside(u, v):
-            crossings = 0
-            x0, y0 = poly[:-1, 0], poly[:-1, 1]
-            x1, y1 = poly[1:, 0], poly[1:, 1]
-            straddle = (y0 > v) != (y1 > v)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xs = x0 + (v - y0) * (x1 - x0) / (y1 - y0)
-            crossings = int(np.sum(straddle & (xs > u)))
-            return crossings % 2 == 1
-
+        inside = _crossing_test(pts if curve.is_closed else np.vstack([pts, pts[0]]))
         if spec == "inside":
-            return inside
-        return lambda u, v: not inside(u, v)
+            return _batched(inside)
+        return _batched(lambda u, v: ~inside(u, v))
 
-    tangents = curve.derivative_many(ts)
-
-    def side(u, v):
-        p = np.array([u, v])
-        i = int(np.argmin(np.sum((pts - p) ** 2, axis=1)))
-        t = tangents[i]
-        off = p - pts[i]
-        return t[0] * off[1] - t[1] * off[0]
-
+    side = _side_test(pts, curve.derivative_many(ts))
     if spec == "left":
-        return lambda u, v: side(u, v) >= 0.0
-    return lambda u, v: side(u, v) <= 0.0
+        return _batched(lambda u, v: side(u, v) >= 0.0)
+    return _batched(lambda u, v: side(u, v) <= 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -317,19 +317,14 @@ def monotone_split_params(curve: PiecewiseBezierCurve):
     for comp in range(2):
         g = derivs[:, comp]
         signs = np.where(np.abs(g) <= 1e-12 * scale, 0, np.sign(g)).astype(int)
-        last_nonzero = None
-        last_idx = None
-        for i, s in enumerate(signs):
-            if s == 0:
-                continue
-            if last_nonzero is not None and s != last_nonzero:
-                lo, hi = ws[last_idx], ws[i]
-                root = brentq(
-                    lambda w: curve.derivative_at(w)[comp], lo, hi, xtol=_SPLIT_REFINE_TOL
-                )
-                params.append(float(root))
-            last_nonzero = s
-            last_idx = i
+        # Brackets between consecutive nonzero samples of opposite sign.
+        nonzero = np.flatnonzero(signs)
+        flips = signs[nonzero[1:]] != signs[nonzero[:-1]]
+        for lo, hi in zip(ws[nonzero[:-1][flips]], ws[nonzero[1:][flips]]):
+            root = brentq(
+                lambda w: curve.derivative_at(w)[comp], lo, hi, xtol=_SPLIT_REFINE_TOL
+            )
+            params.append(float(root))
     return sorted(p for p in params if 1e-9 < p < 1.0 - 1e-9)
 
 
@@ -830,9 +825,10 @@ def _normalize_trapezoid(surface: BezierSurface, cell: DomainCell):
 # Whole-trim driver
 # ---------------------------------------------------------------------------
 
-def _segment_keep_side(segment: MonotoneSegment, keep_fn) -> str:
-    """Decide below/above for one segment by probing both sides of its midpoint."""
-    xi, yi = _graph_indices(segment.axis)
+def _side_probes(segment: MonotoneSegment) -> np.ndarray:
+    """(2, 2) points just below and above the segment's midpoint in its
+    dependent coordinate, whose keep answers name its retained side."""
+    _, yi = _graph_indices(segment.axis)
     w_mid = 0.5 * (segment.w_range[0] + segment.w_range[1])
     pt = segment.curve.evaluate(w_mid)
     eps = 1e-4
@@ -840,13 +836,25 @@ def _segment_keep_side(segment: MonotoneSegment, keep_fn) -> str:
     hi = pt.copy()
     lo[yi] = max(pt[yi] - eps, 0.0)
     hi[yi] = min(pt[yi] + eps, 1.0)
-    keep_lo = bool(keep_fn(lo[0], lo[1]))
-    keep_hi = bool(keep_fn(hi[0], hi[1]))
-    if keep_lo == keep_hi:
-        raise DegenerateCellError(
-            "keep side inconsistent with curve position at segment midpoint"
-        )
-    return "below" if keep_lo else "above"
+    return np.array([lo, hi])
+
+
+def _check_retained(kept) -> None:
+    if not np.all(kept):
+        raise DegenerateCellError("trapezoid extension leaves the retained region")
+
+
+def _covered(extents, mids) -> np.ndarray:
+    """Whether some extent (c0, c1) holds each mid within 1e-12: the
+    running maximum of the ends, over the extents sorted by start."""
+    if not extents:
+        return np.zeros(mids.shape, dtype=bool)
+    ext = np.asarray(extents, dtype=float)
+    starts, ends = ext[:, 0] - 1e-12, ext[:, 1] + 1e-12
+    order = np.argsort(starts, kind="stable")
+    reach = np.maximum.accumulate(ends[order])
+    count = np.searchsorted(starts[order], mids, side="right")
+    return (count > 0) & (reach[np.maximum(count - 1, 0)] >= mids)
 
 
 def decompose_trim(curve: PiecewiseBezierCurve, keep_fn):
@@ -855,6 +863,13 @@ def decompose_trim(curve: PiecewiseBezierCurve, keep_fn):
     Trapezoids come from each monotone segment; leftover full-width bands in
     the shared dependent coordinate become rectangles when the keep test
     retains them.  All non-constant segments must share one graph axis.
+
+    `keep_fn(u, v)` takes arrays u and v of one shape and returns a bool
+    array of that shape.  It is called once for the side probes of every
+    segment, then once per segment for its trapezoids' retained samples;
+    the last segment's call also carries the probes of the leftover bands.
+    So a trim makes at most (segments + 1) calls, whatever its cell count,
+    and the checks raise in the order of a segment-by-segment pass.
     """
     segments = split_monotone(curve)
     axes = {s.axis for s in segments if not (s.u_trend == 0 or s.v_trend == 0)} or {
@@ -865,20 +880,22 @@ def decompose_trim(curve: PiecewiseBezierCurve, keep_fn):
     axis = axes.pop()
     xi, yi = _graph_indices(axis)
 
+    probes = np.array([_side_probes(seg) for seg in segments])
+    keep_lo, keep_hi = np.asarray(keep_fn(probes[..., 0], probes[..., 1]), dtype=bool).T
     cells = []
     cut_values = {0.0, 1.0}
     covered = []
-    for seg in segments:
-        side = _segment_keep_side(seg, keep_fn)
-        seg_cells = decompose_domain(seg, side)
-        for cell in seg_cells:
-            if not keep_fn(*cell.retained_sample):
-                raise DegenerateCellError(
-                    "trapezoid extension leaves the retained region"
-                )
-            y_ext = (cell.bounds[0], cell.bounds[1]) if axis is GraphAxis.U_OF_V else (
-                cell.bounds[2], cell.bounds[3]
+    for k, seg in enumerate(segments):
+        if keep_lo[k] == keep_hi[k]:
+            raise DegenerateCellError(
+                "keep side inconsistent with curve position at segment midpoint"
             )
+        seg_cells = decompose_domain(seg, "below" if keep_lo[k] else "above")
+        samples = np.array([cell.retained_sample for cell in seg_cells]).reshape(-1, 2)
+        if k + 1 < len(segments) and seg_cells:
+            _check_retained(keep_fn(samples[:, 0], samples[:, 1]))
+        for cell in seg_cells:
+            y_ext = tuple(cell.bounds[2 * yi:2 * yi + 2])
             covered.append(y_ext)
             cut_values.update(y_ext)
         if not seg_cells:
@@ -886,24 +903,29 @@ def decompose_trim(curve: PiecewiseBezierCurve, keep_fn):
             cut_values.add(float(seg.curve.evaluate(w_mid)[yi]))
         cells.extend(seg_cells)
 
-    cuts = sorted(cut_values)
+    cuts = np.array(sorted(cut_values))
+    wide = cuts[1:] - cuts[:-1] > 1e-12
+    lows, highs = cuts[:-1][wide], cuts[1:][wide]
+    mids = 0.5 * (lows + highs)
+    in_cell = _covered(covered, mids)
+    band = np.empty((int(np.sum(~in_cell)), 3, 2))
+    band[:, :, yi] = mids[~in_cell, None]
+    band[:, :, xi] = (0.2, 0.5, 0.8)
+    queries = np.concatenate([samples, band.reshape(-1, 2)])
+    kept = np.asarray(keep_fn(queries[:, 0], queries[:, 1]) if queries.size else [], dtype=bool)
+    _check_retained(kept[:samples.shape[0]])
+    band_kept = iter(kept[samples.shape[0]:].reshape(-1, 3))
     pending = None
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= 1e-12:
-            continue
-        mid = 0.5 * (lo + hi)
-        if any(c0 - 1e-12 <= mid <= c1 + 1e-12 for c0, c1 in covered):
+    for lo, hi, held in zip(lows.tolist(), highs.tolist(), in_cell):
+        if held:
             if pending is not None:
                 cells.append(_leftover_rectangle(axis, pending))
                 pending = None
             continue
-        kept = set()
-        for x in (0.2, 0.5, 0.8):
-            uv = (x, mid) if axis is GraphAxis.V_OF_U else (mid, x)
-            kept.add(bool(keep_fn(*uv)))
-        if len(kept) > 1:
+        answers = next(band_kept)
+        if answers.any() != answers.all():
             raise DegenerateCellError("leftover band is only partially retained")
-        if kept.pop():
+        if answers[0]:
             pending = (pending[0], hi) if pending else (lo, hi)
         elif pending is not None:
             cells.append(_leftover_rectangle(axis, pending))
@@ -922,6 +944,11 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
                               keep_fn, fit_degree: int = 2,
                               fit_tol: float = 1e-4) -> PatchDecomposition:
     """Decompose, classify, fit, and normalize one trimmed surface.
+
+    `keep_fn(u, v)` names the retained region: it takes arrays u and v of
+    one shape and returns a bool array of that shape, as the predicates of
+    `pipeline.keep_region_fn` do.  `decompose_trim` calls it at most once
+    per monotone segment plus once.
 
     Trapezoids are classified and fitted in one batched pass; the ones that
     miss are tightened together, and the tightened cells get a second pass.

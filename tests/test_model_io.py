@@ -32,6 +32,10 @@ def test_demo_model_round_trips_bit_for_bit(tmp_path):
     path = tmp_path / "demo.json"
     model_io.save_model(saved, str(path))
     loaded = model_io.load_model(str(path))
+    # The lifted polylines are derived: the file stores only their count.
+    stored = json.loads(path.read_text())["intersection"]
+    assert not [key for key in stored if key.startswith("lifted")]
+    assert stored["lift_samples"] == len(result.data.lifted_a)
 
     for a, b in zip(saved.surfaces, loaded.surfaces, strict=True):
         assert np.array_equal(a.control_net, b.control_net)
@@ -54,7 +58,7 @@ def test_demo_model_round_trips_bit_for_bit(tmp_path):
     assert np.array_equal(data.lifted_a, back.lifted_a)
     assert np.array_equal(data.lifted_b, back.lifted_b)
     assert loaded.reports == saved.reports
-    assert loaded.version == model_io.FORMAT_VERSION == "2"
+    assert loaded.version == model_io.FORMAT_VERSION == "3"
     traps = [c for rec in loaded.patch_sets for c in rec["cells"] if c["kind"] == "trapezoid"]
     assert traps and all(c["s_axis"] in ("u", "v") and c["s_reversed"] in (True, False)
                          for c in traps)
@@ -64,12 +68,21 @@ def first_trapezoid(record):
     return next(c for c in record["cells"] if c["kind"] == "trapezoid")
 
 
+def in_patch_set(edit):
+    """An edit of the first patch set's record, as an edit of the whole file."""
+    def edit_file(raw):
+        return "patch_sets[0]." + edit(raw["patch_sets"][0])
+    return edit_file
+
+
+@in_patch_set
 def set_kind(record):
     record["cells"][0]["kind"] = "hexagon"
     return "cells[0].kind"
 
 
 def set_bounds(value):
+    @in_patch_set
     def edit(record):
         record["cells"][0]["bounds"] = value
         return "cells[0].bounds"
@@ -77,6 +90,7 @@ def set_bounds(value):
 
 
 def set_trapezoid(field, value):
+    @in_patch_set
     def edit(record):
         cell = first_trapezoid(record)
         cell[field] = value
@@ -85,9 +99,24 @@ def set_trapezoid(field, value):
 
 
 def set_boundary(field, value):
+    @in_patch_set
     def edit(record):
         record["boundary"][0][field] = value(record) if callable(value) else value
         return f"boundary[0].{field}"
+    return edit
+
+
+def set_intersection(field, value):
+    def edit(raw):
+        raw["intersection"][field] = value
+        return f"intersection.{field}"
+    return edit
+
+
+def set_point(field, value):
+    def edit(raw):
+        raw["intersection"]["points"][1][field] = value
+        return f"intersection.points[1].{field}"
     return edit
 
 
@@ -97,6 +126,7 @@ def demo_record():
     result = run_pipeline(*surfaces, PipelineConfig(march_step=0.18))
     model = model_io.ModelFile(
         surfaces=surfaces,
+        intersection=result.data,
         patch_sets=[model_io.encode_patch_set(result.model.set_a)],
     )
     return model_io.model_to_dict(model)
@@ -108,6 +138,7 @@ def demo_record():
     set_bounds([0.0, 1.0, 0.5]),
     set_bounds([0.0, 1.0, 0.0, float("inf")]),
     set_bounds([0.0, 1.0, True, 1.0]),
+    set_bounds([0, 10**400, 0, 1]),
     set_bounds([0.6, 0.4, 0.0, 1.0]),
     set_bounds([0.0, 1.0, 0.0, 1.5]),
     set_bounds([-0.1, 0.5, 0.0, 1.0]),
@@ -118,19 +149,46 @@ def demo_record():
     set_boundary("patch", lambda record: len(record["patches"])),
     set_boundary("patch", -1),
     set_boundary("patch", True),
+    set_point("residual_a", "nan"),
+    set_point("residual_b", "-inf"),
+    set_intersection("closed", "no"),
+    set_point("residual_a", float("nan")),
+    set_point("residual_b", -1e-12),
+    set_point("residual_a", False),
+    set_point("residual_b", 10**400),
+    set_intersection("closed", 0),
+    set_intersection("lift_samples", True),
+    set_intersection("lift_samples", 1),
+    set_intersection("lift_samples", 41.0),
 ], ids=[
     "kind", "bounds-not-a-list", "bounds-three-numbers", "bounds-infinite", "bounds-bool",
-    "bounds-u-reversed", "bounds-v-past-one", "bounds-u-below-zero", "s-axis", "s-reversed-str",
-    "s-reversed-int", "edge", "patch-past-end", "patch-negative", "patch-bool",
+    "bounds-huge-int", "bounds-u-reversed", "bounds-v-past-one", "bounds-u-below-zero",
+    "s-axis", "s-reversed-str", "s-reversed-int", "edge", "patch-past-end", "patch-negative",
+    "patch-bool", "residual-nan-str", "residual-minus-inf-str", "closed-str", "residual-nan",
+    "residual-negative", "residual-bool", "residual-huge-int", "closed-int",
+    "lift-samples-bool", "lift-samples-one", "lift-samples-float",
 ])
 def test_invalid_patch_set_values_are_rejected(tmp_path, demo_record, edit):
     raw = copy.deepcopy(demo_record)
-    field = edit(raw["patch_sets"][0])
+    field = edit(raw)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(ParseError) as err:
         model_io.load_model(str(path))
-    assert err.value.path == f"patch_sets[0].{field}"
+    assert err.value.path == field
+
+
+def test_version_2_files_are_rejected(tmp_path, demo_record):
+    # A version "2" file stored the lifted polylines in place of their count.
+    raw = copy.deepcopy(demo_record)
+    raw["version"] = "2"
+    samples = raw["intersection"].pop("lift_samples")
+    raw["intersection"]["lifted_a"] = raw["intersection"]["lifted_b"] = [[0.0, 0.0, 0.0]] * samples
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError) as err:
+        model_io.load_model(str(path))
+    assert err.value.path == "version"
 
 
 def test_unedited_demo_record_loads(tmp_path, demo_record):

@@ -126,6 +126,29 @@ def sampled(edge_fn):
     return tuple(np.broadcast_to(edge_fn(ts), ts.shape) for ts in (_FIT_TS, _CHECK_TS))
 
 
+def loop_split_params(curve):
+    """The per-sample loop `monotone_split_params` replaced: a bracket
+    between each pair of consecutive nonzero derivative samples of opposite
+    sign, refined by the same brentq."""
+    ws = np.linspace(0.0, 1.0, 64 * len(curve.segments) + 1)
+    derivs = curve.derivative_many(ws)
+    scale = max(float(np.abs(derivs).max()), 1e-30)
+    params = []
+    for comp in range(2):
+        g = derivs[:, comp]
+        signs = np.where(np.abs(g) <= 1e-12 * scale, 0, np.sign(g)).astype(int)
+        last_nonzero = last_idx = None
+        for i, sign in enumerate(signs):
+            if sign == 0:
+                continue
+            if last_nonzero is not None and sign != last_nonzero:
+                root = brentq(lambda w: curve.derivative_at(w)[comp], ws[last_idx], ws[i],
+                              xtol=segmentation._SPLIT_REFINE_TOL)
+                params.append(float(root))
+            last_nonzero, last_idx = sign, i
+    return sorted(p for p in params if 1e-9 < p < 1.0 - 1e-9)
+
+
 class TestSplitMonotone:
     def test_monotone_line_single_segment(self):
         curve = line_curve([0.2, 0.0], [0.8, 1.0])
@@ -156,6 +179,14 @@ class TestSplitMonotone:
         split_w = segments[0].w_range[1]
         top = curve.evaluate(split_w)
         assert abs(top[0] - 0.5) <= 1e-8
+
+    @pytest.mark.parametrize("plane", [(0.0, 0.0, 0.04), (0.3, 0.0, 0.02), (0.5, 0.5, -0.2),
+                                       (0.6, 0.0, -0.05)])
+    @pytest.mark.parametrize("step", [0.18, 0.02])
+    def test_split_params_match_the_sample_loop(self, plane, step):
+        data = build_intersection_data(paraboloid_patch(), plane_patch(*plane), step, MARCH_TOL)
+        for curve in (data.domain_curve_a, data.domain_curve_b, domain_circle(16)):
+            assert segmentation.monotone_split_params(curve) == loop_split_params(curve)
 
     def test_degenerate_rejected(self):
         seg = BezierCurve(np.array([[0.5, 0.5], [0.5, 0.5]]))

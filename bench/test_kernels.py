@@ -53,6 +53,8 @@ from watertight.segmentation import (
     _fit_stack,
     _frame_arcs,
     build_patch_decomposition,
+    cut_trims,
+    monotone_split_params,
 )
 from watertight.shapes import paraboloid_patch, plane_patch
 from watertight.stitching import (
@@ -147,11 +149,13 @@ def test_lift_domain_curve_9001_samples(benchmark, demo):
 
 def test_build_patch_decomposition_demo(benchmark, fine_demo):
     # Side a of the demo at step 0.005, on the trim curve the pipeline
-    # settled on (shared breakpoints and re-splits included).
+    # settled on (shared breakpoints and re-splits included), cut at its
+    # turning points, which are breakpoints of it already.
     cells = fine_demo.model.set_a.decomposition.cells
     curve = next(c.parent_curve for c in cells if c.kind == TRAPEZOID)
+    curve, cuts = cut_trims([curve], [monotone_split_params(curve)])[0]
     keep = keep_region_fn("outside", fine_demo.data.domain_curve_a)
-    dec = benchmark(build_patch_decomposition, paraboloid_patch(), curve, keep, 2, 1e-4)
+    dec = benchmark(build_patch_decomposition, paraboloid_patch(), curve, cuts, keep, 2, 1e-4)
     assert len(dec.patches) == 263
 
 

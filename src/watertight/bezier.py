@@ -45,6 +45,7 @@ scalar bits.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -402,27 +403,25 @@ class PiecewiseBezierCurve:
         return self._derivative_stacks.evaluate(idx, local) / spans[:, None]
 
     def subdivide_at(self, params) -> "PiecewiseBezierCurve":
-        """Insert breakpoints at the given global parameters (exact splits)."""
+        """Insert breakpoints at the given global parameters (exact splits).
+
+        A parameter within 1e-13 of a breakpoint, or of one inserted before
+        it, is skipped; only its two neighbours in the sorted breakpoints,
+        found by bisection, can be that close.
+        """
         segments = list(self.segments)
-        breaks = list(self.breakpoints)
+        breaks = self.breakpoints.tolist()
         for t in sorted(set(float(p) for p in params)):
-            if any(abs(t - b) <= 1e-13 for b in breaks):
+            idx = bisect.bisect_right(breaks, t)
+            if any(abs(t - b) <= 1e-13 for b in breaks[max(idx - 1, 0):idx + 1]):
                 continue
             if not 0.0 < t < 1.0:
                 raise DomainError(f"split parameter {t} outside (0, 1)")
-            idx = int(np.searchsorted(breaks, t, side="right")) - 1
-            lo, hi = breaks[idx], breaks[idx + 1]
-            left, right = segments[idx].split((t - lo) / (hi - lo))
-            segments[idx:idx + 1] = [left, right]
-            breaks.insert(idx + 1, t)
+            lo, hi = breaks[idx - 1], breaks[idx]
+            left, right = segments[idx - 1].split((t - lo) / (hi - lo))
+            segments[idx - 1:idx] = [left, right]
+            breaks.insert(idx, t)
         return PiecewiseBezierCurve(segments, np.array(breaks))
-
-    def segment_index_of(self, w0: float, w1: float) -> int:
-        """Index of the segment spanning exactly [w0, w1]."""
-        i = int(np.abs(self.breakpoints[:-1] - w0).argmin())
-        if abs(self.breakpoints[i] - w0) <= 1e-12 and abs(self.breakpoints[i + 1] - w1) <= 1e-12:
-            return i
-        raise DomainError(f"no segment spans [{w0}, {w1}]")
 
 
 class _PolygonStacks:

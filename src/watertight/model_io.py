@@ -1,13 +1,12 @@
 """Versioned text model format, version "3".
 
-JSON with a strict schema: unknown fields are rejected with the offending
-path, dimensions are cross-checked against declared degrees, the values of
-cell and boundary records are checked (cell kind, bounds inside the unit
-square, orientation, edge name, patch index), the intersection's scalars are
-checked (residuals finite and non-negative, `closed` a bool, `lift_samples`
-an int of at least 2), and numbers round-trip bitwise (shortest
-round-trippable decimals via repr).  Writes are atomic (temp file plus
-rename).
+JSON with a strict schema; any violation raises ParseError naming its path.
+Unknown fields are rejected, lists must be lists and numbers finite JSON
+numbers (not strings or bools) in arrays that are not ragged, dimensions
+are cross-checked against declared degrees, and the values of cells,
+boundary records, intersection points and reports are checked.  Numbers
+round-trip bitwise (shortest round-trippable decimals via repr).  Writes
+are atomic (temp file plus rename).
 
 The file holds only what cannot be recomputed exactly.  An intersection
 record stores the sample count of its lifted polylines, not the polylines:
@@ -24,7 +23,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,18 +35,12 @@ from .segmentation import RECTANGLE, TRAPEZOID
 
 FORMAT_VERSION = "3"
 
-_GAP_KEYS = {"max_gap", "rms_gap", "sample_count", "worst_point", "flagged"}
-_REPORT_KEYS = {
-    "intersection_points",
-    "closed",
-    "patches_a",
-    "patches_b",
-    "boundary_pairs",
-    "pre_stitch_gap_a",
-    "pre_stitch_gap_b",
-    "post_stitch_gap",
-    "stitch_deviation",
-}
+_GAP_KEYS = {"max", "rms", "max_gap", "rms_gap", "sample_count", "worst_point", "flagged"}
+_GAP_REPORTS = {"pre_stitch_gap_a", "pre_stitch_gap_b", "post_stitch_gap"}
+_REPORT_COUNTS = {"intersection_points", "patches_a", "patches_b", "boundary_pairs",
+                  "sample_count", "flagged"}
+_REPORT_KEYS = _GAP_REPORTS | {"intersection_points", "closed", "patches_a", "patches_b",
+                               "boundary_pairs", "stitch_deviation"}
 
 
 @dataclass(eq=False)
@@ -162,9 +156,14 @@ def _atomic_write(path: str, text: str) -> None:
 # Decoding and validation
 # ---------------------------------------------------------------------------
 
+def _require(ok, path: str, message: str, *args) -> None:
+    """Raise ParseError at `path` unless `ok`, only then formatting `message`."""
+    if not ok:
+        raise ParseError(message.format(*args), path)
+
+
 def _check_keys(obj: dict, allowed: set, required: set, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", path)
+    _require(isinstance(obj, dict), path, "expected an object")
     for key in obj:
         if key not in allowed:
             raise ParseError(f"unknown field '{key}'", f"{path}.{key}" if path else key)
@@ -173,85 +172,102 @@ def _check_keys(obj: dict, allowed: set, required: set, path: str) -> None:
             raise ParseError(f"missing field '{key}'", path)
 
 
-def _number_grid(values, path: str, depth: int):
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != depth or not np.all(np.isfinite(arr)):
-        raise ParseError(f"expected a finite {depth}-level number array", path)
-    return arr
+def _list(value, path: str) -> list:
+    _require(isinstance(value, list), path, "expected a list")
+    return value
 
 
-def _decode_surface(obj: dict, path: str) -> BezierSurface:
-    _check_keys(obj, {"degree_u", "degree_v", "control_points"},
-                {"degree_u", "degree_v", "control_points"}, path)
-    du, dv = obj["degree_u"], obj["degree_v"]
-    if not (isinstance(du, int) and isinstance(dv, int) and du >= 0 and dv >= 0):
-        raise ParseError("degrees must be non-negative integers", path)
+def _number_grid(values, path: str, depth: int) -> np.ndarray:
+    """A `depth`-level nested list of JSON numbers (ints or floats, not bools
+    or strings), not ragged and not empty, as a finite float array: built
+    from the leaves, flattened level by level, and reshaped."""
+    message = "expected a finite, non-empty {}-level number array"
+    shape, level = [], [values]
+    for _ in range(depth):
+        sizes = set(map(len, level)) if set(map(type, level)) <= {list} else set()
+        _require(len(sizes) == 1 and 0 not in sizes, path, message, depth)
+        shape += sizes
+        level = list(chain.from_iterable(level))
+    _require(set(map(type, level)) <= {int, float}, path, message, depth)
     try:
-        net = _number_grid(obj["control_points"], f"{path}.control_points", 3)
-    except ValueError:
-        raise ParseError("ragged control point grid", f"{path}.control_points")
-    if net.shape != (du + 1, dv + 1, 3):
-        raise ParseError(
-            f"control point grid {net.shape} does not match degrees ({du}, {dv})",
-            f"{path}.control_points",
-        )
-    return BezierSurface(net)
+        arr = np.array(level, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(message.format(depth), path)
+    _require(np.isfinite(arr).all(), path, message, depth)
+    return arr.reshape(shape)
+
+
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, that converts to a finite float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _numbers(values, size: int, path: str) -> list:
+    """A list of `size` finite JSON numbers, checked one by one: the short
+    lists of points, cells and reports are too many for `_number_grid`."""
+    _require(type(values) is list and len(values) == size and all(map(_finite_number, values)),
+             path, "expected {} finite numbers", size)
+    return values
+
+
+def _non_negative(value, path: str) -> float:
+    _require(_finite_number(value) and value >= 0, path,
+             "{!r} is not a finite non-negative number", value)
+    return float(value)
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _surface_net(obj: dict, path: str) -> np.ndarray:
+    """The checked control net of a surface record."""
+    keys = {"degree_u", "degree_v", "control_points"}
+    _check_keys(obj, keys, keys, path)
+    du, dv = obj["degree_u"], obj["degree_v"]
+    _require(_count(du) and _count(dv), path, "degrees must be non-negative integers")
+    net = _number_grid(obj["control_points"], f"{path}.control_points", 3)
+    _require(net.shape == (du + 1, dv + 1, 3), f"{path}.control_points",
+             "control point grid {} does not match degrees ({}, {})", net.shape, du, dv)
+    return net
 
 
 def _decode_curve(obj: dict, path: str) -> PiecewiseBezierCurve:
     _check_keys(obj, {"breakpoints", "segments"}, {"breakpoints", "segments"}, path)
     breaks = _number_grid(obj["breakpoints"], f"{path}.breakpoints", 1)
-    segments = []
-    for k, seg in enumerate(obj["segments"]):
-        pts = _number_grid(seg, f"{path}.segments[{k}]", 2)
-        segments.append(BezierCurve(pts))
+    segments = [
+        BezierCurve(_number_grid(seg, f"{path}.segments[{k}]", 2))
+        for k, seg in enumerate(_list(obj["segments"], f"{path}.segments"))
+    ]
     try:
         return PiecewiseBezierCurve(segments, breaks)
     except ValueError as err:
         raise ParseError(str(err), path)
 
 
-def _finite_number(value) -> bool:
-    """A JSON number, not a bool, that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _residual(value, path: str) -> float:
-    if not (_finite_number(value) and value >= 0):
-        raise ParseError(f"residual {value!r} is not a finite non-negative number", path)
-    return float(value)
-
-
 def _decode_intersection(obj: dict, path: str, surfaces: list) -> IntersectionData:
-    keys = {
-        "closed", "points", "curve_c", "domain_curve_a", "domain_curve_b", "lift_samples",
-    }
+    keys = {"closed", "points", "curve_c", "domain_curve_a", "domain_curve_b", "lift_samples"}
     _check_keys(obj, keys, keys, path)
-    if not isinstance(obj["closed"], bool):
-        raise ParseError("closed must be true or false", f"{path}.closed")
+    _require(isinstance(obj["closed"], bool), f"{path}.closed", "closed must be true or false")
     samples = obj["lift_samples"]
-    if not (isinstance(samples, int) and not isinstance(samples, bool) and samples >= 2):
-        raise ParseError(f"lift_samples {samples!r} is not an integer of at least 2",
-                         f"{path}.lift_samples")
-    if len(surfaces) < 2:
-        raise ParseError("an intersection needs the two surfaces it lifts onto", "surfaces")
+    _require(_count(samples) and samples >= 2, f"{path}.lift_samples",
+             "lift_samples {!r} is not an integer of at least 2", samples)
+    _require(len(surfaces) >= 2, "surfaces", "an intersection needs the two surfaces it lifts onto")
     points = []
-    for k, rec in enumerate(obj["points"]):
+    for k, rec in enumerate(_list(obj["points"], f"{path}.points")):
         ppath = f"{path}.points[{k}]"
         fields = {"position", "params_a", "params_b", "residual_a", "residual_b"}
         _check_keys(rec, fields, fields, ppath)
         points.append(
             IntersectionPoint(
-                position=_number_grid(rec["position"], f"{ppath}.position", 1),
-                params_a=_number_grid(rec["params_a"], f"{ppath}.params_a", 1),
-                params_b=_number_grid(rec["params_b"], f"{ppath}.params_b", 1),
-                residual_a=_residual(rec["residual_a"], f"{ppath}.residual_a"),
-                residual_b=_residual(rec["residual_b"], f"{ppath}.residual_b"),
+                position=_numbers(rec["position"], 3, f"{ppath}.position"),
+                params_a=_numbers(rec["params_a"], 2, f"{ppath}.params_a"),
+                params_b=_numbers(rec["params_b"], 2, f"{ppath}.params_b"),
+                residual_a=_non_negative(rec["residual_a"], f"{ppath}.residual_a"),
+                residual_b=_non_negative(rec["residual_b"], f"{ppath}.residual_b"),
             )
         )
     domain_a = _decode_curve(obj["domain_curve_a"], f"{path}.domain_curve_a")
@@ -270,47 +286,59 @@ def _decode_intersection(obj: dict, path: str, surfaces: list) -> IntersectionDa
 def _validate_cell(rec: dict, path: str) -> None:
     keys = {"kind", "bounds", "w_span", "s_axis", "s_reversed", "boundary_fn", "fit_residual"}
     _check_keys(rec, keys, {"kind", "bounds"}, path)
-    if rec["kind"] not in (RECTANGLE, TRAPEZOID):
-        raise ParseError(f"cell kind {rec['kind']!r} is not one of {RECTANGLE!r}, {TRAPEZOID!r}",
-                         f"{path}.kind")
-    bounds = rec["bounds"]
-    if not (isinstance(bounds, list) and len(bounds) == 4
-            and all(_finite_number(x) for x in bounds)):
-        raise ParseError("bounds must be 4 finite numbers", f"{path}.bounds")
-    u0, u1, v0, v1 = bounds
-    if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
-        raise ParseError(f"bounds {bounds} do not span a box in [0, 1]^2", f"{path}.bounds")
-    if "s_axis" in rec and rec["s_axis"] not in ("u", "v"):
-        raise ParseError(f"s_axis {rec['s_axis']!r} is not 'u' or 'v'", f"{path}.s_axis")
-    if "s_reversed" in rec and not isinstance(rec["s_reversed"], bool):
-        raise ParseError("s_reversed must be true or false", f"{path}.s_reversed")
+    _require(rec["kind"] in (RECTANGLE, TRAPEZOID), f"{path}.kind",
+             "cell kind {!r} is not one of {!r}, {!r}", rec["kind"], RECTANGLE, TRAPEZOID)
+    u0, u1, v0, v1 = _numbers(rec["bounds"], 4, f"{path}.bounds")
+    _require(0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0, f"{path}.bounds",
+             "bounds {} do not span a box in [0, 1]^2", rec["bounds"])
+    if "w_span" in rec:
+        w0, w1 = _numbers(rec["w_span"], 2, f"{path}.w_span")
+        _require(0.0 <= w0 < w1 <= 1.0, f"{path}.w_span",
+                 "w_span {} is not an interval of [0, 1]", rec["w_span"])
+    _require(rec.get("s_axis", "u") in ("u", "v"), f"{path}.s_axis",
+             "s_axis {!r} is not 'u' or 'v'", rec.get("s_axis"))
+    _require(isinstance(rec.get("s_reversed", False), bool), f"{path}.s_reversed",
+             "s_reversed must be true or false")
+    fn = rec.get("boundary_fn", [0.0])
+    _require(type(fn) is list and fn and all(map(_finite_number, fn)), f"{path}.boundary_fn",
+             "boundary_fn must be a non-empty list of finite numbers")
+    if "fit_residual" in rec:
+        _non_negative(rec["fit_residual"], f"{path}.fit_residual")
 
 
 def _validate_patch_set(obj: dict, path: str) -> dict:
     _check_keys(obj, {"patches", "cells", "boundary"}, {"patches", "cells"}, path)
-    for k, rec in enumerate(obj["patches"]):
-        _decode_surface(rec, f"{path}.patches[{k}]")
-    for k, rec in enumerate(obj.get("cells", [])):
+    patches = _list(obj["patches"], f"{path}.patches")
+    for k, rec in enumerate(patches):
+        _surface_net(rec, f"{path}.patches[{k}]")
+    for k, rec in enumerate(_list(obj["cells"], f"{path}.cells")):
         _validate_cell(rec, f"{path}.cells[{k}]")
     edges = [edge.value for edge in Edge]
-    for k, rec in enumerate(obj.get("boundary", [])):
+    for k, rec in enumerate(_list(obj.get("boundary", []), f"{path}.boundary")):
         rpath = f"{path}.boundary[{k}]"
         _check_keys(rec, {"patch", "edge"}, {"patch", "edge"}, rpath)
-        patch = rec["patch"]
-        if not (isinstance(patch, int) and not isinstance(patch, bool)
-                and 0 <= patch < len(obj["patches"])):
-            raise ParseError(f"patch index {patch!r} is not one of the "
-                             f"{len(obj['patches'])} patches", f"{rpath}.patch")
-        if rec["edge"] not in edges:
-            raise ParseError(f"edge {rec['edge']!r} is not one of {edges}", f"{rpath}.edge")
+        _require(_count(rec["patch"]) and rec["patch"] < len(patches), f"{rpath}.patch",
+                 "patch index {!r} is not one of the {} patches", rec["patch"], len(patches))
+        _require(rec["edge"] in edges, f"{rpath}.edge", "edge {!r} is not one of {}",
+                 rec["edge"], edges)
     return obj
 
 
-def _validate_reports(obj: dict, path: str) -> dict:
-    _check_keys(obj, _REPORT_KEYS, set(), path)
-    for key in ("pre_stitch_gap_a", "pre_stitch_gap_b", "post_stitch_gap"):
-        if key in obj:
-            _check_keys(obj[key], _GAP_KEYS | {"max", "rms"}, set(), f"{path}.{key}")
+def _validate_reports(obj: dict, path: str, keys=_REPORT_KEYS) -> dict:
+    """A report or gap record: bools, points, counts, non-negative numbers."""
+    _check_keys(obj, keys, set(), path)
+    for key, value in obj.items():
+        kpath = f"{path}.{key}"
+        if key in _GAP_REPORTS:
+            _validate_reports(value, kpath, _GAP_KEYS)
+        elif key == "closed":
+            _require(isinstance(value, bool), kpath, "closed must be true or false")
+        elif key == "worst_point":
+            _numbers(value, 3, kpath)
+        elif key in _REPORT_COUNTS:
+            _require(_count(value), kpath, "{} {!r} is not a non-negative integer", key, value)
+        else:
+            _non_negative(value, kpath)
     return obj
 
 
@@ -322,10 +350,11 @@ def load_model(path: str) -> ModelFile:
         raise ParseError(f"invalid JSON at line {err.lineno}: {err.msg}", path)
     top_keys = {"version", "surfaces", "intersection", "patch_sets", "reports"}
     _check_keys(raw, top_keys, {"version", "surfaces"}, "")
-    if raw["version"] != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {raw['version']!r}", "version")
+    _require(raw["version"] == FORMAT_VERSION, "version",
+             "unsupported format version {!r}", raw["version"])
     surfaces = [
-        _decode_surface(rec, f"surfaces[{k}]") for k, rec in enumerate(raw["surfaces"])
+        BezierSurface(_surface_net(rec, f"surfaces[{k}]"))
+        for k, rec in enumerate(_list(raw["surfaces"], "surfaces"))
     ]
     intersection = None
     if "intersection" in raw:
@@ -334,7 +363,7 @@ def load_model(path: str) -> ModelFile:
     if "patch_sets" in raw:
         patch_sets = [
             _validate_patch_set(rec, f"patch_sets[{k}]")
-            for k, rec in enumerate(raw["patch_sets"])
+            for k, rec in enumerate(_list(raw["patch_sets"], "patch_sets"))
         ]
     reports = None
     if "reports" in raw:
@@ -351,6 +380,6 @@ def load_model(path: str) -> ModelFile:
 def decode_patch_surfaces(patch_set_record: dict) -> list:
     """BezierSurface patches stored in a patch_sets record."""
     return [
-        _decode_surface(rec, f"patches[{k}]")
-        for k, rec in enumerate(patch_set_record["patches"])
+        BezierSurface(_surface_net(rec, f"patches[{k}]"))
+        for k, rec in enumerate(_list(patch_set_record["patches"], "patches"))
     ]

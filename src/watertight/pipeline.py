@@ -9,7 +9,7 @@ boundary gap is exactly zero.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,6 +20,7 @@ from .intersect import IntersectionData, build_intersection_data, measure_gap
 from .segmentation import (
     _NeedsSplit,
     build_patch_decomposition,
+    cut_trims,
     monotone_split_params,
 )
 from .stitching import (
@@ -177,43 +178,29 @@ def keep_region_fn(spec: str, curve: PiecewiseBezierCurve):
 # Decomposition with shared breakpoints
 # ---------------------------------------------------------------------------
 
-def _dedupe_params(params, existing, tol=1e-7):
-    out = []
-    for p in sorted(params):
-        if not (tol < p < 1.0 - tol):
-            continue
-        if np.any(np.abs(existing - p) <= tol):
-            continue
-        if out and p - out[-1] <= tol:
-            continue
-        out.append(float(p))
-    return out
-
-
 def prepare_decompositions(data: IntersectionData, s1: BezierSurface,
                            s2: BezierSurface, config: PipelineConfig):
     """Decompose both trimmed surfaces over one shared breakpoint set.
 
-    Both domain curves are subdivided at the union of both sides' monotone
-    split parameters (plus any fit-driven re-splits), so every trim interval
-    produces exactly one boundary patch per side and the two decompositions
-    align one to one.
+    The one place that decides where the trims are cut: each domain curve's
+    monotone roots are found once, and every round cuts both curves at all
+    of them plus the fit-driven re-splits so far (`cut_trims`), handing each
+    side's decomposition its own turning points as breakpoint indices.
     """
-    keep_a = keep_region_fn(config.keep_a, data.domain_curve_a)
-    keep_b = keep_region_fn(config.keep_b, data.domain_curve_b)
-    extra = list(monotone_split_params(data.domain_curve_a))
-    extra += monotone_split_params(data.domain_curve_b)
+    curves = [data.domain_curve_a, data.domain_curve_b]
+    keeps = [keep_region_fn(config.keep_a, curves[0]), keep_region_fn(config.keep_b, curves[1])]
+    roots = [monotone_split_params(curve) for curve in curves]
+    splits = []
     for _ in range(MAX_SPLIT_ROUNDS):
-        params = _dedupe_params(extra, data.curve_c.breakpoints)
-        curve_a = data.domain_curve_a.subdivide_at(params)
-        curve_b = data.domain_curve_b.subdivide_at(params)
+        trims = cut_trims(curves, roots, splits)
         try:
-            dec_a = build_patch_decomposition(s1, curve_a, keep_a, fit_tol=config.fit_tol)
-            dec_b = build_patch_decomposition(s2, curve_b, keep_b, fit_tol=config.fit_tol)
-            return PatchSet(dec_a), PatchSet(dec_b)
+            return tuple(
+                PatchSet(build_patch_decomposition(surface, *trim, keep, fit_tol=config.fit_tol))
+                for surface, trim, keep in zip((s1, s2), trims, keeps)
+            )
         except _NeedsSplit as err:
             log.info("fit tolerance needs %d extra splits", len(err.params))
-            extra.extend(err.params)
+            splits.extend(err.params)
             residual, (w0, w1) = err.residual, err.w_span
     raise FitError(
         f"fit tolerance {config.fit_tol:.3e} unreachable within the split budget of "

@@ -27,9 +27,13 @@ Conventions used throughout:
   degenerate cells are legal.  The patch is S(s*f(t), t) in that frame,
   transposed back when the relabeling is a reflection, so it keeps the
   surface's orientation and its curved edge is U1 or V1, running with w.
-* One arc per trapezoid: a trapezoid's w_span runs between two adjacent
-  breakpoints, so its curved edge is exactly one Bezier segment of the
-  trim curve.  The map into the cell's local [0,1]^2 is affine, so the
+* Trim segments by index: `cut_trims` cuts both domain curves at one set
+  of parameters and names each curve's turning points as breakpoint
+  indices.  A monotone segment holds its breakpoint index range and a
+  trapezoid the index of its trim segment, whose breakpoints give its
+  w_span; nothing looks a segment up by parameter.
+* One arc per trapezoid: a trapezoid's curved edge is exactly its trim
+  segment.  The map into the cell's local [0,1]^2 is affine, so the
   segment's control polygon mapped once into that frame is the edge's
   exact Bezier form there (affine invariance).  Every arc query -- the
   classification end points, the retained sample, the edge f of each
@@ -84,8 +88,8 @@ RECTANGLE = "rectangle"
 TRAPEZOID = "trapezoid"
 
 _COORD_TOL = 1e-9
-# Split parameters this close to an existing breakpoint snap to it.
-_SNAP_TOL = 1e-5
+# Cut parameters this close to a breakpoint, or to a smaller kept cut, merge.
+_CUT_TOL = 1e-7
 # brentq tolerance of a monotone split parameter.
 _SPLIT_REFINE_TOL = 1e-10
 # Least-squares samples of a boundary-polynomial fit, and its residual check.
@@ -109,22 +113,20 @@ class GraphAxis(Enum):
 
 @dataclass(eq=False)
 class MonotoneSegment:
-    """A stretch of the domain curve monotone (or constant) in both coordinates."""
+    """The domain curve between breakpoints `first` and `last`, monotone (or
+    constant) in both coordinates."""
 
     curve: PiecewiseBezierCurve
-    w_range: tuple
+    first: int
+    last: int
     axis: GraphAxis
     u_trend: int
     v_trend: int
 
-    def breakpoint_span(self):
-        """(index, w) pairs of parent breakpoints covered by this segment."""
-        lo, hi = self.w_range
-        out = []
-        for k, w in enumerate(self.curve.breakpoints):
-            if lo - 1e-12 <= w <= hi + 1e-12:
-                out.append((k, float(w)))
-        return out
+    def midpoint(self) -> np.ndarray:
+        """The curve point at the middle of the segment's parameter range."""
+        bp = self.curve.breakpoints
+        return self.curve.evaluate(0.5 * (bp[self.first] + bp[self.last]))
 
 
 @dataclass(frozen=True)
@@ -249,13 +251,14 @@ def _frame_arcs(cells, cases, heights) -> np.ndarray:
 
 @dataclass(eq=False)
 class DomainCell:
-    """A rectangle or curved-trapezoid sub-region of the parameter domain."""
+    """A rectangle or curved-trapezoid sub-region of the parameter domain; a
+    trapezoid's curved edge is trim segment `segment` of `parent_curve`."""
 
     kind: str
     bounds: tuple
     axis: GraphAxis | None = None
     toward_far_edge: bool | None = None
-    w_span: tuple | None = None
+    segment: int | None = None
     parent_curve: PiecewiseBezierCurve | None = None
     retained_sample: tuple | None = None
     case: TrapezoidCase | None = None
@@ -271,11 +274,15 @@ class DomainCell:
         if self.patch_bounds is None:
             self.patch_bounds = self.bounds
         if self.kind == TRAPEZOID:
-            w0, w1 = self.w_span
-            polygon = self.parent_curve.segments[
-                self.parent_curve.segment_index_of(w0, w1)
-            ].control_points
-            self.arc = _Arc(polygon, self.bounds)
+            self.arc = _Arc(self.parent_curve.segments[self.segment].control_points, self.bounds)
+
+    @property
+    def w_span(self):
+        """A trapezoid's trim interval (w0, w1); None for a rectangle."""
+        if self.segment is None:
+            return None
+        bp = self.parent_curve.breakpoints
+        return float(bp[self.segment]), float(bp[self.segment + 1])
 
 
 @dataclass(eq=False)
@@ -328,6 +335,34 @@ def monotone_split_params(curve: PiecewiseBezierCurve):
     return sorted(p for p in params if 1e-9 < p < 1.0 - 1e-9)
 
 
+def cut_trims(curves, roots, extra=()):
+    """Cut domain curves that share one breakpoint array at one set of parameters.
+
+    `roots[k]` holds curve k's `monotone_split_params`.  Every curve is cut
+    at the roots of all of them plus `extra` (fit-driven splits), less those
+    within `_CUT_TOL` of a breakpoint or of a smaller kept parameter, so the
+    cut curves share one breakpoint array too.  Returns (cut curve, cuts)
+    per curve: `cuts` holds the indices of the breakpoints nearest its own
+    roots, which they were cut at or merged into.
+    """
+    breakpoints = curves[0].breakpoints
+    if any(not np.array_equal(curve.breakpoints, breakpoints) for curve in curves):
+        raise ValueError("cut curves must share one breakpoint array")
+    params = []
+    for p in sorted([p for own in roots for p in own] + list(extra)):
+        if (_CUT_TOL < p < 1.0 - _CUT_TOL and np.abs(breakpoints - p).min() > _CUT_TOL
+                and not (params and p - params[-1] <= _CUT_TOL)):
+            params.append(float(p))
+    out = []
+    for curve, own in zip(curves, roots):
+        cut = curve.subdivide_at(params)
+        bp, own = cut.breakpoints, np.asarray(own, dtype=float)
+        right = np.clip(np.searchsorted(bp, own), 1, bp.shape[0] - 1)
+        nearest = np.where(own - bp[right - 1] <= bp[right] - own, right - 1, right)
+        out.append((cut, sorted(set(nearest.tolist()))))
+    return out
+
+
 def _trend(values: np.ndarray) -> int:
     """+1 strictly increasing, -1 strictly decreasing, 0 constant; else raises."""
     diffs = np.diff(values)
@@ -341,35 +376,17 @@ def _trend(values: np.ndarray) -> int:
     raise DegenerateCellError("coordinate not monotone over segment")
 
 
-def split_monotone(curve: PiecewiseBezierCurve):
-    """Split the domain curve into segments monotone in both coordinates.
-
-    Split parameters snap to existing breakpoints when within _SNAP_TOL;
-    otherwise the curve is subdivided, so segment endpoints always coincide
-    with breakpoints of the (possibly refined) parent curve.
-    """
-    all_pts = np.vstack([seg.control_points for seg in curve.segments])
-    span = max(float(np.ptp(all_pts[:, 0])), float(np.ptp(all_pts[:, 1])))
-    if span <= 1e-12:
+def split_monotone(curve: PiecewiseBezierCurve, cuts):
+    """Split the domain curve at the breakpoint indices `cuts` (its turning
+    points, from `cut_trims`) into segments monotone in both coordinates."""
+    if np.ptp(np.vstack([seg.control_points for seg in curve.segments]), axis=0).max() <= 1e-12:
         raise ValueError("degenerate (single-point) domain curve")
-    raw = monotone_split_params(curve)
-    cuts = {0.0, 1.0}
-    inserts = []
-    for p in raw:
-        near = curve.breakpoints[np.argmin(np.abs(curve.breakpoints - p))]
-        if abs(near - p) <= _SNAP_TOL:
-            cuts.add(float(near))
-        else:
-            inserts.append(p)
-            cuts.add(p)
-    refined = curve.subdivide_at(inserts) if inserts else curve
-    cut_list = sorted(cuts)
-
-    lows, highs = cut_list[:-1], cut_list[1:]
-    samples = refined.evaluate_many(np.linspace(lows, highs, 101, axis=1).reshape(-1))
-    samples = samples.reshape(len(lows), 101, -1)
+    ends = sorted({0, len(curve.segments), *cuts})
+    ws = curve.breakpoints[ends]
+    samples = curve.evaluate_many(np.linspace(ws[:-1], ws[1:], 101, axis=1).reshape(-1))
+    samples = samples.reshape(len(ends) - 1, 101, -1)
     segments = []
-    for lo, hi, pts in zip(lows, highs, samples):
+    for first, last, pts in zip(ends[:-1], ends[1:], samples):
         u_trend = _trend(pts[:, 0])
         v_trend = _trend(pts[:, 1])
         if v_trend != 0:
@@ -380,8 +397,9 @@ def split_monotone(curve: PiecewiseBezierCurve):
             raise DegenerateCellError("segment constant in both coordinates")
         segments.append(
             MonotoneSegment(
-                curve=refined,
-                w_range=(float(lo), float(hi)),
+                curve=curve,
+                first=first,
+                last=last,
                 axis=axis,
                 u_trend=u_trend,
                 v_trend=v_trend,
@@ -408,7 +426,7 @@ def _cell_bounds_from_graph(axis: GraphAxis, x_extent, y_extent):
 def _trapezoids(curve: PiecewiseBezierCurve, axis: GraphAxis, specs) -> list:
     """Trapezoid cells and their retained samples, from one batched arc solve.
 
-    `specs` holds one (w_span, toward_far, x_extent, y_extent) per cell.  A
+    `specs` holds one (segment, toward_far, x_extent, y_extent) per cell.  A
     cell's sample lies at mid-band, halfway between the arc and the cell
     edge on the retained side.
     """
@@ -418,10 +436,10 @@ def _trapezoids(curve: PiecewiseBezierCurve, axis: GraphAxis, specs) -> list:
             bounds=_cell_bounds_from_graph(axis, x_extent, y_extent),
             axis=axis,
             toward_far_edge=toward_far,
-            w_span=w_span,
+            segment=segment,
             parent_curve=curve,
         )
-        for w_span, toward_far, x_extent, y_extent in specs
+        for segment, toward_far, x_extent, y_extent in specs
     ]
     xi, yi = _graph_indices(axis)
     arc_x = _arc_points(cells, [yi] * len(cells), np.full((len(cells), 1), 0.5))[:, 0, xi]
@@ -445,12 +463,9 @@ def decompose_domain(segment: MonotoneSegment, keep_side: str):
     if keep_side not in ("below", "above"):
         raise ValueError("keep_side must be 'below' or 'above'")
     xi, yi = _graph_indices(segment.axis)
-    span = segment.breakpoint_span()
-    if len(span) < 2:
-        raise DegenerateCellError("segment endpoints must lie at breakpoints")
     curve = segment.curve
     specs = []
-    for (k, w0), (_, w1) in zip(span[:-1], span[1:]):
+    for k in range(segment.first, segment.last):
         polygon = curve.segments[k].control_points
         x0, y0 = float(polygon[0, xi]), float(polygon[0, yi])
         x1, y1 = float(polygon[-1, xi]), float(polygon[-1, yi])
@@ -465,7 +480,7 @@ def decompose_domain(segment: MonotoneSegment, keep_side: str):
         x_extent = (min(x0, x1), 1.0) if toward_far else (0.0, max(x0, x1))
         if x_extent[1] - x_extent[0] <= 1e-12:
             raise DegenerateCellError("keep side inconsistent with curve position")
-        specs.append(((w0, w1), toward_far, x_extent, (min(y0, y1), max(y0, y1))))
+        specs.append((k, toward_far, x_extent, (min(y0, y1), max(y0, y1))))
     return _trapezoids(curve, segment.axis, specs)
 
 
@@ -762,11 +777,10 @@ def _tighten_cells(cells) -> list:
     xi, yi = _graph_indices(axis)
     specs, fillers = [], []
     for cell in cells:
-        w0, w1 = cell.w_span
-        ends = curve.segments[curve.segment_index_of(w0, w1)].control_points[[0, -1]]
+        ends = curve.segments[cell.segment].control_points[[0, -1]]
         x_lo, x_hi = sorted(float(p[xi]) for p in ends)
         y_lo, y_hi = sorted(float(p[yi]) for p in ends)
-        specs.append((cell.w_span, cell.toward_far_edge, (x_lo, x_hi), (y_lo, y_hi)))
+        specs.append((cell.segment, cell.toward_far_edge, (x_lo, x_hi), (y_lo, y_hi)))
         filler_extent = (x_hi, 1.0) if cell.toward_far_edge else (0.0, x_lo)
         filler = None
         if filler_extent[1] - filler_extent[0] > 1e-12:
@@ -829,14 +843,9 @@ def _side_probes(segment: MonotoneSegment) -> np.ndarray:
     """(2, 2) points just below and above the segment's midpoint in its
     dependent coordinate, whose keep answers name its retained side."""
     _, yi = _graph_indices(segment.axis)
-    w_mid = 0.5 * (segment.w_range[0] + segment.w_range[1])
-    pt = segment.curve.evaluate(w_mid)
-    eps = 1e-4
-    lo = pt.copy()
-    hi = pt.copy()
-    lo[yi] = max(pt[yi] - eps, 0.0)
-    hi[yi] = min(pt[yi] + eps, 1.0)
-    return np.array([lo, hi])
+    probes = np.repeat(segment.midpoint()[None], 2, axis=0)
+    probes[:, yi] = np.clip(probes[:, yi] + (-1e-4, 1e-4), 0.0, 1.0)
+    return probes
 
 
 def _check_retained(kept) -> None:
@@ -857,9 +866,10 @@ def _covered(extents, mids) -> np.ndarray:
     return (count > 0) & (reach[np.maximum(count - 1, 0)] >= mids)
 
 
-def decompose_trim(curve: PiecewiseBezierCurve, keep_fn):
+def decompose_trim(curve: PiecewiseBezierCurve, cuts, keep_fn):
     """Decompose the retained side of a trim curve into cells that tile it.
 
+    The curve turns at breakpoint indices `cuts` (see `cut_trims`).
     Trapezoids come from each monotone segment; leftover full-width bands in
     the shared dependent coordinate become rectangles when the keep test
     retains them.  All non-constant segments must share one graph axis.
@@ -871,7 +881,7 @@ def decompose_trim(curve: PiecewiseBezierCurve, keep_fn):
     So a trim makes at most (segments + 1) calls, whatever its cell count,
     and the checks raise in the order of a segment-by-segment pass.
     """
-    segments = split_monotone(curve)
+    segments = split_monotone(curve, cuts)
     axes = {s.axis for s in segments if not (s.u_trend == 0 or s.v_trend == 0)} or {
         segments[0].axis
     }
@@ -899,8 +909,7 @@ def decompose_trim(curve: PiecewiseBezierCurve, keep_fn):
             covered.append(y_ext)
             cut_values.update(y_ext)
         if not seg_cells:
-            w_mid = 0.5 * (seg.w_range[0] + seg.w_range[1])
-            cut_values.add(float(seg.curve.evaluate(w_mid)[yi]))
+            cut_values.add(float(seg.midpoint()[yi]))
         cells.extend(seg_cells)
 
     cuts = np.array(sorted(cut_values))
@@ -941,10 +950,11 @@ def _leftover_rectangle(axis: GraphAxis, y_extent) -> DomainCell:
 
 
 def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurve,
-                              keep_fn, fit_degree: int = 2,
+                              cuts, keep_fn, fit_degree: int = 2,
                               fit_tol: float = 1e-4) -> PatchDecomposition:
     """Decompose, classify, fit, and normalize one trimmed surface.
 
+    The trim `curve` turns at breakpoint indices `cuts`, from `cut_trims`.
     `keep_fn(u, v)` names the retained region: it takes arrays u and v of
     one shape and returns a bool array of that shape, as the predicates of
     `pipeline.keep_region_fn` do.  `decompose_trim` calls it at most once
@@ -957,7 +967,7 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
     pipeline) when some tightened cell cannot meet the fit tolerance at the
     degree cap.
     """
-    segments, cells = decompose_trim(curve, keep_fn)
+    _, cells = decompose_trim(curve, cuts, keep_fn)
     missed = _fit_cells([c for c in cells if c.kind == TRAPEZOID], fit_degree, fit_tol)
     tightened = dict(zip(missed, _tighten_cells(list(missed))))
     still_missed = _fit_cells([tight for tight, _ in tightened.values()], fit_degree, fit_tol)
@@ -982,12 +992,10 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
     for i, (patch, edge) in zip(traps, normalized):
         patches[i], curved_edges[i] = patch, edge
 
-    boundary = sorted(traps, key=lambda i: cells[i].w_span[0])
-    parent = segments[0].curve
     return PatchDecomposition(
         cells=cells,
         patches=patches,
         curved_edges=curved_edges,
-        breakpoints=parent.breakpoints.copy(),
-        boundary_indices=boundary,
+        breakpoints=curve.breakpoints.copy(),
+        boundary_indices=sorted(traps, key=lambda i: cells[i].segment),
     )

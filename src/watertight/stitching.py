@@ -33,7 +33,6 @@ from .bezier import (
     BezierCurve,
     BezierSurface,
     Edge,
-    PiecewiseBezierCurve,
     de_casteljau_many,
     degree_elevate_curve,
     degree_reduce_many,
@@ -41,7 +40,7 @@ from .bezier import (
 )
 from .errors import AlignmentError
 from .intersect import GapReport, IntersectionData, invert_points
-from .segmentation import TRAPEZOID, PatchDecomposition
+from .segmentation import PatchDecomposition
 
 
 @dataclass(eq=False)
@@ -55,10 +54,10 @@ class PatchSet:
         return self.decomposition.patches
 
     def boundary_entries(self):
-        """(patch index, curved edge, w_span) along the trim."""
+        """(patch index, curved edge, trim segment index) along the trim."""
         dec = self.decomposition
         return [
-            (i, dec.curved_edges[i], dec.cells[i].w_span)
+            (i, dec.curved_edges[i], dec.cells[i].segment)
             for i in dec.boundary_indices
         ]
 
@@ -97,13 +96,15 @@ def _elevate_along_edge(patch: BezierSurface, edge: Edge, target: int) -> Bezier
 
 
 def align_boundary(data: IntersectionData, set_a: PatchSet, set_b: PatchSet):
-    """Match boundary patches across surfaces and cut the curve between them.
+    """Pair boundary patches across surfaces by trim segment index.
 
-    Both decompositions must carry the same trim-interval structure (shared
-    breakpoints inherited from one IntersectionData); the space curve is
-    subdivided at every interval boundary, and each sub-segment is paired
-    with exactly one boundary patch per side.  Patch edges already run with
-    increasing curve parameter, so no reorientation is needed.
+    Segment k of the space curve and of both domain curves is one piece of
+    the intersection: the space curve is cut once, at the decompositions'
+    breakpoints, and trim segment k's boundary patches are paired with its
+    segment k.  Raises AlignmentError unless the cut curve and both sides
+    share one breakpoint array and both sides' boundary patches lie on the
+    same trim segments.  Patch edges already run with increasing curve
+    parameter, so no reorientation is needed.
     """
     entries_a = set_a.boundary_entries()
     entries_b = set_b.boundary_entries()
@@ -113,33 +114,22 @@ def align_boundary(data: IntersectionData, set_a: PatchSet, set_b: PatchSet):
             "a boundary patch to stitch; the cut is not reparameterized onto any "
             "patch edge (axis-aligned straight cuts are not supported)"
         )
-    if len(entries_a) != len(entries_b):
+    curve = data.curve_c.subdivide_at(set_a.decomposition.breakpoints)
+    bp = curve.breakpoints
+    if not all(np.array_equal(bp, s.decomposition.breakpoints) for s in (set_a, set_b)):
         raise AlignmentError(
-            f"boundary patch counts differ: {len(entries_a)} vs {len(entries_b)}"
+            "breakpoints differ between sides; decompositions do not "
+            "derive from one intersection"
         )
-    params = []
-    for (_, _, span_a), (_, _, span_b) in zip(entries_a, entries_b):
-        if abs(span_a[0] - span_b[0]) > 1e-9 or abs(span_a[1] - span_b[1]) > 1e-9:
-            raise AlignmentError(
-                "breakpoint spans differ between sides; decompositions do not "
-                "derive from one intersection"
-            )
-        params.extend(span_a)
-    curve = data.curve_c.subdivide_at(params)
-    triples = []
-    for (ia, edge_a, span), (ib, edge_b, _) in zip(entries_a, entries_b):
-        seg_idx = curve.segment_index_of(span[0], span[1])
-        triples.append(
-            StitchTriple(
-                patch_a=ia,
-                edge_a=edge_a,
-                patch_b=ib,
-                edge_b=edge_b,
-                w_span=span,
-                segment=curve.segments[seg_idx],
-            )
+    if [k for *_, k in entries_a] != [k for *_, k in entries_b]:
+        raise AlignmentError(
+            f"boundary patches lie on different trim segments: {len(entries_a)} "
+            f"on side a, {len(entries_b)} on side b"
         )
-    return triples
+    return [
+        StitchTriple(ia, edge_a, ib, edge_b, (float(bp[k]), float(bp[k + 1])), curve.segments[k])
+        for (ia, edge_a, k), (ib, edge_b, _) in zip(entries_a, entries_b)
+    ]
 
 
 def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
@@ -188,18 +178,21 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
     )
 
 
-# Patches per grid evaluation and per inversion batch in `_stitch_deviation`:
-# 8 patches of 441 samples keep a batch's arrays to a few MB.
+# Grid intervals per parameter of the deviation samples, and patches per
+# grid evaluation and per inversion batch in `_stitch_deviation`: 8 patches
+# of 441 samples keep a batch's arrays to a few MB.
+_DEVIATION_GRID = 20
 _DEVIATION_BATCH = 8
 
 
-def _stitch_deviation(pairs, grid: int = 20) -> float:
+def _stitch_deviation(pairs) -> float:
     """Max distance from post-stitch sample points to the pre-stitch patch.
 
-    Each (before, after) pair is sampled on a (grid+1)^2 parameter grid.  A
-    set distance, not a same-parameter one: the replacement curve carries a
-    chord-length-like parameterization, so comparing at equal parameters
-    would report tangential sliding that does not move the surface.  The
+    Each (before, after) pair is sampled on a (`_DEVIATION_GRID` + 1)^2
+    parameter grid.  A set distance, not a same-parameter one: the
+    replacement curve carries a chord-length-like parameterization, so
+    comparing at equal parameters would report tangential sliding that
+    does not move the surface.  The
     same-parameter distance upper-bounds each sample's set distance and caps
     it, so a sample whose bound does not exceed the running maximum cannot
     raise it and is not inverted; `invert_points` treats each sample on its
@@ -213,7 +206,7 @@ def _stitch_deviation(pairs, grid: int = 20) -> float:
     until the next pair's largest bound does not exceed the running
     maximum.
     """
-    ts = np.linspace(0.0, 1.0, grid + 1)
+    ts = np.linspace(0.0, 1.0, _DEVIATION_GRID + 1)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
     seeds = np.stack([uu.reshape(-1), vv.reshape(-1)], axis=1)
     groups = {}

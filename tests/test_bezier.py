@@ -219,6 +219,46 @@ class TestPiecewiseCurve:
         with pytest.raises(DomainError):
             c.evaluate(1.5)
 
+    def test_subdivide_skips_as_the_scan_over_every_breakpoint(self):
+        rng = np.random.default_rng(8)
+        breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 30)), [1.0]])
+        segments, start = [], rng.standard_normal(2)
+        for _ in range(31):
+            cps = np.vstack([start, rng.standard_normal((3, 2))])
+            segments.append(BezierCurve(cps))
+            start = cps[-1]
+        curve = PiecewiseBezierCurve(segments, breaks)
+        # Parameters at, within, just past and well past 1e-13 of a
+        # breakpoint or of each other, repeats, the domain ends and fresh ones.
+        near = breaks[rng.integers(0, 32, 40)] + rng.choice(
+            [0.0, 5e-14, -5e-14, 1e-13, -1e-13, 1.5e-13, -1.5e-13, 1e-9], 40)
+        fresh = rng.uniform(0.0, 1.0, 40)
+        params = np.concatenate([near, fresh, fresh[:10] + 8e-14, fresh[:5], [0.0, 1.0]])
+        params = params[(params >= 0.0) & (params <= 1.0)]
+        got, want = curve.subdivide_at(params), scanned_subdivide(curve, params)
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+        assert len(want.segments) > len(curve.segments) + 40
+        for a, b in zip(got.segments, want.segments, strict=True):
+            assert np.array_equal(a.control_points, b.control_points)
+        with pytest.raises(DomainError, match="outside"):
+            curve.subdivide_at([0.5, 1.0 + 1e-9])
+
+
+def scanned_subdivide(curve, params):
+    """`subdivide_at` as it was, testing each parameter against every
+    breakpoint with a scan."""
+    segments = list(curve.segments)
+    breaks = list(curve.breakpoints)
+    for t in sorted(set(float(p) for p in params)):
+        if any(abs(t - b) <= 1e-13 for b in breaks):
+            continue
+        idx = int(np.searchsorted(breaks, t, side="right")) - 1
+        lo, hi = breaks[idx], breaks[idx + 1]
+        left, right = segments[idx].split((t - lo) / (hi - lo))
+        segments[idx:idx + 1] = [left, right]
+        breaks.insert(idx + 1, t)
+    return PiecewiseBezierCurve(segments, np.array(breaks))
+
 
 def split_rows(pts, t):
     """Reference de Casteljau split along axis 0, kept apart from bezier.py."""

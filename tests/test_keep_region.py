@@ -7,7 +7,7 @@ import pytest
 from watertight import BezierCurve, DegenerateCellError, PiecewiseBezierCurve
 from watertight.intersect import build_intersection_data
 from watertight.pipeline import KEEP_CHOICES, MARCH_TOL, keep_region_fn
-from watertight.segmentation import decompose_trim
+from watertight.segmentation import cut_trims, decompose_trim, monotone_split_params
 from watertight.shapes import paraboloid_patch, plane_patch
 
 TRIMS = {
@@ -15,6 +15,11 @@ TRIMS = {
     "corner-clip": plane_patch(0.5, 0.5, -0.2),
     "off-centre-arc": plane_patch(0.6, 0.0, -0.05),
 }
+
+
+def cut_at_roots(curve):
+    """The curve cut at its monotone roots, and their breakpoint indices."""
+    return cut_trims([curve], [monotone_split_params(curve)])[0]
 
 
 def polyline(curve):
@@ -65,7 +70,7 @@ def queries(curve):
     retained = []
     for spec in KEEP_CHOICES:
         try:
-            _, cells = decompose_trim(curve, keep_region_fn(spec, curve))
+            _, cells = decompose_trim(*cut_at_roots(curve), keep_region_fn(spec, curve))
         except DegenerateCellError:  # the keeps this trim cannot decompose
             continue
         retained += [cell.retained_sample for cell in cells]
@@ -148,7 +153,7 @@ class CountingKeep:
 def test_decompose_trim_calls_keep_once_per_segment_plus_one(step):
     data = build_intersection_data(paraboloid_patch(), TRIMS["demo-circle"], step, MARCH_TOL)
     keep = CountingKeep(keep_region_fn("outside", data.domain_curve_a))
-    segments, cells = decompose_trim(data.domain_curve_a, keep)
+    segments, cells = decompose_trim(*cut_at_roots(data.domain_curve_a), keep)
     assert len(cells) > len(segments) + 1
     assert keep.calls <= len(segments) + 1
 
@@ -157,6 +162,6 @@ def test_open_chain_calls_keep_once_per_segment_plus_one():
     data = build_intersection_data(paraboloid_patch(), TRIMS["corner-clip"], 0.02, MARCH_TOL)
     curve = data.domain_curve_a
     keep = CountingKeep(keep_region_fn("right", curve))
-    segments, cells = decompose_trim(curve, keep)
+    segments, cells = decompose_trim(*cut_at_roots(curve), keep)
     assert len(cells) > len(segments) + 1
     assert keep.calls <= len(segments) + 1

@@ -120,6 +120,22 @@ def set_point(field, value):
     return edit
 
 
+def set_at(keys, value, field):
+    """An edit that puts value at raw[keys[0]][keys[1]]...; the error names field."""
+    def edit(raw):
+        target = raw
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return field
+    return edit
+
+
+NET = ["surfaces", 0, "control_points"]
+PATCH_NET = ["patch_sets", 0, "patches", 0, "control_points"]
+CURVE_C = ["intersection", "curve_c"]
+
+
 @pytest.fixture(scope="module")
 def demo_record():
     surfaces = [paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)]
@@ -128,6 +144,7 @@ def demo_record():
         surfaces=surfaces,
         intersection=result.data,
         patch_sets=[model_io.encode_patch_set(result.model.set_a)],
+        reports=result.report,
     )
     return model_io.model_to_dict(model)
 
@@ -160,6 +177,29 @@ def demo_record():
     set_intersection("lift_samples", True),
     set_intersection("lift_samples", 1),
     set_intersection("lift_samples", 41.0),
+    set_at(NET + [0, 0, 0], "0.25", "surfaces[0].control_points"),
+    set_at(NET + [0, 1, 2], True, "surfaces[0].control_points"),
+    set_at(PATCH_NET + [0, 0, 1], "0.25", "patch_sets[0].patches[0].control_points"),
+    set_at(CURVE_C + ["segments", 0, 1, 0], True, "intersection.curve_c.segments[0]"),
+    set_at(["intersection", "domain_curve_a", "breakpoints", 1], "0.25",
+           "intersection.domain_curve_a.breakpoints"),
+    set_at(CURVE_C + ["breakpoints", 1], True, "intersection.curve_c.breakpoints"),
+    set_point("position", [0.5, 0.5]),
+    set_point("params_a", [0.5, 0.5, 0.5]),
+    set_at(CURVE_C + ["segments", 0, 1], [0.5, 0.5], "intersection.curve_c.segments[0]"),
+    set_at(["surfaces"], 2, "surfaces"),
+    set_intersection("points", 2),
+    set_at(CURVE_C + ["segments"], 2, "intersection.curve_c.segments"),
+    set_at(["patch_sets", 0, "patches"], 2, "patch_sets[0].patches"),
+    set_trapezoid("w_span", "abc"),
+    set_trapezoid("w_span", [0.5, 0.25]),
+    set_trapezoid("boundary_fn", "abc"),
+    set_trapezoid("boundary_fn", []),
+    set_trapezoid("fit_residual", -1),
+    set_at(["reports", "patches_a"], "many", "reports.patches_a"),
+    set_at(["reports", "closed"], "yes", "reports.closed"),
+    set_at(["reports", "stitch_deviation"], -1.0, "reports.stitch_deviation"),
+    set_at(["reports", "post_stitch_gap", "max"], "0", "reports.post_stitch_gap.max"),
 ], ids=[
     "kind", "bounds-not-a-list", "bounds-three-numbers", "bounds-infinite", "bounds-bool",
     "bounds-huge-int", "bounds-u-reversed", "bounds-v-past-one", "bounds-u-below-zero",
@@ -167,6 +207,12 @@ def demo_record():
     "patch-bool", "residual-nan-str", "residual-minus-inf-str", "closed-str", "residual-nan",
     "residual-negative", "residual-bool", "residual-huge-int", "closed-int",
     "lift-samples-bool", "lift-samples-one", "lift-samples-float",
+    "net-str", "net-bool", "patch-net-str", "segment-bool", "breakpoint-str",
+    "breakpoint-bool", "position-two", "params-three", "segment-ragged",
+    "surfaces-number", "points-number", "segments-number", "patches-number",
+    "w-span-str", "w-span-reversed", "boundary-fn-str", "boundary-fn-empty",
+    "fit-residual-negative", "report-count-str", "report-closed-str",
+    "report-deviation-negative", "report-gap-str",
 ])
 def test_invalid_patch_set_values_are_rejected(tmp_path, demo_record, edit):
     raw = copy.deepcopy(demo_record)

@@ -15,9 +15,9 @@ from watertight import (
     BezierSurface,
     BoundaryPolynomial,
     DegenerateCellError,
-    DomainError,
     FitError,
     PiecewiseBezierCurve,
+    StageError,
     extract_subpatch,
 )
 import watertight.bezier
@@ -44,9 +44,11 @@ from watertight.segmentation import (
     _tighten_cells,
     build_patch_decomposition,
     cell_contains,
+    cut_trims,
     decompose_domain,
     decompose_trim,
     fit_boundary_polynomial,
+    monotone_split_params,
     split_monotone,
     tighten_cell,
 )
@@ -69,6 +71,12 @@ def domain_circle(n=16, radius=0.2, center=(0.5, 0.5)):
     return interpolate_domain_curve(pts)
 
 
+def cut_at_roots(curve):
+    """A raw curve cut at its own monotone roots, as the pipeline cuts it:
+    (cut curve, breakpoint indices of its turning points)."""
+    return cut_trims([curve], [monotone_split_params(curve)])[0]
+
+
 def outside_circle(u, v, radius=0.2, center=(0.5, 0.5)):
     return (u - center[0]) ** 2 + (v - center[1]) ** 2 >= radius**2
 
@@ -80,7 +88,7 @@ def linear_trapezoid_cell(p0, p1, bounds, axis, toward_far_edge, sample):
         bounds=bounds,
         axis=axis,
         toward_far_edge=toward_far_edge,
-        w_span=(0.0, 1.0),
+        segment=0,
         parent_curve=line_curve(p0, p1),
         retained_sample=sample,
     )
@@ -152,18 +160,19 @@ def loop_split_params(curve):
 class TestSplitMonotone:
     def test_monotone_line_single_segment(self):
         curve = line_curve([0.2, 0.0], [0.8, 1.0])
-        segments = split_monotone(curve)
+        segments = split_monotone(*cut_at_roots(curve))
         assert len(segments) == 1
         seg = segments[0]
         assert seg.axis is GraphAxis.U_OF_V
-        assert seg.w_range == (0.0, 1.0)
+        assert (seg.first, seg.last) == (0, 1)
 
     def test_full_circle_splits_monotone(self):
         curve = domain_circle(16)
-        segments = split_monotone(curve)
+        segments = split_monotone(*cut_at_roots(curve))
         assert len(segments) >= 2
         for seg in segments:
-            ws = np.linspace(seg.w_range[0], seg.w_range[1], 101)
+            bp = seg.curve.breakpoints
+            ws = np.linspace(bp[seg.first], bp[seg.last], 101)
             pts = np.array([seg.curve.evaluate(w) for w in ws])
             for c in range(2):
                 d = np.diff(pts[:, c])
@@ -174,9 +183,9 @@ class TestSplitMonotone:
         angles = np.linspace(np.pi, 0.0, 9)
         pts = np.stack([0.5 + 0.2 * np.cos(angles), 0.5 + 0.2 * np.sin(angles)], axis=1)
         curve = interpolate_domain_curve(pts)
-        segments = split_monotone(curve)
+        segments = split_monotone(*cut_at_roots(curve))
         assert len(segments) == 2
-        split_w = segments[0].w_range[1]
+        split_w = segments[0].curve.breakpoints[segments[0].last]
         top = curve.evaluate(split_w)
         assert abs(top[0] - 0.5) <= 1e-8
 
@@ -192,7 +201,7 @@ class TestSplitMonotone:
         seg = BezierCurve(np.array([[0.5, 0.5], [0.5, 0.5]]))
         curve = PiecewiseBezierCurve([seg], np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            split_monotone(curve)
+            split_monotone(*cut_at_roots(curve))
 
 
 class TestDecomposeDomain:
@@ -200,7 +209,7 @@ class TestDecomposeDomain:
         angles = np.linspace(np.pi / 2, np.pi, 8)
         pts = np.stack([0.5 + 0.2 * np.cos(angles), 0.5 + 0.2 * np.sin(angles)], axis=1)
         curve = interpolate_domain_curve(pts)
-        (seg,) = split_monotone(curve)
+        (seg,) = split_monotone(*cut_at_roots(curve))
         cells = decompose_domain(seg, "below")
         traps = [c for c in cells if c.kind == TRAPEZOID]
         assert len(traps) == 7
@@ -215,7 +224,7 @@ class TestDecomposeDomain:
 
     def test_keep_side_validation(self):
         curve = line_curve([0.5, 0.0], [0.5, 1.0])
-        (seg,) = split_monotone(curve)
+        (seg,) = split_monotone(*cut_at_roots(curve))
         with pytest.raises(ValueError):
             decompose_domain(seg, "sideways")
 
@@ -223,7 +232,7 @@ class TestDecomposeDomain:
 class TestDecomposeTrim:
     def test_straight_trim_single_rectangle(self):
         curve = line_curve([0.5, 0.0], [0.5, 1.0])
-        segments, cells = decompose_trim(curve, lambda u, v: u <= 0.5)
+        segments, cells = decompose_trim(*cut_at_roots(curve), lambda u, v: u <= 0.5)
         assert len(cells) == 1
         cell = cells[0]
         assert cell.kind == RECTANGLE
@@ -232,7 +241,7 @@ class TestDecomposeTrim:
     def test_three_breakpoint_segment(self):
         # Boundary-to-boundary trim with one interior breakpoint.
         curve = line_curve([0.3, 0.0], [0.8, 1.0]).subdivide_at([0.5])
-        segments, cells = decompose_trim(curve, lambda u, v: u <= 0.3 + 0.5 * v)
+        segments, cells = decompose_trim(*cut_at_roots(curve), lambda u, v: u <= 0.3 + 0.5 * v)
         traps = [c for c in cells if c.kind == TRAPEZOID]
         rects = [c for c in cells if c.kind == RECTANGLE]
         assert len(traps) == 2
@@ -243,7 +252,7 @@ class TestDecomposeTrim:
 
     def test_circle_keep_outside_tiles(self):
         curve = domain_circle(16)
-        segments, cells = decompose_trim(curve, outside_circle)
+        segments, cells = decompose_trim(*cut_at_roots(curve), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
         rects = [c for c in cells if c.kind == RECTANGLE]
         assert len(traps) >= 12
@@ -258,7 +267,7 @@ class TestDecomposeTrim:
 
     def test_open_chain_keep_left(self):
         curve = line_curve([0.3, 0.0], [0.8, 1.0]).subdivide_at([0.4, 0.7])
-        segments, cells = decompose_trim(curve, lambda u, v: u <= 0.3 + 0.5 * v)
+        segments, cells = decompose_trim(*cut_at_roots(curve), lambda u, v: u <= 0.3 + 0.5 * v)
         rng = np.random.default_rng(13)
         for u, v in rng.uniform(0, 1, size=(4_000, 2)):
             owners = sum(cell_contains(c, u, v) for c in cells)
@@ -390,7 +399,7 @@ class TestArc:
 
     def test_circle_edge_matches_brentq_on_the_trim(self):
         curve = domain_circle(16)
-        _, cells = decompose_trim(curve, outside_circle)
+        _, cells = decompose_trim(*cut_at_roots(curve), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
         assert len(traps) >= 12
         ts = np.linspace(0.0, 1.0, 33)
@@ -417,7 +426,7 @@ class TestArc:
                 assert np.abs(got - np.array(want)).max() <= 1e-12
 
     def test_batched_solver_matches_points_at_bit_for_bit(self):
-        _, cells = decompose_trim(domain_circle(16), outside_circle)
+        _, cells = decompose_trim(*cut_at_roots(domain_circle(16)), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
         polygons = np.stack([c.arc.polygon for c in traps])
         coords = np.arange(len(traps)) % 2
@@ -435,25 +444,13 @@ class TestArc:
         smaller = _solve_arcs(polygons[3:9], coords[3:9], values[3:9, 5:20])
         assert np.array_equal(smaller, batch[3:9, 5:20])
 
-    def test_span_across_a_breakpoint_raises(self):
-        curve = line_curve([0.3, 0.0], [0.8, 1.0]).subdivide_at([0.5])
-        with pytest.raises(DomainError, match="no segment spans"):
-            DomainCell(
-                kind=TRAPEZOID,
-                bounds=(0.3, 0.8, 0.0, 1.0),
-                axis=GraphAxis.U_OF_V,
-                toward_far_edge=False,
-                w_span=(0.0, 1.0),
-                parent_curve=curve,
-            )
-
 
 class TestTightenCell:
     @staticmethod
     def _quadrant_cells(radius=0.2):
         angles = np.linspace(np.pi / 2, np.pi, 6)
         pts = np.stack([0.5 + radius * np.cos(angles), 0.5 + radius * np.sin(angles)], axis=1)
-        (seg,) = split_monotone(interpolate_domain_curve(pts))
+        (seg,) = split_monotone(*cut_at_roots(interpolate_domain_curve(pts)))
         return decompose_domain(seg, "below")
 
     @pytest.mark.parametrize("index", [0, 2, 4])
@@ -539,7 +536,7 @@ class TestBoundaryFit:
         assert np.allclose(poly.coefficients, want, atol=1e-10)
 
     def test_pinv_fit_matches_lstsq_on_circle_arc_edges(self):
-        _, cells = decompose_trim(domain_circle(16), outside_circle)
+        _, cells = decompose_trim(*cut_at_roots(domain_circle(16)), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
         owners = [(c, case) for c in traps for case in candidates_of(c)]
         edges = _frame_arcs(
@@ -565,7 +562,9 @@ class TestBoundaryFit:
 class TestNormalization:
     def test_rectangle_delegates_to_extraction(self):
         surface = paraboloid_patch()
-        dec = build_patch_decomposition(surface, domain_circle(12), outside_circle, 2, 1e-2)
+        dec = build_patch_decomposition(
+            surface, *cut_at_roots(domain_circle(12)), outside_circle, 2, 1e-2
+        )
         rects = [(c, p) for c, p in zip(dec.cells, dec.patches) if c.kind == RECTANGLE]
         assert rects
         for cell, patch in rects:
@@ -595,7 +594,7 @@ class TestNormalization:
         angles = np.linspace(np.pi / 2, np.pi, 6)
         pts = np.stack([0.5 + 0.2 * np.cos(angles), 0.5 + 0.2 * np.sin(angles)], axis=1)
         curve = interpolate_domain_curve(pts)
-        (seg,) = split_monotone(curve)
+        (seg,) = split_monotone(*cut_at_roots(curve))
         cells = decompose_domain(seg, "below")
         cell = cells[2]
         fit_one(cell, 2, 1e-2)
@@ -613,7 +612,7 @@ class TestNormalization:
     def test_curved_edge_tracks_domain_curve(self):
         surface = paraboloid_patch()
         curve = domain_circle(12)
-        dec = build_patch_decomposition(surface, curve, outside_circle, 2, 1e-2)
+        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, 2, 1e-2)
         lip = _surface_lipschitz(surface)
         for idx in dec.boundary_indices:
             cell = dec.cells[idx]
@@ -651,7 +650,7 @@ class TestPatchDecomposition:
     def test_paraboloid_circle_decomposition(self):
         surface = paraboloid_patch()
         curve = domain_circle(12)
-        dec = build_patch_decomposition(surface, curve, outside_circle, 2, 1e-2)
+        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, 2, 1e-2)
         assert len(dec.patches) == len(dec.cells)
         assert dec.boundary_indices
         for idx in dec.boundary_indices:
@@ -664,7 +663,7 @@ class TestPatchDecomposition:
     def test_patches_match_surface_in_their_frames(self):
         surface = paraboloid_patch()
         curve = domain_circle(12)
-        dec = build_patch_decomposition(surface, curve, outside_circle, 2, 1e-2)
+        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, 2, 1e-2)
         for cell, patch, edge in zip(dec.cells, dec.patches, dec.curved_edges):
             for s in np.linspace(0.05, 0.95, 4):
                 for t in np.linspace(0.05, 0.95, 4):
@@ -676,7 +675,9 @@ class TestPatchDecomposition:
 
     def test_normalization_reuses_the_fitted_range(self, monkeypatch):
         surface = paraboloid_patch()
-        dec = build_patch_decomposition(surface, domain_circle(12), outside_circle, 2, 1e-2)
+        dec = build_patch_decomposition(
+            surface, *cut_at_roots(domain_circle(12)), outside_circle, 2, 1e-2
+        )
         traps = [c for c in dec.cells if c.kind == TRAPEZOID]
         # Some fits were widened, so their polynomial was remapped.
         assert any(c.patch_bounds != c.bounds for c in traps)
@@ -876,3 +877,98 @@ class TestStackedFit:
         misses = segmentation._fit_stack([cell], [cases[:1]], edges[:1], 2, 1e-6)
         assert misses[cell].residual == closest
         assert cell.case is None
+
+
+def snapped_split(curve, search):
+    """The split that breakpoint indices replace: search the cut curve for
+    its monotone roots again, snap each to the nearest breakpoint within
+    1e-5 and insert the others.  Returns the inserted parameters and one
+    (w0, w1, axis, u_trend, v_trend) per monotone segment."""
+    cuts, inserts = {0.0, 1.0}, []
+    for p in search(curve):
+        near = curve.breakpoints[np.argmin(np.abs(curve.breakpoints - p))]
+        if abs(near - p) <= 1e-5:
+            cuts.add(float(near))
+        else:
+            inserts.append(p)
+            cuts.add(p)
+    refined = curve.subdivide_at(inserts) if inserts else curve
+    cut_list = sorted(cuts)
+    lows, highs = cut_list[:-1], cut_list[1:]
+    samples = refined.evaluate_many(np.linspace(lows, highs, 101, axis=1).reshape(-1))
+    segments = []
+    for lo, hi, pts in zip(lows, highs, samples.reshape(len(lows), 101, -1)):
+        u_trend, v_trend = segmentation._trend(pts[:, 0]), segmentation._trend(pts[:, 1])
+        axis = GraphAxis.U_OF_V if v_trend != 0 else GraphAxis.V_OF_U
+        segments.append((lo, hi, axis, u_trend, v_trend))
+    return inserts, segments
+
+
+class TestCutOnce:
+    @pytest.mark.parametrize("name", ["demo-budget", "tight-fit/level-circle"])
+    def test_monotone_roots_are_searched_twice_per_run(self, name, monkeypatch):
+        # Once per domain curve, however many re-split rounds follow: the
+        # demo at fit_tol 1e-6 runs out of its 6 rounds.
+        if name == "demo-budget":
+            s1, s2 = paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)
+            config = PipelineConfig(march_step=0.18, fit_tol=1e-6)
+        else:
+            s1, s2, config = _FIT_CASES[name]
+        search, build = segmentation.monotone_split_params, segmentation.build_patch_decomposition
+        calls, builds = [], []
+
+        def counted(curve):
+            calls.append(curve)
+            return search(curve)
+
+        def counted_build(*args, **kwargs):
+            builds.append(args[0])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(segmentation, "monotone_split_params", counted)
+        monkeypatch.setattr(watertight.pipeline, "monotone_split_params", counted)
+        monkeypatch.setattr(watertight.pipeline, "build_patch_decomposition", counted_build)
+        try:
+            result = run_pipeline(s1, s2, config)
+        except StageError as err:
+            assert name == "demo-budget" and "split budget" in str(err)
+        else:
+            assert result.model.triples
+        assert len(calls) == 2
+        # More than one round: side a was decomposed again.
+        assert sum(surface is s1 for surface in builds) > 1
+
+    @pytest.mark.parametrize("name", sorted(_FIT_CASES))
+    def test_monotone_segments_match_a_search_and_snap_reference(self, name, monkeypatch):
+        s1, s2, config = _FIT_CASES[name]
+        search, split = segmentation.monotone_split_params, segmentation.split_monotone
+        counts = []
+
+        def compared(curve, cuts):
+            segments = split(curve, cuts)
+            inserts, want = snapped_split(curve, search)
+            bp = curve.breakpoints
+            assert inserts == []
+            assert [(float(bp[s.first]), float(bp[s.last]), s.axis, s.u_trend, s.v_trend)
+                    for s in segments] == want
+            assert all(s.curve is curve for s in segments)
+            counts.append(len(segments))
+            return segments
+
+        monkeypatch.setattr(segmentation, "split_monotone", compared)
+        data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
+        prepare_decompositions(data, s1, s2, config)
+        assert len(counts) >= 2 and max(counts) > 1
+
+    def test_roots_near_a_breakpoint_merge_into_it(self):
+        curves = [line_curve([0.2, 0.0], [0.8, 1.0]).subdivide_at([0.5]),
+                  line_curve([0.0, 0.3], [1.0, 0.6]).subdivide_at([0.5])]
+        roots = [[0.5 + 5e-8, 0.25], [0.25 + 9e-8, 0.7]]
+        (cut_a, cuts_a), (cut_b, cuts_b) = cut_trims(curves, roots, [0.7 - 2e-8, 0.9])
+        # 0.25, 0.7 - 2e-8 and 0.9 are cut; every other parameter merges
+        # into the breakpoint nearest it.
+        assert cut_a.breakpoints.tolist() == cut_b.breakpoints.tolist()
+        assert cut_a.breakpoints.tolist() == [0.0, 0.25, 0.5, 0.7 - 2e-8, 0.9, 1.0]
+        assert cuts_a == [1, 2] and cuts_b == [1, 3]
+        with pytest.raises(ValueError, match="one breakpoint array"):
+            cut_trims([curves[0], line_curve([0.0, 0.3], [1.0, 0.6])], roots)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from watertight import ReductionError, StageError
+from watertight import AlignmentError, ReductionError, StageError
 from watertight.bezier import (
     BezierCurve,
     BezierSurface,
@@ -73,7 +73,9 @@ class TestAlignment:
     def test_edge_direction_matches_curve(self, demo):
         s1, s2, data, set_a, set_b = demo
         for patch_set, surface in ((set_a, s1), (set_b, s2)):
-            for idx, edge, span in patch_set.boundary_entries():
+            bp = patch_set.decomposition.breakpoints
+            for idx, edge, k in patch_set.boundary_entries():
+                span = bp[k], bp[k + 1]
                 curve_edge = patch_set.patches[idx].edge_curve(edge)
                 start = data.curve_c.evaluate(span[0])
                 end = data.curve_c.evaluate(span[1])
@@ -82,6 +84,42 @@ class TestAlignment:
                 swapped = np.linalg.norm(curve_edge.evaluate(0.0) - end)
                 assert d_start < swapped
                 assert max(d_start, d_end) < 0.05
+
+    @staticmethod
+    def _nudged(patch_set, w, delta=1e-12):
+        """The patch set with its breakpoint at w moved by delta."""
+        breakpoints = patch_set.decomposition.breakpoints.copy()
+        breakpoints[breakpoints == w] += delta
+        return PatchSet(replace(patch_set.decomposition, breakpoints=breakpoints))
+
+    @pytest.mark.parametrize("sides", ["b", "both"])
+    def test_differing_breakpoints_raise(self, demo, sides):
+        # A difference far below any matching tolerance is still a
+        # difference: trim segment k must be one piece of the intersection
+        # on every curve, so the arrays must be equal.  The nudged
+        # breakpoint is one of the space curve's own.
+        s1, s2, data, set_a, set_b = demo
+        w = data.curve_c.breakpoints[1]
+        if sides == "both":
+            set_a = self._nudged(set_a, w)
+        with pytest.raises(AlignmentError, match="breakpoints differ"):
+            align_boundary(data, set_a, self._nudged(set_b, w))
+
+    def test_boundary_on_different_segments_raises(self, demo):
+        s1, s2, data, set_a, set_b = demo
+        dec = set_b.decomposition
+        fewer = PatchSet(replace(dec, boundary_indices=dec.boundary_indices[1:]))
+        with pytest.raises(AlignmentError, match="different trim segments"):
+            align_boundary(data, set_a, fewer)
+
+    def test_pairs_share_their_trim_segment(self, demo):
+        s1, s2, data, set_a, set_b = demo
+        triples = align_boundary(data, set_a, set_b)
+        bp = set_a.decomposition.breakpoints
+        for triple in triples:
+            k = set_a.decomposition.cells[triple.patch_a].segment
+            assert set_b.decomposition.cells[triple.patch_b].segment == k
+            assert triple.w_span == (bp[k], bp[k + 1])
 
 
 class TestStitching:

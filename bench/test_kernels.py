@@ -154,16 +154,18 @@ def test_build_patch_decomposition_demo(benchmark, fine_demo):
     cells = fine_demo.model.set_a.decomposition.cells
     curve = next(c.parent_curve for c in cells if c.kind == TRAPEZOID)
     curve, cuts = cut_trims([curve], [monotone_split_params(curve)])[0]
-    keep = keep_region_fn("outside", fine_demo.data.domain_curve_a)
+    keep = keep_region_fn("outside", curve)
     dec = benchmark(build_patch_decomposition, paraboloid_patch(), curve, cuts, keep, 2, 1e-4)
     assert len(dec.patches) == 263
 
 
 def test_keep_predicate_demo_retained_samples(benchmark, fine_demo):
-    # The batched keep test of side a at step 0.005, at every retained
-    # sample of its cells in one call.
+    # The batched keep test of side a at step 0.005, on its trim cut at its
+    # turning points, at every retained sample of its cells in one call.
     samples = np.array([c.retained_sample for c in fine_demo.model.set_a.decomposition.cells])
-    keep = keep_region_fn("outside", fine_demo.data.domain_curve_a)
+    curve = fine_demo.data.domain_curve_a
+    curve, _ = cut_trims([curve], [monotone_split_params(curve)])[0]
+    keep = keep_region_fn("outside", curve)
     kept = benchmark(keep, samples[:, 0], samples[:, 1])
     assert kept.all()
 

@@ -12,16 +12,16 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .bezier import BezierSurface, PiecewiseBezierCurve
-from .errors import FitError, GeometryError, NoIntersectionError, StageError
+from .bezier import BezierSurface, PiecewiseBezierCurve, _elevate_axis0, all_bernstein
+from .errors import DomainError, FitError, GeometryError, NoIntersectionError, StageError
 from .intersect import IntersectionData, build_intersection_data, measure_gap
 from .segmentation import (
     _NeedsSplit,
     build_patch_decomposition,
     cut_trims,
     monotone_split_params,
+    odd_crossings,
 )
 from .stitching import (
     PatchSet,
@@ -42,12 +42,6 @@ GAP_SAMPLES = 200
 VERIFY_SAMPLES = 65
 # Re-split rounds before an unmet fit tolerance is reported.
 MAX_SPLIT_ROUNDS = 6
-# Polyline samples per trim segment of the keep predicates, the k-d tree
-# candidates of a nearest-sample query, and the float temporaries (in
-# elements) of one block of keep queries: 2**17, about 1 MB.
-_KEEP_SAMPLES = 64
-_KEEP_NEAR = 8
-_KEEP_CHUNK = 2**17
 
 
 @dataclass
@@ -57,6 +51,15 @@ class PipelineConfig:
     reduce_tolerance: float | None = None
     keep_a: str = "outside"
     keep_b: str = "outside"
+
+    def __post_init__(self):
+        for name in ("keep_a", "keep_b"):
+            if getattr(self, name) not in KEEP_CHOICES:
+                raise ValueError(f"{name} must be one of {KEEP_CHOICES}, not {getattr(self, name)!r}")
+        for name in ("march_step", "fit_tol", "reduce_tolerance"):
+            value = getattr(self, name)
+            if not (value is None and name == "reduce_tolerance" or value > 0.0):
+                raise ValueError(f"{name} must be positive, not {value!r}")
 
 
 @dataclass(eq=False)
@@ -78,100 +81,66 @@ def _batched(test):
     return predicate
 
 
-def _crossing_test(poly: np.ndarray):
-    """Even-odd test against a closed polyline, edges grouped in blocks of
-    `_KEEP_SAMPLES`.
-
-    An edge straddles a query's v only when its block's v-range holds v, so
-    a query tests the edges of those blocks alone; each edge keeps the
-    straddle and `xs > u` expressions of a test over every edge.
+def _closing_path(end: np.ndarray, start: np.ndarray) -> list:
+    """Straight segments from an open trim's end back to its start around
+    the unit square, counter-clockwise and outside it: out from the centre
+    to the square [-1, 2]^2 (p -> 3p - 1), along it and back in.  Both ends
+    must lie on the domain edge, within 1e-12.
     """
-    blocks = -(-(poly.shape[0] - 1) // _KEEP_SAMPLES)
-    # Repeats of the last point add edges of zero height, which never straddle.
-    poly = np.vstack([poly, np.repeat(poly[-1:], blocks * _KEEP_SAMPLES + 1 - poly.shape[0], 0)])
-    starts = poly[:-1].reshape(blocks, _KEEP_SAMPLES, 2)
-    ends = poly[1:].reshape(blocks, _KEEP_SAMPLES, 2)
-    y_lo = np.minimum(starts[..., 1].min(axis=1), ends[:, -1, 1])
-    y_hi = np.maximum(starts[..., 1].max(axis=1), ends[:, -1, 1])
-    rows = max(1, _KEEP_CHUNK // blocks)
-    pairs = _KEEP_CHUNK // _KEEP_SAMPLES
-
-    def inside(u, v):
-        crossings = np.zeros(u.shape[0], dtype=int)
-        for k in range(0, u.shape[0], rows):
-            vk = v[k:k + rows, None]
-            query, block = np.nonzero((y_lo <= vk) & (vk <= y_hi))
-            query += k
-            for j in range(0, query.shape[0], pairs):
-                q, b = query[j:j + pairs], block[j:j + pairs]
-                (x0, y0), (x1, y1) = starts[b].transpose(2, 0, 1), ends[b].transpose(2, 0, 1)
-                uq, vq = u[q, None], v[q, None]
-                straddle = (y0 > vq) != (y1 > vq)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    xs = x0 + (vq - y0) * (x1 - x0) / (y1 - y0)
-                np.add.at(crossings, q, np.sum(straddle & (xs > uq), axis=1))
-        return crossings % 2 == 1
-
-    return inside
+    offsets = np.array([end, start, (0, 0), (1, 0), (1, 1), (0, 1)], dtype=float) - 0.5
+    if np.abs(offsets[:2]).max(axis=1).min() < 0.5 - 1e-12:
+        raise DomainError(f"open trim ends {end} and {start} must lie on the domain edge")
+    angles = np.arctan2(offsets[:, 1], offsets[:, 0])
+    turns = (angles - angles[0]) % (2.0 * np.pi)
+    # The square's corners between the end and the start, counter-clockwise.
+    order = 2 + np.argsort(turns[2:])
+    passed = offsets[order[turns[order] < turns[1]]]
+    outer = 0.5 + 3.0 * np.vstack([offsets[:1], passed, offsets[1:2]])
+    points = np.vstack([end, outer, start])
+    return list(np.stack([points[:-1], points[1:]], axis=1))
 
 
-def _side_test(pts: np.ndarray, tangents: np.ndarray):
-    """Cross product of the nearest sample's tangent with the offset to it.
-
-    The nearest sample is the first of least squared distance, as
-    `np.argmin` over every sample gives it: the k-d tree's `_KEEP_NEAR`
-    nearest are re-ranked by that expression.  A query whose candidates
-    might leave out a tie (its farthest candidate is as near as its
-    nearest, up to rounding) is ranked over every sample.
-    """
-    tree = cKDTree(pts)
-    rows = max(1, _KEEP_CHUNK // (2 * pts.shape[0]))
-
-    def side(u, v):
-        p = np.stack([u, v], axis=1)
-        dist, idx = tree.query(p, k=_KEEP_NEAR)
-        near = np.sum((pts[idx] - p[:, None]) ** 2, axis=2)
-        ties = near == near.min(axis=1, keepdims=True)
-        nearest = np.where(ties, idx, pts.shape[0]).min(axis=1)
-        wide = np.flatnonzero(dist[:, -1] <= dist[:, 0] * (1.0 + 1e-12))
-        for k in range(0, wide.shape[0], rows):
-            q = wide[k:k + rows]
-            nearest[q] = np.argmin(np.sum((pts - p[q, None]) ** 2, axis=2), axis=1)
-        t, off = tangents[nearest], p - pts[nearest]
-        return t[:, 0] * off[:, 1] - t[:, 1] * off[:, 0]
-
-    return side
+def _signed_area(polygons: np.ndarray) -> float:
+    """Area enclosed by a closed loop of degree-d Bezier segments, positive
+    when it runs counter-clockwise: d-node Gauss-Legendre per segment, exact
+    for the degree 2d - 1 integrand of (x y' - y x') / 2."""
+    degree = polygons.shape[1] - 1
+    nodes, weights = np.polynomial.legendre.leggauss(degree)
+    ts = 0.5 * (nodes + 1.0)
+    p = np.einsum("ki,sid->skd", all_bernstein(degree, ts), polygons)
+    dp = np.einsum("ki,sid->skd", all_bernstein(degree - 1, ts), degree * np.diff(polygons, axis=1))
+    cross = p[..., 0] * dp[..., 1] - p[..., 1] * dp[..., 0]
+    return float(0.25 * np.sum(weights * cross))
 
 
 def keep_region_fn(spec: str, curve: PiecewiseBezierCurve):
     """Point membership test for the retained side of a trim curve.
 
     The predicate takes arrays u and v of one shape, or scalars, and
-    returns a bool array of that shape (a numpy bool for scalars).
-    "inside"/"outside" use even-odd counting against a dense polyline of the
-    (closed) curve, `_KEEP_SAMPLES` samples per trim segment; "left"/"right"
-    take the sign of the cross product of the nearest sampled tangent with
-    the offset, relative to curve direction.  A query tests only the edges
-    of the polyline blocks whose v-range holds it, and finds its nearest
-    sample through a k-d tree; the answers are those of a test of every
-    edge and every sample.
+    returns a bool array of that shape (a numpy bool for scalars).  It is an
+    even-odd count (`segmentation.odd_crossings`) against one closed loop
+    of the trim's own Bezier segments, which must be monotone in u and v,
+    as `cut_trims` returns them.  "inside"/"outside" close an open trim by
+    its chord.  "left"/"right" name the region on that side of the oriented
+    trim: the inside of a counter-clockwise closed trim, or, for an open
+    trim with both ends on the domain edge, the loop closed outside the
+    square by `_closing_path`.
     """
     if spec not in KEEP_CHOICES:
         raise ValueError(f"keep spec must be one of {KEEP_CHOICES}")
-    n = _KEEP_SAMPLES * len(curve.segments) + 1
-    ts = np.linspace(0.0, 1.0, n)
-    pts = curve.evaluate_many(ts)
-
-    if spec in ("inside", "outside"):
-        inside = _crossing_test(pts if curve.is_closed else np.vstack([pts, pts[0]]))
-        if spec == "inside":
-            return _batched(inside)
-        return _batched(lambda u, v: ~inside(u, v))
-
-    side = _side_test(pts, curve.derivative_many(ts))
-    if spec == "left":
-        return _batched(lambda u, v: side(u, v) >= 0.0)
-    return _batched(lambda u, v: side(u, v) <= 0.0)
+    loop, closed = [seg.control_points for seg in curve.segments], curve.is_closed
+    if not closed:
+        if spec in ("inside", "outside"):
+            loop.append(np.array([loop[-1][-1], loop[0][0]]))
+        else:
+            loop += _closing_path(loop[-1][-1], loop[0][0])
+    degree = max(polygon.shape[0] for polygon in loop) - 1
+    polygons = np.stack([_elevate_axis0(polygon, degree) for polygon in loop])
+    if closed and spec in ("left", "right"):
+        outside = (spec == "left") != (_signed_area(polygons) > 0.0)
+    else:
+        outside = spec in ("outside", "right")
+    return _batched(lambda u, v: odd_crossings(polygons, u, v) != outside)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +154,16 @@ def prepare_decompositions(data: IntersectionData, s1: BezierSurface,
     The one place that decides where the trims are cut: each domain curve's
     monotone roots are found once, and every round cuts both curves at all
     of them plus the fit-driven re-splits so far (`cut_trims`), handing each
-    side's decomposition its own turning points as breakpoint indices.
+    side's decomposition its own turning points as breakpoint indices.  The
+    keep predicates answer from the first round's cut, whose segments are
+    monotone.
     """
     curves = [data.domain_curve_a, data.domain_curve_b]
-    keeps = [keep_region_fn(config.keep_a, curves[0]), keep_region_fn(config.keep_b, curves[1])]
     roots = [monotone_split_params(curve) for curve in curves]
+    trims = cut_trims(curves, roots)
+    keeps = [keep_region_fn(config.keep_a, trims[0][0]), keep_region_fn(config.keep_b, trims[1][0])]
     splits = []
     for _ in range(MAX_SPLIT_ROUNDS):
-        trims = cut_trims(curves, roots, splits)
         try:
             return tuple(
                 PatchSet(build_patch_decomposition(surface, *trim, keep, fit_tol=config.fit_tol))
@@ -202,6 +173,7 @@ def prepare_decompositions(data: IntersectionData, s1: BezierSurface,
             log.info("fit tolerance needs %d extra splits", len(err.params))
             splits.extend(err.params)
             residual, (w0, w1) = err.residual, err.w_span
+            trims = cut_trims(curves, roots, splits)
     raise FitError(
         f"fit tolerance {config.fit_tol:.3e} unreachable within the split budget of "
         f"{MAX_SPLIT_ROUNDS} rounds; the trim interval [{w0:.6f}, {w1:.6f}] still misses it",
@@ -241,7 +213,6 @@ def run_pipeline(s1: BezierSurface, s2: BezierSurface,
         "measure", measure_gap, data.curve_c, s2, GAP_SAMPLES, data.domain_curve_b
     )
     post = _stage("verify", verify_watertight, model, VERIFY_SAMPLES)
-    model.report_pre = (gap_a, gap_b)
     model.report_post = post
     report = {
         "intersection_points": len(data.points),

@@ -198,6 +198,39 @@ def _solve_arcs(polygons: np.ndarray, coords, values) -> np.ndarray:
     return np.where((values >= high)[..., None], np.where(rising[:, None, None], last, first), pts)
 
 
+def odd_crossings(polygons: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether the ray from each query (u, v) toward +u crosses a closed loop
+    of Bezier segments, (S, d+1, 2) and each monotone in u and v, an odd
+    number of times.
+
+    A segment straddles v when its end points do, half-open.  Bisection
+    finds the one straddling segment of each run of segments heading one
+    way in v.  The ray crosses it when u lies below its control polygon's
+    u-range; within that range `_solve_arcs` gives the arc's u at v.
+    """
+    ends = np.append(polygons[:, 0, 1], polygons[-1, -1, 1])
+    trend = np.sign(np.diff(ends))
+    turns = np.flatnonzero(trend)
+    turns = turns[1:][trend[turns[1:]] != trend[turns[:-1]]]
+    queries, segments = [], []
+    for first, last in zip([0, *turns], [*turns, polygons.shape[0]]):
+        # Negated, a falling run's heights rise; its half-open side flips.
+        rising = ends[last] >= ends[first]
+        sign = 1.0 if rising else -1.0
+        k = np.searchsorted(sign * ends[first:last + 1], sign * v, "right" if rising else "left") - 1
+        hit = np.flatnonzero((k >= 0) & (k < last - first))
+        queries.append(hit)
+        segments.append(first + k[hit])
+    q, s = np.concatenate(queries), np.concatenate(segments)
+    lo, hi = polygons[s, :, 0].min(axis=1), polygons[s, :, 0].max(axis=1)
+    cross = u[q] < lo
+    solve = np.flatnonzero(~cross & (u[q] <= hi))
+    if solve.shape[0]:
+        arc = _solve_arcs(polygons[s[solve]], np.ones(solve.shape[0], dtype=int), v[q[solve], None])
+        cross[solve] = arc[:, 0, 0] > u[q[solve]]
+    return np.bincount(q[cross], minlength=u.shape[0]) % 2 == 1
+
+
 class _Arc:
     """A trapezoid's curved edge in its cell's local [0,1]^2 frame.
 
@@ -829,12 +862,6 @@ def _normalize_trapezoids(surface: BezierSurface, cells) -> list:
     return out
 
 
-def _normalize_trapezoid(surface: BezierSurface, cell: DomainCell):
-    """(patch, curved edge) of one fitted trapezoid: the one-cell case of
-    `_normalize_trapezoids`."""
-    return _normalize_trapezoids(surface, [cell])[0]
-
-
 # ---------------------------------------------------------------------------
 # Whole-trim driver
 # ---------------------------------------------------------------------------
@@ -957,8 +984,9 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
     The trim `curve` turns at breakpoint indices `cuts`, from `cut_trims`.
     `keep_fn(u, v)` names the retained region: it takes arrays u and v of
     one shape and returns a bool array of that shape, as the predicates of
-    `pipeline.keep_region_fn` do.  `decompose_trim` calls it at most once
-    per monotone segment plus once.
+    `pipeline.keep_region_fn` do; those count crossings on the trim's own
+    Bezier segments, cut at its turning points.  `decompose_trim` calls it
+    at most once per monotone segment plus once.
 
     Trapezoids are classified and fitted in one batched pass; the ones that
     miss are tightened together, and the tightened cells get a second pass.

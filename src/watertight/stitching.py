@@ -80,7 +80,6 @@ class WatertightModel:
     set_b: PatchSet
     shared_boundary: list
     triples: list
-    report_pre: tuple = (None, None)
     report_post: GapReport | None = None
     deviation: float = 0.0
 

@@ -37,7 +37,7 @@ from watertight.segmentation import (
     _fit_cells,
     _fit_pinv,
     _frame_arcs,
-    _normalize_trapezoid,
+    _normalize_trapezoids,
     _relabel,
     _solve_arcs,
     _t_reversed,
@@ -474,7 +474,7 @@ class TestTightenCell:
         surface = paraboloid_patch()
         tight, filler = tighten_cell(self._quadrant_cells()[index])
         fit_one(tight, 2, 1e-2)
-        patch, edge = _normalize_trapezoid(surface, tight)
+        patch, edge = _normalize_trapezoids(surface, [tight])[0]
         pieces = [(patch, tight, edge), (extract_subpatch(surface, *filler.bounds), filler, None)]
         for piece, cell, edge in pieces:
             for s in np.linspace(0.0, 1.0, 11):
@@ -581,7 +581,7 @@ class TestNormalization:
         )
         fit_one(cell, 1, 1e-9)
         assert cell.case == TrapezoidCase(0, False)
-        patch, edge = _normalize_trapezoid(flat_patch(), cell)
+        patch, edge = _normalize_trapezoids(flat_patch(), [cell])[0]
         assert edge is Edge.U1
         want = np.array([
             [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 1.0, 0.0]],
@@ -598,7 +598,7 @@ class TestNormalization:
         cells = decompose_domain(seg, "below")
         cell = cells[2]
         fit_one(cell, 2, 1e-2)
-        patch, edge = _normalize_trapezoid(surface, cell)
+        patch, edge = _normalize_trapezoids(surface, [cell])[0]
         degrees = sorted((patch.degree_u, patch.degree_v))
         assert degrees == [3, 3 * cell.boundary_fn.degree + 3]
         worst = 0.0
@@ -687,7 +687,7 @@ class TestPatchDecomposition:
 
         monkeypatch.setattr(watertight.bezier, "unit_ranges", search)
         for cell in traps:
-            _normalize_trapezoid(surface, cell)
+            _normalize_trapezoids(surface, [cell])[0]
 
     def test_exhausted_split_budget_names_the_missing_interval(self):
         s1, s2 = paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)

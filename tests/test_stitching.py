@@ -532,3 +532,28 @@ class TestBatchedVerify:
             assert got.rms_gap == want.rms_gap
             assert got.sample_count == want.sample_count
             assert np.array_equal(got.worst_point, want.worst_point)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("keep_a", "inner"),
+        ("keep_b", "Left"),
+        ("march_step", -0.02),
+        ("march_step", 0.0),
+        ("fit_tol", 0.0),
+        ("fit_tol", float("nan")),
+        ("reduce_tolerance", 0.0),
+        ("reduce_tolerance", -1e-3),
+    ])
+    def test_a_bad_field_is_rejected_before_any_march(self, monkeypatch, field, value):
+        marches = []
+        monkeypatch.setattr(
+            "watertight.pipeline.build_intersection_data", lambda *args: marches.append(args)
+        )
+        with pytest.raises(ValueError, match=field):
+            run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04),
+                         PipelineConfig(**{field: value}))
+        assert marches == []
+
+    def test_reduce_tolerance_may_be_left_unset(self):
+        assert PipelineConfig(reduce_tolerance=None).reduce_tolerance is None

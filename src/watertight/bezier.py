@@ -20,9 +20,9 @@ parameters at once with no per-sample Python work, and each sample goes
 through the same floating-point operations, in the same order, as the
 scalar `de_casteljau`: results equal the scalar ones bit for bit.  At
 t == 0.0 and t == 1.0 they return the first and last control point
-exactly.  The zero-gap guarantee relies on both properties: two patches
-whose stitched edges hold the same control polygon evaluate to the same
-bits there, whichever path evaluates them.  `all_bernstein` is vectorized
+exactly.  So stitched edges that hold one control polygon evaluate to
+the same bits, whichever path evaluates them; the seam check compares the
+polygons and relies on neither property.  `all_bernstein` is vectorized
 over x with the scalar recurrence's arithmetic, and `evaluate_grid_stacked`
 evaluates P stacked nets on one grid with `evaluate_grid`'s operations.
 `degree_reduce_many` reduces stacked polygons of one degree by products

@@ -3,7 +3,8 @@
 JSON with a strict schema; any violation raises ParseError naming its path.
 Unknown fields are rejected, lists must be lists and numbers finite JSON
 numbers (not strings or bools) in arrays that are not ragged, dimensions
-are cross-checked against declared degrees, and the values of cells,
+are cross-checked against declared degrees and curve dimensions (domain
+curves lie on the space curve's breakpoints), and the values of cells,
 boundary records, intersection points and reports are checked.  Numbers
 round-trip bitwise (shortest round-trippable decimals via repr).  Writes
 are atomic (temp file plus rename).
@@ -235,7 +236,8 @@ def _surface_net(obj: dict, path: str) -> np.ndarray:
     return net
 
 
-def _decode_curve(obj: dict, path: str) -> PiecewiseBezierCurve:
+def _decode_curve(obj: dict, path: str, dim: int, breakpoints=None) -> PiecewiseBezierCurve:
+    """A piecewise curve of `dim`-coordinate points, on `breakpoints` if given."""
     _check_keys(obj, {"breakpoints", "segments"}, {"breakpoints", "segments"}, path)
     breaks = _number_grid(obj["breakpoints"], f"{path}.breakpoints", 1)
     segments = [
@@ -243,9 +245,13 @@ def _decode_curve(obj: dict, path: str) -> PiecewiseBezierCurve:
         for k, seg in enumerate(_list(obj["segments"], f"{path}.segments"))
     ]
     try:
-        return PiecewiseBezierCurve(segments, breaks)
+        curve = PiecewiseBezierCurve(segments, breaks)
     except ValueError as err:
         raise ParseError(str(err), path)
+    _require(curve.dim == dim, path, "points have {} coordinates, not {}", curve.dim, dim)
+    _require(breakpoints is None or np.array_equal(curve.breakpoints, breakpoints), path,
+             "breakpoints differ from the space curve's")
+    return curve
 
 
 def _decode_intersection(obj: dict, path: str, surfaces: list) -> IntersectionData:
@@ -270,11 +276,12 @@ def _decode_intersection(obj: dict, path: str, surfaces: list) -> IntersectionDa
                 residual_b=_non_negative(rec["residual_b"], f"{ppath}.residual_b"),
             )
         )
-    domain_a = _decode_curve(obj["domain_curve_a"], f"{path}.domain_curve_a")
-    domain_b = _decode_curve(obj["domain_curve_b"], f"{path}.domain_curve_b")
+    curve_c = _decode_curve(obj["curve_c"], f"{path}.curve_c", 3)
+    domain_a, domain_b = (_decode_curve(obj[name], f"{path}.{name}", 2, curve_c.breakpoints)
+                          for name in ("domain_curve_a", "domain_curve_b"))
     return IntersectionData(
         points=points,
-        curve_c=_decode_curve(obj["curve_c"], f"{path}.curve_c"),
+        curve_c=curve_c,
         domain_curve_a=domain_a,
         domain_curve_b=domain_b,
         lifted_a=lift_domain_curve(surfaces[0], domain_a, samples),

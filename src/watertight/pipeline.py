@@ -2,13 +2,14 @@
 
 Stage 1 turns each trimmed surface into standard-domain patches whose shape
 is unchanged; stage 2 replaces the boundary control points on both sides
-with the shared intersection curve's control points and verifies that the
-boundary gap is exactly zero.
+with the shared intersection curve's control points and verifies, control
+point by control point, that the boundary gap is exactly zero.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,8 @@ log = logging.getLogger(__name__)
 KEEP_CHOICES = ("outside", "inside", "left", "right")
 # Residual that accepts a marched intersection point.
 MARCH_TOL = 1e-10
-# Curve samples of each pre-stitch gap measurement, and edge samples of the
-# post-stitch check.
+# Curve samples of each pre-stitch gap measurement.
 GAP_SAMPLES = 200
-VERIFY_SAMPLES = 65
 # Re-split rounds before an unmet fit tolerance is reported.
 MAX_SPLIT_ROUNDS = 6
 
@@ -58,8 +57,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be one of {KEEP_CHOICES}, not {getattr(self, name)!r}")
         for name in ("march_step", "fit_tol", "reduce_tolerance"):
             value = getattr(self, name)
-            if not (value is None and name == "reduce_tolerance" or value > 0.0):
-                raise ValueError(f"{name} must be positive, not {value!r}")
+            if not (value is None and name == "reduce_tolerance" or 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
 
 @dataclass(eq=False)
@@ -212,7 +211,7 @@ def run_pipeline(s1: BezierSurface, s2: BezierSurface,
     gap_b = _stage(
         "measure", measure_gap, data.curve_c, s2, GAP_SAMPLES, data.domain_curve_b
     )
-    post = _stage("verify", verify_watertight, model, VERIFY_SAMPLES)
+    post = _stage("verify", verify_watertight, model)
     model.report_post = post
     report = {
         "intersection_points": len(data.points),

@@ -6,9 +6,10 @@ two breakpoints.  Stitching degree-elevates that curve interval to the
 common edge degree of the matched patch pair, or to the interval's own
 degree where that is higher (elevating a lower-degree patch along its trim
 direction first, which is exact), and writes the same control points into
-both edges.  Matched edges then hold bitwise-identical control polygons,
-so evaluating them with the same de Casteljau code yields a boundary gap
-of exactly zero.
+both edges.  Matched edges then hold one control polygon, so the boundary
+gap is exactly zero by construction.  `verify_watertight` checks exactly
+that, with no sampling: it compares each pair's edge control rows, whose
+largest distance bounds the edges' distance at equal parameter.
 
 The stage works on stacks of patches.  Optional degree reduction brings the
 stitched direction back down to the segment's degree: every stitched row
@@ -18,9 +19,7 @@ of every reducible pair (both patches and the shared segment) of one
 a fixed number of rows to bound their memory; a pair is rewritten only when
 all of its rows pass.  The deviation evaluates batches of equal-shape nets
 in one stacked de Casteljau pass, then inverts the pairs in descending
-order of their same-parameter bound until no bound can raise the maximum,
-and `verify_watertight` evaluates the edges of one degree in one batched
-call, with the same bits as one call per edge.
+order of their same-parameter bound until no bound can raise the maximum.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .bezier import (
     BezierCurve,
     BezierSurface,
     Edge,
-    de_casteljau_many,
     degree_elevate_curve,
     degree_reduce_many,
     evaluate_grid_stacked,
@@ -298,37 +296,25 @@ def _try_reduce(out_a: PatchSet, out_b: PatchSet, triples, shared, tol):
     return new_shared
 
 
-# Edges per de Casteljau call in `verify_watertight`: 32 degree-12 edges at
-# 65 samples repeat their polygons into about 0.6 MB.
-_VERIFY_BATCH = 32
+def verify_watertight(model: WatertightModel) -> GapReport:
+    """Largest control-point distance between matched boundary edges.
 
-
-def verify_watertight(model: WatertightModel, samples: int = 65) -> GapReport:
-    """Max distance between matched boundary edges at shared parameters.
-
-    Edge curves are extracted as control polygons and evaluated with the
-    same de Casteljau routine on both sides, so stitched models report a
-    gap of exactly zero.
+    The lower-degree row of a pair (only unstitched models have one) is
+    first elevated exactly.  By the convex-hull property the result bounds
+    the edges' distance at equal parameter; it is exactly 0.0 when both
+    edges hold one polygon, as stitching writes them.  `sample_count` is the
+    number of control points compared.
     """
     if not model.triples:
         return GapReport(0.0, 0.0, 0, np.zeros(3))
-    ts = np.linspace(0.0, 1.0, samples)
-    edges = [model.set_a.patches[t.patch_a].edge_curve(t.edge_a).control_points
-             for t in model.triples]
-    edges += [model.set_b.patches[t.patch_b].edge_curve(t.edge_b).control_points
-              for t in model.triples]
-    # One de Casteljau call per batch of equal-degree edges; samples stay in
-    # triple order.
-    points = np.empty((len(edges), samples, 3))
-    sizes = np.array([cps.shape[0] for cps in edges])
-    for size in np.unique(sizes):
-        same = np.flatnonzero(sizes == size)
-        for k in range(0, same.shape[0], _VERIFY_BATCH):
-            members = same[k:k + _VERIFY_BATCH]
-            stack = np.repeat(np.stack([edges[i] for i in members]), samples, axis=0)
-            points[members] = de_casteljau_many(
-                stack, np.tile(ts, members.shape[0])).reshape(members.shape[0], samples, 3)
-    pa, pb = np.split(points.reshape(-1, 3), 2)
+    side_a, side_b = [], []
+    for t in model.triples:
+        edge_a = model.set_a.patches[t.patch_a].edge_curve(t.edge_a)
+        edge_b = model.set_b.patches[t.patch_b].edge_curve(t.edge_b)
+        degree = max(edge_a.degree, edge_b.degree)
+        side_a.append(degree_elevate_curve(edge_a, degree).control_points)
+        side_b.append(degree_elevate_curve(edge_b, degree).control_points)
+    pa, pb = np.concatenate(side_a), np.concatenate(side_b)
     arr = np.linalg.norm(pa - pb, axis=1)
     worst = int(np.argmax(arr))
     return GapReport(

@@ -131,6 +131,24 @@ def set_at(keys, value, field):
     return edit
 
 
+def map_points(curve, fn):
+    """An edit that applies fn to every control point of an intersection curve."""
+    def edit(raw):
+        record = raw["intersection"][curve]
+        record["segments"] = [[fn(point) for point in seg] for seg in record["segments"]]
+        return f"intersection.{curve}"
+    return edit
+
+
+def shift_breakpoint(curve):
+    """An edit that moves an intersection curve's second breakpoint halfway to its first."""
+    def edit(raw):
+        breaks = raw["intersection"][curve]["breakpoints"]
+        breaks[1] = 0.5 * (breaks[0] + breaks[1])
+        return f"intersection.{curve}"
+    return edit
+
+
 NET = ["surfaces", 0, "control_points"]
 PATCH_NET = ["patch_sets", 0, "patches", 0, "control_points"]
 CURVE_C = ["intersection", "curve_c"]
@@ -200,6 +218,10 @@ def demo_record():
     set_at(["reports", "closed"], "yes", "reports.closed"),
     set_at(["reports", "stitch_deviation"], -1.0, "reports.stitch_deviation"),
     set_at(["reports", "post_stitch_gap", "max"], "0", "reports.post_stitch_gap.max"),
+    map_points("domain_curve_a", lambda point: point[:1]),
+    map_points("domain_curve_b", lambda point: point + [0.0]),
+    map_points("curve_c", lambda point: point[:2]),
+    shift_breakpoint("domain_curve_a"),
 ], ids=[
     "kind", "bounds-not-a-list", "bounds-three-numbers", "bounds-infinite", "bounds-bool",
     "bounds-huge-int", "bounds-u-reversed", "bounds-v-past-one", "bounds-u-below-zero",
@@ -213,6 +235,7 @@ def demo_record():
     "w-span-str", "w-span-reversed", "boundary-fn-str", "boundary-fn-empty",
     "fit-residual-negative", "report-count-str", "report-closed-str",
     "report-deviation-negative", "report-gap-str",
+    "domain-curve-1d", "domain-curve-3d", "curve-c-2d", "domain-breakpoints-differ",
 ])
 def test_invalid_patch_set_values_are_rejected(tmp_path, demo_record, edit):
     raw = copy.deepcopy(demo_record)

@@ -13,13 +13,15 @@ Each benchmark times one kernel on the sizes the pipeline feeds it: a
 domain curve of 300 cubic segments (a dense march), a 441-point grid on a
 (3, 9) patch, one batch of the stitch deviation's point inversion (16
 stacked patches, 441 samples each), the march of a tilted arc at step
-0.01, the pre-stitch gap measurement and the lifting of a dense domain
-curve, the segmentation of the demo's side a at step 0.005, its batched
-keep test at every retained sample, its one batched arc solve and its
-vectorized boundary fit, a model_io save and load of that demo, the
-stacked composition of 300 nets, the stitch deviation of the demo, the
-degree reduction of one curve and stitching's batched reduction of the
-corner clip, and the final gap check of a stitched model.
+0.01 and its 32x32 nearest-point seeding search, the monotone split
+parameters of the demo's trim, the pre-stitch gap measurement and the
+lifting of a dense domain curve, the segmentation of the demo's side a
+at step 0.005, its batched keep test at every retained sample, its one
+batched arc solve and its vectorized boundary fit, a model_io save and
+load of that demo, the stacked composition of 300 nets, the stitch
+deviation of the demo, the degree reduction of one curve and stitching's
+batched reduction of the corner clip, and the final gap check of a
+stitched model.
 """
 
 from dataclasses import replace
@@ -38,7 +40,14 @@ from watertight.bezier import (
     degree_reduce_curve,
 )
 from watertight import model_io
-from watertight.intersect import build_intersection_data, invert_points, lift_domain_curve, march_intersection, measure_gap
+from watertight.intersect import (
+    _nearest,
+    build_intersection_data,
+    invert_points,
+    lift_domain_curve,
+    march_intersection,
+    measure_gap,
+)
 from watertight.pipeline import (
     MARCH_TOL,
     PipelineConfig,
@@ -134,6 +143,21 @@ def test_march_intersection_tilted_arc(benchmark):
     # The shape of the dense-march workload's tilted arc.
     points = benchmark(march_intersection, paraboloid_patch(), plane_patch(0.3, 0.0, 0.02), 0.01, 1e-10)
     assert len(points) == 226
+
+
+def test_nearest_32x32_seeding_grid(benchmark):
+    # The march's seeding search: every point of side a's 32x32 grid
+    # against every point of side b's, on the tilted arc.
+    ts = np.linspace(0.0, 1.0, 32)
+    pts1 = paraboloid_patch().evaluate_grid(ts, ts).reshape(-1, 3)
+    pts2 = plane_patch(0.3, 0.0, 0.02).evaluate_grid(ts, ts).reshape(-1, 3)
+    index, d2 = benchmark(_nearest, pts1, pts2)
+    assert index.shape == d2.shape == (1024,)
+
+
+def test_monotone_split_params_demo_trim(benchmark, demo):
+    params = benchmark(monotone_split_params, demo.data.domain_curve_a)
+    assert len(params) == 4
 
 
 def test_measure_gap_200_samples_demo(benchmark, demo):

@@ -24,6 +24,7 @@ from .errors import (
     AmbiguousCaseError,
     DegenerateCellError,
     DomainError,
+    EmptyRegionError,
     FitError,
     GeometryError,
     NoIntersectionError,
@@ -51,6 +52,7 @@ __all__ = [
     "AmbiguousCaseError",
     "DegenerateCellError",
     "DomainError",
+    "EmptyRegionError",
     "FitError",
     "GeometryError",
     "NoIntersectionError",

@@ -41,6 +41,11 @@ class DegenerateCellError(GeometryError):
     """Domain decomposition produced a cell with no usable interior."""
 
 
+class EmptyRegionError(GeometryError):
+    """A keep spec names a region with no area, such as one side of a straight
+    trim closed by its own chord."""
+
+
 class AlignmentError(GeometryError):
     """Patch sets do not share the breakpoint structure of one intersection."""
 

@@ -23,7 +23,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bezier import (
     BezierCurve,
@@ -44,6 +43,9 @@ _POINT_TOL = 1e-14
 _MAX_MARCH_POINTS = 4000
 # Samples per curve segment of the lifted domain polylines.
 _LIFT_SAMPLES = 40
+# Points per block of a `_nearest` search: a (64, 1024) block of squared
+# distances is 0.5 MB.
+_NEAREST_BLOCK = 64
 
 
 @dataclass(eq=False)
@@ -165,12 +167,32 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return num / np.where(den == 0.0, np.inf, den)
 
 
+def _nearest(points: np.ndarray, targets: np.ndarray):
+    """Each of (K, 3) points' nearest of (T, 3) targets, by brute force.
+
+    Returns (index, d2): (K,) the index of the nearest target, the first
+    one on a tie, and (K,) its squared distance, the squared coordinate
+    differences summed over x, y and z in that order.  Points are taken in
+    blocks of `_NEAREST_BLOCK`, so the temporaries stay small however many
+    points there are.
+    """
+    index = np.empty(points.shape[0], dtype=np.intp)
+    d2min = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], _NEAREST_BLOCK):
+        block = points[start:start + _NEAREST_BLOCK]
+        rows = np.arange(block.shape[0])
+        d2 = sum((targets[:, k] - block[:, k, None]) ** 2 for k in range(3))
+        best = np.argmin(d2, axis=1)
+        index[start + rows] = best
+        d2min[start + rows] = d2[rows, best]
+    return index, d2min
+
+
 def _grid_argmin(surface: BezierSurface, points: np.ndarray, grid: int) -> np.ndarray:
     """(K, 2) parameters of the grid x grid lattice point nearest each of (K, 3) points."""
     ts = np.linspace(0.0, 1.0, grid)
     lattice = surface.evaluate_grid(ts, ts).reshape(-1, 3)
-    d2 = sum((lattice[:, k] - points[:, k, None]) ** 2 for k in range(3))
-    i, j = np.divmod(np.argmin(d2, axis=1), grid)
+    i, j = np.divmod(_nearest(points, lattice)[0], grid)
     return np.stack([ts[i], ts[j]], axis=1)
 
 
@@ -295,7 +317,8 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
                        tol: float) -> list:
     """Ordered intersection points along one branch.
 
-    Corrects the 8 closest pairs of a coarse-grid proximity search with
+    Corrects the 8 closest pairs of a coarse-grid proximity search (each
+    grid point of s1 against every grid point of s2, by `_nearest`) with
     `_match`, the one Gauss-Newton solver of the march, and seeds from the
     first that converges.  Then steps along the cross product of the
     surface normals, correcting each step with `_match` on a step plane and
@@ -312,8 +335,8 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
     ts = np.linspace(0.0, 1.0, grid)
     pts1 = s1.evaluate_grid(ts, ts).reshape(-1, 3)
     pts2 = s2.evaluate_grid(ts, ts).reshape(-1, 3)
-    tree = cKDTree(pts2)
-    dist, nearest = tree.query(pts1)
+    nearest, d2min = _nearest(pts1, pts2)
+    dist = np.sqrt(d2min)
     order = np.argsort(dist)
 
     candidates = []
@@ -338,9 +361,9 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
             surfaces, seed, partials, -1.0, step, tol, start.position
         )
         chain = list(reversed(backward)) + [start] + forward
-    others = [_make_point(q, v).position for q, _, v in candidates[1:]]
-    if others:
-        gap = float(cKDTree([p.position for p in chain]).query(others)[0].max())
+    others = np.array([_make_point(q, v).position for q, _, v in candidates[1:]])
+    if others.shape[0]:
+        gap = float(np.sqrt(_nearest(others, np.array([p.position for p in chain]))[1].max()))
         if gap > step:
             log.warning("a converged seed lies %.3g from the marched branch; "
                         "another branch was dropped", gap)

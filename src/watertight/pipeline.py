@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import BezierSurface, PiecewiseBezierCurve, _elevate_axis0, all_bernstein
-from .errors import DomainError, FitError, GeometryError, NoIntersectionError, StageError
+from .errors import (
+    DomainError,
+    EmptyRegionError,
+    FitError,
+    GeometryError,
+    NoIntersectionError,
+    StageError,
+)
 from .intersect import IntersectionData, build_intersection_data, measure_gap
 from .segmentation import (
     _NeedsSplit,
@@ -123,7 +130,10 @@ def keep_region_fn(spec: str, curve: PiecewiseBezierCurve):
     its chord.  "left"/"right" name the region on that side of the oriented
     trim: the inside of a counter-clockwise closed trim, or, for an open
     trim with both ends on the domain edge, the loop closed outside the
-    square by `_closing_path`.
+    square by `_closing_path`.  Raises EmptyRegionError when the chord
+    closes an open trim into a loop of no area (|area| <= 1e-12), as for a
+    straight cut: "inside" then names nothing, and "outside" the whole
+    square, with no seam.
     """
     if spec not in KEEP_CHOICES:
         raise ValueError(f"keep spec must be one of {KEEP_CHOICES}")
@@ -135,6 +145,10 @@ def keep_region_fn(spec: str, curve: PiecewiseBezierCurve):
             loop += _closing_path(loop[-1][-1], loop[0][0])
     degree = max(polygon.shape[0] for polygon in loop) - 1
     polygons = np.stack([_elevate_axis0(polygon, degree) for polygon in loop])
+    if not closed and spec in ("inside", "outside") and abs(_signed_area(polygons)) <= 1e-12:
+        raise EmptyRegionError(
+            f"keep {spec!r} names a region with no area: the trim closed by its chord encloses none"
+        )
     if closed and spec in ("left", "right"):
         outside = (spec == "left") != (_signed_area(polygons) > 0.0)
     else:

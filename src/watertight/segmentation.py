@@ -66,7 +66,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bezier import (
     MAX_BOUNDARY_DEGREE,
@@ -90,7 +89,7 @@ TRAPEZOID = "trapezoid"
 _COORD_TOL = 1e-9
 # Cut parameters this close to a breakpoint, or to a smaller kept cut, merge.
 _CUT_TOL = 1e-7
-# brentq tolerance of a monotone split parameter.
+# Absolute tolerance of `_brent_root` on a monotone split parameter.
 _SPLIT_REFINE_TOL = 1e-10
 # Least-squares samples of a boundary-polynomial fit, and its residual check.
 _FIT_SAMPLES = 64
@@ -361,11 +360,59 @@ def monotone_split_params(curve: PiecewiseBezierCurve):
         nonzero = np.flatnonzero(signs)
         flips = signs[nonzero[1:]] != signs[nonzero[:-1]]
         for lo, hi in zip(ws[nonzero[:-1][flips]], ws[nonzero[1:][flips]]):
-            root = brentq(
-                lambda w: curve.derivative_at(w)[comp], lo, hi, xtol=_SPLIT_REFINE_TOL
-            )
-            params.append(float(root))
+            params.append(_brent_root(lambda w: curve.derivative_at(w)[comp], lo, hi,
+                                      _SPLIT_REFINE_TOL))
     return sorted(p for p in params if 1e-9 < p < 1.0 - 1e-9)
+
+
+def _brent_root(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
+    """A root of f in [xa, xb], where f changes sign, by Brent's method.
+
+    Inverse quadratic or secant steps, bisecting whenever the step is not
+    short enough, until half the bracket is below (xtol + rtol*|x|) / 2
+    with rtol = 4 eps: Brent's zeroin (Brent 1973, ch. 4) in the form of
+    the widely used C routine ``brentq.c``, with its defaults and its
+    operations in its order, so the roots equal that routine's bit for
+    bit.  An end where f is exactly 0 is returned as is.  f must be finite on the bracket.  Raises ValueError
+    when f(xa) and f(xb) have one sign, and RuntimeError when `maxiter`
+    steps do not converge.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            spre, scur = (scur, stry) if short else (sbis, sbis)
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"no root within {maxiter} steps of Brent's method")
 
 
 def cut_trims(curves, roots, extra=()):

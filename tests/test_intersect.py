@@ -4,13 +4,16 @@ import logging
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import watertight.intersect as intersect
 import watertight.stitching as stitching
 from watertight import BezierSurface
 from watertight.bezier import bernstein_from_monomial
 from watertight.intersect import (
+    _NEAREST_BLOCK,
     _match,
+    _nearest,
     build_intersection_data,
     interpolate_domain_curve,
     interpolate_space_curve,
@@ -112,12 +115,53 @@ class TestDroppedBranch:
         with caplog.at_level(logging.WARNING, logger="watertight.intersect"):
             points = march_intersection(saddle_patch(), plane_patch(0.0, 0.0, 0.01), step=0.02, tol=1e-10)
         assert len(points) > 2
-        assert "branch was dropped" in caplog.text
+        assert "a converged seed lies 0.304 from the marched branch; another branch was dropped" \
+            in caplog.text
 
     def test_demo_circle_does_not_warn(self, caplog, paraboloid, level_plane):
         with caplog.at_level(logging.WARNING, logger="watertight.intersect"):
             march_intersection(paraboloid, level_plane, step=0.02, tol=1e-10)
         assert caplog.text == ""
+
+
+def unblocked_nearest(points, targets):
+    """`_nearest` as one (K, T) expression, with no blocks."""
+    d2 = sum((targets[:, k] - points[:, k, None]) ** 2 for k in range(3))
+    index = np.argmin(d2, axis=1)
+    return index, d2[np.arange(points.shape[0]), index]
+
+
+class TestNearest:
+    # Sizes below, at and above one block, and not multiples of it.
+    SIZES = [1, _NEAREST_BLOCK - 1, _NEAREST_BLOCK, _NEAREST_BLOCK + 1, 3 * _NEAREST_BLOCK + 17]
+
+    @pytest.mark.parametrize("count", SIZES)
+    def test_random_sets_match_a_kd_tree(self, rng, count):
+        for _ in range(10):
+            points = rng.uniform(-1.0, 1.0, (count, 3))
+            targets = rng.uniform(-1.0, 1.0, (rng.integers(1, 300), 3))
+            index, d2 = _nearest(points, targets)
+            dist, tree_index = cKDTree(targets).query(points)
+            assert np.array_equal(np.sqrt(d2), dist)
+            assert np.array_equal(index, tree_index)
+            want_index, want_d2 = unblocked_nearest(points, targets)
+            assert np.array_equal(index, want_index) and np.array_equal(d2, want_d2)
+
+    @pytest.mark.parametrize("count", SIZES)
+    def test_lattice_ties_take_the_first_index(self, rng, count):
+        # Half-integer points against an integer lattice: most points have
+        # several nearest targets at exactly one distance.
+        g = np.arange(5.0)
+        targets = np.stack(np.meshgrid(g, g, g[:3], indexing="ij"), axis=-1).reshape(-1, 3)
+        points = rng.integers(-1, 10, (count, 3)) * 0.5
+        index, d2 = _nearest(points, targets)
+        d2_all = ((targets[None] - points[:, None]) ** 2).sum(axis=2)
+        ties = (d2_all == d2_all.min(axis=1, keepdims=True)).sum(axis=1)
+        assert count < 8 or (ties > 1).mean() > 0.5
+        assert np.array_equal(index, np.argmax(d2_all == d2[:, None], axis=1))
+        assert np.array_equal(np.sqrt(d2), cKDTree(targets).query(points)[0])
+        want_index, want_d2 = unblocked_nearest(points, targets)
+        assert np.array_equal(index, want_index) and np.array_equal(d2, want_d2)
 
 
 def match_surfaces(s1, s2):

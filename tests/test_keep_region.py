@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from watertight import BezierCurve, DomainError, PiecewiseBezierCurve
+from watertight import BezierCurve, DomainError, EmptyRegionError, PiecewiseBezierCurve
 from watertight.intersect import build_intersection_data
-from watertight.pipeline import KEEP_CHOICES, MARCH_TOL, keep_region_fn
+from watertight.pipeline import KEEP_CHOICES, MARCH_TOL, PipelineConfig, keep_region_fn, run_pipeline
 from watertight.segmentation import cut_trims, decompose_trim, monotone_split_params
 from watertight.shapes import paraboloid_patch, plane_patch
 
@@ -187,6 +187,23 @@ def test_an_open_trim_off_the_domain_edge_has_no_side(spec):
         keep_region_fn(spec, curve)
     # The chord still closes it for "inside"/"outside".
     assert keep_region_fn("inside", curve)(0.73, 0.15)
+
+
+@pytest.mark.parametrize("spec", ["inside", "outside"])
+def test_a_straight_open_trim_closed_by_its_chord_has_no_area(spec):
+    curve = polyline_curve([[0.6, 0.0], [0.8, 0.5], [1.0, 1.0]])
+    with pytest.raises(EmptyRegionError, match=f"keep '{spec}' names a region with no area"):
+        keep_region_fn(spec, curve)
+    # Its ends lie on the domain edge, so "left"/"right" still name a side.
+    assert keep_region_fn("right", curve)(0.9, 0.2)
+
+
+@pytest.mark.parametrize("name, patches", [("corner-clip", 90), ("off-centre-arc", 70)])
+def test_outside_of_a_curved_open_cut_decomposes(name, patches):
+    # The chord closes these arcs into regions with area, so the no-area
+    # error does not fire and "outside" still decomposes.
+    result = run_pipeline(paraboloid_patch(), plane_patch(*TRIMS[name]), PipelineConfig())
+    assert result.report["patches_a"] == result.report["patches_b"] == patches
 
 
 @settings(max_examples=15, deadline=None)

@@ -33,6 +33,8 @@ from watertight.segmentation import (
     TrapezoidCase,
     _CHECK_TS,
     _FIT_TS,
+    _SPLIT_REFINE_TOL,
+    _brent_root,
     _classify_candidates,
     _fit_cells,
     _fit_pinv,
@@ -137,7 +139,7 @@ def sampled(edge_fn):
 def loop_split_params(curve):
     """The per-sample loop `monotone_split_params` replaced: a bracket
     between each pair of consecutive nonzero derivative samples of opposite
-    sign, refined by the same brentq."""
+    sign, refined by brentq, the oracle `_brent_root` ports."""
     ws = np.linspace(0.0, 1.0, 64 * len(curve.segments) + 1)
     derivs = curve.derivative_many(ws)
     scale = max(float(np.abs(derivs).max()), 1e-30)
@@ -202,6 +204,51 @@ class TestSplitMonotone:
         curve = PiecewiseBezierCurve([seg], np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             split_monotone(*cut_at_roots(curve))
+
+
+def horner(coeffs):
+    """The polynomial with `coeffs` (highest degree first), as a function of a float."""
+    def f(x):
+        value = 0.0
+        for c in coeffs:
+            value = value * x + c
+        return value
+    return f
+
+
+class TestBrentRoot:
+    """`_brent_root` against the C routine behind scipy's brentq, bit for bit."""
+
+    def test_random_polynomial_brackets(self, rng):
+        compared = 0
+        for _ in range(3000):
+            f = horner(rng.uniform(-1.0, 1.0, rng.integers(2, 9)))
+            a, b = np.sort(rng.uniform(-2.0, 2.0, 2))
+            if (f(a) < 0.0) == (f(b) < 0.0):
+                continue
+            for xtol in (_SPLIT_REFINE_TOL, 2e-12, 1e-3):
+                assert _brent_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+            compared += 1
+        assert compared > 500
+
+    def test_a_zero_end_is_returned(self):
+        f = horner([1.0, 0.0, -0.25])  # roots at -0.5 and 0.5
+        assert _brent_root(f, 0.5, 2.0, _SPLIT_REFINE_TOL) == brentq(f, 0.5, 2.0) == 0.5
+        assert _brent_root(f, -2.0, -0.5, _SPLIT_REFINE_TOL) == brentq(f, -2.0, -0.5) == -0.5
+
+    def test_a_same_sign_bracket_raises(self):
+        f = horner([1.0, 0.0, -0.25])
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0)
+        with pytest.raises(ValueError, match="different signs"):
+            _brent_root(f, -1.0, 1.0, _SPLIT_REFINE_TOL)
+
+    def test_too_few_steps_raise(self):
+        f = horner([1.0, 0.0, 0.0, -0.3])
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 1.0, xtol=1e-14, maxiter=3)
+        with pytest.raises(RuntimeError):
+            _brent_root(f, 0.0, 1.0, 1e-14, maxiter=3)
 
 
 class TestDecomposeDomain:

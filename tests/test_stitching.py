@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from watertight import AlignmentError, ReductionError, StageError
+from watertight import AlignmentError, EmptyRegionError, ReductionError, StageError
 from watertight.bezier import (
     BezierCurve,
     BezierSurface,
@@ -290,6 +290,18 @@ class TestStraightCuts:
             run_pipeline(flat_patch(), plane_patch(1.0, 0.0, -0.5), config)
         assert err.value.stage == "align"
         assert "neither side has a boundary patch" in str(err.value)
+
+    @pytest.mark.parametrize("plane", [(1.0, 0.5, -0.6), (1.0, 0.0, -0.5)])
+    @pytest.mark.parametrize("keep", ["inside", "outside"])
+    def test_inside_or_outside_of_a_straight_cut_has_no_area(self, plane, keep):
+        # Closed by its own chord, a straight trim bounds no area, so
+        # "inside" names nothing and "outside" the whole square.
+        config = PipelineConfig(keep_a=keep, keep_b=keep)
+        with pytest.raises(StageError) as err:
+            run_pipeline(flat_patch(), plane_patch(*plane), config)
+        assert err.value.stage == "segment"
+        assert isinstance(err.value.cause, EmptyRegionError)
+        assert f"keep '{keep}' names a region with no area" in str(err.value)
 
 
 def same_parameter_bound(before, after, grid=20):

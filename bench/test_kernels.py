@@ -13,15 +13,15 @@ Each benchmark times one kernel on the sizes the pipeline feeds it: a
 domain curve of 300 cubic segments (a dense march), a 441-point grid on a
 (3, 9) patch, one batch of the stitch deviation's point inversion (16
 stacked patches, 441 samples each), the march of a tilted arc at step
-0.01 and its 32x32 nearest-point seeding search, the monotone split
-parameters of the demo's trim, the pre-stitch gap measurement and the
-lifting of a dense domain curve, the segmentation of the demo's side a
-at step 0.005, its batched keep test at every retained sample, its one
-batched arc solve and its vectorized boundary fit, a model_io save and
-load of that demo, the stacked composition of 300 nets, the stitch
-deviation of the demo, the degree reduction of one curve and stitching's
-batched reduction of the corner clip, and the final gap check of a
-stitched model.
+0.01, one of its steps and its 32x32 nearest-point seeding search, the
+monotone split parameters of the demo's trim, the pre-stitch gap
+measurement and the lifting of a dense domain curve, the segmentation of
+the demo's side a at step 0.005, its batched keep test at every retained
+sample, its one batched arc solve and its vectorized boundary fit, a
+model_io save and load of that demo, the stacked composition of 300 nets,
+the stitch deviation of the demo and of the tight-fit mirror, the degree
+reduction of one curve and stitching's batched reduction of the corner
+clip, and the final gap check of a stitched model.
 """
 
 from dataclasses import replace
@@ -41,7 +41,9 @@ from watertight.bezier import (
 )
 from watertight import model_io
 from watertight.intersect import (
+    _match,
     _nearest,
+    _predict,
     build_intersection_data,
     invert_points,
     lift_domain_curve,
@@ -243,6 +245,44 @@ def test_stitch_deviation_demo(benchmark, demo):
     pairs += [(set_b.patches[t.patch_b], model.set_b.patches[t.patch_b]) for t in triples]
     deviation = benchmark(_stitch_deviation, pairs)
     assert deviation == model.deviation
+
+
+def test_stitch_deviation_tight_fit_mirror(benchmark):
+    # The tight-fit workload's mirror case: the paraboloid against
+    # z = 0.1 - (x-0.5)^2 - (y-0.5)^2 at fit_tol 1e-5, 156 stitched pairs.
+    s1 = paraboloid_patch()
+    net = paraboloid_patch(-1.0).control_net.copy()
+    net[..., 2] += 0.1
+    s2 = BezierSurface(net)
+    config = PipelineConfig(fit_tol=1e-5)
+    data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
+    set_a, set_b = prepare_decompositions(data, s1, s2, config)
+    triples = align_boundary(data, set_a, set_b)
+    model = stitch_boundary(set_a, set_b, triples)
+    pairs = [(set_a.patches[t.patch_a], model.set_a.patches[t.patch_a]) for t in triples]
+    pairs += [(set_b.patches[t.patch_b], model.set_b.patches[t.patch_b]) for t in triples]
+    deviation = benchmark(_stitch_deviation, pairs)
+    assert deviation == model.deviation
+
+
+def test_march_step_tilted_arc(benchmark):
+    # One step of the tilted arc's march at step 0.01: the tangent
+    # predictor from a marched point, then the corrector onto the step plane.
+    s1, s2 = paraboloid_patch(), plane_patch(0.3, 0.0, 0.02)
+    start = march_intersection(s1, s2, 0.01, 1e-10)[100]
+    q = np.concatenate([start.params_a, start.params_b])
+    _, _, partials, (p1, _) = _match(s1, s2, q)
+    n1, n2 = np.cross(*partials[:2]), np.cross(*partials[2:])
+    d = np.cross(n1, n2)
+    d /= np.linalg.norm(d)
+
+    def step():
+        predicted = np.clip(_predict(q, d, 0.01, partials), 0.0, 1.0)
+        return _match(s1, s2, predicted, plane=(d, p1 + 0.01 * d))
+
+    _, residual, _, (moved, _) = benchmark(step)
+    assert residual <= 1e-10
+    assert abs(np.linalg.norm(moved - p1) - 0.01) <= 1e-3
 
 
 def test_degree_reduce_8_to_3(benchmark):

@@ -27,6 +27,7 @@ from .errors import (
     EmptyRegionError,
     FitError,
     GeometryError,
+    LostBranchError,
     NoIntersectionError,
     ParseError,
     ReductionError,
@@ -55,6 +56,7 @@ __all__ = [
     "EmptyRegionError",
     "FitError",
     "GeometryError",
+    "LostBranchError",
     "NoIntersectionError",
     "ParseError",
     "ReductionError",

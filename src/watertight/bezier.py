@@ -40,7 +40,12 @@ at once (`BezierSurface.evaluate_many` is its one-net case).  It serves
 distance measurements (point inversion), never boundary evaluation; each
 sample's bits still do not depend on the rest of its batch.  Lifting a
 domain curve onto a surface stays on batched de Casteljau and keeps the
-scalar bits.
+scalar bits.  `evaluate_grid_products` evaluates stacked nets and their
+partials on a uniform grid by cached Bernstein matrices and BLAS products,
+also to rounding only; the stitch deviation uses it for bounds, never for
+a reported value.  `BezierSurface.evaluate_with_partials` returns the
+point, bit for bit `evaluate`'s, and both partials from one de Casteljau
+pass.
 """
 
 from __future__ import annotations
@@ -508,6 +513,32 @@ class BezierSurface:
             rows = a[0]
         return de_casteljau(rows, v)
 
+    def evaluate_with_partials(self, u: float, v: float):
+        """(S, S_u, S_v) at (u, v) from one tensor de Casteljau pass.
+
+        The u pass stops at two rows: their blend is `evaluate`'s row and m
+        times their difference the u-hodograph's; the v pass carries both
+        and stops at two points in the same way.  S equals `evaluate` bit
+        for bit; the partials agree with `partial_u()` / `partial_v()`
+        evaluated there to rounding.
+        """
+        if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
+            raise DomainError(f"surface parameters ({u}, {v}) outside [0, 1]^2")
+        a = self.control_net
+        while a.shape[0] > 2:
+            a = (1.0 - u) * a[:-1] + u * a[1:]
+        if a.shape[0] == 1:
+            b = np.array([a[0], np.zeros_like(a[0])])
+        else:
+            b = np.array([(1.0 - u) * a[0] + u * a[1], self.degree_u * (a[1] - a[0])])
+        # b holds the collapsed row and the u-hodograph's row, (2, n+1, 3).
+        while b.shape[1] > 2:
+            b = (1.0 - v) * b[:, :-1] + v * b[:, 1:]
+        if b.shape[1] == 1:
+            return b[0, 0], b[1, 0], np.zeros(3)
+        value, partial_u = (1.0 - v) * b[:, 0] + v * b[:, 1]
+        return value, partial_u, self.degree_v * (b[0, 1] - b[0, 0])
+
     def evaluate_grid(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on the outer product of parameter arrays.
 
@@ -591,6 +622,49 @@ def evaluate_grid_stacked(nets: np.ndarray, us: np.ndarray, vs: np.ndarray) -> n
     while b.shape[3] > 1:
         b = (1.0 - w) * b[:, :, :, :-1] + w * b[:, :, :, 1:]
     return b[:, :, :, 0].copy()
+
+
+def evaluate_grid_products(nets: np.ndarray, samples: int, partials: bool = False):
+    """P stacked nets of one shape on the uniform samples x samples grid of
+    [0,1]^2, by Bernstein matrix products.
+
+    Returns the (P, samples, samples, 3) values, or (S, S_u, S_v) with
+    `partials`.  Each is laid out coordinate first in memory, so that
+    per-coordinate arithmetic on it runs over contiguous planes.  Each
+    result takes two matrix products, one per parameter, with basis
+    matrices cached per (degree, samples); the bits depend on the BLAS and
+    agree with `evaluate_grid_stacked` on np.linspace(0, 1, samples) to
+    rounding only.
+    """
+    coords = np.asarray(nets, dtype=float).transpose(3, 0, 1, 2)
+    m, n = coords.shape[2] - 1, coords.shape[3] - 1
+    bu, bu_low = _grid_bases(m, samples)
+    bv, bv_low = _grid_bases(n, samples)
+    # (3, P, n+1, samples): the net collapsed along u at each grid u.
+    rows = np.tensordot(coords, bu, axes=([2], [1]))
+    value = np.moveaxis(np.tensordot(rows, bv, axes=([2], [1])), 0, -1)
+    if not partials:
+        return value
+    if m == 0:
+        partial_u = np.zeros_like(value)
+    else:
+        hodograph = np.tensordot(m * np.diff(coords, axis=2), bu_low, axes=([2], [1]))
+        partial_u = np.moveaxis(np.tensordot(hodograph, bv, axes=([2], [1])), 0, -1)
+    if n == 0:
+        partial_v = np.zeros_like(value)
+    else:
+        partial_v = n * np.moveaxis(np.tensordot(np.diff(rows, axis=2), bv_low, axes=([2], [1])), 0, -1)
+    return value, partial_u, partial_v
+
+
+@lru_cache(maxsize=None)
+def _grid_bases(degree: int, samples: int):
+    """Read-only `_bernstein_pair` of a degree on np.linspace(0, 1, samples)."""
+    bases = _bernstein_pair(degree, np.linspace(0.0, 1.0, samples))
+    for basis in bases:
+        if basis is not None:
+            basis.flags.writeable = False
+    return bases
 
 
 def _bernstein_pair(degree: int, x: np.ndarray):

@@ -33,6 +33,10 @@ class NoIntersectionError(GeometryError):
     """No intersection branch could be seeded between the two surfaces."""
 
 
+class LostBranchError(GeometryError):
+    """A march step lost its intersection branch inside both domains."""
+
+
 class AmbiguousCaseError(GeometryError):
     """A trapezoid cell admits no orientation that puts it in the {x <= f(y)} form."""
 

@@ -7,10 +7,18 @@ measures the gap between an approximate intersection curve and a surface.
 
 The march has one solver, `_match`: Gauss-Newton on S1(u1, v1) - S2(u2, v2),
 with an optional step-plane row and fixed parameters.  It corrects the seed
-candidates, each marching step and the finish on a domain edge.  Only one
-branch is marched; a converged seed candidate far from it is logged as a
-dropped branch.  Closest points on one surface come from the separate
-batched `invert_points`.
+candidates, each marching step and the finish on a domain edge.  Each of
+its iterations evaluates each surface once, point and both partials from
+one de Casteljau pass, and solves the square step-plane system directly
+(least squares only for the 3-row systems and a singular square one).
+Each step starts from the tangent predictor, one closed-form 2x2 solve per
+side.  A step whose correction fails inside both domains raises
+LostBranchError instead of ending the branch there.  Only one branch is
+marched; a converged seed candidate far from it is logged as a dropped
+branch.  Seeding pairs grid points by `_nearest`, a brute-force search
+that shortlists targets by one matrix product per block and sums exact
+squared distances only on the shortlist.  Closest points on one surface
+come from the separate batched `invert_points`.
 
 All three curves share one global parameterization (normalized 3D chord
 length, breakpoints at the intersection points) so the k-th breakpoint of
@@ -32,7 +40,7 @@ from .bezier import (
     de_casteljau_many,
     evaluate_stacked,
 )
-from .errors import NoIntersectionError
+from .errors import LostBranchError, NoIntersectionError
 
 log = logging.getLogger(__name__)
 
@@ -43,9 +51,12 @@ _POINT_TOL = 1e-14
 _MAX_MARCH_POINTS = 4000
 # Samples per curve segment of the lifted domain polylines.
 _LIFT_SAMPLES = 40
-# Points per block of a `_nearest` search: a (64, 1024) block of squared
-# distances is 0.5 MB.
+# Points per block of a `_nearest` search: a (64, 1024) block of shortlist
+# keys is 0.5 MB.  The shortlist slop, in units of |a|^2 + 2 max |b|^2, is
+# 64 eps: the rounding of the keys |b|^2 - 2 a.b and of the exact sums
+# stays below about 15 eps of that.
 _NEAREST_BLOCK = 64
+_NEAREST_SLOP = 64 * np.finfo(float).eps
 
 
 @dataclass(eq=False)
@@ -174,17 +185,36 @@ def _nearest(points: np.ndarray, targets: np.ndarray):
     one on a tie, and (K,) its squared distance, the squared coordinate
     differences summed over x, y and z in that order.  Points are taken in
     blocks of `_NEAREST_BLOCK`, so the temporaries stay small however many
-    points there are.
+    points there are.  One matrix product per block gives |b|^2 - 2 a.b
+    for every pair, which orders the targets as |a - b|^2 does up to
+    rounding; only the targets within `_NEAREST_SLOP` of a point's
+    smallest value, which always include its exact nearest ones, get the
+    exact sum.
     """
     index = np.empty(points.shape[0], dtype=np.intp)
     d2min = np.empty(points.shape[0])
+    lifted = np.vstack([-2.0 * targets.T, _dot(targets, targets)])
+    scale = 2.0 * lifted[3].max(initial=0.0)
     for start in range(0, points.shape[0], _NEAREST_BLOCK):
         block = points[start:start + _NEAREST_BLOCK]
         rows = np.arange(block.shape[0])
-        d2 = sum((targets[:, k] - block[:, k, None]) ** 2 for k in range(3))
-        best = np.argmin(d2, axis=1)
+        approx = np.hstack([block, np.ones((rows.shape[0], 1))]) @ lifted
+        best = np.argmin(approx, axis=1)
+        reach = approx[rows, best] + 2.0 * _NEAREST_SLOP * (_dot(block, block) + scale)
+        approx[rows, best] = np.inf
+        # Most points shortlist one target.  The others take their
+        # shortlist sorted by row, then distance, then index, whose first
+        # entry per row is the nearest target, the first one on a tie.
+        tied = np.flatnonzero(approx.min(axis=1) <= reach)
+        approx[tied, best[tied]] = -np.inf
+        rows_t, cols = np.nonzero(approx[tied] <= reach[tied, None])
+        rows_t = tied[rows_t]
+        d2 = sum((targets[cols, k] - block[rows_t, k]) ** 2 for k in range(3))
+        order = np.lexsort((cols, d2, rows_t))
+        first = order[np.flatnonzero(np.diff(rows_t[order], prepend=-1))]
+        best[rows_t[first]] = cols[first]
         index[start + rows] = best
-        d2min[start + rows] = d2[rows, best]
+        d2min[start + rows] = sum((targets[best, k] - block[:, k]) ** 2 for k in range(3))
     return index, d2min
 
 
@@ -200,44 +230,61 @@ def _grid_argmin(surface: BezierSurface, points: np.ndarray, grid: int) -> np.nd
 # Marching
 # ---------------------------------------------------------------------------
 
-def _match(surfaces, q, fixed=None, plane=None):
+def _match(s1: BezierSurface, s2: BezierSurface, q, fixed=None, plane=None):
     """Gauss-Newton on F = S1(q[:2]) - S2(q[2:]) from a 4-parameter start.
 
-    `surfaces` is (S1, S2, S1u, S1v, S2u, S2v), the partials as hodograph
-    surfaces.  With `plane` = (n, p), F gets the extra row n.(S1 - p).  Each
-    step is the minimum-norm least-squares step over the free parameters,
-    as if a `fixed` parameter's Jacobian column were zeroed; it is solved
-    without those columns, so a fixed parameter keeps its bits.  q is
-    clamped into [0,1]^4 after each step, and the solve stops once the
-    clamped update is below 1e-12, or after 50 steps.
+    Each iteration evaluates each surface and its partials in one pass
+    (`BezierSurface.evaluate_with_partials`).  With `plane` = (n, p), F
+    gets the extra row n.(S1 - p).  Each step is the minimum-norm
+    least-squares step over the free parameters, as if a `fixed`
+    parameter's Jacobian column were zeroed; it is solved without those
+    columns, so a fixed parameter keeps its bits.  A square system (the
+    step plane, nothing fixed) is solved directly, and by least squares
+    only when it is singular.  q is clamped into [0,1]^4 after each step,
+    and the solve stops once the clamped update is below 1e-12, or after
+    50 steps.
 
     Returns (q, |F|, (S1u, S1v, S2u, S2v), (S1, S2)): the residual, plane
     row included, the partials and the two surface points are evaluated at
     the returned q.
     """
-    s1, s2, su1, sv1, su2, sv2 = surfaces
     q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-    free = np.ones(4, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)
+    free = None if fixed is None else ~np.asarray(fixed, dtype=bool)
+    rows = 3 if plane is None else 4
     update = np.inf
     for iteration in range(_NEWTON_MAX_ITER + 1):
-        p1 = s1.evaluate(q[0], q[1])
-        p2 = s2.evaluate(q[2], q[3])
-        f = p1 - p2
-        partials = (su1.evaluate(q[0], q[1]), sv1.evaluate(q[0], q[1]),
-                    su2.evaluate(q[2], q[3]), sv2.evaluate(q[2], q[3]))
-        jac = np.array([partials[0], partials[1], -partials[2], -partials[3]]).T
+        p1, su1, sv1 = s1.evaluate_with_partials(q[0], q[1])
+        p2, su2, sv2 = s2.evaluate_with_partials(q[2], q[3])
+        f = np.empty(rows)
+        f[:3] = p1 - p2
+        jac = np.zeros((rows, 4))
+        jac[:3] = np.array([su1, sv1, -su2, -sv2]).T
         if plane is not None:
             normal, point = plane
-            f = np.concatenate([f, [normal @ (p1 - point)]])
-            jac = np.concatenate([jac, [[normal @ partials[0], normal @ partials[1], 0.0, 0.0]]])
+            f[3] = normal @ (p1 - point)
+            jac[3, :2] = normal @ su1, normal @ sv1
         if update < _PARAM_TOL or iteration == _NEWTON_MAX_ITER:
             break
-        step = np.zeros(4)
-        step[free] = np.linalg.lstsq(jac[:, free], -f, rcond=None)[0]
+        if free is None:
+            step = _least_squares_step(jac, -f)
+        else:
+            step = np.zeros(4)
+            step[free] = _least_squares_step(jac[:, free], -f)
         new_q = np.clip(q + step, 0.0, 1.0)
         update = np.linalg.norm(new_q - q)
         q = new_q
-    return q, float(np.linalg.norm(f)), partials, (p1, p2)
+    return q, float(np.linalg.norm(f)), (su1, sv1, su2, sv2), (p1, p2)
+
+
+def _least_squares_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution; a square system is solved
+    directly unless it is singular."""
+    if jac.shape[0] == jac.shape[1]:
+        try:
+            return np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(jac, rhs, rcond=None)[0]
 
 
 def _make_point(q, surface_points) -> IntersectionPoint:
@@ -265,15 +312,18 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      a[0] * b[1] - a[1] * b[0]])
 
 
-def _march_direction(surfaces, q, partials, direction, step, tol, start_pos):
+def _march_direction(s1, s2, q, partials, direction, step, tol, start_pos):
     """March from q along +-direction; returns (points, closed).
 
     Each step corrects onto the plane through prev_pos + step * d normal to
-    the tangent d; a step the domain cuts off is finished on the edge with
-    the exited parameters fixed.
+    the tangent d, starting from the tangent predictor; a step the domain
+    cuts off is finished on the edge with the exited parameters fixed.  A
+    finish that ends on neither domain's edge raises LostBranchError: the
+    branch goes on there, and the step plane missed it (a step too large
+    for the curve's curvature).
     """
     points = []
-    prev_pos = surfaces[0].evaluate(q[0], q[1])
+    prev_pos = s1.evaluate(q[0], q[1])
     prev_dir = None
     for _ in range(_MAX_MARCH_POINTS):
         d = _cross(_unit_normal(*partials[:2]), _unit_normal(*partials[2:]))
@@ -284,11 +334,18 @@ def _march_direction(surfaces, q, partials, direction, step, tol, start_pos):
         d = direction * d / norm
         if prev_dir is not None and d @ prev_dir < 0:
             d = -d
-        new_q, residual, new_partials, values = _match(surfaces, q, plane=(d, prev_pos + step * d))
+        predicted = np.clip(_predict(q, d, step, partials), 0.0, 1.0)
+        new_q, residual, new_partials, values = _match(s1, s2, predicted, plane=(d, prev_pos + step * d))
         if residual > tol:
-            predicted = np.clip(_predict(q, d, step, partials), 0.0, 1.0)
-            bq, residual, _, values = _match(surfaces, predicted, fixed=(predicted == 0.0) | (predicted == 1.0))
+            fixed = (predicted == 0.0) | (predicted == 1.0)
+            bq, residual, _, values = _match(s1, s2, predicted, fixed=fixed)
             if residual <= tol:
+                if not np.any((bq == 0.0) | (bq == 1.0)):
+                    raise LostBranchError(
+                        f"march step {step:g} lost the intersection branch inside the "
+                        f"domain: the correction of step {len(points) + 1} found no "
+                        "point on its step plane; a smaller march_step follows the branch"
+                    )
                 end = _make_point(bq, values)
                 gap = np.linalg.norm(end.position - prev_pos)
                 if points and gap < 0.5 * step:
@@ -307,10 +364,21 @@ def _march_direction(surfaces, q, partials, direction, step, tol, start_pos):
 
 
 def _predict(q, d, step, partials):
-    """Tangent predictor: each side's least-squares parameter step for step * d."""
-    return q + np.concatenate([
-        np.linalg.lstsq(np.column_stack(partials[k:k + 2]), step * d, rcond=None)[0] for k in (0, 2)
-    ])
+    """Tangent predictor: each side's least-squares parameter step for step * d.
+
+    Each side solves its 2x2 normal equations in closed form; a side whose
+    partials are parallel takes no step.
+    """
+    out = np.array(q, dtype=float)
+    for k in (0, 2):
+        su, sv = partials[k], partials[k + 1]
+        a, b, c = su @ su, su @ sv, sv @ sv
+        g1, g2 = step * (su @ d), step * (sv @ d)
+        det = a * c - b * b
+        if det > 0.0:
+            out[k] += (c * g1 - b * g2) / det
+            out[k + 1] += (a * g2 - b * g1) / det
+    return out
 
 
 def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
@@ -329,8 +397,6 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
     """
     if step <= 0 or tol <= 0:
         raise ValueError("step and tol must be positive")
-    surfaces = (s1, s2, s1.partial_u(), s1.partial_v(), s2.partial_u(), s2.partial_v())
-
     grid = min(max(int(np.ceil(2.0 / step)), 8), 32)
     ts = np.linspace(0.0, 1.0, grid)
     pts1 = s1.evaluate_grid(ts, ts).reshape(-1, 3)
@@ -343,7 +409,7 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
     for idx in order[:8]:
         i1, j1 = divmod(int(idx), grid)
         i2, j2 = divmod(int(nearest[idx]), grid)
-        q, residual, partials, values = _match(surfaces, [ts[i1], ts[j1], ts[i2], ts[j2]])
+        q, residual, partials, values = _match(s1, s2, [ts[i1], ts[j1], ts[i2], ts[j2]])
         if residual <= tol:
             candidates.append((q, partials, values))
     if not candidates:
@@ -351,15 +417,11 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
 
     seed, partials, values = candidates[0]
     start = _make_point(seed, values)
-    forward, closed = _march_direction(
-        surfaces, seed, partials, +1.0, step, tol, start.position
-    )
+    forward, closed = _march_direction(s1, s2, seed, partials, +1.0, step, tol, start.position)
     if closed:
         chain = [start] + forward + [_make_point(seed, values)]
     else:
-        backward, _ = _march_direction(
-            surfaces, seed, partials, -1.0, step, tol, start.position
-        )
+        backward, _ = _march_direction(s1, s2, seed, partials, -1.0, step, tol, start.position)
         chain = list(reversed(backward)) + [start] + forward
     others = np.array([_make_point(q, v).position for q, _, v in candidates[1:]])
     if others.shape[0]:

@@ -169,17 +169,21 @@ def prepare_decompositions(data: IntersectionData, s1: BezierSurface,
     of them plus the fit-driven re-splits so far (`cut_trims`), handing each
     side's decomposition its own turning points as breakpoint indices.  The
     keep predicates answer from the first round's cut, whose segments are
-    monotone.
+    monotone.  A trapezoid that a re-split leaves as it was (same trim
+    segment, bounds and retained sample) keeps its fit from the round
+    before, through one store of fits shared by the rounds of this call.
     """
     curves = [data.domain_curve_a, data.domain_curve_b]
     roots = [monotone_split_params(curve) for curve in curves]
     trims = cut_trims(curves, roots)
     keeps = [keep_region_fn(config.keep_a, trims[0][0]), keep_region_fn(config.keep_b, trims[1][0])]
     splits = []
+    fits = {}
     for _ in range(MAX_SPLIT_ROUNDS):
         try:
             return tuple(
-                PatchSet(build_patch_decomposition(surface, *trim, keep, fit_tol=config.fit_tol))
+                PatchSet(build_patch_decomposition(surface, *trim, keep,
+                                                   fit_tol=config.fit_tol, fits=fits))
                 for surface, trim, keep in zip((s1, s2), trims, keeps)
             )
         except _NeedsSplit as err:

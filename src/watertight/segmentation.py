@@ -822,20 +822,51 @@ def fit_cell(cell: DomainCell, candidates, edges, fit_degree: int,
     return cell
 
 
-def _fit_cells(cells, fit_degree: int, fit_tol: float) -> dict:
+def _fit_cells(cells, fit_degree: int, fit_tol: float, fits=None) -> dict:
     """Classify and fit trapezoids, solving each (cell, candidate) edge once.
 
     One batched solve samples every candidate's edge at the fit and check
     heights, and `_fit_stack` fits them all; the samples are dropped once
     the cells are fitted.  Returns the _NeedsSplit of each cell that misses,
-    keyed by cell.
+    keyed by cell, in cell order.
+
+    `fits`, when given, maps `_fit_key`s to earlier outcomes at this
+    fit_degree and fit_tol: a cell found there takes its stored fit, or
+    misses by its stored residual, and is not fitted again; the outcomes of
+    the cells fitted here are added.  A cell's fit depends on nothing
+    else, so a reused one has the bits of a fresh one.
     """
     if not cells:
         return {}
-    candidates = _classify_candidates(cells)
-    owners = [cell for cell, cases in zip(cells, candidates) for _ in cases]
-    edges = _frame_arcs(owners, [case for cases in candidates for case in cases], _EDGE_HEIGHTS)
-    return _fit_stack(cells, candidates, edges, fit_degree, fit_tol)
+    fits = {} if fits is None else fits
+    keys = [_fit_key(cell) for cell in cells]
+    fresh = [(cell, key) for cell, key in zip(cells, keys) if key not in fits]
+    if fresh:
+        fresh_cells = [cell for cell, _ in fresh]
+        candidates = _classify_candidates(fresh_cells)
+        owners = [cell for cell, cases in zip(fresh_cells, candidates) for _ in cases]
+        edges = _frame_arcs(owners, [case for cases in candidates for case in cases], _EDGE_HEIGHTS)
+        fresh_misses = _fit_stack(fresh_cells, candidates, edges, fit_degree, fit_tol)
+        for cell, key in fresh:
+            miss = fresh_misses.get(cell)
+            fits[key] = miss.residual if miss is not None else (
+                cell.case, cell.boundary_fn, cell.fit_residual, cell.patch_bounds)
+    misses = {}
+    for cell, key in zip(cells, keys):
+        outcome = fits[key]
+        if isinstance(outcome, tuple):
+            cell.case, cell.boundary_fn, cell.fit_residual, cell.patch_bounds = outcome
+        else:
+            w0, w1 = cell.w_span
+            misses[cell] = _NeedsSplit([0.5 * (w0 + w1)], outcome, (w0, w1))
+    return misses
+
+
+def _fit_key(cell: DomainCell):
+    """What a trapezoid's fit depends on: its trim segment's control
+    points, its bounds and its retained sample."""
+    polygon = cell.parent_curve.segments[cell.segment].control_points
+    return polygon.tobytes(), polygon.shape, cell.bounds, cell.retained_sample
 
 
 def _tighten_cells(cells) -> list:
@@ -1025,7 +1056,7 @@ def _leftover_rectangle(axis: GraphAxis, y_extent) -> DomainCell:
 
 def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurve,
                               cuts, keep_fn, fit_degree: int = 2,
-                              fit_tol: float = 1e-4) -> PatchDecomposition:
+                              fit_tol: float = 1e-4, fits=None) -> PatchDecomposition:
     """Decompose, classify, fit, and normalize one trimmed surface.
 
     The trim `curve` turns at breakpoint indices `cuts`, from `cut_trims`.
@@ -1040,12 +1071,13 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
     The fitted trapezoids are then composed in one stacked call per (net
     shape, deg f).  Raises the internal _NeedsSplit (caught by the
     pipeline) when some tightened cell cannot meet the fit tolerance at the
-    degree cap.
+    degree cap.  `fits` is `_fit_cells`' store of earlier fits, for builds
+    of one fit_degree and fit_tol that share it.
     """
     _, cells = decompose_trim(curve, cuts, keep_fn)
-    missed = _fit_cells([c for c in cells if c.kind == TRAPEZOID], fit_degree, fit_tol)
+    missed = _fit_cells([c for c in cells if c.kind == TRAPEZOID], fit_degree, fit_tol, fits)
     tightened = dict(zip(missed, _tighten_cells(list(missed))))
-    still_missed = _fit_cells([tight for tight, _ in tightened.values()], fit_degree, fit_tol)
+    still_missed = _fit_cells([tight for tight, _ in tightened.values()], fit_degree, fit_tol, fits)
     if still_missed:
         worst = max(still_missed.values(), key=lambda err: err.residual)
         raise _NeedsSplit(

@@ -17,9 +17,20 @@ of every reducible pair (both patches and the shared segment) of one
 (edge degree, target) goes through one `degree_reduce_many`, whose fit and
 257-sample check are products with matrices cached per degree pair, cut at
 a fixed number of rows to bound their memory; a pair is rewritten only when
-all of its rows pass.  The deviation evaluates batches of equal-shape nets
-in one stacked de Casteljau pass, then inverts the pairs in descending
-order of their same-parameter bound until no bound can raise the maximum.
+all of its rows pass.
+
+The reported deviation is the largest distance from a grid of samples on
+each returned patch to its pre-stitch self, each sample inverted onto the
+old patch by Gauss-Newton and capped by its same-parameter distance.
+Few samples can reach that maximum, so few are inverted.  Batches of 32
+pairs of one net shape get a rigorous second-order bound on every sample
+from a few Bernstein matrix products: one Gauss-Newton step, plus the
+Taylor remainder that the second hodographs' control points bound.  The
+samples inverted so far give a running lower bound, and a sample whose
+bound does not exceed it is dropped.  The rest are inverted in descending
+order of their bounds until the next one cannot raise the maximum.  The
+inverted samples use the full grid's points, seeds and caps, so the
+result has the bits of inverting them all.
 """
 
 from __future__ import annotations
@@ -32,9 +43,11 @@ from .bezier import (
     BezierCurve,
     BezierSurface,
     Edge,
+    _dot,
+    de_casteljau_many,
     degree_elevate_curve,
     degree_reduce_many,
-    evaluate_grid_stacked,
+    evaluate_grid_products,
 )
 from .errors import AlignmentError
 from .intersect import GapReport, IntersectionData, invert_points
@@ -175,11 +188,18 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
     )
 
 
-# Grid intervals per parameter of the deviation samples, and patches per
-# grid evaluation and per inversion batch in `_stitch_deviation`: 8 patches
-# of 441 samples keep a batch's arrays to a few MB.
+# Grid intervals per parameter of the deviation samples; pairs per bound
+# batch; samples a batch inverts up front to raise the lower bound; and
+# samples per inversion call.
 _DEVIATION_GRID = 20
-_DEVIATION_BATCH = 8
+_DEVIATION_BATCH = 32
+_DEVIATION_PROBES = 4
+_DEVIATION_CHUNK = 32
+# Slop of a bound, relative to it and to the before net's largest
+# coordinate: it covers the rounding of the matrix products and the
+# stopping tolerances of `invert_points`.
+_BOUND_REL_SLOP = 1e-9
+_BOUND_ABS_SLOP = 1e-11
 
 
 def _stitch_deviation(pairs) -> float:
@@ -189,19 +209,25 @@ def _stitch_deviation(pairs) -> float:
     parameter grid.  A set distance, not a same-parameter one: the
     replacement curve carries a chord-length-like parameterization, so
     comparing at equal parameters would report tangential sliding that
-    does not move the surface.  The
-    same-parameter distance upper-bounds each sample's set distance and caps
-    it, so a sample whose bound does not exceed the running maximum cannot
-    raise it and is not inverted; `invert_points` treats each sample on its
-    own, so the result keeps its bits whatever the order.
+    does not move the surface.  A sample's value is min(`invert_points`
+    distance from its grid parameter, same-parameter distance), and the
+    result is the max over all samples.
 
-    Pairs are grouped by the shapes of their before and after nets.  A
-    first pass evaluates both sides of every pair in fixed batches, one
-    stacked grid evaluation each, and keeps only the after points and the
-    bounds.  The pairs are then inverted in descending order of their
-    largest bound, in batches of one group, each onto its before nets,
-    until the next pair's largest bound does not exceed the running
-    maximum.
+    Few samples can reach that max, and only those are inverted.  Pairs
+    are grouped by the shapes of their before and after nets and taken in
+    batches of `_DEVIATION_BATCH`, which keeps each batch's arrays to a few
+    MB; `_deviation_bounds` caps every sample of a batch from a few
+    Bernstein matrix products.  The max of the samples inverted so far is
+    a running lower bound on the result, and a batch keeps only the
+    samples whose bound exceeds it.  When more than `_DEVIATION_CHUNK`
+    would stay, the batch first inverts its `_DEVIATION_PROBES`
+    largest-bound samples, largest first, to raise that lower bound.  The
+    kept samples of all batches are then inverted in descending order of
+    their bounds, a chunk of one group at a time, until the next bound
+    does not exceed the running max.  An inverted sample gets the point,
+    seed and cap of the full grid (`_grid_samples`), and `invert_points`
+    treats each sample on its own, so the result has the bits of
+    inverting every sample, whatever is pruned and in whatever order.
     """
     ts = np.linspace(0.0, 1.0, _DEVIATION_GRID + 1)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
@@ -210,40 +236,117 @@ def _stitch_deviation(pairs) -> float:
     for before, after in pairs:
         key = (before.control_net.shape, after.control_net.shape)
         groups.setdefault(key, []).append((before.control_net, after.control_net))
-    stacks = []
+    deviation = 0.0
+    queues = []
     for members in groups.values():
         before, after = (np.stack(side) for side in zip(*members))
-        pb = np.empty((before.shape[0], seeds.shape[0], 3))
-        bound = np.empty(pb.shape[:2])
+        kept = []
         for k in range(0, before.shape[0], _DEVIATION_BATCH):
-            batch = slice(k, k + _DEVIATION_BATCH)
-            pa = evaluate_grid_stacked(before[batch], ts, ts).reshape(-1, seeds.shape[0], 3)
-            pb[batch] = evaluate_grid_stacked(after[batch], ts, ts).reshape(pa.shape)
-            bound[batch] = np.linalg.norm(pa - pb[batch], axis=2)
-        top = bound.max(axis=1)
-        stacks.append((before, pb, bound, top, list(np.argsort(-top, kind="stable"))))
-    deviation = 0.0
-    while stacks:
-        # The group whose next pair has the largest bound goes next.
-        before, pb, bound, top, queue = max(stacks, key=lambda stack: stack[3][stack[4][0]])
-        if top[queue[0]] <= deviation:
+            taylor, same, _ = _deviation_bounds(before[k:k + _DEVIATION_BATCH],
+                                                after[k:k + _DEVIATION_BATCH], ts)
+            bound = np.minimum(taylor, same).reshape(-1)
+            rest = np.flatnonzero(bound > deviation)
+            if rest.shape[0] > _DEVIATION_CHUNK:
+                top = rest[np.argpartition(-bound[rest], _DEVIATION_PROBES)[:_DEVIATION_PROBES]]
+                probes = top[np.argsort(-bound[top], kind="stable")]
+                pair, sample = np.divmod(probes, seeds.shape[0])
+                deviation = max(deviation, _inverted_max(before, after, k + pair, seeds[sample]))
+                rest = np.setdiff1d(rest, probes)
+                rest = rest[bound[rest] > deviation]
+            pair, sample = np.divmod(rest, seeds.shape[0])
+            kept.append((k + pair, sample, bound[rest]))
+        pair, sample, bound = (np.concatenate(part) for part in zip(*kept))
+        order = np.argsort(-bound, kind="stable")
+        queues.append([before, after, pair[order], sample[order], bound[order]])
+    queues = [queue for queue in queues if queue[4].shape[0]]
+    while queues:
+        # The group whose next sample has the largest bound goes next.
+        queue = max(queues, key=lambda q: q[4][0])
+        before, after, pair, sample, bound = queue
+        if bound[0] <= deviation:
             break
-        take = np.array(queue[:_DEVIATION_BATCH])
-        del queue[:_DEVIATION_BATCH]
-        stacks = [stack for stack in stacks if stack[4]]
-        take = take[top[take] > deviation]
-        raises = bound[take] > deviation
-        counts = raises.sum(axis=1)
-        # Each pair's samples that can raise the maximum, padded to one
-        # width with repeats of its first one.
-        order = np.argsort(~raises, axis=1, kind="stable")
-        width = int(counts.max())
-        pick = np.where(np.arange(width) < counts[:, None], order[:, :width], order[:, :1])
-        points = np.take_along_axis(pb[take], pick[..., None], axis=1)
-        _, dist, _ = invert_points(before[take], points, seeds[pick])
-        cap = np.take_along_axis(bound[take], pick, axis=1)
-        deviation = max(deviation, float(np.minimum(dist, cap).max()))
+        take = np.flatnonzero(bound[:_DEVIATION_CHUNK] > deviation)
+        deviation = max(deviation, _inverted_max(before, after, pair[take], seeds[sample[take]]))
+        queue[2:] = pair[_DEVIATION_CHUNK:], sample[_DEVIATION_CHUNK:], bound[_DEVIATION_CHUNK:]
+        queues = [queue for queue in queues if queue[4].shape[0]]
     return deviation
+
+
+def _deviation_bounds(before: np.ndarray, after: np.ndarray, ts: np.ndarray):
+    """Two (P, T*T) upper bounds on each grid sample's deviation value, and
+    the (P, T*T, 2) clamped Gauss-Newton steps the first is formed with.
+
+    For the after point X and the before patch B at the sample's parameter
+    p, one Gauss-Newton step delta = (ds, dt), clamped into the square,
+    gives |X - B(p + delta)| <= |r - J delta| + (ds^2 M_ss + 2 |ds dt| M_st
+    + dt^2 M_tt) / 2, with r = X - B(p) and J = (B_s, B_t): Taylor's
+    remainder on the segment from p to p + delta, with M the largest second
+    partials over the square, which the convex hull of the second
+    hodographs bounds (M_ss = m (m - 1) max |second u difference of the
+    net|, and so on).  That bound caps the set distance, and with it the
+    `invert_points` distance from p whenever Gauss-Newton from p ends no
+    farther than B(p + delta), as it does for points this near their
+    patch.  The second bound, the same-parameter distance |r|, caps the
+    value directly.  Each comes with `_BOUND_REL_SLOP` of itself and
+    `_BOUND_ABS_SLOP` of the net's largest coordinate added.
+    """
+    count, m, n = before.shape[0], before.shape[1] - 1, before.shape[2] - 1
+    samples = ts.shape[0]
+    value, su, sv = (part.reshape(count, -1, 3)
+                     for part in evaluate_grid_products(before, samples, partials=True))
+    r = evaluate_grid_products(after, samples).reshape(value.shape) - value
+    a, b, c = _dot(su, su), _dot(su, sv), _dot(sv, sv)
+    g1, g2 = _dot(su, r), _dot(sv, r)
+    det = a * c - b * b
+    det = np.where(det > 0.0, det, np.inf)
+    u = np.repeat(ts, samples)
+    v = np.tile(ts, samples)
+    ds = np.clip(u + (c * g1 - b * g2) / det, 0.0, 1.0) - u
+    dt = np.clip(v + (a * g2 - b * g1) / det, 0.0, 1.0) - v
+    linear = r - su * ds[..., None] - sv * dt[..., None]
+    m_ss, m_st, m_tt = (_largest_norm(part)[:, None] for part in (
+        m * (m - 1) * np.diff(before, 2, axis=1),
+        m * n * np.diff(np.diff(before, axis=1), axis=2),
+        n * (n - 1) * np.diff(before, 2, axis=2),
+    ))
+    second = 0.5 * (ds * ds * m_ss + 2.0 * np.abs(ds * dt) * m_st + dt * dt * m_tt)
+    slop = _BOUND_ABS_SLOP * np.abs(before).reshape(count, -1).max(axis=1)[:, None]
+    taylor = (np.sqrt(_dot(linear, linear)) + second) * (1.0 + _BOUND_REL_SLOP) + slop
+    same = np.sqrt(_dot(r, r)) * (1.0 + _BOUND_REL_SLOP) + slop
+    return taylor, same, np.stack([ds, dt], axis=-1)
+
+
+def _largest_norm(diffs: np.ndarray) -> np.ndarray:
+    """(P,) largest point norm of each of P stacked difference nets; 0 if empty."""
+    if diffs.shape[1] == 0 or diffs.shape[2] == 0:
+        return np.zeros(diffs.shape[0])
+    return np.linalg.norm(diffs, axis=-1).reshape(diffs.shape[0], -1).max(axis=1)
+
+
+def _grid_samples(nets: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """(K, 3) point of net k at uv[k], for K stacked nets of one shape.
+
+    `evaluate_grid_stacked`'s operations, one sample per net, so each point
+    equals that grid's point at the same parameters bit for bit.
+    """
+    count, rows = nets.shape[0], nets.shape[1]
+    collapsed = de_casteljau_many(nets.reshape(count, rows, -1), uv[:, 0])
+    return de_casteljau_many(collapsed.reshape(count, -1, 3), uv[:, 1])
+
+
+def _inverted_max(before: np.ndarray, after: np.ndarray, pair: np.ndarray,
+                  uv: np.ndarray) -> float:
+    """Largest value of K samples: pair[k]'s after point at grid parameter
+    uv[k], inverted onto its before net from there and capped by its
+    same-parameter distance."""
+    if pair.shape[0] == 0:
+        return 0.0
+    nets = before[pair]
+    start = _grid_samples(nets, uv)
+    points = _grid_samples(after[pair], uv)
+    cap = np.linalg.norm(start - points, axis=1)
+    _, dist, _ = invert_points(nets, points[:, None], uv[:, None])
+    return float(np.minimum(dist[:, 0], cap).max())
 
 
 def _stitched_rows(net: np.ndarray, edge: Edge) -> np.ndarray:

@@ -35,6 +35,7 @@ from watertight.bezier import (
     de_casteljau,
     de_casteljau_many,
     degree_reduce_many,
+    evaluate_grid_products,
     evaluate_grid_stacked,
     evaluate_stacked,
     unit_ranges,
@@ -172,6 +173,50 @@ class TestSurfaceEvaluation:
         for i, u in enumerate(us):
             for j, v in enumerate(vs):
                 assert np.array_equal(grid[i, j], s.evaluate(u, v))
+
+
+class TestFusedEvaluation:
+    """`evaluate_with_partials`: one pass for the point and both partials."""
+
+    @given(
+        degrees=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+        seed=st.integers(0, 2**32 - 1),
+        magnitude=st.floats(-3.0, 3.0),
+        u=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        v=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_evaluate_and_the_hodographs(self, degrees, seed, magnitude, u, v):
+        m, n = degrees
+        net = np.random.default_rng(seed).uniform(-1.0, 1.0, (m + 1, n + 1, 3)) * 10.0**magnitude
+        s = BezierSurface(net)
+        value, partial_u, partial_v = s.evaluate_with_partials(u, v)
+        assert np.array_equal(value, s.evaluate(u, v))
+        # The scale of a partial: the hodograph's coefficient bound (degree
+        # times the net's largest coordinate) times the m + n levels of
+        # rounding that one tensor pass accumulates.
+        scale = max(m + n, 1) * np.abs(net).max()
+        assert np.abs(partial_u - s.partial_u().evaluate(u, v)).max() <= 1e-15 * max(m, 1) * scale
+        assert np.abs(partial_v - s.partial_v().evaluate(u, v)).max() <= 1e-15 * max(n, 1) * scale
+
+    def test_domain_check(self):
+        with pytest.raises(DomainError):
+            bilinear_flat().evaluate_with_partials(0.5, 1.1)
+
+
+class TestGridProducts:
+    @pytest.mark.parametrize("degrees", [(0, 0), (1, 1), (2, 1), (3, 9), (10, 2), (0, 4), (8, 3)])
+    def test_matches_de_casteljau_grids(self, degrees):
+        m, n = degrees
+        nets = np.random.default_rng(m * 11 + n).uniform(-1.0, 1.0, (4, m + 1, n + 1, 3))
+        ts = np.linspace(0.0, 1.0, 21)
+        value, partial_u, partial_v = evaluate_grid_products(nets, 21, partials=True)
+        assert np.allclose(value, evaluate_grid_stacked(nets, ts, ts), rtol=0.0, atol=1e-14)
+        assert np.array_equal(evaluate_grid_products(nets, 21), value)
+        for k, net in enumerate(nets):
+            s = BezierSurface(net)
+            assert np.allclose(partial_u[k], s.partial_u().evaluate_grid(ts, ts), rtol=0.0, atol=1e-13)
+            assert np.allclose(partial_v[k], s.partial_v().evaluate_grid(ts, ts), rtol=0.0, atol=1e-13)
 
 
 class TestPiecewiseCurve:

@@ -8,12 +8,14 @@ from scipy.spatial import cKDTree
 
 import watertight.intersect as intersect
 import watertight.stitching as stitching
-from watertight import BezierSurface
+from watertight import BezierSurface, LostBranchError, StageError
 from watertight.bezier import bernstein_from_monomial
 from watertight.intersect import (
     _NEAREST_BLOCK,
+    _least_squares_step,
     _match,
     _nearest,
+    _predict,
     build_intersection_data,
     interpolate_domain_curve,
     interpolate_space_curve,
@@ -98,6 +100,26 @@ class TestMarching:
         assert points[-1].params_a[0] == 1.0 and points[-1].params_b[0] == 1.0
 
 
+class TestLostBranch:
+    # The paraboloid cut at z = r^2: a circle of radius r, with a step too
+    # large for it, so the step plane misses the branch inside the domain.
+    @pytest.mark.parametrize("radius, step", [(0.1, 0.3), (0.045, 0.1), (0.02, 0.05)])
+    @pytest.mark.parametrize("keep", ["outside", "inside", "left", "right"])
+    def test_a_step_too_large_for_a_small_circle_raises(self, paraboloid, radius, step, keep):
+        config = PipelineConfig(march_step=step, keep_a=keep, keep_b=keep)
+        with pytest.raises(StageError) as err:
+            run_pipeline(paraboloid, plane_patch(0.0, 0.0, radius**2), config)
+        assert err.value.stage == "march"
+        assert isinstance(err.value.cause, LostBranchError)
+        assert f"march step {step:g} lost the intersection branch inside the domain" in str(err.value)
+
+    def test_the_same_circle_marches_at_a_smaller_step(self, paraboloid):
+        points = march_intersection(paraboloid, plane_patch(0.0, 0.0, 0.01), step=0.02, tol=1e-10)
+        assert np.array_equal(points[0].position, points[-1].position)
+        for p in points:
+            assert abs(np.linalg.norm(p.params_a - 0.5) - 0.1) <= 1e-9
+
+
 def saddle_patch():
     """Biquadratic patch (u, v, (u-0.5)^2 - (v-0.5)^2)."""
     quad = bernstein_from_monomial(np.array([0.25, -1.0, 1.0]))
@@ -164,31 +186,62 @@ class TestNearest:
         assert np.array_equal(index, want_index) and np.array_equal(d2, want_d2)
 
 
-def match_surfaces(s1, s2):
-    return (s1, s2, s1.partial_u(), s1.partial_v(), s2.partial_u(), s2.partial_v())
-
-
 class TestMatch:
     def test_fixed_parameter_keeps_its_bits(self, paraboloid):
-        surfaces = match_surfaces(paraboloid, plane_patch(0.3, 0.0, 0.02))
+        surfaces = (paraboloid, plane_patch(0.3, 0.0, 0.02))
         q0 = np.array([0.8123, 0.8, 0.8, 0.85])
-        q, residual, partials, points = _match(surfaces, q0, fixed=np.array([True, False, False, False]))
+        q, residual, partials, points = _match(*surfaces, q0, fixed=np.array([True, False, False, False]))
         assert q[0] == q0[0]
         assert residual <= 1e-12
-        for hodograph, params, value in zip(surfaces[2:], (q[:2], q[:2], q[2:], q[2:]), partials):
-            assert np.array_equal(hodograph.evaluate(*params), value)
-        for surface, params, value in zip(surfaces[:2], (q[:2], q[2:]), points):
+        # Points and partials are those of the returned q.
+        for surface, params, value, (su, sv) in zip(surfaces, (q[:2], q[2:]), points,
+                                                    (partials[:2], partials[2:])):
             assert np.array_equal(surface.evaluate(*params), value)
+            want = surface.evaluate_with_partials(*params)
+            assert np.array_equal(want[1], su) and np.array_equal(want[2], sv)
 
     def test_residual_includes_the_plane_row(self, flat):
         # The plane y = 1.5 lies beyond the edge v = 1: the clamped solve ends
         # on that edge, on the line S1 = S2, but 0.5 from the plane.
-        surfaces = match_surfaces(flat, tilted_plane())
         plane = (np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.5, 0.0]))
-        q, residual, _, _ = _match(surfaces, [0.5, 0.9, 0.5, 0.9], plane=plane)
+        q, residual, _, _ = _match(flat, tilted_plane(), [0.5, 0.9, 0.5, 0.9], plane=plane)
         assert q[1] == 1.0 and q[3] == 1.0
         assert np.linalg.norm(flat.evaluate(q[0], q[1]) - tilted_plane().evaluate(q[2], q[3])) <= 1e-12
         assert residual == pytest.approx(0.5, abs=1e-12)
+
+
+class TestCorrectorSteps:
+    def test_square_system_is_solved_directly(self, rng):
+        jac = rng.standard_normal((4, 4))
+        rhs = rng.standard_normal(4)
+        assert np.allclose(_least_squares_step(jac, rhs), np.linalg.lstsq(jac, rhs, rcond=None)[0],
+                           rtol=1e-12, atol=1e-12)
+
+    def test_singular_square_system_takes_the_minimum_norm_step(self, rng):
+        jac = rng.standard_normal((4, 4))
+        jac[3] = jac[0] + jac[1]
+        jac[:, 2] = 0.0
+        rhs = rng.standard_normal(4)
+        step = _least_squares_step(jac, rhs)
+        assert np.array_equal(step, np.linalg.lstsq(jac, rhs, rcond=None)[0])
+        assert step[2] == 0.0
+
+    def test_predictor_is_each_sides_least_squares_step(self, rng):
+        q = rng.uniform(0.2, 0.8, 4)
+        partials = tuple(rng.standard_normal((4, 3)))
+        d = rng.standard_normal(3)
+        want = q + np.concatenate([
+            np.linalg.lstsq(np.column_stack(partials[k:k + 2]), 0.01 * d, rcond=None)[0] for k in (0, 2)
+        ])
+        assert np.allclose(_predict(q, d, 0.01, partials), want, rtol=0.0, atol=1e-15)
+
+    def test_predictor_side_with_parallel_partials_stays(self):
+        su = np.array([1.0, 0.0, 0.0])
+        partials = (su, 2.0 * su, su, np.array([0.0, 1.0, 0.0]))
+        q = np.array([0.5, 0.5, 0.5, 0.5])
+        out = _predict(q, np.array([0.0, 1.0, 0.0]), 0.1, partials)
+        assert np.array_equal(out[:2], q[:2])
+        assert np.allclose(out[2:], [0.5, 0.6], rtol=0.0, atol=1e-15)
 
 
 def invert_one(surface, point, seed):

@@ -926,6 +926,40 @@ class TestStackedFit:
         assert cell.case is None
 
 
+class TestFitReuse:
+    @pytest.mark.parametrize("name", ["tight-fit/level-circle", "tight-fit/mirror"])
+    def test_resplit_rounds_reuse_fits_with_their_bits(self, name, monkeypatch):
+        # Shared across rounds, the store fits fewer cells than fresh builds
+        # do, and every patch and boundary polynomial keeps its bits.
+        s1, s2, config = _FIT_CASES[name]
+        data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
+        stacked, build = segmentation._fit_stack, segmentation.build_patch_decomposition
+        fitted = []
+
+        def counted(cells, *args):
+            fitted.append(len(cells))
+            return stacked(cells, *args)
+
+        def fresh(*args, fits=None, **kwargs):
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(segmentation, "_fit_stack", counted)
+        shared = prepare_decompositions(data, s1, s2, config)
+        shared_count, fitted[:] = sum(fitted), []
+        monkeypatch.setattr(watertight.pipeline, "build_patch_decomposition", fresh)
+        alone = prepare_decompositions(data, s1, s2, config)
+        assert shared_count < sum(fitted)
+        for got, want in zip(shared, alone):
+            assert len(got.patches) == len(want.patches)
+            for p, q in zip(got.patches, want.patches):
+                assert np.array_equal(p.control_net, q.control_net)
+            for c, d in zip(got.decomposition.cells, want.decomposition.cells):
+                assert c.bounds == d.bounds and c.patch_bounds == d.patch_bounds
+                assert c.case == d.case and c.fit_residual == d.fit_residual
+                if c.boundary_fn is not None:
+                    assert np.array_equal(c.boundary_fn.coefficients, d.boundary_fn.coefficients)
+
+
 def snapped_split(curve, search):
     """The split that breakpoint indices replace: search the cut curve for
     its monotone roots again, snap each to the nearest breakpoint within

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from watertight import AlignmentError, EmptyRegionError, ReductionError, StageError
 from watertight.bezier import (
@@ -336,7 +338,7 @@ def mixed_pairs(delta):
 
 
 def unpruned_deviation(pairs, grid=20):
-    """`_stitch_deviation` with every sample inverted, in the same batches."""
+    """`_stitch_deviation` with every sample inverted, in batches of 8 pairs."""
     ts = np.linspace(0.0, 1.0, grid + 1)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
     seeds = np.stack([uu.reshape(-1), vv.reshape(-1)], axis=1)
@@ -391,20 +393,91 @@ class TestDeviationOracles:
                 assert _stitch_deviation([pairs[k] for k in rng.permutation(len(pairs))]) == want
 
     def test_largest_bound_is_inverted_first(self, demo, monkeypatch):
+        # The first batch is the first 32 pairs of the first pair's shapes;
+        # its largest-bound sample is the first one inverted.
         _, pairs = stitched_pairs(demo)
-        calls = []
-
-        def recording(nets, points, seeds):
-            calls.append((nets, points.shape[0] * points.shape[1]))
-            return invert_points(nets, points, seeds)
-
-        monkeypatch.setattr(stitching, "invert_points", recording)
+        calls = record_inversions(monkeypatch)
         _stitch_deviation(pairs)
-        bounds = [same_parameter_bound(*pair) for pair in pairs]
-        first = pairs[int(np.argmax(bounds))][0]
-        assert np.array_equal(calls[0][0][0], first.control_net)
+        shapes = (pairs[0][0].control_net.shape, pairs[0][1].control_net.shape)
+        batch = [pair for pair in pairs
+                 if (pair[0].control_net.shape, pair[1].control_net.shape) == shapes][:32]
+        ts = np.linspace(0.0, 1.0, 21)
+        taylor, same, _ = stitching._deviation_bounds(
+            np.stack([before.control_net for before, _ in batch]),
+            np.stack([after.control_net for _, after in batch]), ts)
+        pair, sample = np.divmod(int(np.argmax(np.minimum(taylor, same))), 441)
+        before, after = batch[pair]
+        assert np.array_equal(calls[0][0][0], before.control_net)
+        assert np.array_equal(calls[0][1][0, 0], after.evaluate_grid(ts, ts).reshape(-1, 3)[sample])
+
+    @pytest.mark.parametrize("step", [0.18, 0.02])
+    def test_few_samples_are_inverted(self, monkeypatch, step):
         # Most samples cannot raise the maximum and are never inverted.
-        assert sum(count for _, count in calls) < 0.5 * 441 * len(pairs)
+        _, pairs = stitched_pairs(demo_case(step))
+        calls = record_inversions(monkeypatch)
+        _stitch_deviation(pairs)
+        assert sum(points.shape[0] * points.shape[1] for _, points in calls) < 0.05 * 441 * len(pairs)
+
+    def test_tight_fit_mirror_pairs_match_the_unpruned_reference(self):
+        net = paraboloid_patch(-1.0).control_net.copy()
+        net[..., 2] += 0.1
+        config = PipelineConfig(fit_tol=1e-5)
+        case = prepared(paraboloid_patch(), BezierSurface(net), config)
+        model, pairs = stitched_pairs(case)
+        assert model.deviation == unpruned_deviation(pairs) > 0.0
+
+
+def record_inversions(monkeypatch):
+    """Record the (nets, points) of each `invert_points` call of stitching."""
+    calls = []
+
+    def recording(nets, points, seeds):
+        calls.append((nets, points))
+        return invert_points(nets, points, seeds)
+
+    monkeypatch.setattr(stitching, "invert_points", recording)
+    return calls
+
+
+def prepared(s1, s2, config):
+    data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
+    return (s1, s2, data) + prepare_decompositions(data, s1, s2, config)
+
+
+def demo_case(step):
+    return prepared(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig(march_step=step))
+
+
+class TestDeviationBound:
+    @given(
+        degrees=st.tuples(st.integers(1, 8), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+        lift=st.floats(2.0, 9.0),
+        elevate=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_caps_the_stepped_and_the_inverted_distance(self, degrees, seed, lift, elevate):
+        # A gently curved before net and an after net within 10^-lift of
+        # it, elevated along v or not, as stitching leaves them.
+        m, n = degrees
+        rng = np.random.default_rng(seed)
+        us, vs = np.meshgrid(np.linspace(0.0, 1.0, m + 1), np.linspace(0.0, 1.0, n + 1), indexing="ij")
+        net = np.stack([us, vs, np.zeros_like(us)], axis=-1) + rng.uniform(-0.1, 0.1, (m + 1, n + 1, 3))
+        before = BezierSurface(net)
+        after = BezierSurface(net + 10.0 ** -lift * rng.standard_normal(net.shape))
+        if elevate:
+            after = after.elevated_v(n + 2)
+        ts = np.linspace(0.0, 1.0, 21)
+        taylor, same, step = stitching._deviation_bounds(
+            before.control_net[None], after.control_net[None], ts)
+        uu, vv = np.meshgrid(ts, ts, indexing="ij")
+        seeds = np.stack([uu.reshape(-1), vv.reshape(-1)], axis=1)
+        points = after.evaluate_grid(ts, ts).reshape(-1, 3)
+        stepped = np.array([before.evaluate(*uv) for uv in np.clip(seeds + step[0], 0.0, 1.0)])
+        assert np.all(taylor[0] >= np.linalg.norm(points - stepped, axis=1))
+        assert np.all(same[0] >= np.linalg.norm(points - before.evaluate_grid(ts, ts).reshape(-1, 3), axis=1))
+        _, dist, _ = invert_points(before.control_net[None], points[None], seeds[None])
+        assert np.all(taylor[0] >= dist[0])
 
 
 def stitched_pairs(demo):

@@ -14,38 +14,26 @@ with nonnegative weights, and the composed patch matches
 surface(s*f(t), t) to about 2e-15 of the net's scale at every degree up
 to the caps.
 
-Batched kernels.  `de_casteljau_many` and the curve methods built on it
-(`PiecewiseBezierCurve.evaluate_many` / `derivative_many`) evaluate many
-parameters at once with no per-sample Python work, and each sample goes
-through the same floating-point operations, in the same order, as the
-scalar `de_casteljau`: results equal the scalar ones bit for bit.  At
-t == 0.0 and t == 1.0 they return the first and last control point
-exactly.  So stitched edges that hold one control polygon evaluate to
-the same bits, whichever path evaluates them; the seam check compares the
-polygons and relies on neither property.  `all_bernstein` is vectorized
-over x with the scalar recurrence's arithmetic, and `evaluate_grid_stacked`
-evaluates P stacked nets on one grid with `evaluate_grid`'s operations.
-`degree_reduce_many` reduces stacked polygons of one degree by products
-with matrices cached per (degree, target); `degree_reduce_curve` is its
-one-curve case.  `compose_reparameterize_many` composes P nets of one
-shape with P boundary polynomials of one degree along a leading stack
-axis, and `unit_ranges` finds the ranges of R stacked polynomials; their
-one-net and one-polynomial cases (`compose_reparameterize`,
-`BoundaryPolynomial.unit_range`) have the same bits.
+Evaluation kernels.  Each one stays for a measured reason (times for
+bicubic nets, numpy 2.4 on a 2-core Xeon):
 
-`evaluate_stacked` is the one surface kernel that agrees with the scalar
-`evaluate` to rounding only: it contracts the u and v Bernstein matrices
-with P stacked nets of one shape and returns the value and both partials
-at once (`BezierSurface.evaluate_many` is its one-net case).  It serves
-distance measurements (point inversion), never boundary evaluation; each
-sample's bits still do not depend on the rest of its batch.  Lifting a
-domain curve onto a surface stays on batched de Casteljau and keeps the
-scalar bits.  `evaluate_grid_products` evaluates stacked nets and their
-partials on a uniform grid by cached Bernstein matrices and BLAS products,
-also to rounding only; the stitch deviation uses it for bounds, never for
-a reported value.  `BezierSurface.evaluate_with_partials` returns the
-point, bit for bit `evaluate`'s, and both partials from one de Casteljau
-pass.
+* `de_casteljau` and the batched `de_casteljau_many`, with
+  `evaluate_pointwise` their tensor form for surfaces: `evaluate_grid`
+  keeps these bits.  The march seed breaks ties among exactly symmetric
+  grid distances by their rounding, so other bits move the marched
+  chain's start point.
+* `BezierSurface.evaluate_with_partials`, the one scalar tensor pass, and
+  `evaluate` its value: 19 us a point, against 64 us through
+  `evaluate_stacked`.
+* `evaluate_stacked` (and `evaluate_many`): batched values and partials at
+  scattered parameters, for point inversion.
+* `evaluate_grid_products`: values and partials on a uniform grid by
+  cached Bernstein matrices, 0.97 ms for 32 nets on 21 x 21 against
+  9.3 ms through `evaluate_stacked`; it only bounds the stitch deviation.
+
+No seam claim depends on any of these bits: the seam check compares the
+control rows.  `quadratic_roots` is the one root search, for curve
+turning points and boundary polynomial ranges.
 """
 
 from __future__ import annotations
@@ -372,12 +360,6 @@ class PiecewiseBezierCurve:
         idx, local = self.locate(t)
         return de_casteljau(self.segments[idx].control_points, local)
 
-    def derivative_at(self, t: float) -> np.ndarray:
-        """Derivative with respect to the global parameter."""
-        idx, local = self.locate(t)
-        span = self.breakpoints[idx + 1] - self.breakpoints[idx]
-        return de_casteljau(self._derivative_stacks.polygons[idx], local) / span
-
     @cached_property
     def _value_stacks(self) -> "_PolygonStacks":
         return _PolygonStacks([seg.control_points for seg in self.segments])
@@ -403,7 +385,11 @@ class PiecewiseBezierCurve:
         return self._value_stacks.evaluate(idx, local)
 
     def derivative_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized global-parameter derivatives at many parameters."""
+        """Vectorized global-parameter derivatives at many parameters.
+
+        Nothing in the package calls it; the benchmark's tracer wraps it by
+        name.
+        """
         idx, local, spans = self._locate_many(ts)
         return self._derivative_stacks.evaluate(idx, local) / spans[:, None]
 
@@ -437,7 +423,7 @@ class _PolygonStacks:
     """
 
     def __init__(self, polygons):
-        self.polygons = polygons
+        self.dim = polygons[0].shape[1]
         sizes = np.array([p.shape[0] for p in polygons])
         self.groups = []
         self.position = np.empty(len(polygons), dtype=np.intp)
@@ -450,7 +436,7 @@ class _PolygonStacks:
         """Segment idx[k]'s polygon at local parameter local[k], for every k."""
         if len(self.groups) == 1:
             return _de_casteljau_columns(self.groups[0][1].take(idx, axis=2), local)
-        out = np.empty((idx.shape[0], self.polygons[0].shape[1]))
+        out = np.empty((idx.shape[0], self.dim))
         for members, columns in self.groups:
             mask = np.isin(idx, members)
             segments = self.position[idx[mask]]
@@ -494,33 +480,19 @@ class BezierSurface:
         return self.control_net.shape[1] - 1
 
     def evaluate(self, u: float, v: float) -> np.ndarray:
-        """Tensor de Casteljau: collapse u across all columns, then v.
-
-        Parameters 0.0/1.0 short-circuit to exact control-net selections so
-        boundary evaluation reduces to arithmetic on edge control points only.
-        """
-        if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
-            raise DomainError(f"surface parameters ({u}, {v}) outside [0, 1]^2")
-        net = self.control_net
-        if u == 0.0:
-            rows = net[0]
-        elif u == 1.0:
-            rows = net[-1]
-        else:
-            a = net
-            while a.shape[0] > 1:
-                a = (1.0 - u) * a[:-1] + u * a[1:]
-            rows = a[0]
-        return de_casteljau(rows, v)
+        """The point at (u, v): the value of `evaluate_with_partials`."""
+        return self.evaluate_with_partials(u, v)[0]
 
     def evaluate_with_partials(self, u: float, v: float):
         """(S, S_u, S_v) at (u, v) from one tensor de Casteljau pass.
 
         The u pass stops at two rows: their blend is `evaluate`'s row and m
         times their difference the u-hodograph's; the v pass carries both
-        and stops at two points in the same way.  S equals `evaluate` bit
-        for bit; the partials agree with `partial_u()` / `partial_v()`
-        evaluated there to rounding.
+        and stops at two points in the same way.  S is the tensor de
+        Casteljau value, and at u or v in {0, 1} a blend of one control row
+        or point with weight 1, so the net's corners come back exactly; the
+        partials agree with `partial_u()` / `partial_v()` evaluated there to
+        rounding.
         """
         if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
             raise DomainError(f"surface parameters ({u}, {v}) outside [0, 1]^2")
@@ -540,17 +512,16 @@ class BezierSurface:
         return value, partial_u, self.degree_v * (b[0, 1] - b[0, 0])
 
     def evaluate_grid(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on the outer product of parameter arrays.
-
-        The one-net case of `evaluate_grid_stacked`.
-        """
-        us = np.asarray(us, dtype=float)
-        vs = np.asarray(vs, dtype=float)
+        """(U, V, 3) points on the outer product of parameter arrays, by
+        `evaluate_pointwise`."""
+        us = np.asarray(us, dtype=float).reshape(-1)
+        vs = np.asarray(vs, dtype=float).reshape(-1)
         if us.size and (us.min() < 0.0 or us.max() > 1.0):
             raise DomainError("u samples outside [0, 1]")
         if vs.size and (vs.min() < 0.0 or vs.max() > 1.0):
             raise DomainError("v samples outside [0, 1]")
-        return evaluate_grid_stacked(self.control_net[None], us, vs)[0]
+        uv = np.stack([np.repeat(us, vs.size), np.tile(vs, us.size)], axis=1)
+        return evaluate_pointwise(self.control_net, uv).reshape(us.size, vs.size, 3)
 
     def evaluate_many(self, uv: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at (K, 2) parameter pairs.
@@ -605,23 +576,19 @@ class BezierSurface:
         return BezierSurface(net.transpose(1, 0, 2))
 
 
-def evaluate_grid_stacked(nets: np.ndarray, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """P stacked nets of one shape on the outer product of us and vs.
+def evaluate_pointwise(nets: np.ndarray, uv: np.ndarray) -> np.ndarray:
+    """(K, 3) points of one (m+1, n+1, 3) net, or of K stacked nets, at
+    K parameter pairs `uv`.
 
-    Tensor de Casteljau, collapsing u and then v; returns (P, U, V, 3).
-    Elementwise only, so each sample's bits do not depend on the other
-    nets of the stack.
+    Tensor de Casteljau by two `de_casteljau_many` passes: u over the
+    flattened net, then v over the collapsed rows.  Each sample takes the
+    same operations whatever else is in the batch.
     """
     nets = np.asarray(nets, dtype=float)
-    a = np.broadcast_to(nets[:, None], (nets.shape[0], us.size) + nets.shape[1:])
-    w = us[None, :, None, None, None]
-    while a.shape[2] > 1:
-        a = (1.0 - w) * a[:, :, :-1] + w * a[:, :, 1:]
-    b = np.broadcast_to(a[:, :, None, 0], a.shape[:2] + (vs.size,) + a.shape[3:])
-    w = vs[None, None, :, None, None]
-    while b.shape[3] > 1:
-        b = (1.0 - w) * b[:, :, :, :-1] + w * b[:, :, :, 1:]
-    return b[:, :, :, 0].copy()
+    uv = np.asarray(uv, dtype=float)
+    m, n = nets.shape[-3] - 1, nets.shape[-2] - 1
+    rows = de_casteljau_many(nets.reshape(nets.shape[:-3] + (m + 1, (n + 1) * 3)), uv[:, 0])
+    return de_casteljau_many(rows.reshape(uv.shape[0], n + 1, 3), uv[:, 1])
 
 
 def evaluate_grid_products(nets: np.ndarray, samples: int, partials: bool = False):
@@ -633,8 +600,8 @@ def evaluate_grid_products(nets: np.ndarray, samples: int, partials: bool = Fals
     per-coordinate arithmetic on it runs over contiguous planes.  Each
     result takes two matrix products, one per parameter, with basis
     matrices cached per (degree, samples); the bits depend on the BLAS and
-    agree with `evaluate_grid_stacked` on np.linspace(0, 1, samples) to
-    rounding only.
+    agree with `evaluate_grid` on np.linspace(0, 1, samples) to rounding
+    only.
     """
     coords = np.asarray(nets, dtype=float).transpose(3, 0, 1, 2)
     m, n = coords.shape[2] - 1, coords.shape[3] - 1
@@ -810,33 +777,55 @@ def polyval_rows(coeffs: np.ndarray, x) -> np.ndarray:
     return out
 
 
+def quadratic_roots(a, b, c) -> np.ndarray:
+    """Real roots of a*x^2 + b*x + c, elementwise over arrays of one shape.
+
+    Returns shape + (2,), NaN in place of a missing root: one for a linear
+    row (a == 0), both for a constant or a complex pair.  A complex pair
+    whose imaginary part is below 1e-9 counts as the double root -b / 2a.
+    Distinct roots come from q = -(b + sign(b) sqrt(b^2 - 4ac)) / 2 as q / a
+    and c / q, which cancels nothing.
+    """
+    a, b, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c)))
+    out = np.full(a.shape + (2,), np.nan)
+    linear = (a == 0.0) & (b != 0.0)
+    out[linear, 0] = -c[linear] / b[linear]
+    quad = a != 0.0
+    a, b, c = a[quad], b[quad], c[quad]
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.abs(disc)), b))
+    # q is 0 only for b == c == 0, a double root at 0.
+    roots = np.stack([q / a, np.where(q == 0.0, 0.0, c / np.where(q == 0.0, 1.0, q))], axis=-1)
+    pair = disc < 0.0
+    roots[pair] = np.nan
+    near = pair & (np.sqrt(-np.minimum(disc, 0.0)) < 2e-9 * np.abs(a))
+    roots[near] = (-b / (2.0 * a))[near, None]
+    out[quad] = roots
+    return out
+
+
 def unit_ranges(coeffs: np.ndarray, degrees, values=None):
-    """(lo, hi) of R stacked polynomials over [0, 1].
+    """(lo, hi) of R stacked polynomials of degree at most 3 over [0, 1].
 
     `coeffs` is (R, l+1) from `_trim_rows`, whose degrees are `degrees`, and
     `values`, if given, holds the rows at `_RANGE_TS`.  The range is taken
-    over those samples plus the real roots of f' in [0, 1]: a linear f' is
-    solved directly and a higher one by the eigenvalues of its companion
-    matrix, as `polyroots` finds them, so each row gets the bits of its
-    one-polynomial search.
+    over those samples plus the real roots of f' in [0, 1], from
+    `quadratic_roots`, row by row.
     """
+    if np.any(degrees > MAX_BOUNDARY_DEGREE):
+        raise UnsupportedDegreeError(
+            f"boundary degree {int(degrees.max())} exceeds cap {MAX_BOUNDARY_DEGREE}"
+        )
     if values is None:
         values = polyval_rows(coeffs, _RANGE_TS)
     lo, hi = values.min(axis=1), values.max(axis=1)
-    for degree in np.unique(degrees[degrees >= 2]):
-        rows = np.flatnonzero(degrees == degree)
-        dc = coeffs[rows, 1:degree + 1] * np.arange(1, degree + 1)
-        if degree == 2:
-            roots = -dc[:, :1] / dc[:, 1:]
-        else:
-            size = degree - 1
-            companion = np.zeros((rows.shape[0], size, size))
-            companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
-            companion[:, :, -1] -= dc[:, :-1] / dc[:, -1:]
-            roots = np.linalg.eigvals(companion)
-        real = np.real(roots)
-        inside = (np.abs(np.imag(roots)) < 1e-9) & (-1e-9 < real) & (real < 1.0 + 1e-9)
-        at = polyval_rows(coeffs[rows], np.clip(real, 0.0, 1.0))
+    rows = np.flatnonzero(degrees >= 2)
+    if rows.shape[0]:
+        dc = np.zeros((rows.shape[0], 3))
+        dc[:, :coeffs.shape[1] - 1] = coeffs[rows, 1:] * np.arange(1, coeffs.shape[1])
+        roots = quadratic_roots(dc[:, 2], dc[:, 1], dc[:, 0])
+        inside = (-1e-9 < roots) & (roots < 1.0 + 1e-9)
+        at = polyval_rows(coeffs[rows], np.clip(np.where(inside, roots, 0.0), 0.0, 1.0))
         at = np.where(inside, at, values[rows, :1])
         lo[rows] = np.minimum(lo[rows], at.min(axis=1))
         hi[rows] = np.maximum(hi[rows], at.max(axis=1))

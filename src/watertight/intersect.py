@@ -37,7 +37,7 @@ from .bezier import (
     BezierSurface,
     PiecewiseBezierCurve,
     _dot,
-    de_casteljau_many,
+    evaluate_pointwise,
     evaluate_stacked,
 )
 from .errors import LostBranchError, NoIntersectionError
@@ -394,6 +394,12 @@ def march_intersection(s1: BezierSurface, s2: BezierSurface, step: float,
     warning when a converged candidate lies farther than `step` from every
     marched point: that branch is dropped.  Closed loops return with the
     first point repeated at the end.  Returns [] when no seed converges.
+
+    The candidates are taken in order of grid distance, and on a symmetric
+    pair (a level circle, a mirror) many of those distances tie exactly and
+    are ordered by their rounding.  So the start point depends on the grid's
+    bits: grids from Bernstein matrix products, within 3.3e-16 of
+    `evaluate_grid`'s, move it by 0.14 to 0.42 on those cases.
     """
     if step <= 0 or tol <= 0:
         raise ValueError("step and tol must be positive")
@@ -543,18 +549,12 @@ def interpolate_domain_curve(params, breakpoints=None) -> PiecewiseBezierCurve:
 
 def lift_domain_curve(surface: BezierSurface, curve: PiecewiseBezierCurve,
                       samples: int) -> np.ndarray:
-    """Sample the domain curve and map each point through the surface.
-
-    Two de Casteljau passes, over u on the flattened net and then over v on
-    the collapsed rows: `BezierSurface.evaluate`'s operations, batched, so
-    every point equals the scalar evaluation bit for bit.
-    """
+    """Sample the domain curve and map each point through the surface
+    (`evaluate_pointwise`)."""
     if samples < 2:
         raise ValueError("need at least two samples")
     uv = np.clip(curve.evaluate_many(np.linspace(0.0, 1.0, samples)), 0.0, 1.0)
-    net = surface.control_net
-    rows = de_casteljau_many(net.reshape(net.shape[0], -1), uv[:, 0])
-    return de_casteljau_many(rows.reshape(samples, net.shape[1], 3), uv[:, 1])
+    return evaluate_pointwise(surface.control_net, uv)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ Conventions used throughout:
   vectorized pass per degree over every open (cell, candidate) row:
   coefficients from a product with the basis's pseudo-inverse, cached per
   degree, residuals and ranges from stacked Horner evaluation and
-  companion-matrix roots; the sampled heights are dropped once the cells
+  closed-form roots; the sampled heights are dropped once the cells
   are fitted.  The cells that miss are tightened through one
   `_trapezoids` call, one solve for all their retained samples, and get a
   second fit pass.  Normalization composes the trapezoids of each
@@ -79,9 +79,10 @@ from .bezier import (
     compose_reparameterize_many,
     extract_subpatch,
     polyval_rows,
+    quadratic_roots,
     unit_ranges,
 )
-from .errors import AmbiguousCaseError, DegenerateCellError, FitError
+from .errors import AmbiguousCaseError, DegenerateCellError, FitError, UnsupportedDegreeError
 
 RECTANGLE = "rectangle"
 TRAPEZOID = "trapezoid"
@@ -89,8 +90,9 @@ TRAPEZOID = "trapezoid"
 _COORD_TOL = 1e-9
 # Cut parameters this close to a breakpoint, or to a smaller kept cut, merge.
 _CUT_TOL = 1e-7
-# Absolute tolerance of `_brent_root` on a monotone split parameter.
-_SPLIT_REFINE_TOL = 1e-10
+# Trim segments are at most cubic, so each hodograph coordinate's roots
+# are those of a quadratic.
+_MAX_TRIM_DEGREE = 3
 # Least-squares samples of a boundary-polynomial fit, and its residual check.
 _FIT_SAMPLES = 64
 _FIT_TS = np.linspace(0.0, 1.0, _FIT_SAMPLES)
@@ -347,72 +349,55 @@ class _NeedsSplit(Exception):
 # ---------------------------------------------------------------------------
 
 def monotone_split_params(curve: PiecewiseBezierCurve):
-    """Interior parameters where du/dw or dv/dw changes sign."""
-    n_seg = len(curve.segments)
-    ws = np.linspace(0.0, 1.0, 64 * n_seg + 1)
-    derivs = curve.derivative_many(ws)
-    scale = max(float(np.abs(derivs).max()), 1e-30)
+    """Interior parameters where du/dw or dv/dw changes sign.
+
+    Each coordinate of a trim segment's hodograph is a polynomial of degree
+    at most 2, whose real roots (`quadratic_roots`) cut the segment into at
+    most three pieces of one sign; the value at a piece's middle names it,
+    as 0 within 1e-12 of the largest power coefficient of any segment.  A
+    turning point ends a nonzero piece whose next nonzero piece has the
+    other sign, so a breakpoint counts where the sign flips across it, as
+    at a kink of a C0 trim.  Raises UnsupportedDegreeError for a segment
+    above cubic.
+    """
+    bp = curve.breakpoints
+    degrees = np.array([seg.degree for seg in curve.segments])
+    if degrees.max() > _MAX_TRIM_DEGREE:
+        raise UnsupportedDegreeError(
+            f"trim segment degree {degrees.max()} exceeds cap {_MAX_TRIM_DEGREE}"
+        )
+    # Power coefficients (a, b, c) of each segment's hodograph in w, (S, 2, 3).
+    coeffs = np.zeros((degrees.shape[0], 2, 3))
+    for degree in np.unique(degrees[degrees > 0]).tolist():
+        members = np.flatnonzero(degrees == degree)
+        polygons = np.stack([curve.segments[k].control_points for k in members])
+        spans = (bp[members + 1] - bp[members])[:, None]
+        h = [degree * (polygons[:, i + 1] - polygons[:, i]) / spans for i in range(degree)]
+        if degree == 3:
+            coeffs[members] = np.stack([h[0] - 2.0 * h[1] + h[2], 2.0 * (h[1] - h[0]), h[0]], axis=-1)
+        elif degree == 2:
+            coeffs[members, :, 1:] = np.stack([h[1] - h[0], h[0]], axis=-1)
+        else:
+            coeffs[members, :, 2] = h[0]
+    roots = quadratic_roots(coeffs[..., 0], coeffs[..., 1], coeffs[..., 2])
+    roots = np.sort(np.where((0.0 < roots) & (roots < 1.0), roots, 1.0), axis=-1)
+    knots = np.concatenate([np.zeros(roots.shape[:-1] + (1,)), roots,
+                            np.ones(roots.shape[:-1] + (1,))], axis=-1)
+    mid = 0.5 * (knots[..., :-1] + knots[..., 1:])
+    a, b, c = (coeffs[..., i, None] for i in range(3))
+    g = (a * mid + b) * mid + c
+    scale = max(float(np.abs(coeffs).max()), 1e-30)
+    signs = np.where((np.abs(g) <= 1e-12 * scale) | (knots[..., 1:] == knots[..., :-1]),
+                     0, np.sign(g))
+    # Each piece's end as a global parameter, pieces in curve order per coordinate.
+    ends = (1.0 - knots[..., 1:]) * bp[:-1, None, None] + knots[..., 1:] * bp[1:, None, None]
     params = []
     for comp in range(2):
-        g = derivs[:, comp]
-        signs = np.where(np.abs(g) <= 1e-12 * scale, 0, np.sign(g)).astype(int)
-        # Brackets between consecutive nonzero samples of opposite sign.
-        nonzero = np.flatnonzero(signs)
-        flips = signs[nonzero[1:]] != signs[nonzero[:-1]]
-        for lo, hi in zip(ws[nonzero[:-1][flips]], ws[nonzero[1:][flips]]):
-            params.append(_brent_root(lambda w: curve.derivative_at(w)[comp], lo, hi,
-                                      _SPLIT_REFINE_TOL))
+        sign, end = signs[:, comp].reshape(-1), ends[:, comp].reshape(-1)
+        nonzero = np.flatnonzero(sign)
+        flips = sign[nonzero[1:]] != sign[nonzero[:-1]]
+        params.extend(end[nonzero[:-1][flips]].tolist())
     return sorted(p for p in params if 1e-9 < p < 1.0 - 1e-9)
-
-
-def _brent_root(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
-    """A root of f in [xa, xb], where f changes sign, by Brent's method.
-
-    Inverse quadratic or secant steps, bisecting whenever the step is not
-    short enough, until half the bracket is below (xtol + rtol*|x|) / 2
-    with rtol = 4 eps: Brent's zeroin (Brent 1973, ch. 4) in the form of
-    the widely used C routine ``brentq.c``, with its defaults and its
-    operations in its order, so the roots equal that routine's bit for
-    bit.  An end where f is exactly 0 is returned as is.  f must be finite on the bracket.  Raises ValueError
-    when f(xa) and f(xb) have one sign, and RuntimeError when `maxiter`
-    steps do not converge.
-    """
-    rtol = 4.0 * np.finfo(float).eps
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-            spre, scur = (scur, stry) if short else (sbis, sbis)
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise RuntimeError(f"no root within {maxiter} steps of Brent's method")
 
 
 def cut_trims(curves, roots, extra=()):

@@ -44,10 +44,10 @@ from .bezier import (
     BezierSurface,
     Edge,
     _dot,
-    de_casteljau_many,
     degree_elevate_curve,
     degree_reduce_many,
     evaluate_grid_products,
+    evaluate_pointwise,
 )
 from .errors import AlignmentError
 from .intersect import GapReport, IntersectionData, invert_points
@@ -225,9 +225,9 @@ def _stitch_deviation(pairs) -> float:
     kept samples of all batches are then inverted in descending order of
     their bounds, a chunk of one group at a time, until the next bound
     does not exceed the running max.  An inverted sample gets the point,
-    seed and cap of the full grid (`_grid_samples`), and `invert_points`
-    treats each sample on its own, so the result has the bits of
-    inverting every sample, whatever is pruned and in whatever order.
+    seed and cap of the full grid, and `invert_points` treats each sample
+    on its own, so the result has the bits of inverting every sample,
+    whatever is pruned and in whatever order.
     """
     ts = np.linspace(0.0, 1.0, _DEVIATION_GRID + 1)
     uu, vv = np.meshgrid(ts, ts, indexing="ij")
@@ -323,17 +323,6 @@ def _largest_norm(diffs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(diffs, axis=-1).reshape(diffs.shape[0], -1).max(axis=1)
 
 
-def _grid_samples(nets: np.ndarray, uv: np.ndarray) -> np.ndarray:
-    """(K, 3) point of net k at uv[k], for K stacked nets of one shape.
-
-    `evaluate_grid_stacked`'s operations, one sample per net, so each point
-    equals that grid's point at the same parameters bit for bit.
-    """
-    count, rows = nets.shape[0], nets.shape[1]
-    collapsed = de_casteljau_many(nets.reshape(count, rows, -1), uv[:, 0])
-    return de_casteljau_many(collapsed.reshape(count, -1, 3), uv[:, 1])
-
-
 def _inverted_max(before: np.ndarray, after: np.ndarray, pair: np.ndarray,
                   uv: np.ndarray) -> float:
     """Largest value of K samples: pair[k]'s after point at grid parameter
@@ -342,8 +331,8 @@ def _inverted_max(before: np.ndarray, after: np.ndarray, pair: np.ndarray,
     if pair.shape[0] == 0:
         return 0.0
     nets = before[pair]
-    start = _grid_samples(nets, uv)
-    points = _grid_samples(after[pair], uv)
+    start = evaluate_pointwise(nets, uv)
+    points = evaluate_pointwise(after[pair], uv)
     cap = np.linalg.norm(start - points, axis=1)
     _, dist, _ = invert_points(nets, points[:, None], uv[:, None])
     return float(np.minimum(dist[:, 0], cap).max())

@@ -36,8 +36,10 @@ from watertight.bezier import (
     de_casteljau_many,
     degree_reduce_many,
     evaluate_grid_products,
-    evaluate_grid_stacked,
+    evaluate_pointwise,
     evaluate_stacked,
+    polyval_rows,
+    quadratic_roots,
     unit_ranges,
 )
 
@@ -210,8 +212,10 @@ class TestGridProducts:
         m, n = degrees
         nets = np.random.default_rng(m * 11 + n).uniform(-1.0, 1.0, (4, m + 1, n + 1, 3))
         ts = np.linspace(0.0, 1.0, 21)
+        uv = np.stack(np.meshgrid(ts, ts, indexing="ij"), axis=-1).reshape(-1, 2)
         value, partial_u, partial_v = evaluate_grid_products(nets, 21, partials=True)
-        assert np.allclose(value, evaluate_grid_stacked(nets, ts, ts), rtol=0.0, atol=1e-14)
+        pointwise = np.stack([evaluate_pointwise(net, uv).reshape(21, 21, 3) for net in nets])
+        assert np.allclose(value, pointwise, rtol=0.0, atol=1e-14)
         assert np.array_equal(evaluate_grid_products(nets, 21), value)
         for k, net in enumerate(nets):
             s = BezierSurface(net)
@@ -732,7 +736,9 @@ class TestStackedComposition:
         with pytest.raises(DomainError):
             compose_reparameterize_many(nets, fs)
 
-    def test_stacked_ranges_match_polyroots_bit_for_bit(self):
+    def test_stacked_ranges_match_polyroots(self):
+        """Each stacked row has its one-polynomial range bit for bit, and
+        `polyroots`' range within 1e-15 of the row's scale."""
         rng = np.random.default_rng(71)
         rows = [rng.uniform(-2.0, 2.0, size=4) for _ in range(200)]
         # Trimmed tops, a linear derivative, complex and repeated roots.
@@ -741,8 +747,80 @@ class TestStackedComposition:
         coeffs, degrees = _trim_rows(np.stack(rows))
         lo, hi = unit_ranges(coeffs, degrees)
         for row, a, b in zip(rows, lo, hi):
-            assert (float(a), float(b)) == polyroots_range(row)
+            scale = max(1.0, np.abs(row).max())
+            want = polyroots_range(row)
+            assert abs(a - want[0]) <= 1e-15 * scale and abs(b - want[1]) <= 1e-15 * scale
             assert BoundaryPolynomial(row).unit_range() == (float(a), float(b))
+
+
+def companion_ranges(coeffs, degrees, values):
+    """The range search `unit_ranges` replaced: the roots of f' by the
+    eigenvalues of its companion matrix, as `polyroots` finds them."""
+    lo, hi = values.min(axis=1), values.max(axis=1)
+    for degree in np.unique(degrees[degrees >= 2]):
+        rows = np.flatnonzero(degrees == degree)
+        dc = coeffs[rows, 1:degree + 1] * np.arange(1, degree + 1)
+        if degree == 2:
+            roots = -dc[:, :1] / dc[:, 1:]
+        else:
+            size = degree - 1
+            companion = np.zeros((rows.shape[0], size, size))
+            companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+            companion[:, :, -1] -= dc[:, :-1] / dc[:, -1:]
+            roots = np.linalg.eigvals(companion)
+        real = np.real(roots)
+        inside = (np.abs(np.imag(roots)) < 1e-9) & (-1e-9 < real) & (real < 1.0 + 1e-9)
+        at = np.where(inside, polyval_rows(coeffs[rows], np.clip(real, 0.0, 1.0)), values[rows, :1])
+        lo[rows] = np.minimum(lo[rows], at.min(axis=1))
+        hi[rows] = np.maximum(hi[rows], at.max(axis=1))
+    return lo, hi
+
+
+class TestQuadraticRoots:
+    """`quadratic_roots`, the one root search, and `unit_ranges` on it."""
+
+    def test_ranges_match_the_companion_search(self):
+        rng = np.random.default_rng(73)
+        rows = rng.uniform(-2.0, 2.0, (4000, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (4000, 1))
+        # Derivatives with both roots in [0, 1], and one with a double root at 0.4.
+        r = np.sort(rng.uniform(0.0, 1.0, (1000, 2)), axis=1)
+        rows = np.vstack([rows, np.stack([rng.uniform(-1, 1, 1000), r[:, 0] * r[:, 1],
+                                          -(r[:, 0] + r[:, 1]) / 2, np.full(1000, 1 / 3)], axis=1),
+                          [[0.0, 0.16, -0.4, 1 / 3]]])
+        coeffs, degrees = _trim_rows(rows)
+        values = polyval_rows(coeffs, np.linspace(0.0, 1.0, 257))
+        lo, hi = unit_ranges(coeffs, degrees, values)
+        want_lo, want_hi = companion_ranges(coeffs, degrees, values)
+        scale = np.maximum(1.0, np.abs(coeffs).max(axis=1))
+        assert np.all(np.abs(lo - want_lo) <= 1e-15 * scale)
+        assert np.all(np.abs(hi - want_hi) <= 1e-15 * scale)
+
+    def test_distinct_real_roots(self):
+        rng = np.random.default_rng(79)
+        r = rng.uniform(-2.0, 2.0, (500, 2))
+        a = rng.uniform(0.5, 2.0, 500) * rng.choice([-1.0, 1.0], 500)
+        roots = quadratic_roots(a, -a * (r[:, 0] + r[:, 1]), a * r[:, 0] * r[:, 1])
+        assert np.abs(np.sort(roots, axis=1) - np.sort(r, axis=1)).max() <= 1e-12
+
+    def test_linear_and_constant_rows(self):
+        roots = quadratic_roots([0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-1.0, 3.0, 0.0])
+        assert roots[0, 0] == 0.5 and np.isnan(roots[0, 1])
+        assert np.all(np.isnan(roots[1:]))
+
+    def test_double_roots(self):
+        assert np.array_equal(quadratic_roots(1.0, -1.0, 0.25), [0.5, 0.5])
+        assert np.array_equal(quadratic_roots(1.0, 0.0, 0.0), [0.0, 0.0])
+
+    def test_near_double_roots(self):
+        # (x - 2^-10)^2 + d: imaginary parts sqrt(d) of 4.7e-10 and 3.0e-8.
+        near = quadratic_roots(1.0, -2.0**-9, 2.0**-20 + 2.0**-62)
+        assert np.array_equal(near, [2.0**-10, 2.0**-10])
+        assert np.all(np.isnan(quadratic_roots(1.0, -2.0**-9, 2.0**-20 + 2.0**-50)))
+        assert np.all(np.isnan(quadratic_roots(1.0, 0.0, 1.0)))
+
+    def test_degree_above_the_cap_raises(self):
+        with pytest.raises(UnsupportedDegreeError):
+            unit_ranges(np.array([[0.1, 0.1, 0.1, 0.1, 0.1]]), np.array([4]))
 
 
 class TestAffineEquivariance:
@@ -813,6 +891,13 @@ def chained_curve(rng, degrees, dim=3):
     return PiecewiseBezierCurve(segments, np.concatenate([[0.0], inner, [1.0]]))
 
 
+def hodograph_at(curve, t):
+    """The global-parameter derivative at t, from the segment's own hodograph."""
+    idx, local = curve.locate(t)
+    span = curve.breakpoints[idx + 1] - curve.breakpoints[idx]
+    return curve.segments[idx].derivative().evaluate(local) / span
+
+
 def kernel_params(rng, curve):
     return np.concatenate([[0.0, 1.0], curve.breakpoints, rng.uniform(0.0, 1.0, 50)])
 
@@ -846,7 +931,7 @@ class TestBatchedKernels:
             curve.evaluate_many(ts), np.array([curve.evaluate(t) for t in ts])
         )
         assert np.array_equal(
-            curve.derivative_many(ts), np.array([curve.derivative_at(t) for t in ts])
+            curve.derivative_many(ts), np.array([hodograph_at(curve, t) for t in ts])
         )
 
     def test_mixed_degree_batches_match_scalar(self):
@@ -857,14 +942,14 @@ class TestBatchedKernels:
             curve.evaluate_many(ts), np.array([curve.evaluate(t) for t in ts])
         )
         assert np.array_equal(
-            curve.derivative_many(ts), np.array([curve.derivative_at(t) for t in ts])
+            curve.derivative_many(ts), np.array([hodograph_at(curve, t) for t in ts])
         )
         for i, seg in enumerate(curve.segments):
             w = 0.5 * (curve.breakpoints[i] + curve.breakpoints[i + 1])
             local = curve.locate(w)[1]
             span = curve.breakpoints[i + 1] - curve.breakpoints[i]
             want = seg.derivative().evaluate(local) / span
-            assert np.array_equal(curve.derivative_at(w), want)
+            assert np.array_equal(curve.derivative_many(np.array([w]))[0], want)
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 7, 12])
     def test_all_bernstein_batch_matches_recurrence(self, degree):
@@ -932,14 +1017,20 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("m,n", [(0, 0), (0, 3), (2, 0), (2, 6), (8, 4)])
     def test_grid_stacked_matches_grid(self, m, n):
+        """Stacked nets through `evaluate_pointwise` equal each net's
+        `evaluate_grid` and scalar `evaluate` bit for bit."""
         rng = np.random.default_rng(950 + 10 * m + n)
         nets = rng.uniform(-1.0, 1.0, (5, m + 1, n + 1, 3))
         us, vs = np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 4)
-        stacked = evaluate_grid_stacked(nets, us, vs)
-        assert stacked.shape == (5, 7, 4, 3)
+        uv = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
+        stacked = evaluate_pointwise(np.repeat(nets, uv.shape[0], axis=0), np.tile(uv, (5, 1)))
+        stacked = stacked.reshape(5, 7, 4, 3)
         for net, grid in zip(nets, stacked):
-            assert np.array_equal(grid, BezierSurface(net).evaluate_grid(us, vs))
-            assert np.array_equal(grid[2, 3], BezierSurface(net).evaluate(us[2], vs[3]))
+            surface = BezierSurface(net)
+            assert np.array_equal(grid, surface.evaluate_grid(us, vs))
+            assert np.array_equal(grid, evaluate_pointwise(net, uv).reshape(7, 4, 3))
+            for i, j in itertools.product(range(7), range(4)):
+                assert np.array_equal(grid[i, j], surface.evaluate(us[i], vs[j]))
 
     def test_derivative_many_builds_no_curves_when_repeated(self, monkeypatch):
         rng = np.random.default_rng(600)

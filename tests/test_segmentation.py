@@ -18,6 +18,8 @@ from watertight import (
     FitError,
     PiecewiseBezierCurve,
     StageError,
+    UnsupportedDegreeError,
+    degree_elevate_curve,
     extract_subpatch,
 )
 import watertight.bezier
@@ -33,8 +35,6 @@ from watertight.segmentation import (
     TrapezoidCase,
     _CHECK_TS,
     _FIT_TS,
-    _SPLIT_REFINE_TOL,
-    _brent_root,
     _classify_candidates,
     _fit_cells,
     _fit_pinv,
@@ -136,10 +136,17 @@ def sampled(edge_fn):
     return tuple(np.broadcast_to(edge_fn(ts), ts.shape) for ts in (_FIT_TS, _CHECK_TS))
 
 
+def hodograph_at(curve, w):
+    """The global-parameter derivative at w, from the segment's own hodograph."""
+    idx, local = curve.locate(w)
+    span = curve.breakpoints[idx + 1] - curve.breakpoints[idx]
+    return curve.segments[idx].derivative().evaluate(local) / span
+
+
 def loop_split_params(curve):
-    """The per-sample loop `monotone_split_params` replaced: a bracket
+    """The sampled search `monotone_split_params` replaced: a bracket
     between each pair of consecutive nonzero derivative samples of opposite
-    sign, refined by brentq, the oracle `_brent_root` ports."""
+    sign, 64 samples per segment, refined by brentq."""
     ws = np.linspace(0.0, 1.0, 64 * len(curve.segments) + 1)
     derivs = curve.derivative_many(ws)
     scale = max(float(np.abs(derivs).max()), 1e-30)
@@ -152,8 +159,8 @@ def loop_split_params(curve):
             if sign == 0:
                 continue
             if last_nonzero is not None and sign != last_nonzero:
-                root = brentq(lambda w: curve.derivative_at(w)[comp], ws[last_idx], ws[i],
-                              xtol=segmentation._SPLIT_REFINE_TOL)
+                root = brentq(lambda w: hodograph_at(curve, w)[comp], ws[last_idx], ws[i],
+                              xtol=1e-10)
                 params.append(float(root))
             last_nonzero, last_idx = sign, i
     return sorted(p for p in params if 1e-9 < p < 1.0 - 1e-9)
@@ -197,58 +204,32 @@ class TestSplitMonotone:
     def test_split_params_match_the_sample_loop(self, plane, step):
         data = build_intersection_data(paraboloid_patch(), plane_patch(*plane), step, MARCH_TOL)
         for curve in (data.domain_curve_a, data.domain_curve_b, domain_circle(16)):
-            assert segmentation.monotone_split_params(curve) == loop_split_params(curve)
+            got, want = monotone_split_params(curve), loop_split_params(curve)
+            assert len(got) == len(want)
+            assert np.all(np.abs(np.subtract(got, want)) <= 1e-10)
+
+    @pytest.mark.parametrize("junction", [0.5, 0.37])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_kink_where_v_reverses_is_a_turning_point(self, junction, degree):
+        # A C0 trim whose dv/dw jumps from + to - at its inner breakpoint;
+        # no segment has an interior turning point.
+        legs = [np.array([[0.2, 0.0], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.8, 0.0]])]
+        curve = PiecewiseBezierCurve([degree_elevate_curve(BezierCurve(leg), degree) for leg in legs],
+                                     np.array([0.0, junction, 1.0]))
+        cut, cuts = cut_at_roots(curve)
+        assert cuts == [1]
+        assert len(split_monotone(cut, cuts)) == 2
+
+    def test_segment_above_cubic_raises(self):
+        quartic = BezierCurve(np.array([[0.1, 0.1], [0.3, 0.6], [0.5, 0.2], [0.7, 0.8], [0.9, 0.4]]))
+        with pytest.raises(UnsupportedDegreeError):
+            monotone_split_params(PiecewiseBezierCurve([quartic], np.array([0.0, 1.0])))
 
     def test_degenerate_rejected(self):
         seg = BezierCurve(np.array([[0.5, 0.5], [0.5, 0.5]]))
         curve = PiecewiseBezierCurve([seg], np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             split_monotone(*cut_at_roots(curve))
-
-
-def horner(coeffs):
-    """The polynomial with `coeffs` (highest degree first), as a function of a float."""
-    def f(x):
-        value = 0.0
-        for c in coeffs:
-            value = value * x + c
-        return value
-    return f
-
-
-class TestBrentRoot:
-    """`_brent_root` against the C routine behind scipy's brentq, bit for bit."""
-
-    def test_random_polynomial_brackets(self, rng):
-        compared = 0
-        for _ in range(3000):
-            f = horner(rng.uniform(-1.0, 1.0, rng.integers(2, 9)))
-            a, b = np.sort(rng.uniform(-2.0, 2.0, 2))
-            if (f(a) < 0.0) == (f(b) < 0.0):
-                continue
-            for xtol in (_SPLIT_REFINE_TOL, 2e-12, 1e-3):
-                assert _brent_root(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
-            compared += 1
-        assert compared > 500
-
-    def test_a_zero_end_is_returned(self):
-        f = horner([1.0, 0.0, -0.25])  # roots at -0.5 and 0.5
-        assert _brent_root(f, 0.5, 2.0, _SPLIT_REFINE_TOL) == brentq(f, 0.5, 2.0) == 0.5
-        assert _brent_root(f, -2.0, -0.5, _SPLIT_REFINE_TOL) == brentq(f, -2.0, -0.5) == -0.5
-
-    def test_a_same_sign_bracket_raises(self):
-        f = horner([1.0, 0.0, -0.25])
-        with pytest.raises(ValueError):
-            brentq(f, -1.0, 1.0)
-        with pytest.raises(ValueError, match="different signs"):
-            _brent_root(f, -1.0, 1.0, _SPLIT_REFINE_TOL)
-
-    def test_too_few_steps_raise(self):
-        f = horner([1.0, 0.0, 0.0, -0.3])
-        with pytest.raises(RuntimeError):
-            brentq(f, 0.0, 1.0, xtol=1e-14, maxiter=3)
-        with pytest.raises(RuntimeError):
-            _brent_root(f, 0.0, 1.0, 1e-14, maxiter=3)
 
 
 class TestDecomposeDomain:

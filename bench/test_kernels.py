@@ -10,7 +10,8 @@ test paths in pyproject.toml, so the plain test command never collects
 these files.
 
 Each benchmark times one kernel on the sizes the pipeline feeds it: a
-domain curve of 300 cubic segments (a dense march), a 441-point grid on a
+domain curve of 300 cubic segments (a dense march), the construction,
+subdivision at 64 parameters and evaluation of one of 500, a 441-point grid on a
 (3, 9) patch, one batch of the stitch deviation's point inversion (16
 stacked patches, 441 samples each), the march of a tilted arc at step
 0.01, one of its steps and its 32x32 nearest-point seeding search, the
@@ -78,15 +79,15 @@ from watertight.stitching import (
 )
 
 
+def chained_polygons(rng, count):
+    """`count` random cubic polygons in [0, 1]^2, each starting where the last ends."""
+    polygons = rng.uniform(0.0, 1.0, (count, 4, 2))
+    polygons[1:, 0] = polygons[:-1, -1]
+    return polygons
+
+
 def chained_cubics(rng, count):
-    segments = []
-    start = rng.uniform(0.0, 1.0, 2)
-    for _ in range(count):
-        cps = rng.uniform(0.0, 1.0, (4, 2))
-        cps[0] = start
-        segments.append(BezierCurve(cps))
-        start = cps[-1]
-    return PiecewiseBezierCurve(segments, np.linspace(0.0, 1.0, count + 1))
+    return PiecewiseBezierCurve(chained_polygons(rng, count), np.linspace(0.0, 1.0, count + 1))
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,20 @@ def test_derivative_many_300_segments(benchmark):
     ws = np.linspace(0.0, 1.0, 64 * 300 + 1)
     out = benchmark(curve.derivative_many, ws)
     assert out.shape == (ws.shape[0], 2)
+
+
+def test_build_subdivide_evaluate_500_segments(benchmark):
+    rng = np.random.default_rng(7)
+    polygons = chained_polygons(rng, 500)
+    breaks = np.linspace(0.0, 1.0, 501)
+    params = rng.uniform(0.0, 1.0, 64)
+    # 16 samples per segment of the subdivided curve.
+    ws = np.linspace(0.0, 1.0, 16 * 564 + 1)
+
+    def run():
+        return PiecewiseBezierCurve(polygons, breaks).subdivide_at(params).evaluate_many(ws)
+
+    assert benchmark(run).shape == (ws.shape[0], 2)
 
 
 def test_surface_evaluate_many_441_points(benchmark):

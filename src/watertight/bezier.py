@@ -6,6 +6,10 @@ elevation and least-squares reduction, monomial-to-Bernstein conversion,
 and the curved-trapezoid reparameterization (s, t) -> (s*f(t), t) that
 turns a trapezoid-domain restriction of a surface into a standard patch.
 
+A piecewise curve is one (S, d+1, dim) array of control polygons, all of
+one degree, over S+1 breakpoints; its producers write that array and its
+consumers index it, with no per-segment curve object in between.
+
 All arithmetic is double precision.  The composition works in the
 Bernstein basis only: it multiplies Bernstein polynomials by the product
 rule, and only f, which is kept in monomial form, is converted on the way
@@ -197,19 +201,14 @@ class BezierCurve:
         return de_casteljau(self.control_points, t)
 
     def derivative(self) -> "BezierCurve":
-        return BezierCurve(_derivative_polygon(self.control_points))
+        """The hodograph: degree * forward differences (zero for a constant)."""
+        if self.degree == 0:
+            return BezierCurve(np.zeros((1, self.dim)))
+        return BezierCurve(self.degree * np.diff(self.control_points, axis=0))
 
     def split(self, t: float):
         left, right = de_casteljau_split(self.control_points, t)
         return BezierCurve(left), BezierCurve(right)
-
-
-def _derivative_polygon(points: np.ndarray) -> np.ndarray:
-    """Control polygon of the hodograph: degree * forward differences."""
-    d = points.shape[0] - 1
-    if d == 0:
-        return np.zeros((1, points.shape[1]))
-    return d * np.diff(points, axis=0)
 
 
 def _elevate_axis0(points: np.ndarray, target: int) -> np.ndarray:
@@ -310,71 +309,80 @@ def degree_reduce_curve(curve: BezierCurve, target: int, tol: float) -> BezierCu
 
 @dataclass(eq=False)
 class PiecewiseBezierCurve:
-    """Bezier segments chained over strictly increasing breakpoints in [0,1].
+    """Bezier segments of one degree chained over strictly increasing
+    breakpoints in [0,1].
 
-    Adjacent segments must share their junction control point exactly; the
-    global parameter spans [0,1].  Segments are not modified after
-    construction: the batched evaluators build their stacked (and
-    differentiated) control polygons on first use and keep them.
+    `polygons` is one (S, d+1, dim) array: row k is segment k's control
+    polygon, and adjacent rows share their junction point exactly.  The
+    global parameter spans [0,1], and segment k covers breakpoints k and
+    k+1.  The stack is not modified after construction: the batched
+    evaluators lay it out once as (d+1, dim, S) columns and keep them.
+    `segments` builds per-segment `BezierCurve` views of the rows; it stays
+    for the benchmark's output checks, which read curves segment by
+    segment, and nothing in the package calls it.
     """
 
-    segments: list
+    polygons: np.ndarray
     breakpoints: np.ndarray
 
     def __post_init__(self):
+        polygons = np.asarray(self.polygons, dtype=float)
         bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.shape[0] != len(self.segments) + 1:
-            raise ValueError("need len(segments) + 1 breakpoints")
+        if polygons.ndim != 3 or 0 in polygons.shape:
+            raise ValueError("polygons must be an (S, degree+1, dim) array")
+        if not np.all(np.isfinite(polygons)):
+            raise ValueError("control points must be finite")
+        if bp.ndim != 1 or bp.shape[0] != polygons.shape[0] + 1:
+            raise ValueError("need one more breakpoint than segments")
         if not (bp[0] == 0.0 and bp[-1] == 1.0):
             raise ValueError("global parameter must span [0, 1]")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        dims = {seg.dim for seg in self.segments}
-        if len(dims) != 1:
-            raise ValueError("segments must share one dimension")
-        for a, b in zip(self.segments[:-1], self.segments[1:]):
-            if not np.array_equal(a.control_points[-1], b.control_points[0]):
-                raise ValueError("adjacent segments must share their junction point")
+        if not np.array_equal(polygons[:-1, -1], polygons[1:, 0]):
+            raise ValueError("adjacent segments must share their junction point")
+        self.polygons = polygons
         self.breakpoints = bp
 
     @property
+    def degree(self) -> int:
+        return self.polygons.shape[1] - 1
+
+    @property
     def dim(self) -> int:
-        return self.segments[0].dim
+        return self.polygons.shape[2]
+
+    @property
+    def segments(self) -> list:
+        """One `BezierCurve` view of each row of `polygons`."""
+        return [BezierCurve(polygon) for polygon in self.polygons]
 
     @property
     def is_closed(self) -> bool:
-        first = self.segments[0].control_points[0]
-        last = self.segments[-1].control_points[-1]
-        return bool(np.linalg.norm(first - last) <= 1e-12)
+        return bool(np.linalg.norm(self.polygons[0, 0] - self.polygons[-1, -1]) <= 1e-12)
 
     def locate(self, t: float):
         """Segment index and local parameter for a global t."""
         if not 0.0 <= t <= 1.0:
             raise DomainError(f"global parameter {t} outside [0, 1]")
         idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.segments) - 1)
+        idx = min(max(idx, 0), self.polygons.shape[0] - 1)
         lo, hi = self.breakpoints[idx], self.breakpoints[idx + 1]
         return idx, (t - lo) / (hi - lo)
 
     def evaluate(self, t: float) -> np.ndarray:
         idx, local = self.locate(t)
-        return de_casteljau(self.segments[idx].control_points, local)
+        return de_casteljau(self.polygons[idx], local)
 
     @cached_property
-    def _value_stacks(self) -> "_PolygonStacks":
-        return _PolygonStacks([seg.control_points for seg in self.segments])
-
-    @cached_property
-    def _derivative_stacks(self) -> "_PolygonStacks":
-        return _PolygonStacks(
-            [_derivative_polygon(seg.control_points) for seg in self.segments]
-        )
+    def _columns(self) -> np.ndarray:
+        """The polygons laid out (d+1, dim, S) for `_de_casteljau_columns`."""
+        return np.ascontiguousarray(self.polygons.transpose(1, 2, 0))
 
     def _locate_many(self, ts: np.ndarray):
         """Segment indices, local parameters and segment spans for many global t."""
         ts = np.asarray(ts, dtype=float)
         idx = np.searchsorted(self.breakpoints, ts, side="right") - 1
-        idx = np.clip(idx, 0, len(self.segments) - 1)
+        idx = np.clip(idx, 0, self.polygons.shape[0] - 1)
         lo = self.breakpoints[idx]
         hi = self.breakpoints[idx + 1]
         return idx, (ts - lo) / (hi - lo), hi - lo
@@ -382,7 +390,7 @@ class PiecewiseBezierCurve:
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at many global parameters."""
         idx, local, _ = self._locate_many(ts)
-        return self._value_stacks.evaluate(idx, local)
+        return _de_casteljau_columns(self._columns.take(idx, axis=2), local)
 
     def derivative_many(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized global-parameter derivatives at many parameters.
@@ -391,7 +399,9 @@ class PiecewiseBezierCurve:
         name.
         """
         idx, local, spans = self._locate_many(ts)
-        return self._derivative_stacks.evaluate(idx, local) / spans[:, None]
+        columns = self._columns.take(idx, axis=2)
+        hodograph = self.degree * np.diff(columns, axis=0) if self.degree else np.zeros_like(columns)
+        return _de_casteljau_columns(hodograph, local) / spans[:, None]
 
     def subdivide_at(self, params) -> "PiecewiseBezierCurve":
         """Insert breakpoints at the given global parameters (exact splits).
@@ -400,7 +410,7 @@ class PiecewiseBezierCurve:
         it, is skipped; only its two neighbours in the sorted breakpoints,
         found by bisection, can be that close.
         """
-        segments = list(self.segments)
+        polygons = list(self.polygons)
         breaks = self.breakpoints.tolist()
         for t in sorted(set(float(p) for p in params)):
             idx = bisect.bisect_right(breaks, t)
@@ -409,39 +419,9 @@ class PiecewiseBezierCurve:
             if not 0.0 < t < 1.0:
                 raise DomainError(f"split parameter {t} outside (0, 1)")
             lo, hi = breaks[idx - 1], breaks[idx]
-            left, right = segments[idx - 1].split((t - lo) / (hi - lo))
-            segments[idx - 1:idx] = [left, right]
+            polygons[idx - 1:idx] = de_casteljau_split(polygons[idx - 1], (t - lo) / (hi - lo))
             breaks.insert(idx, t)
-        return PiecewiseBezierCurve(segments, np.array(breaks))
-
-
-class _PolygonStacks:
-    """Per-segment control polygons, stacked by size for batched evaluation.
-
-    Built once per curve: segments of equal degree share one (n+1, dim, S)
-    array, so a batch gathers each sample's polygon in one indexing step.
-    """
-
-    def __init__(self, polygons):
-        self.dim = polygons[0].shape[1]
-        sizes = np.array([p.shape[0] for p in polygons])
-        self.groups = []
-        self.position = np.empty(len(polygons), dtype=np.intp)
-        for size in np.unique(sizes):
-            members = np.flatnonzero(sizes == size)
-            self.position[members] = np.arange(members.shape[0])
-            self.groups.append((members, np.stack([polygons[i] for i in members], axis=-1)))
-
-    def evaluate(self, idx: np.ndarray, local: np.ndarray) -> np.ndarray:
-        """Segment idx[k]'s polygon at local parameter local[k], for every k."""
-        if len(self.groups) == 1:
-            return _de_casteljau_columns(self.groups[0][1].take(idx, axis=2), local)
-        out = np.empty((idx.shape[0], self.dim))
-        for members, columns in self.groups:
-            mask = np.isin(idx, members)
-            segments = self.position[idx[mask]]
-            out[mask] = _de_casteljau_columns(columns.take(segments, axis=2), local[mask])
-        return out
+        return PiecewiseBezierCurve(np.array(polygons), np.array(breaks))
 
 
 # ---------------------------------------------------------------------------

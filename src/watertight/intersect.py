@@ -4,6 +4,9 @@ Marches one intersection branch between two Bezier surfaces, interpolates
 the space curve and the two domain curves through the marched points and
 their parameter pairs, lifts domain curves back onto the surfaces, and
 measures the gap between an approximate intersection curve and a surface.
+Each interpolant is written as one stack of cubic control polygons (a
+single linear one through two points); a domain curve's stack is clamped
+into [0,1]^2 as a whole.
 
 The march has one solver, `_match`: Gauss-Newton on S1(u1, v1) - S2(u2, v2),
 with an optional step-plane row and fixed parameters.  It corrects the seed
@@ -12,13 +15,14 @@ its iterations evaluates each surface once, point and both partials from
 one de Casteljau pass, and solves the square step-plane system directly
 (least squares only for the 3-row systems and a singular square one).
 Each step starts from the tangent predictor, one closed-form 2x2 solve per
-side.  A step whose correction fails inside both domains raises
-LostBranchError instead of ending the branch there.  Only one branch is
-marched; a converged seed candidate far from it is logged as a dropped
-branch.  Seeding pairs grid points by `_nearest`, a brute-force search
-that shortlists targets by one matrix product per block and sums exact
-squared distances only on the shortlist.  Closest points on one surface
-come from the separate batched `invert_points`.
+side.  A step whose correction fails inside both domains, or that lands
+back on the marched branch, raises LostBranchError instead of ending the
+branch there.  Only one branch is marched; a converged seed candidate far
+from it is logged as a dropped branch.  Seeding pairs grid points by
+`_nearest`, a brute-force search that shortlists targets by one matrix
+product per block and sums exact squared distances only on the shortlist.
+Closest points on one surface come from the separate batched
+`invert_points`.
 
 All three curves share one global parameterization (normalized 3D chord
 length, breakpoints at the intersection points) so the k-th breakpoint of
@@ -33,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bezier import (
-    BezierCurve,
     BezierSurface,
     PiecewiseBezierCurve,
     _dot,
@@ -320,9 +323,14 @@ def _march_direction(s1, s2, q, partials, direction, step, tol, start_pos):
     cuts off is finished on the edge with the exited parameters fixed.  A
     finish that ends on neither domain's edge raises LostBranchError: the
     branch goes on there, and the step plane missed it (a step too large
-    for the curve's curvature).
+    for the curve's curvature).  So does a point within 0.6 * step of the
+    start or of any earlier point but its predecessor, unless it closes the
+    loop: the march has doubled back onto the branch.
     """
     points = []
+    # The start, then each marched point's position.
+    positions = np.empty((_MAX_MARCH_POINTS + 1, 3))
+    positions[0] = start_pos
     prev_pos = s1.evaluate(q[0], q[1])
     prev_dir = None
     for _ in range(_MAX_MARCH_POINTS):
@@ -357,7 +365,15 @@ def _march_direction(s1, s2, q, partials, direction, step, tol, start_pos):
         pt = _make_point(q, values)
         if len(points) >= 4 and np.linalg.norm(pt.position - start_pos) < 0.6 * step:
             return points, True
+        earlier = positions[:len(points)] - pt.position
+        if np.any(np.sqrt(_dot(earlier, earlier)) < 0.6 * step):
+            raise LostBranchError(
+                f"march step {step:g} revisited the intersection branch: step "
+                f"{len(points) + 1} landed within 0.6 steps of an earlier point; "
+                "a smaller march_step follows the branch"
+            )
         points.append(pt)
+        positions[len(points)] = pt.position
         prev_dir = d
         prev_pos = pt.position
     return points, False
@@ -494,20 +510,11 @@ def _three_point_tangents(points: np.ndarray, w: np.ndarray, closed: bool) -> np
     return tangents
 
 
-def _hermite_to_bezier(points, tangents, w) -> PiecewiseBezierCurve:
-    segments = []
-    for i in range(points.shape[0] - 1):
-        h = w[i + 1] - w[i]
-        cps = np.array([
-            points[i],
-            points[i] + tangents[i] * (h / 3.0),
-            points[i + 1] - tangents[i + 1] * (h / 3.0),
-            points[i + 1],
-        ])
-        cps[0] = points[i]
-        cps[-1] = points[i + 1]
-        segments.append(BezierCurve(cps))
-    return PiecewiseBezierCurve(segments, w.copy())
+def _hermite_polygons(points, tangents, w) -> np.ndarray:
+    """(S, 4, dim) cubic control polygons of the Hermite data over breakpoints w."""
+    third = np.diff(w)[:, None] / 3.0
+    return np.stack([points[:-1], points[:-1] + tangents[:-1] * third,
+                     points[1:] - tangents[1:] * third, points[1:]], axis=1)
 
 
 def interpolate_space_curve(points) -> PiecewiseBezierCurve:
@@ -520,11 +527,11 @@ def interpolate_space_curve(points) -> PiecewiseBezierCurve:
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two interpolation points")
     if pts.shape[0] == 2:
-        return PiecewiseBezierCurve([BezierCurve(pts.copy())], np.array([0.0, 1.0]))
+        return PiecewiseBezierCurve(pts[None].copy(), np.array([0.0, 1.0]))
     w = _chord_parameters(pts)
     closed = bool(np.linalg.norm(pts[0] - pts[-1]) <= 1e-12)
     tangents = _three_point_tangents(pts, w, closed)
-    return _hermite_to_bezier(pts, tangents, w)
+    return PiecewiseBezierCurve(_hermite_polygons(pts, tangents, w), w)
 
 
 def interpolate_domain_curve(params, breakpoints=None) -> PiecewiseBezierCurve:
@@ -538,13 +545,11 @@ def interpolate_domain_curve(params, breakpoints=None) -> PiecewiseBezierCurve:
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
         raise ValueError("need at least two 2D parameter pairs")
     if pts.shape[0] == 2:
-        return PiecewiseBezierCurve([BezierCurve(pts.copy())], np.array([0.0, 1.0]))
-    w = np.asarray(breakpoints, dtype=float) if breakpoints is not None else _chord_parameters(pts)
+        return PiecewiseBezierCurve(pts[None].copy(), np.array([0.0, 1.0]))
+    w = np.array(breakpoints, dtype=float) if breakpoints is not None else _chord_parameters(pts)
     closed = bool(np.linalg.norm(pts[0] - pts[-1]) <= 1e-12)
     tangents = _three_point_tangents(pts, w, closed)
-    curve = _hermite_to_bezier(pts, tangents, w)
-    clamped = [BezierCurve(np.clip(s.control_points, 0.0, 1.0)) for s in curve.segments]
-    return PiecewiseBezierCurve(clamped, curve.breakpoints)
+    return PiecewiseBezierCurve(np.clip(_hermite_polygons(pts, tangents, w), 0.0, 1.0), w)
 
 
 def lift_domain_curve(surface: BezierSurface, curve: PiecewiseBezierCurve,
@@ -608,7 +613,7 @@ def build_intersection_data(s1: BezierSurface, s2: BezierSurface, step: float,
     curve_c = interpolate_space_curve(positions)
     domain_a = interpolate_domain_curve(params_a, breakpoints=curve_c.breakpoints)
     domain_b = interpolate_domain_curve(params_b, breakpoints=curve_c.breakpoints)
-    n_lift = _LIFT_SAMPLES * len(curve_c.segments) + 1
+    n_lift = _LIFT_SAMPLES * curve_c.polygons.shape[0] + 1
     closed = bool(np.linalg.norm(positions[0] - positions[-1]) <= 1e-12)
     return IntersectionData(
         points=points,

@@ -9,6 +9,10 @@ boundary records, intersection points and reports are checked.  Numbers
 round-trip bitwise (shortest round-trippable decimals via repr).  Writes
 are atomic (temp file plus rename).
 
+A piecewise curve is stored as its breakpoints and its control polygons,
+one list per segment.  The polygons must all have one size: they load
+into the curve's one stacked array.
+
 The file holds only what cannot be recomputed exactly.  An intersection
 record stores the sample count of its lifted polylines, not the polylines:
 loading lifts each domain curve through its surface (the model's first two
@@ -29,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bezier import BezierCurve, BezierSurface, Edge, PiecewiseBezierCurve
+from .bezier import BezierSurface, Edge, PiecewiseBezierCurve
 from .errors import ParseError
 from .intersect import IntersectionData, IntersectionPoint, lift_domain_curve
 from .segmentation import RECTANGLE, TRAPEZOID
@@ -68,7 +72,7 @@ def _encode_surface(surface: BezierSurface) -> dict:
 def _encode_curve(curve: PiecewiseBezierCurve) -> dict:
     return {
         "breakpoints": curve.breakpoints.tolist(),
-        "segments": [seg.control_points.tolist() for seg in curve.segments],
+        "segments": curve.polygons.tolist(),
     }
 
 
@@ -240,12 +244,14 @@ def _decode_curve(obj: dict, path: str, dim: int, breakpoints=None) -> Piecewise
     """A piecewise curve of `dim`-coordinate points, on `breakpoints` if given."""
     _check_keys(obj, {"breakpoints", "segments"}, {"breakpoints", "segments"}, path)
     breaks = _number_grid(obj["breakpoints"], f"{path}.breakpoints", 1)
-    segments = [
-        BezierCurve(_number_grid(seg, f"{path}.segments[{k}]", 2))
+    polygons = [
+        _number_grid(seg, f"{path}.segments[{k}]", 2)
         for k, seg in enumerate(_list(obj["segments"], f"{path}.segments"))
     ]
+    _require(len({polygon.shape for polygon in polygons}) == 1, f"{path}.segments",
+             "expected a non-empty list of segments of one degree and dimension")
     try:
-        curve = PiecewiseBezierCurve(segments, breaks)
+        curve = PiecewiseBezierCurve(np.stack(polygons), breaks)
     except ValueError as err:
         raise ParseError(str(err), path)
     _require(curve.dim == dim, path, "points have {} coordinates, not {}", curve.dim, dim)

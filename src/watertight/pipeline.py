@@ -87,11 +87,12 @@ def _batched(test):
     return predicate
 
 
-def _closing_path(end: np.ndarray, start: np.ndarray) -> list:
+def _closing_path(end: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Straight segments from an open trim's end back to its start around
     the unit square, counter-clockwise and outside it: out from the centre
     to the square [-1, 2]^2 (p -> 3p - 1), along it and back in.  Both ends
-    must lie on the domain edge, within 1e-12.
+    must lie on the domain edge, within 1e-12.  Returns (2, K, 2): the K
+    segments' first points, then their last.
     """
     offsets = np.array([end, start, (0, 0), (1, 0), (1, 1), (0, 1)], dtype=float) - 0.5
     if np.abs(offsets[:2]).max(axis=1).min() < 0.5 - 1e-12:
@@ -103,7 +104,7 @@ def _closing_path(end: np.ndarray, start: np.ndarray) -> list:
     passed = offsets[order[turns[order] < turns[1]]]
     outer = 0.5 + 3.0 * np.vstack([offsets[:1], passed, offsets[1:2]])
     points = np.vstack([end, outer, start])
-    return list(np.stack([points[:-1], points[1:]], axis=1))
+    return np.stack([points[:-1], points[1:]])
 
 
 def _signed_area(polygons: np.ndarray) -> float:
@@ -137,14 +138,13 @@ def keep_region_fn(spec: str, curve: PiecewiseBezierCurve):
     """
     if spec not in KEEP_CHOICES:
         raise ValueError(f"keep spec must be one of {KEEP_CHOICES}")
-    loop, closed = [seg.control_points for seg in curve.segments], curve.is_closed
+    polygons, closed = curve.polygons, curve.is_closed
     if not closed:
-        if spec in ("inside", "outside"):
-            loop.append(np.array([loop[-1][-1], loop[0][0]]))
-        else:
-            loop += _closing_path(loop[-1][-1], loop[0][0])
-    degree = max(polygon.shape[0] for polygon in loop) - 1
-    polygons = np.stack([_elevate_axis0(polygon, degree) for polygon in loop])
+        end, start = polygons[-1, -1], polygons[0, 0]
+        path = np.array([[end], [start]]) if spec in ("inside", "outside") else _closing_path(end, start)
+        # An open trim has degree 1 at least; its closing lines are raised to it.
+        closing = _elevate_axis0(path, curve.degree)
+        polygons = np.concatenate([polygons, closing.transpose(1, 0, 2)])
     if not closed and spec in ("inside", "outside") and abs(_signed_area(polygons)) <= 1e-12:
         raise EmptyRegionError(
             f"keep {spec!r} names a region with no area: the trim closed by its chord encloses none"

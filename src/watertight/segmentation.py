@@ -308,7 +308,7 @@ class DomainCell:
         if self.patch_bounds is None:
             self.patch_bounds = self.bounds
         if self.kind == TRAPEZOID:
-            self.arc = _Arc(self.parent_curve.segments[self.segment].control_points, self.bounds)
+            self.arc = _Arc(self.parent_curve.polygons[self.segment], self.bounds)
 
     @property
     def w_span(self):
@@ -360,25 +360,21 @@ def monotone_split_params(curve: PiecewiseBezierCurve):
     at a kink of a C0 trim.  Raises UnsupportedDegreeError for a segment
     above cubic.
     """
-    bp = curve.breakpoints
-    degrees = np.array([seg.degree for seg in curve.segments])
-    if degrees.max() > _MAX_TRIM_DEGREE:
+    bp, polygons, degree = curve.breakpoints, curve.polygons, curve.degree
+    if degree > _MAX_TRIM_DEGREE:
         raise UnsupportedDegreeError(
-            f"trim segment degree {degrees.max()} exceeds cap {_MAX_TRIM_DEGREE}"
+            f"trim segment degree {degree} exceeds cap {_MAX_TRIM_DEGREE}"
         )
     # Power coefficients (a, b, c) of each segment's hodograph in w, (S, 2, 3).
-    coeffs = np.zeros((degrees.shape[0], 2, 3))
-    for degree in np.unique(degrees[degrees > 0]).tolist():
-        members = np.flatnonzero(degrees == degree)
-        polygons = np.stack([curve.segments[k].control_points for k in members])
-        spans = (bp[members + 1] - bp[members])[:, None]
-        h = [degree * (polygons[:, i + 1] - polygons[:, i]) / spans for i in range(degree)]
-        if degree == 3:
-            coeffs[members] = np.stack([h[0] - 2.0 * h[1] + h[2], 2.0 * (h[1] - h[0]), h[0]], axis=-1)
-        elif degree == 2:
-            coeffs[members, :, 1:] = np.stack([h[1] - h[0], h[0]], axis=-1)
-        else:
-            coeffs[members, :, 2] = h[0]
+    coeffs = np.zeros((polygons.shape[0], 2, 3))
+    spans = np.diff(bp)[:, None]
+    h = [degree * (polygons[:, i + 1] - polygons[:, i]) / spans for i in range(degree)]
+    if degree == 3:
+        coeffs[...] = np.stack([h[0] - 2.0 * h[1] + h[2], 2.0 * (h[1] - h[0]), h[0]], axis=-1)
+    elif degree == 2:
+        coeffs[..., 1:] = np.stack([h[1] - h[0], h[0]], axis=-1)
+    elif degree == 1:
+        coeffs[..., 2] = h[0]
     roots = quadratic_roots(coeffs[..., 0], coeffs[..., 1], coeffs[..., 2])
     roots = np.sort(np.where((0.0 < roots) & (roots < 1.0), roots, 1.0), axis=-1)
     knots = np.concatenate([np.zeros(roots.shape[:-1] + (1,)), roots,
@@ -444,9 +440,9 @@ def _trend(values: np.ndarray) -> int:
 def split_monotone(curve: PiecewiseBezierCurve, cuts):
     """Split the domain curve at the breakpoint indices `cuts` (its turning
     points, from `cut_trims`) into segments monotone in both coordinates."""
-    if np.ptp(np.vstack([seg.control_points for seg in curve.segments]), axis=0).max() <= 1e-12:
+    if np.ptp(curve.polygons.reshape(-1, curve.dim), axis=0).max() <= 1e-12:
         raise ValueError("degenerate (single-point) domain curve")
-    ends = sorted({0, len(curve.segments), *cuts})
+    ends = sorted({0, curve.polygons.shape[0], *cuts})
     ws = curve.breakpoints[ends]
     samples = curve.evaluate_many(np.linspace(ws[:-1], ws[1:], 101, axis=1).reshape(-1))
     samples = samples.reshape(len(ends) - 1, 101, -1)
@@ -531,7 +527,7 @@ def decompose_domain(segment: MonotoneSegment, keep_side: str):
     curve = segment.curve
     specs = []
     for k in range(segment.first, segment.last):
-        polygon = curve.segments[k].control_points
+        polygon = curve.polygons[k]
         x0, y0 = float(polygon[0, xi]), float(polygon[0, yi])
         x1, y1 = float(polygon[-1, xi]), float(polygon[-1, yi])
         if abs(y1 - y0) <= 1e-12:
@@ -850,7 +846,7 @@ def _fit_cells(cells, fit_degree: int, fit_tol: float, fits=None) -> dict:
 def _fit_key(cell: DomainCell):
     """What a trapezoid's fit depends on: its trim segment's control
     points, its bounds and its retained sample."""
-    polygon = cell.parent_curve.segments[cell.segment].control_points
+    polygon = cell.parent_curve.polygons[cell.segment]
     return polygon.tobytes(), polygon.shape, cell.bounds, cell.retained_sample
 
 
@@ -873,7 +869,7 @@ def _tighten_cells(cells) -> list:
     xi, yi = _graph_indices(axis)
     specs, fillers = [], []
     for cell in cells:
-        ends = curve.segments[cell.segment].control_points[[0, -1]]
+        ends = curve.polygons[cell.segment, [0, -1]]
         x_lo, x_hi = sorted(float(p[xi]) for p in ends)
         y_lo, y_hi = sorted(float(p[yi]) for p in ends)
         specs.append((cell.segment, cell.toward_far_edge, (x_lo, x_hi), (y_lo, y_hi)))

@@ -44,6 +44,7 @@ from .bezier import (
     BezierSurface,
     Edge,
     _dot,
+    _elevate_axis0,
     degree_elevate_curve,
     degree_reduce_many,
     evaluate_grid_products,
@@ -137,7 +138,8 @@ def align_boundary(data: IntersectionData, set_a: PatchSet, set_b: PatchSet):
             f"on side a, {len(entries_b)} on side b"
         )
     return [
-        StitchTriple(ia, edge_a, ib, edge_b, (float(bp[k]), float(bp[k + 1])), curve.segments[k])
+        StitchTriple(ia, edge_a, ib, edge_b, (float(bp[k]), float(bp[k + 1])),
+                     BezierCurve(curve.polygons[k]))
         for (ia, edge_a, k), (ib, edge_b, _) in zip(entries_a, entries_b)
     ]
 
@@ -343,6 +345,11 @@ def _stitched_rows(net: np.ndarray, edge: Edge) -> np.ndarray:
     return net if edge in (Edge.U0, Edge.U1) else net.transpose(1, 0, 2)
 
 
+def _edge_row(net: np.ndarray, edge: Edge) -> np.ndarray:
+    """The edge's control row, a view into the net."""
+    return _stitched_rows(net, edge)[0 if edge in (Edge.U0, Edge.V0) else -1]
+
+
 def _try_reduce(out_a: PatchSet, out_b: PatchSet, triples, shared, tol):
     """Reduce the stitched direction of every matched pair that allows it.
 
@@ -401,11 +408,11 @@ def verify_watertight(model: WatertightModel) -> GapReport:
         return GapReport(0.0, 0.0, 0, np.zeros(3))
     side_a, side_b = [], []
     for t in model.triples:
-        edge_a = model.set_a.patches[t.patch_a].edge_curve(t.edge_a)
-        edge_b = model.set_b.patches[t.patch_b].edge_curve(t.edge_b)
-        degree = max(edge_a.degree, edge_b.degree)
-        side_a.append(degree_elevate_curve(edge_a, degree).control_points)
-        side_b.append(degree_elevate_curve(edge_b, degree).control_points)
+        row_a = _edge_row(model.set_a.patches[t.patch_a].control_net, t.edge_a)
+        row_b = _edge_row(model.set_b.patches[t.patch_b].control_net, t.edge_b)
+        degree = max(row_a.shape[0], row_b.shape[0]) - 1
+        side_a.append(_elevate_axis0(row_a, degree))
+        side_b.append(_elevate_axis0(row_b, degree))
     pa, pb = np.concatenate(side_a), np.concatenate(side_b)
     arr = np.linalg.norm(pa - pb, axis=1)
     worst = int(np.argmax(arr))

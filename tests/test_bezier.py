@@ -225,15 +225,13 @@ class TestGridProducts:
 
 class TestPiecewiseCurve:
     def test_linear_midpoint(self):
-        seg = BezierCurve(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
-        c = PiecewiseBezierCurve([seg], np.array([0.0, 1.0]))
+        c = PiecewiseBezierCurve(np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]]), np.array([0.0, 1.0]))
         assert np.allclose(c.evaluate(0.5), [0.5, 0.5, 0.5], atol=1e-15)
 
     def test_breakpoint_returns_shared_junction(self):
         j = np.array([1.0, 2.0, 3.0])
-        a = BezierCurve(np.array([[0.0, 0.0, 0.0], j]))
-        b = BezierCurve(np.array([j, [2.0, 0.0, 1.0]]))
-        c = PiecewiseBezierCurve([a, b], np.array([0.0, 0.4, 1.0]))
+        c = PiecewiseBezierCurve(np.array([[[0.0, 0.0, 0.0], j], [j, [2.0, 0.0, 1.0]]]),
+                                 np.array([0.0, 0.4, 1.0]))
         assert np.array_equal(c.evaluate(0.4), j)
 
     def test_two_segment_local_parameter(self):
@@ -241,42 +239,36 @@ class TestPiecewiseCurve:
         cps1 = rng.standard_normal((4, 3))
         cps2 = rng.standard_normal((4, 3))
         cps2[0] = cps1[-1]
-        a, b = BezierCurve(cps1), BezierCurve(cps2)
-        c = PiecewiseBezierCurve([a, b], np.array([0.0, 0.5, 1.0]))
+        c = PiecewiseBezierCurve(np.stack([cps1, cps2]), np.array([0.0, 0.5, 1.0]))
         # Manual segment-local evaluation as the oracle.
-        want = b.evaluate((0.75 - 0.5) / 0.5)
+        want = BezierCurve(cps2).evaluate((0.75 - 0.5) / 0.5)
         assert np.allclose(c.evaluate(0.75), want, atol=1e-15)
 
     def test_junction_mismatch_rejected(self):
-        a = BezierCurve(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        b = BezierCurve(np.array([[1.0, 1.0 + 1e-9], [2.0, 0.0]]))
-        with pytest.raises(ValueError):
-            PiecewiseBezierCurve([a, b], np.array([0.0, 0.5, 1.0]))
+        polygons = np.array([[[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0 + 1e-9], [2.0, 0.0]]])
+        with pytest.raises(ValueError, match="junction"):
+            PiecewiseBezierCurve(polygons, np.array([0.0, 0.5, 1.0]))
 
     def test_subdivide_preserves_values(self):
         rng = np.random.default_rng(5)
         cps = rng.standard_normal((4, 2))
-        c = PiecewiseBezierCurve([BezierCurve(cps)], np.array([0.0, 1.0]))
+        c = PiecewiseBezierCurve(cps[None], np.array([0.0, 1.0]))
         c2 = c.subdivide_at([0.25, 0.7])
-        assert len(c2.segments) == 3
+        assert c2.polygons.shape == (3, 4, 2)
         for t in np.linspace(0, 1, 23):
             assert np.allclose(c.evaluate(t), c2.evaluate(t), atol=1e-13)
 
     def test_out_of_range(self):
-        seg = BezierCurve(np.array([[0.0, 0.0], [1.0, 1.0]]))
-        c = PiecewiseBezierCurve([seg], np.array([0.0, 1.0]))
+        c = PiecewiseBezierCurve(np.array([[[0.0, 0.0], [1.0, 1.0]]]), np.array([0.0, 1.0]))
         with pytest.raises(DomainError):
             c.evaluate(1.5)
 
     def test_subdivide_skips_as_the_scan_over_every_breakpoint(self):
         rng = np.random.default_rng(8)
         breaks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 30)), [1.0]])
-        segments, start = [], rng.standard_normal(2)
-        for _ in range(31):
-            cps = np.vstack([start, rng.standard_normal((3, 2))])
-            segments.append(BezierCurve(cps))
-            start = cps[-1]
-        curve = PiecewiseBezierCurve(segments, breaks)
+        polygons = rng.standard_normal((31, 4, 2))
+        polygons[1:, 0] = polygons[:-1, -1]
+        curve = PiecewiseBezierCurve(polygons, breaks)
         # Parameters at, within, just past and well past 1e-13 of a
         # breakpoint or of each other, repeats, the domain ends and fresh ones.
         near = breaks[rng.integers(0, 32, 40)] + rng.choice(
@@ -286,17 +278,16 @@ class TestPiecewiseCurve:
         params = params[(params >= 0.0) & (params <= 1.0)]
         got, want = curve.subdivide_at(params), scanned_subdivide(curve, params)
         assert np.array_equal(got.breakpoints, want.breakpoints)
-        assert len(want.segments) > len(curve.segments) + 40
-        for a, b in zip(got.segments, want.segments, strict=True):
-            assert np.array_equal(a.control_points, b.control_points)
+        assert want.polygons.shape[0] > curve.polygons.shape[0] + 40
+        assert np.array_equal(got.polygons, want.polygons)
         with pytest.raises(DomainError, match="outside"):
             curve.subdivide_at([0.5, 1.0 + 1e-9])
 
 
 def scanned_subdivide(curve, params):
     """`subdivide_at` as it was, testing each parameter against every
-    breakpoint with a scan."""
-    segments = list(curve.segments)
+    breakpoint with a scan and splitting per-segment curve objects."""
+    segments = [BezierCurve(polygon.copy()) for polygon in curve.polygons]
     breaks = list(curve.breakpoints)
     for t in sorted(set(float(p) for p in params)):
         if any(abs(t - b) <= 1e-13 for b in breaks):
@@ -306,7 +297,7 @@ def scanned_subdivide(curve, params):
         left, right = segments[idx].split((t - lo) / (hi - lo))
         segments[idx:idx + 1] = [left, right]
         breaks.insert(idx + 1, t)
-    return PiecewiseBezierCurve(segments, np.array(breaks))
+    return PiecewiseBezierCurve(np.array([seg.control_points for seg in segments]), np.array(breaks))
 
 
 def split_rows(pts, t):
@@ -878,24 +869,20 @@ def scalar_bernstein(degree, x):
     return vals
 
 
-def chained_curve(rng, degrees, dim=3):
-    """Piecewise curve with one segment per entry of degrees, random breaks."""
-    segments = []
-    start = rng.standard_normal(dim)
-    for d in degrees:
-        cps = rng.standard_normal((d + 1, dim))
-        cps[0] = start
-        segments.append(BezierCurve(cps))
-        start = cps[-1]
-    inner = np.sort(rng.uniform(0.0, 1.0, len(degrees) - 1))
-    return PiecewiseBezierCurve(segments, np.concatenate([[0.0], inner, [1.0]]))
+def chained_curve(rng, degree, count, dim=3):
+    """Piecewise curve of `count` segments of one degree, random breaks."""
+    polygons = rng.standard_normal((count, degree + 1, dim))
+    for k in range(1, count):
+        polygons[k, 0] = polygons[k - 1, -1]
+    inner = np.sort(rng.uniform(0.0, 1.0, count - 1))
+    return PiecewiseBezierCurve(polygons, np.concatenate([[0.0], inner, [1.0]]))
 
 
 def hodograph_at(curve, t):
     """The global-parameter derivative at t, from the segment's own hodograph."""
     idx, local = curve.locate(t)
     span = curve.breakpoints[idx + 1] - curve.breakpoints[idx]
-    return curve.segments[idx].derivative().evaluate(local) / span
+    return BezierCurve(curve.polygons[idx]).derivative().evaluate(local) / span
 
 
 def kernel_params(rng, curve):
@@ -925,7 +912,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("degree", range(8))
     def test_piecewise_batches_match_scalar(self, degree):
         rng = np.random.default_rng(200 + degree)
-        curve = chained_curve(rng, [degree] * 5)
+        curve = chained_curve(rng, degree, 5)
         ts = kernel_params(rng, curve)
         assert np.array_equal(
             curve.evaluate_many(ts), np.array([curve.evaluate(t) for t in ts])
@@ -934,22 +921,12 @@ class TestBatchedKernels:
             curve.derivative_many(ts), np.array([hodograph_at(curve, t) for t in ts])
         )
 
-    def test_mixed_degree_batches_match_scalar(self):
-        rng = np.random.default_rng(300)
-        curve = chained_curve(rng, [3, 0, 7, 1, 3, 5, 2, 6, 4], dim=2)
-        ts = kernel_params(rng, curve)
-        assert np.array_equal(
-            curve.evaluate_many(ts), np.array([curve.evaluate(t) for t in ts])
-        )
-        assert np.array_equal(
-            curve.derivative_many(ts), np.array([hodograph_at(curve, t) for t in ts])
-        )
-        for i, seg in enumerate(curve.segments):
-            w = 0.5 * (curve.breakpoints[i] + curve.breakpoints[i + 1])
-            local = curve.locate(w)[1]
-            span = curve.breakpoints[i + 1] - curve.breakpoints[i]
-            want = seg.derivative().evaluate(local) / span
-            assert np.array_equal(curve.derivative_many(np.array([w]))[0], want)
+    def test_mixed_degree_stack_raises(self):
+        # A curve has one degree: a cubic and a quadratic do not stack.
+        cubic = np.array([[0.0, 0.0], [0.2, 0.5], [0.6, 0.5], [1.0, 1.0]])
+        quadratic = np.array([[1.0, 1.0], [1.5, 1.2], [2.0, 0.0]])
+        with pytest.raises(ValueError):
+            PiecewiseBezierCurve([cubic, quadratic], np.array([0.0, 0.5, 1.0]))
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 7, 12])
     def test_all_bernstein_batch_matches_recurrence(self, degree):
@@ -1034,7 +1011,7 @@ class TestBatchedKernels:
 
     def test_derivative_many_builds_no_curves_when_repeated(self, monkeypatch):
         rng = np.random.default_rng(600)
-        curve = chained_curve(rng, [3] * 300, dim=2)
+        curve = chained_curve(rng, 3, 300, dim=2)
         ts = np.linspace(0.0, 1.0, 64 * 300 + 1)
         first = curve.derivative_many(ts)
         builds = []

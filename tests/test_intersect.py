@@ -113,6 +113,32 @@ class TestLostBranch:
         assert isinstance(err.value.cause, LostBranchError)
         assert f"march step {step:g} lost the intersection branch inside the domain" in str(err.value)
 
+    # At a step near the circle's radius the march can land back on its own
+    # branch: it revisits earlier points, winds twice, or cycles over a few
+    # positions.  Just below those steps it closes the loop.
+    @pytest.mark.parametrize("radius, step, revisits", [
+        (0.1, 0.1, True), (0.1, 0.099, True), (0.2, 0.198, True), (0.2, 0.2, True),
+        (0.1, 0.098, False), (0.2, 0.196, False),
+    ])
+    def test_a_march_that_revisits_its_branch_raises(self, paraboloid, radius, step, revisits):
+        plane = plane_patch(0.0, 0.0, radius**2)
+        if revisits:
+            with pytest.raises(StageError) as err:
+                run_pipeline(paraboloid, plane, PipelineConfig(march_step=step))
+            assert err.value.stage == "march"
+            assert isinstance(err.value.cause, LostBranchError)
+            assert f"march step {step:g} revisited the intersection branch: step " in str(err.value)
+            return
+        points = march_intersection(paraboloid, plane, step=step, tol=1e-10)
+        positions = np.array([p.position for p in points])
+        assert np.array_equal(positions[0], positions[-1])
+        # Distances between the loop's distinct points, less its neighbours'.
+        gaps = np.linalg.norm(positions[:-1, None] - positions[None, :-1], axis=2)
+        n = gaps.shape[0]
+        apart = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        assert gaps[np.minimum(apart, n - apart) > 1].min() >= 0.6 * step
+        assert run_pipeline(paraboloid, plane, PipelineConfig(march_step=step)).report["patches_a"] > 0
+
     def test_the_same_circle_marches_at_a_smaller_step(self, paraboloid):
         points = march_intersection(paraboloid, plane_patch(0.0, 0.0, 0.01), step=0.02, tol=1e-10)
         assert np.array_equal(points[0].position, points[-1].position)
@@ -345,8 +371,7 @@ class TestBatchedInversion:
 class TestSpaceCurveInterpolation:
     def test_two_points_linear(self):
         c = interpolate_space_curve(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
-        assert len(c.segments) == 1
-        assert c.segments[0].degree == 1
+        assert c.polygons.shape == (1, 2, 3)
 
     def test_interpolates_inputs(self):
         pts = circle_points(9)
@@ -384,7 +409,7 @@ class TestSpaceCurveInterpolation:
 class TestDomainCurveInterpolation:
     def test_two_pairs_linear(self):
         c = interpolate_domain_curve(np.array([[0.1, 0.2], [0.9, 0.8]]))
-        assert len(c.segments) == 1
+        assert c.polygons.shape == (1, 2, 2)
 
     def test_linear_precision(self):
         vs = np.array([0.0, 0.3, 0.55, 0.8, 1.0])
@@ -408,9 +433,8 @@ class TestDomainCurveInterpolation:
     def test_clamped_into_unit_square(self):
         pts = np.array([[0.0, 0.0], [0.5, 0.02], [1.0, 0.0]])
         c = interpolate_domain_curve(pts)
-        for seg in c.segments:
-            assert np.all(seg.control_points >= 0.0)
-            assert np.all(seg.control_points <= 1.0)
+        assert np.all(c.polygons >= 0.0)
+        assert np.all(c.polygons <= 1.0)
 
 
 class TestLifting:
@@ -448,8 +472,8 @@ class TestBatchedLifting:
         s = BezierSurface(rng.uniform(-1, 1, size=(4, 3, 3)))
         pts = np.array([[0.0, 0.3], [0.2, 0.6], [0.5, 1.0], [1.0, 0.8], [0.7, 0.1], [0.3, 0.0]])
         c = interpolate_domain_curve(pts)
-        assert min(seg.control_points.min() for seg in c.segments) == 0.0
-        assert max(seg.control_points.max() for seg in c.segments) == 1.0
+        assert c.polygons.min() == 0.0
+        assert c.polygons.max() == 1.0
         for surface in (s, paraboloid_patch()):
             lifted = lift_domain_curve(surface, c, 257)
             ref = np.array([

@@ -71,7 +71,7 @@ def analytic_keeps(curve, circle, u, v, band=BAND):
     dist = np.hypot(u - cx, v - cy)
     disk = dist < r
     checked = np.abs(dist - r) > band
-    middle = curve.segments[len(curve.segments) // 2]
+    middle = BezierCurve(curve.polygons[curve.polygons.shape[0] // 2])
     p, d = middle.evaluate(0.5), middle.derivative().evaluate(0.5)
     ccw = (p[0] - cx) * d[1] - (p[1] - cy) * d[0] > 0.0
     left = disk if ccw else ~disk
@@ -108,8 +108,7 @@ def test_keeps_match_the_analytic_region(trim):
 
 
 def reversed_curve(curve):
-    segments = [BezierCurve(seg.control_points[::-1].copy()) for seg in reversed(curve.segments)]
-    return PiecewiseBezierCurve(segments, 1.0 - curve.breakpoints[::-1])
+    return PiecewiseBezierCurve(curve.polygons[::-1, ::-1].copy(), 1.0 - curve.breakpoints[::-1])
 
 
 def test_a_reversed_trim_swaps_left_and_right(trim):
@@ -139,8 +138,8 @@ def test_scalar_and_shaped_queries(trim):
 def polyline_curve(points):
     """Straight segments through `points`, breakpoints evenly spaced."""
     points = np.asarray(points, dtype=float)
-    segments = [BezierCurve(points[k:k + 2]) for k in range(points.shape[0] - 1)]
-    return PiecewiseBezierCurve(segments, np.linspace(0.0, 1.0, len(segments) + 1))
+    return PiecewiseBezierCurve(np.stack([points[:-1], points[1:]], axis=1),
+                                np.linspace(0.0, 1.0, points.shape[0]))
 
 
 def test_edge_points_beside_the_closing_path_follow_the_curve():

@@ -7,16 +7,22 @@ import numpy as np
 import pytest
 
 from watertight import model_io
+from watertight.bezier import BezierCurve, PiecewiseBezierCurve
 from watertight.errors import ParseError
+from watertight.intersect import (
+    IntersectionData,
+    IntersectionPoint,
+    interpolate_domain_curve,
+    interpolate_space_curve,
+    lift_domain_curve,
+)
 from watertight.pipeline import PipelineConfig, run_pipeline
 from watertight.shapes import paraboloid_patch, plane_patch
 
 
 def assert_curves_equal(a, b):
     assert np.array_equal(a.breakpoints, b.breakpoints)
-    assert len(a.segments) == len(b.segments)
-    for sa, sb in zip(a.segments, b.segments):
-        assert np.array_equal(sa.control_points, sb.control_points)
+    assert np.array_equal(a.polygons, b.polygons)
 
 
 def test_demo_model_round_trips_bit_for_bit(tmp_path):
@@ -245,6 +251,57 @@ def test_invalid_patch_set_values_are_rejected(tmp_path, demo_record, edit):
     with pytest.raises(ParseError) as err:
         model_io.load_model(str(path))
     assert err.value.path == field
+
+
+def test_mixed_segment_sizes_are_rejected(tmp_path, demo_record):
+    # A curve has one degree: a 3-point polygon among 4-point ones.
+    raw = copy.deepcopy(demo_record)
+    segments = raw["intersection"]["curve_c"]["segments"]
+    assert len(segments[0]) == len(segments[1]) == 4
+    segments[1] = [segments[1][0], segments[1][1], segments[1][3]]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ParseError) as err:
+        model_io.load_model(str(path))
+    assert err.value.path == "intersection.curve_c.segments"
+
+
+def test_piecewise_curves_build_no_segment_curves(tmp_path, monkeypatch):
+    # Piecewise curves are stacked polygons: building, subdividing,
+    # evaluating, interpolating, saving and loading them makes no
+    # per-segment BezierCurve.
+    builds = []
+    original = BezierCurve.__post_init__
+
+    def counting(self):
+        builds.append(1)
+        original(self)
+
+    monkeypatch.setattr(BezierCurve, "__post_init__", counting)
+    rng = np.random.default_rng(23)
+    polygons = rng.uniform(0.0, 1.0, (300, 4, 2))
+    polygons[1:, 0] = polygons[:-1, -1]
+    curve = PiecewiseBezierCurve(polygons, np.linspace(0.0, 1.0, 301))
+    split = curve.subdivide_at(rng.uniform(0.0, 1.0, 64))
+    ws = np.linspace(0.0, 1.0, 1001)
+    assert split.evaluate_many(ws).shape == split.derivative_many(ws).shape == (1001, 2)
+
+    angles = np.linspace(0.0, 2.0 * np.pi, 200)
+    params = 0.5 + 0.2 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    params[-1] = params[0]
+    positions = np.hstack([params, np.full((200, 1), 0.04)])
+    curve_c = interpolate_space_curve(positions)
+    domain = interpolate_domain_curve(params, breakpoints=curve_c.breakpoints)
+    surfaces = [paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)]
+    lifted = [lift_domain_curve(s, domain, 41) for s in surfaces]
+    points = [IntersectionPoint(x, uv, uv, 0.0, 0.0) for x, uv in zip(positions, params)]
+    data = IntersectionData(points, curve_c, domain, domain, *lifted, closed=True)
+    path = tmp_path / "curves.json"
+    model_io.save_model(model_io.ModelFile(surfaces=surfaces, intersection=data), str(path))
+    back = model_io.load_model(str(path)).intersection
+    assert not builds
+    for name in ("curve_c", "domain_curve_a", "domain_curve_b"):
+        assert_curves_equal(getattr(data, name), getattr(back, name))
 
 
 def test_version_2_files_are_rejected(tmp_path, demo_record):

@@ -58,9 +58,7 @@ from watertight.shapes import flat_patch, paraboloid_patch, plane_patch
 
 
 def line_curve(p0, p1):
-    return PiecewiseBezierCurve(
-        [BezierCurve(np.array([p0, p1], dtype=float))], np.array([0.0, 1.0])
-    )
+    return PiecewiseBezierCurve(np.array([[p0, p1]], dtype=float), np.array([0.0, 1.0]))
 
 
 def domain_circle(n=16, radius=0.2, center=(0.5, 0.5)):
@@ -140,14 +138,14 @@ def hodograph_at(curve, w):
     """The global-parameter derivative at w, from the segment's own hodograph."""
     idx, local = curve.locate(w)
     span = curve.breakpoints[idx + 1] - curve.breakpoints[idx]
-    return curve.segments[idx].derivative().evaluate(local) / span
+    return BezierCurve(curve.polygons[idx]).derivative().evaluate(local) / span
 
 
 def loop_split_params(curve):
     """The sampled search `monotone_split_params` replaced: a bracket
     between each pair of consecutive nonzero derivative samples of opposite
     sign, 64 samples per segment, refined by brentq."""
-    ws = np.linspace(0.0, 1.0, 64 * len(curve.segments) + 1)
+    ws = np.linspace(0.0, 1.0, 64 * curve.polygons.shape[0] + 1)
     derivs = curve.derivative_many(ws)
     scale = max(float(np.abs(derivs).max()), 1e-30)
     params = []
@@ -214,20 +212,19 @@ class TestSplitMonotone:
         # A C0 trim whose dv/dw jumps from + to - at its inner breakpoint;
         # no segment has an interior turning point.
         legs = [np.array([[0.2, 0.0], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.8, 0.0]])]
-        curve = PiecewiseBezierCurve([degree_elevate_curve(BezierCurve(leg), degree) for leg in legs],
-                                     np.array([0.0, junction, 1.0]))
+        curve = PiecewiseBezierCurve([degree_elevate_curve(BezierCurve(leg), degree).control_points
+                                      for leg in legs], np.array([0.0, junction, 1.0]))
         cut, cuts = cut_at_roots(curve)
         assert cuts == [1]
         assert len(split_monotone(cut, cuts)) == 2
 
     def test_segment_above_cubic_raises(self):
-        quartic = BezierCurve(np.array([[0.1, 0.1], [0.3, 0.6], [0.5, 0.2], [0.7, 0.8], [0.9, 0.4]]))
+        quartic = np.array([[[0.1, 0.1], [0.3, 0.6], [0.5, 0.2], [0.7, 0.8], [0.9, 0.4]]])
         with pytest.raises(UnsupportedDegreeError):
-            monotone_split_params(PiecewiseBezierCurve([quartic], np.array([0.0, 1.0])))
+            monotone_split_params(PiecewiseBezierCurve(quartic, np.array([0.0, 1.0])))
 
     def test_degenerate_rejected(self):
-        seg = BezierCurve(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        curve = PiecewiseBezierCurve([seg], np.array([0.0, 1.0]))
+        curve = PiecewiseBezierCurve(np.array([[[0.5, 0.5], [0.5, 0.5]]]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             split_monotone(*cut_at_roots(curve))
 

@@ -19,7 +19,8 @@ monotone split parameters of the demo's trim, the pre-stitch gap
 measurement and the lifting of a dense domain curve, the segmentation of
 the demo's side a at step 0.005, its batched keep test at every retained
 sample, its one batched arc solve and its vectorized boundary fit, a
-model_io save and load of that demo, the stacked composition of 300 nets,
+model_io save and a load of that demo's model and of the tilted arc's at
+step 0.01, the stacked composition of 300 nets,
 the stitch deviation of the demo and of the tight-fit mirror, the degree
 reduction of one curve and stitching's batched reduction of the corner
 clip, and the final gap check of a stitched model.
@@ -211,25 +212,51 @@ def test_keep_predicate_demo_retained_samples(benchmark, fine_demo):
     assert kept.all()
 
 
-def test_model_round_trip_demo(benchmark, fine_demo, tmp_path):
-    # save_model and load_model of the demo at step 0.005; loading lifts
-    # both domain curves again.
-    surfaces = [paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)]
-    model = model_io.ModelFile(
+def _saved_model(surfaces, result):
+    return model_io.ModelFile(
         surfaces=surfaces,
-        intersection=fine_demo.data,
-        patch_sets=[model_io.encode_patch_set(fine_demo.model.set_a),
-                    model_io.encode_patch_set(fine_demo.model.set_b)],
-        reports=fine_demo.report,
+        intersection=result.data,
+        patch_sets=[model_io.encode_patch_set(result.model.set_a),
+                    model_io.encode_patch_set(result.model.set_b)],
+        reports=result.report,
     )
-    path = str(tmp_path / "demo.json")
 
-    def round_trip():
-        model_io.save_model(model, path)
-        return model_io.load_model(path)
 
-    loaded = benchmark(round_trip)
-    assert np.array_equal(loaded.intersection.lifted_a, fine_demo.data.lifted_a)
+@pytest.fixture(scope="module")
+def demo_model(fine_demo):
+    """The model file of the demo at step 0.005."""
+    return _saved_model([paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)], fine_demo)
+
+
+@pytest.fixture(scope="module")
+def tilted_arc_model():
+    """The model file of the dense-march workload's tilted arc, unjittered:
+    the largest file the benchmark writes."""
+    surfaces = [paraboloid_patch(), plane_patch(0.3, 0.0, 0.02)]
+    return _saved_model(surfaces, run_pipeline(*surfaces, PipelineConfig(march_step=0.01)))
+
+
+def _assert_loads_back(model, loaded):
+    assert loaded.patch_sets == model.patch_sets
+    assert loaded.reports == model.reports
+    assert np.array_equal(loaded.intersection.lifted_a, model.intersection.lifted_a)
+
+
+@pytest.mark.parametrize("name", ["demo_model", "tilted_arc_model"])
+def test_save_model(benchmark, request, tmp_path, name):
+    model = request.getfixturevalue(name)
+    path = str(tmp_path / "model.json")
+    benchmark(model_io.save_model, model, path)
+    _assert_loads_back(model, model_io.load_model(path))
+
+
+@pytest.mark.parametrize("name", ["demo_model", "tilted_arc_model"])
+def test_load_model(benchmark, request, tmp_path, name):
+    # Loading lifts both domain curves again.
+    model = request.getfixturevalue(name)
+    path = str(tmp_path / "model.json")
+    model_io.save_model(model, path)
+    _assert_loads_back(model, benchmark(model_io.load_model, path))
 
 
 def test_arc_solve_demo_decomposition(benchmark, fine_demo):

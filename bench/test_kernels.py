@@ -21,12 +21,11 @@ the demo's side a at step 0.005, its batched keep test at every retained
 sample, its one batched arc solve and its vectorized boundary fit, a
 model_io save and a load of that demo's model and of the tilted arc's at
 step 0.01, the stacked composition of 300 nets,
-the stitch deviation of the demo and of the tight-fit mirror, the degree
-reduction of one curve and stitching's batched reduction of the corner
-clip, and the final gap check of a stitched model.
+one batched subpatch extraction of every cell of the step-0.005 demo's
+side a, the stitch deviation of the demo and of the tight-fit mirror, the
+degree reduction of one curve, the whole stitch of the corner clip with
+its batched reduction, and the final gap check of a stitched model.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +35,7 @@ from watertight.bezier import (
     BezierSurface,
     BoundaryPolynomial,
     PiecewiseBezierCurve,
+    _subpatch_nets,
     compose_reparameterize,
     compose_reparameterize_many,
     degree_elevate_curve,
@@ -61,6 +61,7 @@ from watertight.pipeline import (
 )
 from watertight.segmentation import (
     _EDGE_HEIGHTS,
+    RECTANGLE,
     TRAPEZOID,
     _classify_candidates,
     _fit_stack,
@@ -71,9 +72,7 @@ from watertight.segmentation import (
 )
 from watertight.shapes import paraboloid_patch, plane_patch
 from watertight.stitching import (
-    PatchSet,
     _stitch_deviation,
-    _try_reduce,
     align_boundary,
     stitch_boundary,
     verify_watertight,
@@ -334,23 +333,28 @@ def test_degree_reduce_8_to_3(benchmark):
     assert reduced.degree == 3
 
 
-def test_try_reduce_corner_clip(benchmark):
-    # The clip-reduce workload's corner clip, stitched at the elevated
-    # degree; each round reduces fresh copies of both patch sets.
+def test_stitch_boundary_corner_clip(benchmark):
+    # The clip-reduce workload's corner clip: the whole stitch, with every
+    # pair's stitched direction reduced back to its segment's degree.
     s1, s2 = paraboloid_patch(), plane_patch(0.5, 0.5, -0.2)
     config = PipelineConfig(reduce_tolerance=1e-3, keep_a="right", keep_b="right")
     data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
     set_a, set_b = prepare_decompositions(data, s1, s2, config)
     triples = align_boundary(data, set_a, set_b)
-    elevated = stitch_boundary(set_a, set_b, triples)
+    model = benchmark(stitch_boundary, set_a, set_b, triples, 1e-3)
+    assert all(edge.degree == max(t.segment.degree, 1)
+               for edge, t in zip(model.shared_boundary, triples))
 
-    def fresh():
-        copies = [PatchSet(replace(s.decomposition, patches=list(s.patches)))
-                  for s in (elevated.set_a, elevated.set_b)]
-        return (*copies, triples, elevated.shared_boundary, 1e-3), {}
 
-    shared = benchmark.pedantic(_try_reduce, setup=fresh, rounds=20)
-    assert all(edge.degree == max(t.segment.degree, 1) for edge, t in zip(shared, triples))
+def test_subpatch_nets_demo_side_a(benchmark, fine_demo):
+    # Every cell of side a at step 0.005 cut from the paraboloid in one
+    # batched restriction; rectangles keep their cut nets as patches.
+    dec = fine_demo.model.set_a.decomposition
+    nets = benchmark(_subpatch_nets, paraboloid_patch().control_net,
+                     [cell.patch_bounds for cell in dec.cells])
+    assert nets.shape[0] == len(dec.cells)
+    assert all(np.array_equal(net, patch.control_net)
+               for net, patch, cell in zip(nets, dec.patches, dec.cells) if cell.kind == RECTANGLE)
 
 
 def test_verify_watertight_demo(benchmark, stitched_demo):

@@ -143,30 +143,39 @@ def de_casteljau_split(points: np.ndarray, t: float):
     """Subdivide a control polygon at t; returns (left, right) polygons.
 
     Works along axis 0 of an array of any rank, so a (m+1, n+1, 3) net
-    splits in u.
+    splits in u.  The one-polygon case of `_split_rows`.
+    """
+    left, right = _split_rows(np.asarray(points, dtype=float)[None], np.array([t], dtype=float))
+    return left[0], right[0]
+
+
+def _split_rows(pts: np.ndarray, t: np.ndarray):
+    """(left, right) parts of R stacked polygons (R, d+1, ...) split along
+    axis 1 at per-row parameters t, (R,): the first and the last point of
+    each de Casteljau level."""
+    t = t.reshape((-1,) + (1,) * (pts.ndim - 1))
+    left, right = np.empty_like(pts), np.empty_like(pts)
+    left[:, 0], right[:, -1] = pts[:, 0], pts[:, -1]
+    count = pts.shape[1]
+    for k in range(1, count):
+        pts = (1.0 - t) * pts[:, :-1] + t * pts[:, 1:]
+        left[:, k], right[:, count - 1 - k] = pts[:, 0], pts[:, -1]
+    return left, right
+
+
+def _subsegment_polygon(points: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Control polygons of R restrictions to [t0, t1], each mapped onto [0,1].
+
+    `points` is (R, d+1, ...), restricted along axis 1 with row r's
+    (t0[r], t1[r]).  A row is split only where its t0 > 0 (keeping the
+    right part) and where its rescaled t1 < 1 (keeping the left part);
+    elsewhere its points keep their bits, signed zeros included.
     """
     pts = np.asarray(points, dtype=float)
-    left = [pts[0]]
-    right = [pts[-1]]
-    while pts.shape[0] > 1:
-        pts = (1.0 - t) * pts[:-1] + t * pts[1:]
-        left.append(pts[0])
-        right.append(pts[-1])
-    return np.array(left), np.array(right[::-1])
-
-
-def _subsegment_polygon(points: np.ndarray, t0: float, t1: float) -> np.ndarray:
-    """Control polygon of the restriction to [t0, t1], mapped onto [0,1].
-
-    Restricts along axis 0, like `de_casteljau_split`.
-    """
-    pts = np.asarray(points, dtype=float)
-    if t0 > 0.0:
-        pts = de_casteljau_split(pts, t0)[1]
-        t1 = (t1 - t0) / (1.0 - t0)
-    if t1 < 1.0:
-        pts = de_casteljau_split(pts, t1)[0]
-    return pts
+    t0, t1 = (np.asarray(t, dtype=float).reshape((-1,) + (1,) * (pts.ndim - 1)) for t in (t0, t1))
+    pts = np.where(t0 > 0.0, _split_rows(pts, t0)[1], pts)
+    t1 = (t1 - t0) / (1.0 - t0)
+    return np.where(t1 < 1.0, _split_rows(pts, t1)[0], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -524,37 +533,6 @@ class BezierSurface:
             return BezierSurface(np.zeros_like(net))
         return BezierSurface(self.degree_v * np.diff(net, axis=1))
 
-    def edge_curve(self, edge: Edge) -> BezierCurve:
-        net = self.control_net
-        if edge is Edge.U0:
-            return BezierCurve(net[0].copy())
-        if edge is Edge.U1:
-            return BezierCurve(net[-1].copy())
-        if edge is Edge.V0:
-            return BezierCurve(net[:, 0].copy())
-        return BezierCurve(net[:, -1].copy())
-
-    def with_edge(self, edge: Edge, control_points: np.ndarray) -> "BezierSurface":
-        """Copy with one boundary row/column replaced (values copied verbatim)."""
-        cps = np.asarray(control_points, dtype=float)
-        net = self.control_net.copy()
-        if edge in (Edge.U0, Edge.U1):
-            if cps.shape != (self.degree_v + 1, 3):
-                raise ValueError("edge control point count mismatch")
-            net[0 if edge is Edge.U0 else -1] = cps
-        else:
-            if cps.shape != (self.degree_u + 1, 3):
-                raise ValueError("edge control point count mismatch")
-            net[:, 0 if edge is Edge.V0 else -1] = cps
-        return BezierSurface(net)
-
-    def elevated_u(self, target: int) -> "BezierSurface":
-        return BezierSurface(_elevate_axis0(self.control_net, target))
-
-    def elevated_v(self, target: int) -> "BezierSurface":
-        net = _elevate_axis0(self.control_net.transpose(1, 0, 2), target)
-        return BezierSurface(net.transpose(1, 0, 2))
-
 
 def evaluate_pointwise(nets: np.ndarray, uv: np.ndarray) -> np.ndarray:
     """(K, 3) points of one (m+1, n+1, 3) net, or of K stacked nets, at
@@ -690,14 +668,30 @@ def evaluate_stacked(nets: np.ndarray, uv: np.ndarray):
     return value, partial_u, partial_v
 
 
+def _subpatch_nets(net: np.ndarray, boxes) -> np.ndarray:
+    """(C, m+1, n+1, 3) nets of one net restricted to C boxes (u0, u1, v0, v1).
+
+    One `_subsegment_polygon` pass restricts every copy in u, and one
+    restricts the results in v, so each net has the bits of restricting it
+    alone.  The stack is C-contiguous.
+    """
+    net = np.asarray(net, dtype=float)
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    nets = _subsegment_polygon(np.broadcast_to(net, (boxes.shape[0],) + net.shape),
+                               boxes[:, 0], boxes[:, 1])
+    nets = _subsegment_polygon(nets.transpose(0, 2, 1, 3), boxes[:, 2], boxes[:, 3])
+    return np.ascontiguousarray(nets.transpose(0, 2, 1, 3))
+
+
 def extract_subpatch(surface: BezierSurface, u0: float, u1: float,
                      v0: float, v1: float) -> BezierSurface:
-    """Patch equal to the surface restricted to [u0,u1] x [v0,v1], same bidegree."""
+    """Patch equal to the surface restricted to [u0,u1] x [v0,v1], same bidegree.
+
+    The one-box case of `_subpatch_nets`.
+    """
     if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
         raise DomainError(f"invalid subpatch box [{u0},{u1}]x[{v0},{v1}]")
-    net = _subsegment_polygon(surface.control_net, u0, u1)
-    net = _subsegment_polygon(net.transpose(1, 0, 2), v0, v1).transpose(1, 0, 2)
-    return BezierSurface(net.copy())
+    return BezierSurface(_subpatch_nets(surface.control_net, [(u0, u1, v0, v1)])[0])
 
 
 # ---------------------------------------------------------------------------

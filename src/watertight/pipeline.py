@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,10 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be one of {KEEP_CHOICES}, not {getattr(self, name)!r}")
         for name in ("march_step", "fit_tol", "reduce_tolerance"):
             value = getattr(self, name)
-            if not (value is None and name == "reduce_tolerance" or 0.0 < value < math.inf):
+            if value is None and name == "reduce_tolerance":
+                continue
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and 0.0 < value < math.inf):
                 raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
 

@@ -51,8 +51,12 @@ Conventions used throughout:
   closed-form roots; the sampled heights are dropped once the cells
   are fitted.  The cells that miss are tightened through one
   `_trapezoids` call, one solve for all their retained samples, and get a
-  second fit pass.  Normalization composes the trapezoids of each
-  (relabeled net shape, deg f) in one `compose_reparameterize_many` call.
+  second fit pass.  Every cell's subpatch is then cut from the surface net
+  in one batched de Casteljau restriction (`bezier._subpatch_nets`),
+  rectangles at their bounds and trapezoids at their patch bounds, and
+  normalization composes the trapezoids of each (relabeled net shape,
+  deg f) in one `compose_reparameterize_many` call; each patch is built
+  once.
   Each step is elementwise or row by row, so a cell's bits do not depend
   on the rest of its batch: they equal its one-cell call's.
 * Cell membership is half-open (lower/left edges inclusive, upper/right
@@ -74,10 +78,10 @@ from .bezier import (
     Edge,
     PiecewiseBezierCurve,
     _dot,
+    _subpatch_nets,
     _trim_rows,
     all_bernstein,
     compose_reparameterize_many,
-    extract_subpatch,
     polyval_rows,
     quadratic_roots,
     unit_ranges,
@@ -890,30 +894,30 @@ def tighten_cell(cell: DomainCell):
 # Normalization
 # ---------------------------------------------------------------------------
 
-def _normalize_trapezoids(surface: BezierSurface, cells) -> list:
+def _normalize_trapezoids(nets: np.ndarray, cells) -> list:
     """(patch, curved edge) of each fitted trapezoid: S(s*f(t), t) in its frame.
 
-    Each cell's subpatch is relabeled into its (s, t) frame (index-only),
-    and the cells of one relabeled net shape and one deg f are composed in
-    one `compose_reparameterize_many` call.  A composed net is transposed
-    back when its relabeling is a reflection, so the patch keeps the
-    surface's orientation; its curved edge is then V1, else U1, and its
-    parameter runs with w either way.
+    `nets` holds each cell's subpatch net, cut at its `patch_bounds`.  Each
+    net is relabeled into its cell's (s, t) frame (index-only), and the
+    cells of one relabeled net shape and one deg f are composed in one
+    `compose_reparameterize_many` call.  A composed net is transposed back
+    when its relabeling is a reflection, so the patch keeps the surface's
+    orientation; its curved edge is then V1, else U1, and its parameter
+    runs with w either way.
     """
     groups = {}
-    for k, cell in enumerate(cells):
+    for k, (cell, net) in enumerate(zip(cells, nets)):
         if cell.case is None or cell.boundary_fn is None:
             raise ValueError("trapezoid cell must be classified and fitted first")
-        sub = extract_subpatch(surface, *cell.patch_bounds)
-        net = _relabel(cell, cell.case, net=sub.control_net)
+        net = _relabel(cell, cell.case, net=net)
         groups.setdefault((net.shape, cell.boundary_fn.degree), []).append((k, net))
     out = [None] * len(cells)
     for members in groups.values():
         index = [k for k, _ in members]
-        nets = compose_reparameterize_many(
+        composed = compose_reparameterize_many(
             np.stack([net for _, net in members]), [cells[k].boundary_fn for k in index]
         )
-        for k, net in zip(index, nets):
+        for k, net in zip(index, composed):
             if _reflects(cells[k], cells[k].case):
                 out[k] = (BezierSurface(net.transpose(1, 0, 2).copy()), Edge.V1)
             else:
@@ -1049,8 +1053,9 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
 
     Trapezoids are classified and fitted in one batched pass; the ones that
     miss are tightened together, and the tightened cells get a second pass.
-    The fitted trapezoids are then composed in one stacked call per (net
-    shape, deg f).  Raises the internal _NeedsSplit (caught by the
+    Every cell's subpatch is then cut in one batched restriction, and the
+    fitted trapezoids are composed in one stacked call per (net shape,
+    deg f).  Raises the internal _NeedsSplit (caught by the
     pipeline) when some tightened cell cannot meet the fit tolerance at the
     degree cap.  `fits` is `_fit_cells`' store of earlier fits, for builds
     of one fit_degree and fit_tol that share it.
@@ -1073,10 +1078,10 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
     cells = fitted
 
     traps = [i for i, c in enumerate(cells) if c.kind == TRAPEZOID]
-    patches = [extract_subpatch(surface, *c.bounds) if c.kind == RECTANGLE else None
-               for c in cells]
+    nets = _subpatch_nets(surface.control_net, [c.patch_bounds for c in cells])
+    patches = [BezierSurface(net) if c.kind == RECTANGLE else None for c, net in zip(cells, nets)]
     curved_edges = [None] * len(cells)
-    normalized = _normalize_trapezoids(surface, [cells[i] for i in traps])
+    normalized = _normalize_trapezoids(nets[traps], [cells[i] for i in traps])
     for i, (patch, edge) in zip(traps, normalized):
         patches[i], curved_edges[i] = patch, edge
 

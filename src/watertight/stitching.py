@@ -11,13 +11,16 @@ gap is exactly zero by construction.  `verify_watertight` checks exactly
 that, with no sampling: it compares each pair's edge control rows, whose
 largest distance bounds the edges' distance at equal parameter.
 
-The stage works on stacks of patches.  Optional degree reduction brings the
-stitched direction back down to the segment's degree: every stitched row
-of every reducible pair (both patches and the shared segment) of one
-(edge degree, target) goes through one `degree_reduce_many`, whose fit and
-257-sample check are products with matrices cached per degree pair, cut at
-a fixed number of rows to bound their memory; a pair is rewritten only when
-all of its rows pass.
+The stage works on stacks of nets.  Matched pairs are grouped once, by
+the net shape and edge of each side and the segment's degree.  Each group
+gathers both sides' nets and its segments, elevates them exactly along the
+edge to the group's largest degree, writes the shared rows into both edges
+by indexing, and builds each returned patch once.  Optional degree
+reduction brings the stitched direction back down to the segment's degree:
+every row of a group (both sides' rows along the edge and the segments)
+goes through one `degree_reduce_many`, whose fit and 257-sample check are
+products with matrices cached per degree pair; a pair is rewritten only
+when all of its rows pass.
 
 The reported deviation is the largest distance from a grid of samples on
 each returned patch to its pre-stitch self, each sample inverted onto the
@@ -45,7 +48,6 @@ from .bezier import (
     Edge,
     _dot,
     _elevate_axis0,
-    degree_elevate_curve,
     degree_reduce_many,
     evaluate_grid_products,
     evaluate_pointwise,
@@ -96,16 +98,6 @@ class WatertightModel:
     deviation: float = 0.0
 
 
-def _edge_degree(patch: BezierSurface, edge: Edge) -> int:
-    return patch.degree_v if edge in (Edge.U0, Edge.U1) else patch.degree_u
-
-
-def _elevate_along_edge(patch: BezierSurface, edge: Edge, target: int) -> BezierSurface:
-    if edge in (Edge.U0, Edge.U1):
-        return patch.elevated_v(target) if target > patch.degree_v else patch
-    return patch.elevated_u(target) if target > patch.degree_u else patch
-
-
 def align_boundary(data: IntersectionData, set_a: PatchSet, set_b: PatchSet):
     """Pair boundary patches across surfaces by trim segment index.
 
@@ -151,34 +143,40 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
     Returns new patch sets with their own patch lists; the input sets and
     their patches stay as they were, and the rest of each decomposition
     (cells, curved edges) is shared.  Interior control points are
-    untouched.  With ``reduce_tolerance`` set, the stitched direction of
-    every matched pair is reduced back to the curve segment's degree (at
-    least 1) in batches (see `_try_reduce`); a pair any of whose rows
-    misses the tolerance keeps its elevated form.  The recorded deviation
-    is the max sampled distance between each returned patch and its
-    pre-stitch self.
+    untouched.  The pairs go in the groups of `_pair_groups`.  With
+    ``reduce_tolerance`` set, the stitched direction of each pair is
+    reduced to its segment's degree (at least 1), unless one of its rows
+    misses the tolerance.  The recorded deviation is the max sampled
+    distance between each returned patch and its pre-stitch self.
     """
-    out_a = PatchSet(replace(set_a.decomposition, patches=list(set_a.patches)))
-    out_b = PatchSet(replace(set_b.decomposition, patches=list(set_b.patches)))
-    shared = []
-    for triple in triples:
-        patch_a = out_a.patches[triple.patch_a]
-        patch_b = out_b.patches[triple.patch_b]
-        d_edge = max(
-            _edge_degree(patch_a, triple.edge_a),
-            _edge_degree(patch_b, triple.edge_b),
-            triple.segment.degree,
-        )
-        elevated = degree_elevate_curve(triple.segment, d_edge)
-        patch_a = _elevate_along_edge(patch_a, triple.edge_a, d_edge)
-        patch_b = _elevate_along_edge(patch_b, triple.edge_b, d_edge)
-        out_a.patches[triple.patch_a] = patch_a.with_edge(triple.edge_a, elevated.control_points)
-        out_b.patches[triple.patch_b] = patch_b.with_edge(triple.edge_b, elevated.control_points)
-        shared.append(elevated)
+    patches = [list(set_a.patches), list(set_b.patches)]
+    shared = [None] * len(triples)
+    for members, (edge_a, edge_b), stacks in _pair_groups(set_a, set_b, triples):
+        stacks.append(np.stack([triples[k].segment.control_points for k in members])[:, None])
+        degree = max(stack.shape[2] for stack in stacks) - 1
+        # Member j's rows: side a's along the edge, side b's, its segment;
+        # `ends` are the two edge rows among them.
+        rows = np.concatenate([_elevate_rows(stack, degree) for stack in stacks], axis=1)
+        sizes = [stack.shape[1] for stack in stacks]
+        ends = [_end(edge_a) % sizes[0], sizes[0] + _end(edge_b) % sizes[1]]
+        rows[:, ends] = rows[:, -1:]
+        cuts = np.cumsum(sizes)[:-1]
+        reduced, kept = rows, np.zeros(len(members), dtype=bool)
+        target = max(triples[members[0]].segment.degree, 1)
+        if reduce_tolerance is not None and target < degree:
+            reduced, deviation = degree_reduce_many(rows.reshape(-1, degree + 1, 3), target)
+            reduced = reduced.reshape(rows.shape[:2] + reduced.shape[1:])
+            reduced[:, ends] = reduced[:, -1:]
+            kept = deviation.reshape(len(members), -1).max(axis=1) <= reduce_tolerance
+        for j, k in enumerate(members):
+            net_a, net_b, segment = np.split(reduced[j] if kept[j] else rows[j], cuts)
+            t = triples[k]
+            patches[0][t.patch_a] = BezierSurface(np.ascontiguousarray(_rows(net_a, edge_a)))
+            patches[1][t.patch_b] = BezierSurface(np.ascontiguousarray(_rows(net_b, edge_b)))
+            shared[k] = BezierCurve(segment[0])
 
-    if reduce_tolerance is not None:
-        shared = _try_reduce(out_a, out_b, triples, shared, reduce_tolerance)
-
+    out_a, out_b = (PatchSet(replace(side.decomposition, patches=p))
+                    for side, p in zip((set_a, set_b), patches))
     pairs = [(set_a.patches[t.patch_a], out_a.patches[t.patch_a]) for t in triples]
     pairs += [(set_b.patches[t.patch_b], out_b.patches[t.patch_b]) for t in triples]
     return WatertightModel(
@@ -188,6 +186,46 @@ def stitch_boundary(set_a: PatchSet, set_b: PatchSet, triples,
         triples=list(triples),
         deviation=_stitch_deviation(pairs),
     )
+
+
+def _pair_groups(set_a: PatchSet, set_b: PatchSet, triples):
+    """The matched pairs in groups of one (net shape and edge of side a, the
+    same of side b, segment degree), each in triple order.
+
+    Yields each group's triple indices, its edges (a, b) and both sides'
+    nets, stacked as curves along the edge (`_rows`).
+    """
+    groups = {}
+    for k, t in enumerate(triples):
+        key = (set_a.patches[t.patch_a].control_net.shape, t.edge_a,
+               set_b.patches[t.patch_b].control_net.shape, t.edge_b, t.segment.degree)
+        groups.setdefault(key, []).append(k)
+    for (_, edge_a, _, edge_b, _), members in groups.items():
+        pairs = [triples[k] for k in members]
+        stacks = [_rows(np.stack([set_a.patches[t.patch_a].control_net for t in pairs]), edge_a),
+                  _rows(np.stack([set_b.patches[t.patch_b].control_net for t in pairs]), edge_b)]
+        yield members, (edge_a, edge_b), stacks
+
+
+def _rows(nets: np.ndarray, edge: Edge) -> np.ndarray:
+    """A net, or a stack of nets, as curves along the edge's direction:
+    (..., rows, edge degree + 1, 3).  A view, and its own inverse."""
+    return nets if edge in (Edge.U0, Edge.U1) else nets.swapaxes(-3, -2)
+
+
+def _end(edge: Edge) -> int:
+    """Index of the edge's row among the net's curves along it (`_rows`)."""
+    return 0 if edge in (Edge.U0, Edge.V0) else -1
+
+
+def _edge_row(net: np.ndarray, edge: Edge) -> np.ndarray:
+    """The edge's control row of a net; a view."""
+    return _rows(net, edge)[_end(edge)]
+
+
+def _elevate_rows(curves: np.ndarray, target: int) -> np.ndarray:
+    """Curves along axis -2 of a stack, elevated exactly to degree `target`."""
+    return np.moveaxis(_elevate_axis0(np.moveaxis(curves, -2, 0), target), 0, -2)
 
 
 # Grid intervals per parameter of the deviation samples; pairs per bound
@@ -340,65 +378,11 @@ def _inverted_max(before: np.ndarray, after: np.ndarray, pair: np.ndarray,
     return float(np.minimum(dist[:, 0], cap).max())
 
 
-def _stitched_rows(net: np.ndarray, edge: Edge) -> np.ndarray:
-    """The net as a stack of curves along the edge's direction, and back."""
-    return net if edge in (Edge.U0, Edge.U1) else net.transpose(1, 0, 2)
-
-
-def _edge_row(net: np.ndarray, edge: Edge) -> np.ndarray:
-    """The edge's control row, a view into the net."""
-    return _stitched_rows(net, edge)[0 if edge in (Edge.U0, Edge.V0) else -1]
-
-
-def _try_reduce(out_a: PatchSet, out_b: PatchSet, triples, shared, tol):
-    """Reduce the stitched direction of every matched pair that allows it.
-
-    Pairs whose edge degree exceeds the target (the curve segment's degree,
-    at least 1) are grouped by (edge degree, target).  A group's rows --
-    every stitched-direction row of patch a, every one of patch b and the
-    shared segment, pair by pair -- go through one `degree_reduce_many`.
-    A pair is rewritten only when all of its rows stay within tol, and the
-    reduced segment is written into both edges, so matched edges stay
-    bitwise identical; any other pair keeps its elevated form.
-    """
-    new_shared = list(shared)
-    groups = {}
-    for k, (triple, segment) in enumerate(zip(triples, shared)):
-        target = max(triple.segment.degree, 1)
-        if target < segment.degree:
-            groups.setdefault((segment.degree, target), []).append(k)
-    for (_, target), members in groups.items():
-        parts = []
-        for k in members:
-            triple = triples[k]
-            parts += [
-                _stitched_rows(out_a.patches[triple.patch_a].control_net, triple.edge_a),
-                _stitched_rows(out_b.patches[triple.patch_b].control_net, triple.edge_b),
-                shared[k].control_points[None],
-            ]
-        sizes = [part.shape[0] for part in parts]
-        reduced, deviation = degree_reduce_many(np.concatenate(parts), target)
-        starts = np.cumsum([0] + sizes[:-1])
-        pair_deviation = np.maximum.reduceat(deviation, starts[::3])
-        pieces = np.split(reduced, starts[1:])
-        for j, k in enumerate(members):
-            if pair_deviation[j] > tol:
-                continue
-            triple = triples[k]
-            rows_a, rows_b, segment = pieces[3 * j:3 * j + 3]
-            edge = segment[0]
-            out_a.patches[triple.patch_a] = BezierSurface(
-                _stitched_rows(rows_a, triple.edge_a)).with_edge(triple.edge_a, edge)
-            out_b.patches[triple.patch_b] = BezierSurface(
-                _stitched_rows(rows_b, triple.edge_b)).with_edge(triple.edge_b, edge)
-            new_shared[k] = BezierCurve(edge)
-    return new_shared
-
-
 def verify_watertight(model: WatertightModel) -> GapReport:
     """Largest control-point distance between matched boundary edges.
 
-    The lower-degree row of a pair (only unstitched models have one) is
+    The edge rows of each `_pair_groups` group are gathered at once, and
+    the lower-degree side of a group (only unstitched models have one) is
     first elevated exactly.  By the convex-hull property the result bounds
     the edges' distance at equal parameter; it is exactly 0.0 when both
     edges hold one polygon, as stitching writes them.  `sample_count` is the
@@ -406,13 +390,13 @@ def verify_watertight(model: WatertightModel) -> GapReport:
     """
     if not model.triples:
         return GapReport(0.0, 0.0, 0, np.zeros(3))
-    side_a, side_b = [], []
-    for t in model.triples:
-        row_a = _edge_row(model.set_a.patches[t.patch_a].control_net, t.edge_a)
-        row_b = _edge_row(model.set_b.patches[t.patch_b].control_net, t.edge_b)
-        degree = max(row_a.shape[0], row_b.shape[0]) - 1
-        side_a.append(_elevate_axis0(row_a, degree))
-        side_b.append(_elevate_axis0(row_b, degree))
+    side_a, side_b = [None] * len(model.triples), [None] * len(model.triples)
+    for members, edges, stacks in _pair_groups(model.set_a, model.set_b, model.triples):
+        rows = [stack[:, _end(edge)] for stack, edge in zip(stacks, edges)]
+        degree = max(row.shape[1] for row in rows) - 1
+        row_a, row_b = (_elevate_rows(row, degree) for row in rows)
+        for j, k in enumerate(members):
+            side_a[k], side_b[k] = row_a[j], row_b[j]
     pa, pb = np.concatenate(side_a), np.concatenate(side_b)
     arr = np.linalg.norm(pa - pb, axis=1)
     worst = int(np.argmax(arr))

@@ -29,6 +29,8 @@ from watertight import (
     extract_subpatch,
 )
 from watertight.bezier import (
+    _elevate_axis0,
+    _subpatch_nets,
     _trim_rows,
     all_bernstein,
     compose_reparameterize_many,
@@ -332,6 +334,27 @@ class TestSubpatchExtraction:
                 got = extract_subpatch(s, u0, u1, v0, v1).control_net
                 assert np.array_equal(got, want)
 
+    def test_batched_boxes_match_one_box_calls_bitwise(self):
+        # Boxes that touch the domain edge leave that end unsplit, so a net
+        # holding signed zeros keeps their bits there.
+        rng = np.random.default_rng(24)
+        s = random_surface(rng, 3, 2)
+        net = s.control_net.copy()
+        net[::2, :, 2] = -0.0
+        s = BezierSurface(net)
+        boxes = [(0.0, 1.0, 0.0, 1.0), (0.0, 0.3, 0.5, 1.0), (0.25, 1.0, 0.0, 0.75),
+                 (0.1, 0.6, 0.2, 0.9), (0.6, 1.0, 0.0, 1.0)]
+        nets = _subpatch_nets(s.control_net, boxes)
+        assert nets.shape == (len(boxes),) + s.control_net.shape
+        assert nets.flags.c_contiguous
+        for box, got in zip(boxes, nets):
+            want = restrict_rows(s.control_net, box[0], box[1])
+            want = restrict_rows(want.transpose(1, 0, 2), box[2], box[3]).transpose(1, 0, 2)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(got, extract_subpatch(s, *box).control_net)
+        assert np.array_equal(np.signbit(nets[0]), np.signbit(net))
+
     def test_full_domain_identity(self):
         rng = np.random.default_rng(19)
         s = random_surface(rng, 3, 3)
@@ -406,17 +429,18 @@ class TestDegreeElevation:
                 assert np.array_equal(e.control_points, loop_elevate(pts, target))
 
     def test_surface_elevation_matches_per_row_loops_bitwise(self):
+        # A net elevated along u (axis 0) or, transposed, along v.
         rng = np.random.default_rng(34)
-        s = random_surface(rng, 2, 3)
-        net = s.control_net
+        net = random_surface(rng, 2, 3).control_net
         for target in (3, 4, 7):
             want_u = np.stack([loop_elevate(net[:, j], target) for j in range(net.shape[1])], axis=1)
-            assert np.array_equal(s.elevated_u(target).control_net, want_u)
+            assert np.array_equal(_elevate_axis0(net, target), want_u)
         for target in (3, 5, 8):
             want_v = np.stack([loop_elevate(net[i], target) for i in range(net.shape[0])], axis=0)
-            assert np.array_equal(s.elevated_v(target).control_net, want_v)
+            got = _elevate_axis0(net.transpose(1, 0, 2), target).transpose(1, 0, 2)
+            assert np.array_equal(got, want_v)
         with pytest.raises(ValueError):
-            s.elevated_u(1)
+            _elevate_axis0(net, 1)
 
     def test_linear_to_quadratic_midpoint(self):
         c = BezierCurve(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 0.0]]))

@@ -24,7 +24,14 @@ from watertight import (
 )
 import watertight.bezier
 import watertight.segmentation as segmentation
-from watertight.bezier import MAX_BOUNDARY_DEGREE, Edge, evaluate_stacked
+import watertight.stitching as stitching
+from watertight.bezier import (
+    MAX_BOUNDARY_DEGREE,
+    Edge,
+    _elevate_axis0,
+    _subpatch_nets,
+    evaluate_stacked,
+)
 from watertight.intersect import build_intersection_data, interpolate_domain_curve
 from watertight.pipeline import MARCH_TOL, PipelineConfig, prepare_decompositions, run_pipeline
 from watertight.segmentation import (
@@ -102,6 +109,11 @@ def candidates_of(cell):
 def fit_one(cell, fit_degree, fit_tol):
     """Classify and fit one trapezoid; it must meet the tolerance."""
     assert not _fit_cells([cell], fit_degree, fit_tol)
+
+
+def normalized(surface, cell):
+    """(patch, curved edge) of one fitted trapezoid, from its subpatch net."""
+    return _normalize_trapezoids(_subpatch_nets(surface.control_net, [cell.patch_bounds]), [cell])[0]
 
 
 def to_frame(cell, case, point):
@@ -499,7 +511,7 @@ class TestTightenCell:
         surface = paraboloid_patch()
         tight, filler = tighten_cell(self._quadrant_cells()[index])
         fit_one(tight, 2, 1e-2)
-        patch, edge = _normalize_trapezoids(surface, [tight])[0]
+        patch, edge = normalized(surface, tight)
         pieces = [(patch, tight, edge), (extract_subpatch(surface, *filler.bounds), filler, None)]
         for piece, cell, edge in pieces:
             for s in np.linspace(0.0, 1.0, 11):
@@ -606,7 +618,7 @@ class TestNormalization:
         )
         fit_one(cell, 1, 1e-9)
         assert cell.case == TrapezoidCase(0, False)
-        patch, edge = _normalize_trapezoids(flat_patch(), [cell])[0]
+        patch, edge = normalized(flat_patch(), cell)
         assert edge is Edge.U1
         want = np.array([
             [[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 1.0, 0.0]],
@@ -615,7 +627,8 @@ class TestNormalization:
         assert np.allclose(patch.control_net, want, atol=1e-13)
 
     def test_bicubic_quadratic_fit_degrees_and_distance(self):
-        surface = paraboloid_patch().elevated_u(3).elevated_v(3)
+        net = _elevate_axis0(paraboloid_patch().control_net, 3)
+        surface = BezierSurface(_elevate_axis0(net.transpose(1, 0, 2), 3).transpose(1, 0, 2))
         angles = np.linspace(np.pi / 2, np.pi, 6)
         pts = np.stack([0.5 + 0.2 * np.cos(angles), 0.5 + 0.2 * np.sin(angles)], axis=1)
         curve = interpolate_domain_curve(pts)
@@ -623,7 +636,7 @@ class TestNormalization:
         cells = decompose_domain(seg, "below")
         cell = cells[2]
         fit_one(cell, 2, 1e-2)
-        patch, edge = _normalize_trapezoids(surface, [cell])[0]
+        patch, edge = normalized(surface, cell)
         degrees = sorted((patch.degree_u, patch.degree_v))
         assert degrees == [3, 3 * cell.boundary_fn.degree + 3]
         worst = 0.0
@@ -642,7 +655,7 @@ class TestNormalization:
         for idx in dec.boundary_indices:
             cell = dec.cells[idx]
             patch = dec.patches[idx]
-            edge_curve = patch.edge_curve(dec.curved_edges[idx])
+            edge_curve = BezierCurve(stitching._edge_row(patch.control_net, dec.curved_edges[idx]))
             w0, w1 = cell.w_span
             for frac in np.linspace(0, 1, 9):
                 w = w0 + frac * (w1 - w0)
@@ -712,7 +725,7 @@ class TestPatchDecomposition:
 
         monkeypatch.setattr(watertight.bezier, "unit_ranges", search)
         for cell in traps:
-            _normalize_trapezoids(surface, [cell])[0]
+            normalized(surface, cell)
 
     def test_exhausted_split_budget_names_the_missing_interval(self):
         s1, s2 = paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)

@@ -12,6 +12,7 @@ from watertight.bezier import (
     BezierCurve,
     BezierSurface,
     Edge,
+    _elevate_axis0,
     all_bernstein,
     de_casteljau_many,
     degree_elevate_curve,
@@ -30,6 +31,24 @@ from watertight.stitching import (
     verify_watertight,
     WatertightModel,
 )
+
+
+def edge_curve(patch, edge):
+    """A patch's edge as a curve: a copy of its control row."""
+    return BezierCurve(stitching._edge_row(patch.control_net, edge).copy())
+
+
+def with_edge(patch, edge, points):
+    """A copy of a patch whose edge row holds `points`."""
+    net = patch.control_net.copy()
+    stitching._edge_row(net, edge)[...] = points
+    return BezierSurface(net)
+
+
+def elevated(patch, axis, target):
+    """A patch elevated exactly along u (axis 0) or v (axis 1)."""
+    net = _elevate_axis0(np.moveaxis(patch.control_net, axis, 0), target)
+    return BezierSurface(np.moveaxis(net, 0, axis))
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +100,7 @@ class TestAlignment:
             bp = patch_set.decomposition.breakpoints
             for idx, edge, k in patch_set.boundary_entries():
                 span = bp[k], bp[k + 1]
-                curve_edge = patch_set.patches[idx].edge_curve(edge)
+                curve_edge = edge_curve(patch_set.patches[idx], edge)
                 start = data.curve_c.evaluate(span[0])
                 end = data.curve_c.evaluate(span[1])
                 d_start = np.linalg.norm(curve_edge.evaluate(0.0) - start)
@@ -133,8 +152,8 @@ class TestStitching:
         triples = align_boundary(data, set_a, set_b)
         model = stitch_boundary(set_a, set_b, triples)
         for triple, segment in zip(model.triples, model.shared_boundary):
-            edge_a = model.set_a.patches[triple.patch_a].edge_curve(triple.edge_a)
-            edge_b = model.set_b.patches[triple.patch_b].edge_curve(triple.edge_b)
+            edge_a = edge_curve(model.set_a.patches[triple.patch_a], triple.edge_a)
+            edge_b = edge_curve(model.set_b.patches[triple.patch_b], triple.edge_b)
             assert np.array_equal(edge_a.control_points, segment.control_points)
             assert np.array_equal(edge_b.control_points, segment.control_points)
 
@@ -191,28 +210,33 @@ class TestStitching:
         model = stitch_boundary(set_a, set_b, triples)
         breaks = list(data.curve_c.breakpoints)
         for triple in model.triples:
-            edge = model.set_a.patches[triple.patch_a].edge_curve(triple.edge_a)
+            edge = edge_curve(model.set_a.patches[triple.patch_a], triple.edge_a)
             for w, t_edge in ((triple.w_span[0], 0.0), (triple.w_span[1], 1.0)):
                 if any(abs(b - w) <= 1e-12 for b in breaks):
                     want = data.curve_c.evaluate(w)
                     assert np.linalg.norm(edge.evaluate(t_edge) - want) <= 1e-12
 
-    def test_curve_degree_above_edge_degree_rejected(self, demo):
+    def test_segment_above_both_edge_degrees_is_absorbed(self, demo):
+        # A segment one degree above both edges of its pair: both patches
+        # are elevated exactly along the edge, and both edges take the
+        # segment's polygon.
         s1, s2, data, set_a, set_b = demo
-        triples = align_boundary(data, set_a, set_b)
-        quintic = BezierCurve(np.linspace([0, 0, 0], [1, 1, 1], 6))
-        bad = [
-            type(t)(
-                patch_a=t.patch_a, edge_a=t.edge_a, patch_b=t.patch_b,
-                edge_b=t.edge_b, w_span=t.w_span, segment=quintic,
-            )
-            for t in triples[:1]
-        ]
-        # Plane-side trapezoid edges are degree 3 (1*2+1); paraboloid side 6.
-        edge_deg_a = len(set_a.patches[bad[0].patch_a].edge_curve(bad[0].edge_a).control_points) - 1
-        if edge_deg_a >= 5:
-            pytest.skip("edge degree high enough to absorb the quintic")
-        stitch_boundary(set_a, set_b, bad)  # absorbed by the higher side
+        triple = align_boundary(data, set_a, set_b)[0]
+        patch_a, patch_b = set_a.patches[triple.patch_a], set_b.patches[triple.patch_b]
+        # One above the larger edge degree: its control-point count.
+        degree = max(len(stitching._edge_row(patch_a.control_net, triple.edge_a)),
+                     len(stitching._edge_row(patch_b.control_net, triple.edge_b)))
+        polygon = _elevate_axis0(triple.segment.control_points, degree)
+        polygon[degree // 2, 2] += 1e-4
+        model = stitch_boundary(set_a, set_b, [replace(triple, segment=BezierCurve(polygon))])
+        assert model.shared_boundary[0].degree == degree
+        for before, after, edge in ((patch_a, model.set_a.patches[triple.patch_a], triple.edge_a),
+                                    (patch_b, model.set_b.patches[triple.patch_b], triple.edge_b)):
+            assert np.array_equal(stitching._edge_row(after.control_net, edge), polygon)
+            want = elevated(before, 1 if edge in (Edge.U0, Edge.U1) else 0, degree).control_net
+            stitching._edge_row(want, edge)[...] = polygon
+            assert np.array_equal(after.control_net, want)
+        assert verify_watertight(model).max_gap == 0.0
 
     def test_verify_exact_zero(self, demo):
         # Every edge row holds its shared segment's polygon, and each of its
@@ -245,13 +269,30 @@ class TestStitching:
         triples = align_boundary(data, set_a, set_b)
         model = stitch_boundary(set_a, set_b, triples)
         triple = model.triples[0]
-        patch = model.set_a.patches[triple.patch_a]
-        cps = patch.edge_curve(triple.edge_a).control_points.copy()
-        cps[len(cps) // 2, 2] += 1e-6
-        model.set_a.patches[triple.patch_a] = patch.with_edge(triple.edge_a, cps)
+        net = model.set_a.patches[triple.patch_a].control_net.copy()
+        row = stitching._edge_row(net, triple.edge_a)
+        row[len(row) // 2, 2] += 1e-6  # a view into net
+        model.set_a.patches[triple.patch_a] = BezierSurface(net)
         report = verify_watertight(model)
         assert abs(report.max_gap - 1e-6) <= 1e-12
         assert report.max_gap >= per_triple_gap(model, 65)
+
+
+def test_one_surface_per_output_patch(monkeypatch):
+    # Segmentation builds each patch once, and stitching builds each
+    # stitched patch once more: no surface is built and then replaced.
+    builds = []
+    original = BezierSurface.__post_init__
+
+    def counting(self):
+        builds.append(1)
+        original(self)
+
+    surfaces = paraboloid_patch(), plane_patch(0.0, 0.0, 0.04)
+    monkeypatch.setattr(BezierSurface, "__post_init__", counting)
+    report = run_pipeline(*surfaces, PipelineConfig(march_step=0.02)).report
+    assert len(builds) == report["patches_a"] + report["patches_b"] + 2 * report["boundary_pairs"]
+    assert len(builds) == 288
 
 
 class TestPlanarConsistency:
@@ -314,7 +355,7 @@ def same_parameter_bound(before, after, grid=20):
 def slid_edge(delta):
     """flat_patch() elevated to degree 3 in u, its v=0 edge lifted by delta
     along the normal and its inner control points slid along the edge."""
-    net = flat_patch().elevated_u(3).control_net.copy()
+    net = elevated(flat_patch(), 0, 3).control_net.copy()
     net[1:3, 0, 0] = [0.5, 0.8]
     net[:, 0, 2] += delta
     return BezierSurface(net)
@@ -334,7 +375,7 @@ def mixed_pairs(delta):
     pairs = [(flat_patch(), slid_edge(0.0)) for _ in range(20)]
     pairs.insert(7, (flat_patch(), slid_edge(delta)))
     paraboloid = paraboloid_patch()
-    return pairs + [(paraboloid, paraboloid.elevated_v(4)) for _ in range(3)]
+    return pairs + [(paraboloid, elevated(paraboloid, 1, 4)) for _ in range(3)]
 
 
 def unpruned_deviation(pairs, grid=20):
@@ -466,7 +507,7 @@ class TestDeviationBound:
         before = BezierSurface(net)
         after = BezierSurface(net + 10.0 ** -lift * rng.standard_normal(net.shape))
         if elevate:
-            after = after.elevated_v(n + 2)
+            after = elevated(after, 1, n + 2)
         ts = np.linspace(0.0, 1.0, 21)
         taylor, same, step = stitching._deviation_bounds(
             before.control_net[None], after.control_net[None], ts)
@@ -514,8 +555,8 @@ def per_pair_reduction(set_a, set_b, triples, tol):
             edge = degree_reduce_curve(shared[k], target, tol)
         except ReductionError:
             continue
-        patches_a[triple.patch_a] = net_a.with_edge(triple.edge_a, edge.control_points)
-        patches_b[triple.patch_b] = net_b.with_edge(triple.edge_b, edge.control_points)
+        patches_a[triple.patch_a] = with_edge(net_a, triple.edge_a, edge.control_points)
+        patches_b[triple.patch_b] = with_edge(net_b, triple.edge_b, edge.control_points)
         shared[k] = edge
     return patches_a, patches_b, shared
 
@@ -530,10 +571,10 @@ def with_bumped_row(patch_set, triple, degree):
     `degree` and carries a bump on the row opposite its edge."""
     patch = patch_set.patches[triple.patch_b]
     if triple.edge_b in (Edge.U0, Edge.U1):
-        net = patch.elevated_v(degree).control_net.copy()
+        net = elevated(patch, 1, degree).control_net.copy()
         net[-1 if triple.edge_b is Edge.U0 else 0, degree // 2, 2] += 0.05
     else:
-        net = patch.elevated_u(degree).control_net.copy()
+        net = elevated(patch, 0, degree).control_net.copy()
         net[degree // 2, -1 if triple.edge_b is Edge.V0 else 0, 2] += 0.05
     patches = list(patch_set.patches)
     patches[triple.patch_b] = BezierSurface(net)
@@ -546,8 +587,8 @@ def per_triple_gap(model, samples):
     ts = np.linspace(0.0, 1.0, samples)
     side_a, side_b = [], []
     for triple in model.triples:
-        cps_a = model.set_a.patches[triple.patch_a].edge_curve(triple.edge_a).control_points
-        cps_b = model.set_b.patches[triple.patch_b].edge_curve(triple.edge_b).control_points
+        cps_a = stitching._edge_row(model.set_a.patches[triple.patch_a].control_net, triple.edge_a)
+        cps_b = stitching._edge_row(model.set_b.patches[triple.patch_b].control_net, triple.edge_b)
         side_a.append(de_casteljau_many(cps_a, ts))
         side_b.append(de_casteljau_many(cps_b, ts))
     return float(np.linalg.norm(np.concatenate(side_a) - np.concatenate(side_b), axis=1).max())
@@ -624,7 +665,7 @@ def internal_seam_gaps(patches, skip, samples=17, near=1e-8):
     nearest box distance, a lower bound above `near`.
     """
     keys = [(i, edge) for i in range(len(patches)) for edge in Edge]
-    curves = [patches[i].edge_curve(edge) for i, edge in keys]
+    curves = [edge_curve(patches[i], edge) for i, edge in keys]
     degree = max(curve.degree for curve in curves)
     polys = np.stack([degree_elevate_curve(curve, degree).control_points for curve in curves])
     owners = np.array([i for i, _ in keys])
@@ -711,6 +752,14 @@ class TestPipelineConfig:
         ("reduce_tolerance", 0.0),
         ("reduce_tolerance", -1e-3),
         ("reduce_tolerance", float("inf")),
+        ("march_step", None),
+        ("march_step", True),
+        ("march_step", "0.02"),
+        ("fit_tol", None),
+        ("fit_tol", "1e-4"),
+        ("fit_tol", False),
+        ("reduce_tolerance", True),
+        ("reduce_tolerance", "1e-3"),
     ])
     def test_a_bad_field_is_rejected_before_any_march(self, monkeypatch, field, value):
         marches = []

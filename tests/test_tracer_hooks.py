@@ -55,3 +55,21 @@ def test_tracer_wraps_and_restores_every_hook():
     assert metrics["intersect.measure_samples"][0] == 400
     assert metrics["stitching.pairs"][0] > 0
     assert metrics["bezier.surface_eval_many_points"][0] == 1
+
+
+def test_tracer_reads_the_reduce_path():
+    # With reduce_tolerance set, the stitch hook reads each triple's segment
+    # degree and each shared boundary curve's degree.
+    trace = load_tracer().Tracer()
+    trace.install()
+    try:
+        run_pipeline(
+            paraboloid_patch(), plane_patch(0.5, 0.5, -0.2),
+            PipelineConfig(march_step=0.18, reduce_tolerance=1e-3, keep_a="right", keep_b="right"),
+        )
+    finally:
+        trace.uninstall()
+    metrics = trace.layer_metrics(rounds=1)
+    tried, kept = metrics["stitching.reduce_tried"][0], metrics["stitching.reduce_kept"][0]
+    assert 0 < kept <= tried
+    assert (tried, kept) == (16, 16)

@@ -267,8 +267,9 @@ def test_arc_solve_demo_decomposition(benchmark, fine_demo):
 
 
 def test_fit_stack_demo_trapezoids(benchmark, fine_demo):
-    # Every trapezoid of side a at step 0.005, fitted from its candidates'
-    # sampled edges in one vectorized pass; each round refits the same cells.
+    # Every trapezoid of side a at step 0.005, fitted in one vectorized pass
+    # from the sampled edges of the frames the rule gives it; each round
+    # refits the same cells.
     cells = [c for c in fine_demo.model.set_a.decomposition.cells if c.kind == TRAPEZOID]
     candidates = _classify_candidates(cells)
     owners = [cell for cell, cases in zip(cells, candidates) for _ in cases]

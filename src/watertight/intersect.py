@@ -468,42 +468,35 @@ def _chord_parameters(points: np.ndarray) -> np.ndarray:
     return w
 
 
-def _turn_correction(d0: np.ndarray, d1: np.ndarray) -> float:
-    """Chord-to-arc tangent magnitude factor from the turn between chords.
-
-    The three-point rule underestimates |T| by sin(theta)/theta on an arc
-    turning by theta per chord; this factor cancels that exactly and tends
-    to 1 for collinear data.
-    """
-    n0 = np.linalg.norm(d0)
-    n1 = np.linalg.norm(d1)
-    if n0 == 0.0 or n1 == 0.0:
-        return 1.0
-    cosang = float(np.clip(d0 @ d1 / (n0 * n1), -1.0, 1.0))
-    theta = float(np.arccos(cosang))
-    if theta < 1e-8:
-        return 1.0
-    return theta / np.sin(theta)
-
-
 def _three_point_tangents(points: np.ndarray, w: np.ndarray, closed: bool) -> np.ndarray:
     """Tangents w.r.t. the global parameter: parabola rule through each point
-    triple with arc-corrected magnitude; parabolic one-sided rule at open ends."""
-    n = points.shape[0]
+    triple with arc-corrected magnitude; parabolic one-sided rule at open ends.
+
+    The three-point rule underestimates |T| by sin(theta)/theta on an arc
+    turning by theta per chord; the factor theta/sin(theta) cancels that
+    exactly and is 1 for collinear chords (theta < 1e-8) or a zero chord.
+    Row dots and norms are stacked matmuls, which give the bits of one
+    vector's `@` and `np.linalg.norm`.
+    """
     tangents = np.zeros_like(points)
-    delta = np.diff(points, axis=0) / np.diff(w)[:, None]
-    for i in range(1, n - 1):
-        h0 = w[i] - w[i - 1]
-        h1 = w[i + 1] - w[i]
-        bessel = (h1 * delta[i - 1] + h0 * delta[i]) / (h0 + h1)
-        tangents[i] = bessel * _turn_correction(delta[i - 1], delta[i])
+    h = np.diff(w)
+    delta = np.diff(points, axis=0) / h[:, None]
+    # Chord pairs meeting at the interior points, then at the seam.
+    d0, d1, h0, h1 = delta[:-1], delta[1:], h[:-1], h[1:]
     if closed:
-        h0 = w[-1] - w[-2]
-        h1 = w[1] - w[0]
-        wrap = (h1 * delta[-1] + h0 * delta[0]) / (h0 + h1)
-        wrap = wrap * _turn_correction(delta[-1], delta[0])
-        tangents[0] = wrap
-        tangents[-1] = wrap
+        d0, d1 = np.vstack([d0, delta[-1:]]), np.vstack([d1, delta[:1]])
+        h0, h1 = np.append(h0, h[-1]), np.append(h1, h[0])
+    bessel = (h1[:, None] * d0 + h0[:, None] * d1) / (h0 + h1)[:, None]
+    dot = lambda a, b: (a[:, None, :] @ b[:, :, None])[:, 0, 0]  # noqa: E731
+    n0, n1 = np.sqrt(dot(d0, d0)), np.sqrt(dot(d1, d1))
+    zero = (n0 == 0.0) | (n1 == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.arccos(np.clip(dot(d0, d1) / (n0 * n1), -1.0, 1.0))
+        factor = np.where(zero | (theta < 1e-8), 1.0, theta / np.sin(theta))
+    bessel = bessel * factor[:, None]
+    tangents[1:-1] = bessel[:points.shape[0] - 2]
+    if closed:
+        tangents[0] = tangents[-1] = bessel[-1]
     else:
         tangents[0] = 2.0 * delta[0] - tangents[1]
         tangents[-1] = 2.0 * delta[-1] - tangents[-2]

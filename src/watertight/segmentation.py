@@ -27,6 +27,9 @@ Conventions used throughout:
   degenerate cells are legal.  The patch is S(s*f(t), t) in that frame,
   transposed back when the relabeling is a reflection, so it keeps the
   surface's orientation and its curved edge is U1 or V1, running with w.
+  The frame follows by rule from how `decompose_domain` builds the cell,
+  and an arc from corner to corner admits a second one; classification
+  reads both from the arc's end points, with no arc solve.
 * Trim segments by index: `cut_trims` cuts both domain curves at one set
   of parameters and names each curve's turning points as breakpoint
   indices.  A monotone segment holds its breakpoint index range and a
@@ -36,15 +39,13 @@ Conventions used throughout:
   segment.  The map into the cell's local [0,1]^2 is affine, so the
   segment's control polygon mapped once into that frame is the edge's
   exact Bezier form there (affine invariance).  Every arc query -- the
-  classification end points, the retained sample, the edge f of each
-  candidate frame, cell membership -- solves on that polygon and never
-  evaluates the trim curve again.
+  retained sample, the edge f of each candidate frame, cell membership --
+  solves on that polygon and never evaluates the trim curve again.
 * Batched passes: after `decompose_trim`, every step runs over all cells
   of a decomposition at once.  Arc queries are answered by one stacked
   Newton solver, `_solve_arcs`; a decomposition makes one solve for the
-  retained samples of each monotone segment, one for the classification
-  probes of all trapezoids, and one for the edge of every (cell,
-  candidate frame) at the fit and check heights.  The fit is one
+  retained samples of each monotone segment and one for the edge of every
+  (cell, candidate frame) at the fit and check heights.  The fit is one
   vectorized pass per degree over every open (cell, candidate) row:
   coefficients from a product with the basis's pseudo-inverse, cached per
   degree, residuals and ranges from stacked Horner evaluation and
@@ -54,7 +55,7 @@ Conventions used throughout:
   second fit pass.  Every cell's subpatch is then cut from the surface net
   in one batched de Casteljau restriction (`bezier._subpatch_nets`),
   rectangles at their bounds and trapezoids at their patch bounds, and
-  normalization composes the trapezoids of each (relabeled net shape,
+  normalization relabels and composes the trapezoids of each (frame,
   deg f) in one `compose_reparameterize_many` call; each patch is built
   once.
   Each step is elementwise or row by row, so a cell's bits do not depend
@@ -138,15 +139,11 @@ class MonotoneSegment:
 class TrapezoidCase:
     """Orientation of a trapezoid's patch: s runs along cell-local axis
     `s_axis` (0 for u, 1 for v) from the straight edge to the arc, toward
-    the lower coordinate when `s_reversed`; t runs with w."""
+    the lower coordinate when `s_reversed`; t runs with w, so whether it is
+    reversed follows from the arc (`_frames`)."""
 
     s_axis: int
     s_reversed: bool
-
-
-# The four candidate orientations, in the order the fit tries them.
-_CASES = (TrapezoidCase(0, False), TrapezoidCase(1, True),
-          TrapezoidCase(0, True), TrapezoidCase(1, False))
 
 
 @lru_cache(maxsize=None)
@@ -273,6 +270,24 @@ def _arc_points(cells, coords, values) -> np.ndarray:
     return pts
 
 
+def _frames(cells, cases):
+    """Stacked (s_axis, s_reversed, t_reversed) columns of each cell's frame
+    `cases[c]`; t runs toward the lower coordinate when the arc's w does."""
+    s_axis = np.array([case.s_axis for case in cases], dtype=int)
+    s_reversed = np.array([case.s_reversed for case in cases], dtype=bool)
+    ends = np.array([cell.arc.polygon[[0, -1]] for cell in cells]).reshape(-1, 2, 2)
+    rows = np.arange(len(cells))
+    return s_axis, s_reversed, ends[rows, 1, 1 - s_axis] < ends[rows, 0, 1 - s_axis]
+
+
+def _to_frame(points, s_axis, s_reversed, t_reversed) -> np.ndarray:
+    """(R, K, 2) local points in each row's (s, t) frame: the coordinate
+    along s first, and a reversed coordinate x read as 1 - x."""
+    out = np.where(s_axis[:, None, None] == 1, points[..., ::-1], points)
+    flips = np.stack([s_reversed, t_reversed], axis=-1)[:, None, :]
+    return np.where(flips, 1.0 - out, out)
+
+
 def _frame_arcs(cells, cases, heights) -> np.ndarray:
     """(C, K) x of each cell's arc at heights y of its (s, t) frame.
 
@@ -280,11 +295,9 @@ def _frame_arcs(cells, cases, heights) -> np.ndarray:
     """
     heights = np.asarray(heights, dtype=float)
     values = np.broadcast_to(heights, (len(cells), heights.shape[-1]))
-    flip = np.array([_t_reversed(c, k) for c, k in zip(cells, cases)], dtype=bool)
-    pts = _arc_points(cells, [1 - k.s_axis for k in cases],
-                      np.where(flip.reshape(-1, 1), 1.0 - values, values))
-    x = [_relabel(c, k, points=p)[:, 0] for c, k, p in zip(cells, cases, pts)]
-    return np.reshape(x, values.shape)
+    s_axis, s_reversed, t_reversed = _frames(cells, cases)
+    pts = _arc_points(cells, 1 - s_axis, np.where(t_reversed[:, None], 1.0 - values, values))
+    return _to_frame(pts, s_axis, s_reversed, t_reversed)[..., 0]
 
 
 @dataclass(eq=False)
@@ -585,67 +598,54 @@ def _local_coords(cell: DomainCell, u: float, v: float):
     return (u - u0) / (u1 - u0), (v - v0) / (v1 - v0)
 
 
-def _t_reversed(cell: DomainCell, case: TrapezoidCase) -> bool:
-    """Whether w runs toward the lower coordinate of the axis across s."""
-    polygon = cell.arc.polygon
-    return bool(polygon[-1, 1 - case.s_axis] < polygon[0, 1 - case.s_axis])
+def _relabel(nets: np.ndarray, case: TrapezoidCase, t_reversed: bool) -> np.ndarray:
+    """Stacked trapezoid control nets, (P, m+1, n+1, 3), in one (s, t) frame.
 
-
-def _reflects(cell: DomainCell, case: TrapezoidCase) -> bool:
-    """Whether the (s, t) frame is a mirror image of the cell's (u, v) frame:
-    an odd count of transposes and reversals."""
-    return bool(case.s_axis ^ case.s_reversed ^ _t_reversed(cell, case))
-
-
-def _relabel(cell: DomainCell, case: TrapezoidCase, net=None, points=None):
-    """A trapezoid's control net, or (..., 2) local points, in its (s, t) frame.
-
-    Axis 0 then runs along s, from the straight edge to the arc, and axis 1
+    Axis 1 then runs along s, from the straight edge to the arc, and axis 2
     runs with w: a transpose when s runs along v, then a reversal of each
-    axis that runs toward the lower coordinate.  A net is only reordered;
-    a reversed point coordinate x becomes 1 - x.
+    axis that runs toward the lower coordinate.  The nets are only
+    reordered.
     """
-    flips = (case.s_reversed, _t_reversed(cell, case))
-    if points is not None:
-        out = points[..., ::-1] if case.s_axis else points
-        return np.where(flips, 1.0 - out, out)
-    out = net.transpose(1, 0, 2) if case.s_axis else net
-    return out[::-1 if flips[0] else 1, ::-1 if flips[1] else 1]
+    out = nets.transpose(0, 2, 1, 3) if case.s_axis else nets
+    return out[:, ::-1 if case.s_reversed else 1, ::-1 if t_reversed else 1]
 
 
 def _classify_candidates(cells):
-    """Each cell's orientations putting it into the {x <= f(y)} form.
+    """Each cell's orientations putting it into the {x <= f(y)} form, by rule.
 
-    An orientation qualifies when the arc's end points span its frame's
-    height and reach x = 1, and the cell's retained sample lies on the
-    {x <= f(y)} side; one batched solve probes the arc at every sample.
-    Candidates whose through-vertex lies a counterclockwise quarter turn
-    from s come first, then in `_CASES` order; a curve through two cell
-    corners admits two of them.
+    s runs along the independent axis from the straight edge to the arc,
+    reversed when the cell extends toward the far edge.  An arc spanning
+    the cell's whole independent extent runs corner to corner and admits s
+    along the band axis too, reversed unless the cell extends toward the far
+    edge exactly when f increases.  A frame qualifies when the arc's ends
+    lie at y = 0 and 1 in it, one at x = 1; `_fit_stack` raises
+    AmbiguousCaseError for a cell with none.  The frame whose through-vertex
+    lies a counterclockwise quarter turn from s comes first.
     """
-    probes = []
+    owner, cases = [], []
     for i, cell in enumerate(cells):
-        local = np.array([cell.arc.polygon[0], cell.arc.polygon[-1],
-                          _local_coords(cell, *cell.retained_sample)])
-        for case in _CASES:
-            (x0, y0), (x1, y1), frame_sample = _relabel(cell, case, points=local).tolist()
-            if not (abs(y0) <= _COORD_TOL and abs(y1 - 1.0) <= _COORD_TOL):
-                continue
-            if abs(max(x0, x1) - 1.0) > _COORD_TOL:
-                continue
-            # The through-vertex is at t = 1 when x1 > x0; that end lies a
-            # counterclockwise quarter turn from s unless the frame reflects.
-            probes.append((i, case, (x1 > x0) == _reflects(cell, case), frame_sample))
-    x_arc = _frame_arcs(
-        [cells[i] for i, *_ in probes],
-        [case for _, case, *_ in probes],
-        np.reshape([sy for *_, (_, sy) in probes], (-1, 1)),
-    )[:, 0]
+        xi, yi = _graph_indices(cell.axis)
+        (x0, y0), (x1, y1) = cell.arc.polygon[[0, -1]][:, [xi, yi]].tolist()
+        owner.append(i)
+        cases.append(TrapezoidCase(xi, cell.toward_far_edge))
+        if min(x0, x1) <= _COORD_TOL and max(x0, x1) >= 1.0 - _COORD_TOL:
+            f_increasing = (y1 > y0) == (x1 > x0)
+            owner.append(i)
+            cases.append(TrapezoidCase(yi, cell.toward_far_edge != f_increasing))
+    framed = [cells[i] for i in owner]
+    s_axis, s_reversed, t_reversed = _frames(framed, cases)
+    ends = np.array([cell.arc.polygon[[0, -1]] for cell in framed]).reshape(-1, 2, 2)
+    (x0, y0), (x1, y1) = _to_frame(ends, s_axis, s_reversed, t_reversed).transpose(1, 2, 0)
+    passing = ((np.abs(y0) <= _COORD_TOL) & (np.abs(y1 - 1.0) <= _COORD_TOL)
+               & (np.abs(np.maximum(x0, x1) - 1.0) <= _COORD_TOL))
+    # The through-vertex is at t = 1 when x1 > x0; that end lies a
+    # counterclockwise quarter turn from s unless the frame reflects.
+    later = (x1 > x0) == (s_axis.astype(bool) ^ s_reversed ^ t_reversed)
     candidates = [[] for _ in cells]
-    for (i, case, later, (sx, _)), x in zip(probes, x_arc):
-        if sx <= x + _COORD_TOL:
-            candidates[i].append((later, case))
-    return [[case for _, case in sorted(cases, key=lambda c: c[0])] for cases in candidates]
+    for k in np.lexsort((later, owner)).tolist():
+        if passing[k]:
+            candidates[owner[k]].append(cases[k])
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -897,28 +897,27 @@ def tighten_cell(cell: DomainCell):
 def _normalize_trapezoids(nets: np.ndarray, cells) -> list:
     """(patch, curved edge) of each fitted trapezoid: S(s*f(t), t) in its frame.
 
-    `nets` holds each cell's subpatch net, cut at its `patch_bounds`.  Each
-    net is relabeled into its cell's (s, t) frame (index-only), and the
-    cells of one relabeled net shape and one deg f are composed in one
-    `compose_reparameterize_many` call.  A composed net is transposed back
-    when its relabeling is a reflection, so the patch keeps the surface's
-    orientation; its curved edge is then V1, else U1, and its parameter
-    runs with w either way.
+    `nets` holds each cell's subpatch net, cut at its `patch_bounds`.  The
+    nets of one frame, t-reversal and deg f are relabeled into that frame
+    (index-only) and composed in one `compose_reparameterize_many` call.  A
+    composed net is transposed back when its relabeling is a reflection, so
+    the patch keeps the surface's orientation; its curved edge is then V1,
+    else U1, and its parameter runs with w either way.
     """
+    if any(cell.case is None or cell.boundary_fn is None for cell in cells):
+        raise ValueError("trapezoid cell must be classified and fitted first")
+    _, _, t_reversed = _frames(cells, [cell.case for cell in cells])
     groups = {}
-    for k, (cell, net) in enumerate(zip(cells, nets)):
-        if cell.case is None or cell.boundary_fn is None:
-            raise ValueError("trapezoid cell must be classified and fitted first")
-        net = _relabel(cell, cell.case, net=net)
-        groups.setdefault((net.shape, cell.boundary_fn.degree), []).append((k, net))
+    for k, (cell, flip) in enumerate(zip(cells, t_reversed.tolist())):
+        groups.setdefault((cell.case, flip, cell.boundary_fn.degree), []).append(k)
     out = [None] * len(cells)
-    for members in groups.values():
-        index = [k for k, _ in members]
+    for (case, flip, _), index in groups.items():
         composed = compose_reparameterize_many(
-            np.stack([net for _, net in members]), [cells[k].boundary_fn for k in index]
+            _relabel(nets[index], case, flip), [cells[k].boundary_fn for k in index]
         )
+        reflects = bool(case.s_axis) ^ case.s_reversed ^ flip
         for k, net in zip(index, composed):
-            if _reflects(cells[k], cells[k].case):
+            if reflects:
                 out[k] = (BezierSurface(net.transpose(1, 0, 2).copy()), Edge.V1)
             else:
                 out[k] = (BezierSurface(net), Edge.U1)

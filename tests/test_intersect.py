@@ -12,10 +12,12 @@ from watertight import BezierSurface, LostBranchError, StageError
 from watertight.bezier import bernstein_from_monomial
 from watertight.intersect import (
     _NEAREST_BLOCK,
+    _chord_parameters,
     _least_squares_step,
     _match,
     _nearest,
     _predict,
+    _three_point_tangents,
     build_intersection_data,
     interpolate_domain_curve,
     interpolate_space_curve,
@@ -404,6 +406,55 @@ class TestSpaceCurveInterpolation:
             interpolate_space_curve(np.array([[0.0, 0.0, 0.0]]))
         with pytest.raises(ValueError):
             interpolate_space_curve(np.array([[0.0, 0.0, 0.0]] * 3))
+
+
+def loop_tangents(points, w, closed):
+    """The per-point loop the stacked three-point tangents replace: the
+    Bessel tangent at each point times theta/sin(theta) of its chords' turn."""
+    def correction(d0, d1):
+        n0, n1 = np.linalg.norm(d0), np.linalg.norm(d1)
+        if n0 == 0.0 or n1 == 0.0:
+            return 1.0
+        theta = float(np.arccos(float(np.clip(d0 @ d1 / (n0 * n1), -1.0, 1.0))))
+        return 1.0 if theta < 1e-8 else theta / np.sin(theta)
+
+    n = points.shape[0]
+    tangents = np.zeros_like(points)
+    delta = np.diff(points, axis=0) / np.diff(w)[:, None]
+    for i in range(1, n - 1):
+        h0, h1 = w[i] - w[i - 1], w[i + 1] - w[i]
+        bessel = (h1 * delta[i - 1] + h0 * delta[i]) / (h0 + h1)
+        tangents[i] = bessel * correction(delta[i - 1], delta[i])
+    if closed:
+        h0, h1 = w[-1] - w[-2], w[1] - w[0]
+        wrap = (h1 * delta[-1] + h0 * delta[0]) / (h0 + h1)
+        tangents[0] = tangents[-1] = wrap * correction(delta[-1], delta[0])
+    else:
+        tangents[0] = 2.0 * delta[0] - tangents[1]
+        tangents[-1] = 2.0 * delta[-1] - tangents[-2]
+    return tangents
+
+
+class TestThreePointTangents:
+    def test_stacked_tangents_match_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        chains = [circle_points(16, closed=True), circle_points(9)]
+        # A straight chain turns by less than 1e-8 at every point.
+        chains.append(np.outer(np.linspace(0.0, 1.0, 7), [0.2, 0.5, -0.1]))
+        for k in range(600):
+            pts = rng.uniform(0.0, 1.0, (int(rng.integers(3, 40)), 2 + k % 2))
+            if k % 4 >= 2:
+                pts = np.vstack([pts, pts[:1]])
+            chains.append(pts)
+        for pts in chains:
+            closed = bool(np.array_equal(pts[0], pts[-1]))
+            w = _chord_parameters(pts)
+            assert np.array_equal(_three_point_tangents(pts, w, closed),
+                                  loop_tangents(pts, w, closed))
+        # A repeated point, given its own parameter, makes a zero chord.
+        pts = np.array([[0.1, 0.2], [0.4, 0.3], [0.4, 0.3], [0.7, 0.9]])
+        w = np.array([0.0, 0.3, 0.6, 1.0])
+        assert np.array_equal(_three_point_tangents(pts, w, False), loop_tangents(pts, w, False))
 
 
 class TestDomainCurveInterpolation:

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 from watertight import (
+    AmbiguousCaseError,
     BezierCurve,
     BezierSurface,
     BoundaryPolynomial,
@@ -46,11 +47,12 @@ from watertight.segmentation import (
     _fit_cells,
     _fit_pinv,
     _frame_arcs,
+    _frames,
     _normalize_trapezoids,
     _relabel,
     _solve_arcs,
-    _t_reversed,
     _tighten_cells,
+    _to_frame,
     build_patch_decomposition,
     cell_contains,
     cut_trims,
@@ -102,8 +104,22 @@ def linear_trapezoid_cell(p0, p1, bounds, axis, toward_far_edge, sample):
     return cell
 
 
+def line_cell(p0, p1, bounds, axis, sample):
+    """A straight-edged trapezoid whose retained side is the side of the
+    edge that holds `sample`, along the independent axis."""
+    xi, yi = (1, 0) if axis is GraphAxis.U_OF_V else (0, 1)
+    x_edge = p0[xi] + (p1[xi] - p0[xi]) * (sample[yi] - p0[yi]) / (p1[yi] - p0[yi])
+    return linear_trapezoid_cell(p0, p1, bounds, axis, bool(sample[xi] > x_edge), sample)
+
+
 def candidates_of(cell):
     return _classify_candidates([cell])[0]
+
+
+def t_reversed(cell, case):
+    """Whether the arc's w runs toward the lower coordinate across s."""
+    start, end = cell.arc.polygon[[0, -1], 1 - case.s_axis]
+    return bool(end < start)
 
 
 def fit_one(cell, fit_degree, fit_tol):
@@ -120,8 +136,7 @@ def to_frame(cell, case, point):
     """A local cell point in the case's (s, t) frame: s from the straight edge
     toward the arc, t with the arc's own direction."""
     x, y = point[case.s_axis], point[1 - case.s_axis]
-    start, end = cell.arc.polygon[[0, -1], 1 - case.s_axis]
-    return (1.0 - x if case.s_reversed else x), (1.0 - y if end < start else y)
+    return (1.0 - x if case.s_reversed else x), (1.0 - y if t_reversed(cell, case) else y)
 
 
 def domain_point(cell, edge, p1, p2):
@@ -348,7 +363,7 @@ class TestClassification:
             sample=(0.2, 0.45),
         )
         assert candidates_of(cell) == [TrapezoidCase(0, False)]
-        assert not _t_reversed(cell, TrapezoidCase(0, False))
+        assert not t_reversed(cell, TrapezoidCase(0, False))
 
     def test_rotated_cell_gets_different_case(self):
         base = linear_trapezoid_cell(
@@ -374,13 +389,16 @@ class TestClassification:
 
     def test_eight_distinct_cases(self):
         # The eight symmetries of the square give eight distinct frames:
-        # (axis of s, s reversed, t reversed).
+        # (axis of s, s reversed, t reversed).  The reflections and half
+        # turns put the retained side toward the far edge.
         frames = set()
         for p0, p1, bounds, axis, sample in _line_cells()[:8]:
-            cell = linear_trapezoid_cell(p0, p1, bounds, axis, False, sample)
+            cell = line_cell(p0, p1, bounds, axis, sample)
             (case,) = candidates_of(cell)
-            frames.add((case.s_axis, case.s_reversed, _t_reversed(cell, case)))
+            frames.add((case.s_axis, case.s_reversed, t_reversed(cell, case)))
         assert len(frames) == 8
+        toward_far = [line_cell(*spec).toward_far_edge for spec in _line_cells()]
+        assert toward_far == [False, False, True, True, False, True, True, False, True]
 
     def test_corner_to_corner_strict_vs_relaxed(self):
         # A curve through two cell corners admits two orientations; the one
@@ -404,16 +422,27 @@ class TestClassification:
         )
         assert candidates_of(cell) == [TrapezoidCase(1, False), TrapezoidCase(0, False)]
 
+    @pytest.mark.parametrize("p1, toward_far_edge", [([0.8, 0.6], False), ([0.8, 0.7], True)])
+    def test_cell_with_no_frame_raises(self, p1, toward_far_edge):
+        # An arc short of its band's top edge, and a retained side that
+        # contradicts the arc: no frame puts either cell into {x <= f(y)}.
+        cell = linear_trapezoid_cell([0.5, 0.2], p1, (0.0, 0.8, 0.2, 0.7),
+                                     GraphAxis.V_OF_U, toward_far_edge, (0.2, 0.45))
+        assert candidates_of(cell) == []
+        with pytest.raises(AmbiguousCaseError, match="admits no orientation"):
+            _fit_cells([cell], 2, 1e-4)
+
     @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
     def test_net_and_points_relabel_alike(self, rng, p0, p1, bounds, axis, sample):
         # The relabeled net, read at a point's frame coordinates, is the
         # cell's net at the point itself.
-        cell = linear_trapezoid_cell(p0, p1, bounds, axis, False, sample)
+        cell = line_cell(p0, p1, bounds, axis, sample)
         sub = BezierSurface(rng.uniform(-1.0, 1.0, (3, 4, 3)))
         points = rng.uniform(0.0, 1.0, (20, 2))
         for case in candidates_of(cell):
-            framed = BezierSurface(_relabel(cell, case, net=sub.control_net).copy())
-            at = _relabel(cell, case, points=points)
+            nets = _relabel(sub.control_net[None], case, t_reversed(cell, case))
+            framed = BezierSurface(nets[0].copy())
+            at = _to_frame(points[None], *_frames([cell], [case]))[0]
             assert np.array_equal(at, [to_frame(cell, case, p) for p in points])
             for p, q in zip(points, at):
                 assert np.abs(framed.evaluate(*q) - sub.evaluate(*p)).max() <= 1e-14
@@ -422,7 +451,7 @@ class TestClassification:
 class TestArc:
     @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
     def test_straight_edge_matches_analytic_inverse(self, p0, p1, bounds, axis, sample):
-        cell = linear_trapezoid_cell(p0, p1, bounds, axis, False, sample)
+        cell = line_cell(p0, p1, bounds, axis, sample)
         u0, u1, v0, v1 = bounds
         local = [((p[0] - u0) / (u1 - u0), (p[1] - v0) / (v1 - v0)) for p in (p0, p1)]
         ts = np.linspace(0.0, 1.0, 257)
@@ -915,6 +944,77 @@ class TestStackedFit:
         misses = segmentation._fit_stack([cell], [cases[:1]], edges[:1], 2, 1e-6)
         assert misses[cell].residual == closest
         assert cell.case is None
+
+
+# The four orientations the search tries, in its order.
+_SEARCH_CASES = (TrapezoidCase(0, False), TrapezoidCase(1, True),
+                 TrapezoidCase(0, True), TrapezoidCase(1, False))
+
+
+def search_candidates(cells):
+    """The four-case search the frame rule replaces.
+
+    An orientation qualifies when the arc's end points lie at y = 0 and 1
+    of its frame and one of them at x = 1, and one batched arc solve finds
+    the cell's retained sample on the {x <= f(y)} side.  Candidates whose
+    through-vertex lies a counterclockwise quarter turn from s come first,
+    then in search order.
+    """
+    probes = []
+    for i, cell in enumerate(cells):
+        u0, u1, v0, v1 = cell.bounds
+        su, sv = cell.retained_sample
+        local = [*cell.arc.polygon[[0, -1]], ((su - u0) / (u1 - u0), (sv - v0) / (v1 - v0))]
+        for case in _SEARCH_CASES:
+            (x0, y0), (x1, y1), sample = (to_frame(cell, case, p) for p in local)
+            if abs(y0) > 1e-9 or abs(y1 - 1.0) > 1e-9 or abs(max(x0, x1) - 1.0) > 1e-9:
+                continue
+            reflects = bool(case.s_axis ^ case.s_reversed ^ t_reversed(cell, case))
+            probes.append((i, case, (x1 > x0) == reflects, sample))
+    x_arc = _frame_arcs([cells[i] for i, *_ in probes], [case for _, case, *_ in probes],
+                        np.reshape([sy for *_, (_, sy) in probes], (-1, 1)))[:, 0]
+    candidates = [[] for _ in cells]
+    for (i, case, later, (sx, _)), x in zip(probes, x_arc):
+        if sx <= x + 1e-9:
+            candidates[i].append((later, case))
+    return [[case for _, case in sorted(found, key=lambda c: c[0])] for found in candidates]
+
+
+# The paraboloid's cuts the frame rule is checked on, as plane coefficients:
+# the demo, the tilted arc, the corner clip and the off-centre arc.
+_RULE_CUTS = ((0.0, 0.0, 0.04), (0.3, 0.0, 0.02), (0.5, 0.5, -0.2), (0.6, 0.0, -0.05))
+
+
+def _rule_runs():
+    """(s1, s2, config) of each run whose trapezoids the rule is checked on."""
+    runs = [case for name, case in _FIT_CASES.items() if name != "demo"]
+    for abc in _RULE_CUTS:
+        for step in (0.18, 0.02, 0.005):
+            for keep in ("outside", "right"):
+                config = PipelineConfig(march_step=step, keep_a=keep, keep_b=keep)
+                runs.append((paraboloid_patch(), plane_patch(*abc), config))
+    runs.append((paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig(fit_tol=1e-6)))
+    return runs
+
+
+class TestFrameRule:
+    def test_rule_gives_the_search_candidates(self, monkeypatch):
+        # Every trapezoid the fit classifies, tightened ones included, gets
+        # the search's candidates in the search's order.
+        rule = segmentation._classify_candidates
+        counts = []
+
+        def checked(cells):
+            got = rule(cells)
+            assert got == search_candidates(cells)
+            counts.extend(len(cases) for cases in got)
+            return got
+
+        monkeypatch.setattr(segmentation, "_classify_candidates", checked)
+        for s1, s2, config in _rule_runs():
+            prepare_decompositions(build_intersection_data(s1, s2, config.march_step, MARCH_TOL),
+                                   s1, s2, config)
+        assert set(counts) == {1, 2}
 
 
 class TestFitReuse:

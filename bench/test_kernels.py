@@ -60,12 +60,12 @@ from watertight.pipeline import (
     run_pipeline,
 )
 from watertight.segmentation import (
-    _EDGE_HEIGHTS,
+    _EDGE_WS,
     RECTANGLE,
     TRAPEZOID,
     _classify_candidates,
     _fit_stack,
-    _frame_arcs,
+    _frame_edges,
     build_patch_decomposition,
     cut_trims,
     monotone_split_params,
@@ -196,7 +196,7 @@ def test_build_patch_decomposition_demo(benchmark, fine_demo):
     curve = next(c.parent_curve for c in cells if c.kind == TRAPEZOID)
     curve, cuts = cut_trims([curve], [monotone_split_params(curve)])[0]
     keep = keep_region_fn("outside", curve)
-    dec = benchmark(build_patch_decomposition, paraboloid_patch(), curve, cuts, keep, 2, 1e-4)
+    dec = benchmark(build_patch_decomposition, paraboloid_patch(), curve, cuts, keep, 1e-4)
     assert len(dec.patches) == 263
 
 
@@ -258,12 +258,12 @@ def test_load_model(benchmark, request, tmp_path, name):
     _assert_loads_back(model, benchmark(model_io.load_model, path))
 
 
-def test_arc_solve_demo_decomposition(benchmark, fine_demo):
+def test_frame_edges_demo_decomposition(benchmark, fine_demo):
     # Every trapezoid of side a at step 0.005, in its fitted orientation, at
-    # the 64 fit and 257 check heights: a fit pass's one batched solve.
+    # the 257 samples of its own parameter: a fit pass's edge sampling.
     cells = [c for c in fine_demo.model.set_a.decomposition.cells if c.kind == TRAPEZOID]
-    edges = benchmark(_frame_arcs, cells, [c.case for c in cells], _EDGE_HEIGHTS)
-    assert edges.shape == (len(cells), _EDGE_HEIGHTS.shape[0])
+    edges = benchmark(_frame_edges, cells, [c.case for c in cells])
+    assert edges.shape == (len(cells), _EDGE_WS.shape[0], 2)
 
 
 def test_fit_stack_demo_trapezoids(benchmark, fine_demo):
@@ -273,8 +273,8 @@ def test_fit_stack_demo_trapezoids(benchmark, fine_demo):
     cells = [c for c in fine_demo.model.set_a.decomposition.cells if c.kind == TRAPEZOID]
     candidates = _classify_candidates(cells)
     owners = [cell for cell, cases in zip(cells, candidates) for _ in cases]
-    edges = _frame_arcs(owners, [case for cases in candidates for case in cases], _EDGE_HEIGHTS)
-    misses = benchmark(_fit_stack, cells, candidates, edges, 2, 1e-4)
+    edges = _frame_edges(owners, [case for cases in candidates for case in cases])
+    misses = benchmark(_fit_stack, cells, candidates, edges, 1e-4)
     assert not misses
 
 

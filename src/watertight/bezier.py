@@ -782,9 +782,11 @@ def unit_ranges(coeffs: np.ndarray, degrees, values=None):
     """(lo, hi) of R stacked polynomials of degree at most 3 over [0, 1].
 
     `coeffs` is (R, l+1) from `_trim_rows`, whose degrees are `degrees`, and
-    `values`, if given, holds the rows at `_RANGE_TS`.  The range is taken
-    over those samples plus the real roots of f' in [0, 1], from
-    `quadratic_roots`, row by row.
+    `values`, if given, holds each row's values at samples of [0, 1] whose
+    first is 0 and that include 1, such as a fit's samples; else the rows
+    are evaluated at `_RANGE_TS`.  The range is taken over those samples
+    plus the real roots of f' in [0, 1], from `quadratic_roots`, row by
+    row.
     """
     if np.any(degrees > MAX_BOUNDARY_DEGREE):
         raise UnsupportedDegreeError(

@@ -36,28 +36,30 @@ Conventions used throughout:
   trapezoid the index of its trim segment, whose breakpoints give its
   w_span; nothing looks a segment up by parameter.
 * One arc per trapezoid: a trapezoid's curved edge is exactly its trim
-  segment.  The map into the cell's local [0,1]^2 is affine, so the
-  segment's control polygon mapped once into that frame is the edge's
-  exact Bezier form there (affine invariance).  Every arc query -- the
-  retained sample, the edge f of each candidate frame, cell membership --
-  solves on that polygon and never evaluates the trim curve again.
+  segment.  The map into the cell's local [0,1]^2 is affine, and so is
+  the relabeling into an (s, t) frame, so the segment's control polygon
+  mapped into either is the edge's exact Bezier form there (affine
+  invariance).  The edge f of each candidate frame is sampled on that
+  polygon at the arc's own parameter w; the retained sample and cell
+  membership solve on it for one coordinate value.  Nothing evaluates
+  the trim curve again.
 * Batched passes: after `decompose_trim`, every step runs over all cells
-  of a decomposition at once.  Arc queries are answered by one stacked
-  Newton solver, `_solve_arcs`; a decomposition makes one solve for the
-  retained samples of each monotone segment and one for the edge of every
-  (cell, candidate frame) at the fit and check heights.  The fit is one
+  of a decomposition at once.  Membership queries are answered by one
+  stacked Newton solver, `_solve_arcs`, one value per arc; a
+  decomposition makes one solve for the retained samples of each
+  monotone segment.  The edge of every (cell, candidate frame) is one
+  Bernstein product at the uniform w of `_EDGE_WS`.  The fit is one
   vectorized pass per degree over every open (cell, candidate) row:
-  coefficients from a product with the basis's pseudo-inverse, cached per
-  degree, residuals and ranges from stacked Horner evaluation and
-  closed-form roots; the sampled heights are dropped once the cells
-  are fitted.  The cells that miss are tightened through one
-  `_trapezoids` call, one solve for all their retained samples, and get a
-  second fit pass.  Every cell's subpatch is then cut from the surface net
-  in one batched de Casteljau restriction (`bezier._subpatch_nets`),
-  rectangles at their bounds and trapezoids at their patch bounds, and
-  normalization relabels and composes the trapezoids of each (frame,
-  deg f) in one `compose_reparameterize_many` call; each patch is built
-  once.
+  coefficients from each row's weighted normal equations, residuals and
+  ranges from stacked Horner evaluation and closed-form roots; the
+  samples are dropped once the cells are fitted.  The cells that miss
+  are tightened through one `_trapezoids` call, one solve for all their
+  retained samples, and get a second fit pass.  Every cell's subpatch is
+  then cut from the surface net in one batched de Casteljau restriction
+  (`bezier._subpatch_nets`), rectangles at their bounds and trapezoids at
+  their patch bounds, and normalization relabels and composes the
+  trapezoids of each (frame, deg f) in one `compose_reparameterize_many`
+  call; each patch is built once.
   Each step is elementwise or row by row, so a cell's bits do not depend
   on the rest of its batch: they equal its one-cell call's.
 * Cell membership is half-open (lower/left edges inclusive, upper/right
@@ -98,16 +100,10 @@ _CUT_TOL = 1e-7
 # Trim segments are at most cubic, so each hodograph coordinate's roots
 # are those of a quadratic.
 _MAX_TRIM_DEGREE = 3
-# Least-squares samples of a boundary-polynomial fit, and its residual check.
-_FIT_SAMPLES = 64
-_FIT_TS = np.linspace(0.0, 1.0, _FIT_SAMPLES)
-_CHECK_TS = np.linspace(0.0, 1.0, 257)
-# Every height a fit samples a candidate's edge at, in one solve.
-_EDGE_HEIGHTS = np.concatenate([_FIT_TS, _CHECK_TS])
-# Seed table of every arc solve, in the arc's own Bezier parameter.
-_ARC_TABLE = np.linspace(0.0, 1.0, 257)
-# Samples per batch of arc solves: a batch's arrays stay near 1 MB.
-_ARC_BATCH = 4096
+# Uniform values of an arc's own Bezier parameter w: the samples each
+# candidate edge is fitted and checked at, and the seed table of every arc
+# solve.
+_EDGE_WS = np.linspace(0.0, 1.0, 257)
 
 
 class GraphAxis(Enum):
@@ -147,9 +143,9 @@ class TrapezoidCase:
 
 
 @lru_cache(maxsize=None)
-def _table_basis(degree: int) -> np.ndarray:
-    """Read-only Bernstein basis at `_ARC_TABLE`, for each arc's seed table."""
-    basis = all_bernstein(degree, _ARC_TABLE)
+def _edge_basis(degree: int) -> np.ndarray:
+    """Read-only Bernstein basis at `_EDGE_WS`."""
+    basis = all_bernstein(degree, _EDGE_WS)
     basis.flags.writeable = False
     return basis
 
@@ -160,7 +156,7 @@ def _solve_arcs(polygons: np.ndarray, coords, values) -> np.ndarray:
     `polygons` is (C, d+1, 2), arcs in their cells' local frames; arc c is
     solved for coordinate `coords[c]` equal to each of `values[c]`, (C, K).
     Each sample is seeded from its arc's table of that coordinate at
-    `_ARC_TABLE`, then takes at most 8 Newton steps and stops on its own
+    `_EDGE_WS`, then takes at most 8 Newton steps and stops on its own
     once within 1e-13, so its bits do not depend on the rest of the batch.
     Values at or beyond an arc's range in its coordinate return its end
     point there.
@@ -170,12 +166,12 @@ def _solve_arcs(polygons: np.ndarray, coords, values) -> np.ndarray:
     count, samples = values.shape
     degree = polygons.shape[1] - 1
     heights = polygons[np.arange(count), :, np.asarray(coords, dtype=int)]
-    table = _dot(_table_basis(degree), heights[:, None, :])
+    table = _dot(_edge_basis(degree), heights[:, None, :])
     rising = table[:, -1] >= table[:, 0]
     low = np.where(rising, table[:, 0], table[:, -1])[:, None]
     high = np.where(rising, table[:, -1], table[:, 0])[:, None]
     s = np.concatenate([
-        np.interp(v, t, _ARC_TABLE) if up else np.interp(v, t[::-1], _ARC_TABLE[::-1])
+        np.interp(v, t, _EDGE_WS) if up else np.interp(v, t[::-1], _EDGE_WS[::-1])
         for v, t, up in zip(np.clip(values, low, high), table, rising)
     ])
     target = values.reshape(-1)
@@ -233,40 +229,23 @@ def odd_crossings(polygons: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndar
     return np.bincount(q[cross], minlength=u.shape[0]) % 2 == 1
 
 
-class _Arc:
-    """A trapezoid's curved edge in its cell's local [0,1]^2 frame.
-
-    Holds the trim segment's control polygon mapped into that frame.
-    """
-
-    def __init__(self, polygon: np.ndarray, bounds):
-        u0, u1, v0, v1 = bounds
-        self.polygon = (polygon - (u0, v0)) / (u1 - u0, v1 - v0)
-
-    def points_at(self, coord: int, values) -> np.ndarray:
-        """(K, 2) local arc points whose coordinate `coord` equals each value.
-
-        The one-arc case of `_solve_arcs`.
-        """
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        return _solve_arcs(self.polygon[None], [coord], values[None])[0]
+def _arc_stacks(cells):
+    """(indices, stacked local control polygons) of the cells' arcs, one
+    pair per arc degree."""
+    sizes = np.array([cell.arc.shape[0] for cell in cells], dtype=int)
+    for size in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == size)
+        yield idx, np.stack([cells[i].arc for i in idx])
 
 
 def _arc_points(cells, coords, values) -> np.ndarray:
     """(C, K, 2) local points of each cell's arc where coordinate `coords[c]`
-    equals `values[c]`: `_solve_arcs` over batches of one arc degree and at
-    most `_ARC_BATCH` samples."""
+    equals `values[c]`: one `_solve_arcs` per arc degree."""
     coords = np.asarray(coords, dtype=int)
     values = np.asarray(values, dtype=float)
     pts = np.empty(values.shape + (2,))
-    sizes = np.array([cell.arc.polygon.shape[0] for cell in cells], dtype=int)
-    rows = max(1, _ARC_BATCH // values.shape[1])
-    for size in np.unique(sizes):
-        same = np.flatnonzero(sizes == size)
-        for k in range(0, same.shape[0], rows):
-            idx = same[k:k + rows]
-            polygons = np.stack([cells[i].arc.polygon for i in idx])
-            pts[idx] = _solve_arcs(polygons, coords[idx], values[idx])
+    for idx, polygons in _arc_stacks(cells):
+        pts[idx] = _solve_arcs(polygons, coords[idx], values[idx])
     return pts
 
 
@@ -275,7 +254,7 @@ def _frames(cells, cases):
     `cases[c]`; t runs toward the lower coordinate when the arc's w does."""
     s_axis = np.array([case.s_axis for case in cases], dtype=int)
     s_reversed = np.array([case.s_reversed for case in cases], dtype=bool)
-    ends = np.array([cell.arc.polygon[[0, -1]] for cell in cells]).reshape(-1, 2, 2)
+    ends = np.array([cell.arc[[0, -1]] for cell in cells]).reshape(-1, 2, 2)
     rows = np.arange(len(cells))
     return s_axis, s_reversed, ends[rows, 1, 1 - s_axis] < ends[rows, 0, 1 - s_axis]
 
@@ -288,22 +267,31 @@ def _to_frame(points, s_axis, s_reversed, t_reversed) -> np.ndarray:
     return np.where(flips, 1.0 - out, out)
 
 
-def _frame_arcs(cells, cases, heights) -> np.ndarray:
-    """(C, K) x of each cell's arc at heights y of its (s, t) frame.
+def _frame_edges(cells, cases) -> np.ndarray:
+    """(C, K, 2) points (x, y) of each cell's arc in its (s, t) frame
+    `cases[c]`, at the K values `_EDGE_WS` of the arc's own parameter w.
 
-    `heights` is (K,), shared by every cell, or (C, K).
+    `_to_frame` maps the arc's local control polygon into the frame; the
+    map is affine, so the mapped polygon is the edge's exact Bezier form
+    there, and one Bernstein product per arc degree evaluates it.  In every
+    frame `_classify_candidates` admits, y rises from 0 to 1 with w; the
+    first and last samples' y are set to exactly 0 and 1.
     """
-    heights = np.asarray(heights, dtype=float)
-    values = np.broadcast_to(heights, (len(cells), heights.shape[-1]))
-    s_axis, s_reversed, t_reversed = _frames(cells, cases)
-    pts = _arc_points(cells, 1 - s_axis, np.where(t_reversed[:, None], 1.0 - values, values))
-    return _to_frame(pts, s_axis, s_reversed, t_reversed)[..., 0]
+    frames = _frames(cells, cases)
+    pts = np.empty((len(cells), _EDGE_WS.shape[0], 2))
+    for idx, polygons in _arc_stacks(cells):
+        framed = _to_frame(polygons, *(column[idx] for column in frames))
+        basis = _edge_basis(framed.shape[1] - 1)
+        pts[idx] = np.stack([_dot(basis, framed[:, None, :, k]) for k in range(2)], axis=-1)
+    pts[:, 0, 1], pts[:, -1, 1] = 0.0, 1.0
+    return pts
 
 
 @dataclass(eq=False)
 class DomainCell:
     """A rectangle or curved-trapezoid sub-region of the parameter domain; a
-    trapezoid's curved edge is trim segment `segment` of `parent_curve`."""
+    trapezoid's curved edge is trim segment `segment` of `parent_curve`,
+    whose control polygon in the cell's local [0,1]^2 is `arc`."""
 
     kind: str
     bounds: tuple
@@ -316,7 +304,7 @@ class DomainCell:
     boundary_fn: BoundaryPolynomial | None = None
     patch_bounds: tuple | None = None
     fit_residual: float = 0.0
-    arc: _Arc | None = field(default=None, init=False, repr=False)
+    arc: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         u0, u1, v0, v1 = self.bounds
@@ -325,7 +313,7 @@ class DomainCell:
         if self.patch_bounds is None:
             self.patch_bounds = self.bounds
         if self.kind == TRAPEZOID:
-            self.arc = _Arc(self.parent_curve.polygons[self.segment], self.bounds)
+            self.arc = (self.parent_curve.polygons[self.segment] - (u0, v0)) / (u1 - u0, v1 - v0)
 
     @property
     def w_span(self):
@@ -583,7 +571,7 @@ def cell_contains(cell: DomainCell, u: float, v: float) -> bool:
         return True
     xi, yi = _graph_indices(cell.axis)
     point = _local_coords(cell, u, v)
-    x_arc = cell.arc.points_at(yi, point[yi])[0, xi]
+    x_arc = _solve_arcs(cell.arc[None], [yi], [[point[yi]]])[0, 0, xi]
     if cell.toward_far_edge:
         return point[xi] >= x_arc
     return point[xi] <= x_arc
@@ -625,7 +613,7 @@ def _classify_candidates(cells):
     owner, cases = [], []
     for i, cell in enumerate(cells):
         xi, yi = _graph_indices(cell.axis)
-        (x0, y0), (x1, y1) = cell.arc.polygon[[0, -1]][:, [xi, yi]].tolist()
+        (x0, y0), (x1, y1) = cell.arc[[0, -1]][:, [xi, yi]].tolist()
         owner.append(i)
         cases.append(TrapezoidCase(xi, cell.toward_far_edge))
         if min(x0, x1) <= _COORD_TOL and max(x0, x1) >= 1.0 - _COORD_TOL:
@@ -634,7 +622,7 @@ def _classify_candidates(cells):
             cases.append(TrapezoidCase(yi, cell.toward_far_edge != f_increasing))
     framed = [cells[i] for i in owner]
     s_axis, s_reversed, t_reversed = _frames(framed, cases)
-    ends = np.array([cell.arc.polygon[[0, -1]] for cell in framed]).reshape(-1, 2, 2)
+    ends = np.array([cell.arc[[0, -1]] for cell in framed]).reshape(-1, 2, 2)
     (x0, y0), (x1, y1) = _to_frame(ends, s_axis, s_reversed, t_reversed).transpose(1, 2, 0)
     passing = ((np.abs(y0) <= _COORD_TOL) & (np.abs(y1 - 1.0) <= _COORD_TOL)
                & (np.abs(np.maximum(x0, x1) - 1.0) <= _COORD_TOL))
@@ -652,54 +640,48 @@ def _classify_candidates(cells):
 # Boundary polynomial fitting
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _fit_pinv(degree: int) -> np.ndarray:
-    """Read-only pseudo-inverse of the fit basis t^i (1 - t), i = 1..degree-1,
-    at `_FIT_TS`; these vanish at both ends, so the fit keeps them exact."""
-    basis = np.stack([_FIT_TS**i * (1.0 - _FIT_TS) for i in range(1, degree)], axis=1)
-    pinv = np.linalg.pinv(basis)
-    pinv.flags.writeable = False
-    return pinv
+def _fit_rows(points, degree: int):
+    """Endpoint-exact weighted least-squares fits of R stacked edges at one degree.
 
-
-def _fit_rows(fit_values, check_values, degree: int):
-    """Endpoint-exact least-squares fits of R stacked edges at one degree.
-
-    `fit_values` (R, 64) and `check_values` (R, 257) hold each edge's cross
-    coordinate at `_FIT_TS` and `_CHECK_TS`.  Each fit is a product with the
-    basis's pseudo-inverse, cached per degree, taken row by row so that its
-    bits do not depend on the stack.  Returns the monomial coefficients
+    `points` (R, K, 2) holds each edge's samples (x, y), y rising from 0 at
+    the first to 1 at the last; x is fitted as a polynomial in y through
+    both end samples.  Each sample is weighted by its share of y
+    (`np.gradient`), so the fit approximates one over uniform heights.  The
+    interior basis y^i (1 - y), i = 1..degree-1, vanishes at both ends; its
+    normal equations are summed and solved row by row, so a row's bits do
+    not depend on the stack.  Returns the monomial coefficients
     (R, degree+1) trimmed as `BoundaryPolynomial` trims them, their
-    degrees, their values at `_CHECK_TS` and each row's residual, the
-    largest miss there.
+    degrees, their values at the samples' y and each row's residual, the
+    largest miss in x there.
     """
     if degree < 1:
         raise ValueError("fit degree must be at least 1")
-    y0, y1 = fit_values[:, :1], fit_values[:, -1:]
-    coeffs = np.zeros((fit_values.shape[0], degree + 1))
-    coeffs[:, :1] = y0
-    coeffs[:, 1:2] = y1 - y0
+    x, y = points[..., 0], points[..., 1]
+    x0, x1 = x[:, :1], x[:, -1:]
+    coeffs = np.zeros((x.shape[0], degree + 1))
+    coeffs[:, :1] = x0
+    coeffs[:, 1:2] = x1 - x0
     if degree >= 2:
-        linear = fit_values - (y0 + (y1 - y0) * _FIT_TS)
-        sol = (_fit_pinv(degree) @ linear[..., None])[..., 0]
+        basis = np.stack([y**i * (1.0 - y) for i in range(1, degree)], axis=1)
+        weighted = np.gradient(y, axis=1)[:, None] * basis
+        gram = (weighted[:, :, None] * basis[:, None]).sum(axis=-1)
+        rhs = (weighted * (x - (x0 + (x1 - x0) * y))[:, None]).sum(axis=-1)
+        sol = np.linalg.solve(gram, rhs[..., None])[..., 0]
         coeffs[:, 1:degree] += sol
         coeffs[:, 2:] -= sol
     coeffs, degrees = _trim_rows(coeffs)
-    values = polyval_rows(coeffs, _CHECK_TS)
-    return coeffs, degrees, values, np.abs(values - check_values).max(axis=1)
+    values = polyval_rows(coeffs, y)
+    return coeffs, degrees, values, np.abs(values - x).max(axis=1)
 
 
-def fit_boundary_polynomial(fit_values, check_values, degree: int, tol: float):
+def fit_boundary_polynomial(points, degree: int, tol: float):
     """Least-squares polynomial fit of a single-valued edge, endpoints exact.
 
-    The one-edge case of `_fit_rows`.  Returns (BoundaryPolynomial,
-    max_residual); raises FitError when the residual exceeds tol.
+    The one-edge case of `_fit_rows`: `points` (K, 2) holds the edge's
+    samples (x, y).  Returns (BoundaryPolynomial, max_residual); raises
+    FitError when the residual exceeds tol.
     """
-    coeffs, _, _, residual = _fit_rows(
-        np.asarray(fit_values, dtype=float)[None],
-        np.asarray(check_values, dtype=float)[None],
-        degree,
-    )
+    coeffs, _, _, residual = _fit_rows(np.asarray(points, dtype=float)[None], degree)
     residual = float(residual[0])
     if residual > tol:
         raise FitError(
@@ -735,14 +717,15 @@ def _absorbed_bounds(bounds, cases, lo, hi):
     return boxes, inside, d0, d1
 
 
-def _fit_stack(cells, candidates, edges, fit_degree: int, fit_tol: float) -> dict:
+def _fit_stack(cells, candidates, edges, fit_tol: float) -> dict:
     """Fit classified trapezoids from their candidates' sampled edges, at once.
 
     `candidates` holds each cell's candidate orientations, and `edges` one
-    row per (cell, candidate), in that order: the edge x at `_FIT_TS` then
-    `_CHECK_TS`.  Each degree from `fit_degree` up to the cap fits the rows
-    of every cell still open in one `_fit_rows` and ranges the rows within
-    tolerance in one `unit_ranges`.  A cell takes its first row in (degree,
+    row per (cell, candidate), in that order: the edge's frame points
+    (x, y), (K, 2), as `_frame_edges` samples them.  Each degree from 2 up
+    to the cap fits the rows of every cell still open in one `_fit_rows`
+    and ranges the rows within tolerance in one `unit_ranges`, from their
+    values at the samples.  A cell takes its first row in (degree,
     candidate) order that meets the tolerance and whose range excursion its
     box can absorb (degenerate cells admit two orientations, and near curve
     extrema only one of them has bounded slope); that fills case,
@@ -758,13 +741,11 @@ def _fit_stack(cells, candidates, edges, fit_degree: int, fit_tol: float) -> dic
     bounds = np.array([cells[i].bounds for i in owner], dtype=float)
     closest = np.full(len(cells), np.inf)
     open_ = np.ones(len(cells), dtype=bool)
-    for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
+    for degree in range(2, MAX_BOUNDARY_DEGREE + 1):
         rows = np.flatnonzero(open_[owner])
         if rows.shape[0] == 0:
             break
-        coeffs, degrees, values, residual = _fit_rows(
-            edges[rows, :_FIT_SAMPLES], edges[rows, _FIT_SAMPLES:], degree
-        )
+        coeffs, degrees, values, residual = _fit_rows(edges[rows], degree)
         within = ~(residual > fit_tol)
         lo, hi = np.full(rows.shape, np.nan), np.full(rows.shape, np.nan)
         lo[within], hi[within] = unit_ranges(coeffs[within], degrees[within], values[within])
@@ -793,30 +774,29 @@ def _fit_stack(cells, candidates, edges, fit_degree: int, fit_tol: float) -> dic
     return misses
 
 
-def fit_cell(cell: DomainCell, candidates, edges, fit_degree: int,
-             fit_tol: float) -> DomainCell:
+def fit_cell(cell: DomainCell, candidates, edges, fit_tol: float) -> DomainCell:
     """Fit one classified trapezoid's boundary polynomial, widened for overshoot.
 
-    The one-cell case of `_fit_stack`: `edges` holds each candidate's edge x
-    at `_FIT_TS` then `_CHECK_TS`.  Raises _NeedsSplit when no (degree,
-    candidate) meets the tolerance.
+    The one-cell case of `_fit_stack`: `edges` holds each candidate's frame
+    points (x, y), (K, 2).  Raises _NeedsSplit when no (degree, candidate)
+    meets the tolerance.
     """
-    misses = _fit_stack([cell], [candidates], np.asarray(edges, dtype=float), fit_degree, fit_tol)
+    misses = _fit_stack([cell], [candidates], np.asarray(edges, dtype=float), fit_tol)
     if misses:
         raise misses[cell]
     return cell
 
 
-def _fit_cells(cells, fit_degree: int, fit_tol: float, fits=None) -> dict:
-    """Classify and fit trapezoids, solving each (cell, candidate) edge once.
+def _fit_cells(cells, fit_tol: float, fits=None) -> dict:
+    """Classify and fit trapezoids, sampling each (cell, candidate) edge once.
 
-    One batched solve samples every candidate's edge at the fit and check
-    heights, and `_fit_stack` fits them all; the samples are dropped once
+    One `_frame_edges` call samples every candidate's edge at the arc's own
+    parameter, and `_fit_stack` fits them all; the samples are dropped once
     the cells are fitted.  Returns the _NeedsSplit of each cell that misses,
     keyed by cell, in cell order.
 
     `fits`, when given, maps `_fit_key`s to earlier outcomes at this
-    fit_degree and fit_tol: a cell found there takes its stored fit, or
+    fit_tol: a cell found there takes its stored fit, or
     misses by its stored residual, and is not fitted again; the outcomes of
     the cells fitted here are added.  A cell's fit depends on nothing
     else, so a reused one has the bits of a fresh one.
@@ -830,8 +810,8 @@ def _fit_cells(cells, fit_degree: int, fit_tol: float, fits=None) -> dict:
         fresh_cells = [cell for cell, _ in fresh]
         candidates = _classify_candidates(fresh_cells)
         owners = [cell for cell, cases in zip(fresh_cells, candidates) for _ in cases]
-        edges = _frame_arcs(owners, [case for cases in candidates for case in cases], _EDGE_HEIGHTS)
-        fresh_misses = _fit_stack(fresh_cells, candidates, edges, fit_degree, fit_tol)
+        edges = _frame_edges(owners, [case for cases in candidates for case in cases])
+        fresh_misses = _fit_stack(fresh_cells, candidates, edges, fit_tol)
         for cell, key in fresh:
             miss = fresh_misses.get(cell)
             fits[key] = miss.residual if miss is not None else (
@@ -961,7 +941,9 @@ def decompose_trim(curve: PiecewiseBezierCurve, cuts, keep_fn):
     The curve turns at breakpoint indices `cuts` (see `cut_trims`).
     Trapezoids come from each monotone segment; leftover full-width bands in
     the shared dependent coordinate become rectangles when the keep test
-    retains them.  All non-constant segments must share one graph axis.
+    retains them.  The bands run across the graph axis of the segments
+    that vary in both coordinates, which `split_monotone` reads as u(v),
+    else of the first segment.
 
     `keep_fn(u, v)` takes arrays u and v of one shape and returns a bool
     array of that shape.  It is called once for the side probes of every
@@ -971,12 +953,8 @@ def decompose_trim(curve: PiecewiseBezierCurve, cuts, keep_fn):
     and the checks raise in the order of a segment-by-segment pass.
     """
     segments = split_monotone(curve, cuts)
-    axes = {s.axis for s in segments if not (s.u_trend == 0 or s.v_trend == 0)} or {
-        segments[0].axis
-    }
-    if len(axes) > 1:
-        raise DegenerateCellError("mixed graph orientations are not supported")
-    axis = axes.pop()
+    axis = (GraphAxis.U_OF_V if any(s.u_trend and s.v_trend for s in segments)
+            else segments[0].axis)
     xi, yi = _graph_indices(axis)
 
     probes = np.array([_side_probes(seg) for seg in segments])
@@ -1039,8 +1017,8 @@ def _leftover_rectangle(axis: GraphAxis, y_extent) -> DomainCell:
 
 
 def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurve,
-                              cuts, keep_fn, fit_degree: int = 2,
-                              fit_tol: float = 1e-4, fits=None) -> PatchDecomposition:
+                              cuts, keep_fn, fit_tol: float = 1e-4,
+                              fits=None) -> PatchDecomposition:
     """Decompose, classify, fit, and normalize one trimmed surface.
 
     The trim `curve` turns at breakpoint indices `cuts`, from `cut_trims`.
@@ -1050,19 +1028,20 @@ def build_patch_decomposition(surface: BezierSurface, curve: PiecewiseBezierCurv
     Bezier segments, cut at its turning points.  `decompose_trim` calls it
     at most once per monotone segment plus once.
 
-    Trapezoids are classified and fitted in one batched pass; the ones that
-    miss are tightened together, and the tightened cells get a second pass.
+    Trapezoids are classified and fitted in one batched pass, from degree 2
+    up; the ones that miss are tightened together, and the tightened cells
+    get a second pass.
     Every cell's subpatch is then cut in one batched restriction, and the
     fitted trapezoids are composed in one stacked call per (net shape,
     deg f).  Raises the internal _NeedsSplit (caught by the
     pipeline) when some tightened cell cannot meet the fit tolerance at the
     degree cap.  `fits` is `_fit_cells`' store of earlier fits, for builds
-    of one fit_degree and fit_tol that share it.
+    of one fit_tol that share it.
     """
     _, cells = decompose_trim(curve, cuts, keep_fn)
-    missed = _fit_cells([c for c in cells if c.kind == TRAPEZOID], fit_degree, fit_tol, fits)
+    missed = _fit_cells([c for c in cells if c.kind == TRAPEZOID], fit_tol, fits)
     tightened = dict(zip(missed, _tighten_cells(list(missed))))
-    still_missed = _fit_cells([tight for tight, _ in tightened.values()], fit_degree, fit_tol, fits)
+    still_missed = _fit_cells([tight for tight, _ in tightened.values()], fit_tol, fits)
     if still_missed:
         worst = max(still_missed.values(), key=lambda err: err.residual)
         raise _NeedsSplit(

@@ -31,7 +31,10 @@ from watertight.bezier import (
     Edge,
     _elevate_axis0,
     _subpatch_nets,
+    _trim_rows,
     evaluate_stacked,
+    polyval_rows,
+    unit_ranges,
 )
 from watertight.intersect import build_intersection_data, interpolate_domain_curve
 from watertight.pipeline import MARCH_TOL, PipelineConfig, prepare_decompositions, run_pipeline
@@ -41,12 +44,11 @@ from watertight.segmentation import (
     DomainCell,
     GraphAxis,
     TrapezoidCase,
-    _CHECK_TS,
-    _FIT_TS,
+    _arc_points,
     _classify_candidates,
     _fit_cells,
-    _fit_pinv,
-    _frame_arcs,
+    _fit_rows,
+    _frame_edges,
     _frames,
     _normalize_trapezoids,
     _relabel,
@@ -118,13 +120,13 @@ def candidates_of(cell):
 
 def t_reversed(cell, case):
     """Whether the arc's w runs toward the lower coordinate across s."""
-    start, end = cell.arc.polygon[[0, -1], 1 - case.s_axis]
+    start, end = cell.arc[[0, -1], 1 - case.s_axis]
     return bool(end < start)
 
 
-def fit_one(cell, fit_degree, fit_tol):
+def fit_one(cell, fit_tol):
     """Classify and fit one trapezoid; it must meet the tolerance."""
-    assert not _fit_cells([cell], fit_degree, fit_tol)
+    assert not _fit_cells([cell], fit_tol)
 
 
 def normalized(surface, cell):
@@ -150,15 +152,16 @@ def domain_point(cell, edge, p1, p2):
     if cell.kind == TRAPEZOID:
         s, t = (p1, p2) if edge is Edge.U1 else (p2, p1)
         x, y, case = s * float(cell.boundary_fn(t)), t, cell.case
-        start, end = cell.arc.polygon[[0, -1], 1 - case.s_axis]
+        start, end = cell.arc[[0, -1], 1 - case.s_axis]
         local[case.s_axis] = 1.0 - x if case.s_reversed else x
         local[1 - case.s_axis] = 1.0 - y if end < start else y
     return u0 + local[0] * (u1 - u0), v0 + local[1] * (v1 - v0)
 
 
 def sampled(edge_fn):
-    """An edge's values at the fit heights and at the check heights."""
-    return tuple(np.broadcast_to(edge_fn(ts), ts.shape) for ts in (_FIT_TS, _CHECK_TS))
+    """An edge's points (x, y) at 257 uniform heights y."""
+    ys = np.linspace(0.0, 1.0, 257)
+    return np.stack([np.broadcast_to(edge_fn(ys), ys.shape), ys], axis=-1)
 
 
 def hodograph_at(curve, w):
@@ -430,7 +433,7 @@ class TestClassification:
                                      GraphAxis.V_OF_U, toward_far_edge, (0.2, 0.45))
         assert candidates_of(cell) == []
         with pytest.raises(AmbiguousCaseError, match="admits no orientation"):
-            _fit_cells([cell], 2, 1e-4)
+            _fit_cells([cell], 1e-4)
 
     @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
     def test_net_and_points_relabel_alike(self, rng, p0, p1, bounds, axis, sample):
@@ -450,20 +453,39 @@ class TestClassification:
 
 class TestArc:
     @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
-    def test_straight_edge_matches_analytic_inverse(self, p0, p1, bounds, axis, sample):
+    def test_straight_edge_matches_analytic_points(self, p0, p1, bounds, axis, sample):
         cell = line_cell(p0, p1, bounds, axis, sample)
         u0, u1, v0, v1 = bounds
         local = [((p[0] - u0) / (u1 - u0), (p[1] - v0) / (v1 - v0)) for p in (p0, p1)]
-        ts = np.linspace(0.0, 1.0, 257)
+        ws = np.linspace(0.0, 1.0, 257)
         candidates = candidates_of(cell)
         assert candidates
         for case in candidates:
             (x0, y0), (x1, y1) = (to_frame(cell, case, e) for e in local)
-            want = x0 + (x1 - x0) * (ts - y0) / (y1 - y0)
-            got = _frame_arcs([cell], [case], ts)[0]
-            assert np.abs(got - want).max() <= 1e-15
+            got = _frame_edges([cell], [case])[0]
+            assert np.abs(got[:, 0] - (x0 + (x1 - x0) * ws)).max() <= 1e-15
+            assert np.abs(got[:, 1] - (y0 + (y1 - y0) * ws)).max() <= 1e-15
 
-    def test_circle_edge_matches_brentq_on_the_trim(self):
+    def test_circle_edge_matches_the_trim_at_its_own_parameter(self):
+        curve = domain_circle(16)
+        _, cells = decompose_trim(*cut_at_roots(curve), outside_circle)
+        traps = [c for c in cells if c.kind == TRAPEZOID]
+        assert len(traps) >= 12
+        ws = np.linspace(0.0, 1.0, 257)
+        for cell in traps:
+            u0, u1, v0, v1 = cell.bounds
+            w0, w1 = cell.w_span
+            u, v = cell.parent_curve.evaluate_many(w0 + ws * (w1 - w0)).T
+            local = np.stack([(u - u0) / (u1 - u0), (v - v0) / (v1 - v0)], axis=-1)
+            for case in candidates_of(cell):
+                want = np.array([to_frame(cell, case, p) for p in local])
+                got = _frame_edges([cell], [case])[0]
+                assert np.abs(got - want).max() <= 1e-12
+                assert got[0, 1] == 0.0 and got[-1, 1] == 1.0
+                assert np.all(np.diff(got[:, 1]) >= 0.0)
+
+    def test_circle_arc_solve_matches_brentq_on_the_trim(self):
+        # The solve that membership and the retained samples still use.
         curve = domain_circle(16)
         _, cells = decompose_trim(*cut_at_roots(curve), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
@@ -488,13 +510,13 @@ class TestArc:
                     else:
                         w = brentq(lambda w: framed(w, case)[1] - t, w0, w1, xtol=1e-16)
                     want.append(framed(w, case)[0])
-                got = _frame_arcs([cell], [case], ts)[0]
+                got = height_arcs([cell], [case], ts)[0]
                 assert np.abs(got - np.array(want)).max() <= 1e-12
 
-    def test_batched_solver_matches_points_at_bit_for_bit(self):
+    def test_batched_solver_matches_one_arc_calls_bit_for_bit(self):
         _, cells = decompose_trim(*cut_at_roots(domain_circle(16)), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
-        polygons = np.stack([c.arc.polygon for c in traps])
+        polygons = np.stack([c.arc for c in traps])
         coords = np.arange(len(traps)) % 2
         # Heights inside, at and beyond each arc's range: the samples stop
         # after different numbers of Newton steps.
@@ -504,11 +526,26 @@ class TestArc:
         ])
         batch = _solve_arcs(polygons, coords, values)
         for cell, coord, row, got in zip(traps, coords, values, batch):
-            assert np.array_equal(cell.arc.points_at(coord, row), got)
+            assert np.array_equal(_solve_arcs(cell.arc[None], [coord], row[None])[0], got)
             for k in (0, 17, 41):
-                assert np.array_equal(cell.arc.points_at(coord, row[k]), got[k:k + 1])
+                one = _solve_arcs(cell.arc[None], [coord], row[None, k:k + 1])[0]
+                assert np.array_equal(one, got[k:k + 1])
         smaller = _solve_arcs(polygons[3:9], coords[3:9], values[3:9, 5:20])
         assert np.array_equal(smaller, batch[3:9, 5:20])
+
+    def test_demo_arc_solves_take_one_value_per_arc(self, monkeypatch):
+        # Edges are sampled at the arc's own parameter; only the retained
+        # samples, the keep queries and cell membership solve, one value each.
+        solve = segmentation._solve_arcs
+        widths = []
+
+        def counted(polygons, coords, values):
+            widths.append(np.shape(values)[1])
+            return solve(polygons, coords, values)
+
+        monkeypatch.setattr(segmentation, "_solve_arcs", counted)
+        run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig())
+        assert widths and set(widths) == {1}
 
 
 class TestTightenCell:
@@ -539,7 +576,7 @@ class TestTightenCell:
     def test_tight_cell_and_filler_fit_and_map_onto_the_surface(self, index):
         surface = paraboloid_patch()
         tight, filler = tighten_cell(self._quadrant_cells()[index])
-        fit_one(tight, 2, 1e-2)
+        fit_one(tight, 1e-2)
         patch, edge = normalized(surface, tight)
         pieces = [(patch, tight, edge), (extract_subpatch(surface, *filler.bounds), filler, None)]
         for piece, cell, edge in pieces:
@@ -550,14 +587,16 @@ class TestTightenCell:
                     assert np.linalg.norm(piece.evaluate(s, t) - want) <= 1e-9
 
 
-def lstsq_coefficients(ys, degree):
-    """The endpoint-exact least-squares fit by `np.linalg.lstsq`, monomial."""
-    ts = _FIT_TS
-    y0, y1 = ys[0], ys[-1]
-    basis = np.stack([ts**i * (1.0 - ts) for i in range(1, degree)], axis=1)
-    sol = np.linalg.lstsq(basis, ys - (y0 + (y1 - y0) * ts), rcond=None)[0]
+def lstsq_coefficients(points, degree):
+    """The endpoint-exact least-squares fit by `np.linalg.lstsq`, each
+    sample weighted by its share of y, monomial."""
+    x, y = points[:, 0], points[:, 1]
+    x0, x1 = x[0], x[-1]
+    root = np.sqrt(np.gradient(y))
+    basis = np.stack([y**i * (1.0 - y) for i in range(1, degree)], axis=1)
+    sol = np.linalg.lstsq(root[:, None] * basis, root * (x - (x0 + (x1 - x0) * y)), rcond=None)[0]
     coeffs = np.zeros(degree + 1)
-    coeffs[0], coeffs[1] = y0, y1 - y0
+    coeffs[0], coeffs[1] = x0, x1 - x0
     for i, c in enumerate(sol, start=1):
         coeffs[i] += c
         coeffs[i + 1] -= c
@@ -566,15 +605,23 @@ def lstsq_coefficients(ys, degree):
 
 class TestBoundaryFit:
     def test_linear_edge_exact(self):
-        poly, residual = fit_boundary_polynomial(*sampled(lambda v: 0.2 + 0.6 * v), 1, 1e-9)
+        poly, residual = fit_boundary_polynomial(sampled(lambda v: 0.2 + 0.6 * v), 1, 1e-9)
         assert np.allclose(poly.coefficients, [0.2, 0.6], atol=1e-12)
         assert residual <= 1e-12
 
     def test_constant_edge(self):
-        poly, residual = fit_boundary_polynomial(*sampled(lambda v: 0.5), 1, 1e-9)
+        poly, residual = fit_boundary_polynomial(sampled(lambda v: 0.5), 1, 1e-9)
         assert poly.degree == 0
         assert float(poly(0.3)) == pytest.approx(0.5, abs=1e-14)
         assert residual <= 1e-12
+
+    @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
+    def test_straight_edge_fits_at_degree_one(self, p0, p1, bounds, axis, sample):
+        # The fit starts at degree 2; a straight edge's interior coefficient
+        # is rounding noise, which trimming removes.
+        cell = line_cell(p0, p1, bounds, axis, sample)
+        fit_one(cell, 1e-12)
+        assert cell.boundary_fn.degree == 1
 
     @staticmethod
     def _circle_arc_edge(t):
@@ -588,11 +635,12 @@ class TestBoundaryFit:
 
     def test_circle_arc_quadratic_vs_normal_equations(self):
         edge = self._circle_arc_edge
-        poly, residual = fit_boundary_polynomial(*sampled(edge), 2, 1e-2)
+        poly, residual = fit_boundary_polynomial(sampled(edge), 2, 1e-2)
         assert residual < 1e-2
-        # Independent oracle: solve the constrained least squares by normal
-        # equations on the single free basis function t(1-t).
-        ts = np.linspace(0, 1, 64)
+        # Independent oracle: at uniform heights every sample weighs the
+        # same, so the fit is the unweighted constrained least squares,
+        # solved by normal equations on the single free basis function t(1-t).
+        ts = np.linspace(0, 1, 257)
         ys = np.array([edge(t) for t in ts])
         y0, y1 = ys[0], ys[-1]
         linear = y0 + (y1 - y0) * ts
@@ -601,27 +649,37 @@ class TestBoundaryFit:
         want = np.array([y0, (y1 - y0) + c, -c])
         assert np.allclose(poly.coefficients, want, atol=1e-10)
 
-    def test_pinv_fit_matches_lstsq_on_circle_arc_edges(self):
+    def test_fit_matches_lstsq_on_circle_arc_edges(self):
         _, cells = decompose_trim(*cut_at_roots(domain_circle(16)), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
         owners = [(c, case) for c in traps for case in candidates_of(c)]
-        edges = _frame_arcs(
-            [c for c, _ in owners], [k for _, k in owners], np.concatenate([_FIT_TS, _CHECK_TS])
-        )
-        samples = [(e[:_FIT_TS.shape[0]], e[_FIT_TS.shape[0]:]) for e in edges]
+        samples = list(_frame_edges([c for c, _ in owners], [k for _, k in owners]))
         samples.append(sampled(self._circle_arc_edge))
         assert len(samples) > 12
-        for fit_values, check_values in samples:
+        for points in samples:
             for degree in (2, 3):
-                poly, _ = fit_boundary_polynomial(fit_values, check_values, degree, np.inf)
+                poly, _ = fit_boundary_polynomial(points, degree, np.inf)
                 got = np.zeros(degree + 1)
                 got[:poly.coefficients.shape[0]] = poly.coefficients
-                want = lstsq_coefficients(fit_values, degree)
+                want = lstsq_coefficients(points, degree)
                 assert np.abs(got - want).max() <= 1e-14
+
+    def test_rows_match_one_row_calls_bit_for_bit(self):
+        _, cells = decompose_trim(*cut_at_roots(domain_circle(16)), outside_circle)
+        traps = [c for c in cells if c.kind == TRAPEZOID]
+        owners = [(c, case) for c in traps for case in candidates_of(c)]
+        edges = _frame_edges([c for c, _ in owners], [k for _, k in owners])
+        for degree in (1, 2, 3):
+            for offset in (1, 3, 7):
+                stacked = _fit_rows(edges[offset:], degree)
+                for j in range(edges.shape[0] - offset):
+                    one = _fit_rows(edges[offset + j:offset + j + 1], degree)
+                    for got, want in zip(stacked, one):
+                        assert np.array_equal(got[j:j + 1], want)
 
     def test_tolerance_violation(self):
         with pytest.raises(FitError) as err:
-            fit_boundary_polynomial(*sampled(self._circle_arc_edge), 1, 1e-6)
+            fit_boundary_polynomial(sampled(self._circle_arc_edge), 1, 1e-6)
         assert err.value.residual > 1e-6
 
 
@@ -629,7 +687,7 @@ class TestNormalization:
     def test_rectangle_delegates_to_extraction(self):
         surface = paraboloid_patch()
         dec = build_patch_decomposition(
-            surface, *cut_at_roots(domain_circle(12)), outside_circle, 2, 1e-2
+            surface, *cut_at_roots(domain_circle(12)), outside_circle, fit_tol=1e-2
         )
         rects = [(c, p) for c, p in zip(dec.cells, dec.patches) if c.kind == RECTANGLE]
         assert rects
@@ -645,8 +703,9 @@ class TestNormalization:
             toward_far_edge=False,
             sample=(0.2, 0.8),
         )
-        fit_one(cell, 1, 1e-9)
+        fit_one(cell, 1e-9)
         assert cell.case == TrapezoidCase(0, False)
+        assert cell.boundary_fn.degree == 1
         patch, edge = normalized(flat_patch(), cell)
         assert edge is Edge.U1
         want = np.array([
@@ -664,7 +723,7 @@ class TestNormalization:
         (seg,) = split_monotone(*cut_at_roots(curve))
         cells = decompose_domain(seg, "below")
         cell = cells[2]
-        fit_one(cell, 2, 1e-2)
+        fit_one(cell, 1e-2)
         patch, edge = normalized(surface, cell)
         degrees = sorted((patch.degree_u, patch.degree_v))
         assert degrees == [3, 3 * cell.boundary_fn.degree + 3]
@@ -679,7 +738,7 @@ class TestNormalization:
     def test_curved_edge_tracks_domain_curve(self):
         surface = paraboloid_patch()
         curve = domain_circle(12)
-        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, 2, 1e-2)
+        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, fit_tol=1e-2)
         lip = _surface_lipschitz(surface)
         for idx in dec.boundary_indices:
             cell = dec.cells[idx]
@@ -717,7 +776,7 @@ class TestPatchDecomposition:
     def test_paraboloid_circle_decomposition(self):
         surface = paraboloid_patch()
         curve = domain_circle(12)
-        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, 2, 1e-2)
+        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, fit_tol=1e-2)
         assert len(dec.patches) == len(dec.cells)
         assert dec.boundary_indices
         for idx in dec.boundary_indices:
@@ -730,7 +789,7 @@ class TestPatchDecomposition:
     def test_patches_match_surface_in_their_frames(self):
         surface = paraboloid_patch()
         curve = domain_circle(12)
-        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, 2, 1e-2)
+        dec = build_patch_decomposition(surface, *cut_at_roots(curve), outside_circle, fit_tol=1e-2)
         for cell, patch, edge in zip(dec.cells, dec.patches, dec.curved_edges):
             for s in np.linspace(0.05, 0.95, 4):
                 for t in np.linspace(0.05, 0.95, 4):
@@ -743,7 +802,7 @@ class TestPatchDecomposition:
     def test_normalization_reuses_the_fitted_range(self, monkeypatch):
         surface = paraboloid_patch()
         dec = build_patch_decomposition(
-            surface, *cut_at_roots(domain_circle(12)), outside_circle, 2, 1e-2
+            surface, *cut_at_roots(domain_circle(12)), outside_circle, fit_tol=1e-2
         )
         traps = [c for c in dec.cells if c.kind == TRAPEZOID]
         # Some fits were widened, so their polynomial was remapped.
@@ -816,31 +875,26 @@ def load_workloads():
     return module
 
 
-def reference_fit(cell, candidates, edges, fit_degree, fit_tol):
+def reference_fit(cell, candidates, fit, fit_tol):
     """The per-cell search the stacked fit replaces, one (degree, candidate)
     at a time: the first endpoint-exact least-squares fit that meets the
-    tolerance and whose range excursion the cell's box absorbs.  Returns
-    (case, polynomial, residual, patch bounds), or (None, smallest miss)."""
+    tolerance and whose range excursion the cell's box absorbs.  `fit(k,
+    degree)` gives candidate k's one-row fit, as `_fit_rows` returns it,
+    values at samples that include 0 and 1.  Returns (degree, case,
+    polynomial, residual, patch bounds), or (None, smallest miss)."""
     closest = np.inf
-    for degree in range(fit_degree, MAX_BOUNDARY_DEGREE + 1):
-        for case, edge in zip(candidates, edges):
-            ys, check = edge[:_FIT_TS.shape[0]], edge[_FIT_TS.shape[0]:]
-            y0, y1 = ys[0], ys[-1]
-            coeffs = np.zeros(degree + 1)
-            coeffs[0], coeffs[1] = y0, y1 - y0
-            if degree >= 2:
-                sol = _fit_pinv(degree) @ (ys - (y0 + (y1 - y0) * _FIT_TS))
-                coeffs[1:degree] += sol
-                coeffs[2:] -= sol
-            poly = BoundaryPolynomial(coeffs)
-            residual = float(np.abs(poly(_CHECK_TS) - check).max())
+    for degree in range(2, MAX_BOUNDARY_DEGREE + 1):
+        for k, case in enumerate(candidates):
+            coeffs, degrees, values, residual = fit(k, degree)
+            residual = float(residual[0])
             if residual > fit_tol:
                 closest = min(closest, residual)
                 continue
-            lo, hi = poly.unit_range()
+            lo, hi = (float(r[0]) for r in unit_ranges(coeffs, degrees, values))
+            poly = BoundaryPolynomial.with_range(coeffs[0], lo, hi)
             d0, d1 = max(0.0, -lo), max(0.0, hi - 1.0)
             if d0 == 0.0 and d1 == 0.0:
-                return case, poly, residual, cell.bounds
+                return degree, case, poly, residual, cell.bounds
             bounds = list(cell.bounds)
             k = 2 * case.s_axis
             size = bounds[k + 1] - bounds[k]
@@ -851,8 +905,47 @@ def reference_fit(cell, candidates, edges, fit_degree, fit_tol):
             if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
                 closest = min(closest, max(d0, d1))
                 continue
-            return case, poly.shifted_scaled(d0, d0 + max(1.0, hi)), residual, tuple(bounds)
+            return degree, case, poly.shifted_scaled(d0, d0 + max(1.0, hi)), residual, tuple(bounds)
     return None, closest
+
+
+def sampled_reference(edges):
+    """`reference_fit`'s `fit` on sampled edges: one-row `_fit_rows` calls."""
+    return lambda k, degree: _fit_rows(edges[k:k + 1], degree)
+
+
+# The fit and check heights of the height-sampled fit `_fit_rows` replaced.
+_FIT_TS = np.linspace(0.0, 1.0, 64)
+_CHECK_TS = np.linspace(0.0, 1.0, 257)
+
+
+def height_arcs(cells, cases, heights):
+    """(R, K) x of each row's arc at heights y of its (s, t) frame, by arc
+    solves: the edge samples `_frame_edges` replaced.  `heights` is (K,),
+    shared by every row, or (R, K)."""
+    heights = np.asarray(heights, dtype=float)
+    values = np.broadcast_to(heights, (len(cells), heights.shape[-1]))
+    s_axis, s_reversed, t_reversed = _frames(cells, cases)
+    pts = _arc_points(cells, 1 - s_axis, np.where(t_reversed[:, None], 1.0 - values, values))
+    return _to_frame(pts, s_axis, s_reversed, t_reversed)[..., 0]
+
+
+def height_fit(fit_values, check_values, degree):
+    """The height-sampled fit of R stacked edges at one degree, as
+    `_fit_rows` returns it: x at `_FIT_TS` fitted through both ends by a
+    product with the interior basis's pseudo-inverse, values and residual
+    at `_CHECK_TS`."""
+    x0, x1 = fit_values[:, :1], fit_values[:, -1:]
+    coeffs = np.zeros((fit_values.shape[0], degree + 1))
+    coeffs[:, :1], coeffs[:, 1:2] = x0, x1 - x0
+    if degree >= 2:
+        basis = np.stack([_FIT_TS**i * (1.0 - _FIT_TS) for i in range(1, degree)], axis=1)
+        sol = (np.linalg.pinv(basis) @ (fit_values - (x0 + (x1 - x0) * _FIT_TS))[..., None])[..., 0]
+        coeffs[:, 1:degree] += sol
+        coeffs[:, 2:] -= sol
+    coeffs, degrees = _trim_rows(coeffs)
+    values = polyval_rows(coeffs, _CHECK_TS)
+    return coeffs, degrees, values, np.abs(values - check_values).max(axis=1)
 
 
 def _fit_cases():
@@ -875,13 +968,13 @@ class TestStackedFit:
         stacked = segmentation._fit_stack
         counts = {"fitted": 0, "missed": 0}
 
-        def checked(cells, candidates, edges, fit_degree, fit_tol):
+        def checked(cells, candidates, edges, fit_tol):
             want, start = [], 0
             for cell, cases in zip(cells, candidates):
                 rows = edges[start:start + len(cases)]
-                want.append(reference_fit(cell, cases, rows, fit_degree, fit_tol))
+                want.append(reference_fit(cell, cases, sampled_reference(rows), fit_tol))
                 start += len(cases)
-            misses = stacked(cells, candidates, edges, fit_degree, fit_tol)
+            misses = stacked(cells, candidates, edges, fit_tol)
             for cell, ref in zip(cells, want):
                 if ref[0] is None:
                     counts["missed"] += 1
@@ -890,7 +983,7 @@ class TestStackedFit:
                     assert misses[cell].params == [0.5 * (w0 + w1)]
                     continue
                 counts["fitted"] += 1
-                case, poly, residual, bounds = ref
+                _, case, poly, residual, bounds = ref
                 assert cell not in misses
                 assert cell.case == case
                 assert np.array_equal(cell.boundary_fn.coefficients, poly.coefficients)
@@ -905,6 +998,48 @@ class TestStackedFit:
         assert counts["fitted"] > 0
         if name.startswith("tight-fit"):
             assert counts["missed"] > 0
+
+    @pytest.mark.parametrize("name", sorted(_FIT_CASES))
+    def test_decisions_match_the_height_sampled_fit(self, name, monkeypatch):
+        # Every (cell, frame) row meets the tolerance at degrees 2 and 3
+        # exactly when the fit at uniform heights does, with a residual
+        # within 0.1% of it wherever that is not negligible, and every
+        # cell settles on the same (degree, frame).
+        s1, s2, config = _FIT_CASES[name]
+        stacked = segmentation._fit_stack
+        counts = {"rows": 0, "compared": 0}
+
+        def checked(cells, candidates, edges, fit_tol):
+            owners = [cell for cell, cases in zip(cells, candidates) for _ in cases]
+            cases = [case for cell_cases in candidates for case in cell_cases]
+            heights = height_arcs(owners, cases, np.concatenate([_FIT_TS, _CHECK_TS]))
+            fit_values, check_values = heights[:, :_FIT_TS.shape[0]], heights[:, _FIT_TS.shape[0]:]
+            for degree in (2, 3):
+                got = _fit_rows(edges, degree)[3]
+                want = height_fit(fit_values, check_values, degree)[3]
+                assert np.array_equal(got <= fit_tol, want <= fit_tol)
+                large = want > 1e-3 * fit_tol
+                assert np.all(np.abs(got[large] - want[large]) <= 1e-3 * want[large])
+                counts["rows"] += got.shape[0]
+                counts["compared"] += int(large.sum())
+            start = 0
+            for cell, cell_cases in zip(cells, candidates):
+                rows = slice(start, start + len(cell_cases))
+                got = reference_fit(cell, cell_cases, sampled_reference(edges[rows]), fit_tol)
+
+                def by_height(k, degree, rows=rows):
+                    index = [rows.start + k]
+                    return height_fit(fit_values[index], check_values[index], degree)
+
+                want = reference_fit(cell, cell_cases, by_height, fit_tol)
+                assert (got[:2] if got[0] else None) == (want[:2] if want[0] else None)
+                start += len(cell_cases)
+            return stacked(cells, candidates, edges, fit_tol)
+
+        monkeypatch.setattr(segmentation, "_fit_stack", checked)
+        data = build_intersection_data(s1, s2, config.march_step, MARCH_TOL)
+        prepare_decompositions(data, s1, s2, config)
+        assert counts["compared"] > 0
 
     def test_tightened_cells_match_one_at_a_time(self):
         cells = TestTightenCell._quadrant_cells()
@@ -925,23 +1060,22 @@ class TestStackedFit:
         second t^2."""
         cell = linear_trapezoid_cell([0.0, 0.0], [1.0, 1.0], (0.0, 1.0, 0.0, 1.0),
                                      GraphAxis.V_OF_U, False, (0.2, 0.8))
-        ts = np.concatenate([_FIT_TS, _CHECK_TS])
-        edges = np.stack([ts + 1.5 * ts * (1.0 - ts), ts**2])
+        edges = np.stack([sampled(lambda t: t + 1.5 * t * (1.0 - t)), sampled(lambda t: t**2)])
         return cell, [TrapezoidCase(0, False), TrapezoidCase(1, True)], edges
 
     def test_unabsorbable_excursion_falls_through_to_the_next_candidate(self):
         cell, cases, edges = self._two_candidate_rows()
-        want = reference_fit(cell, cases, edges, 2, 1e-6)
-        assert not segmentation._fit_stack([cell], [cases], edges, 2, 1e-6)
-        assert cell.case == want[0] == cases[1]
-        assert np.array_equal(cell.boundary_fn.coefficients, want[1].coefficients)
-        assert cell.patch_bounds == want[3] == cell.bounds
+        want = reference_fit(cell, cases, sampled_reference(edges), 1e-6)
+        assert not segmentation._fit_stack([cell], [cases], edges, 1e-6)
+        assert cell.case == want[1] == cases[1]
+        assert np.array_equal(cell.boundary_fn.coefficients, want[2].coefficients)
+        assert cell.patch_bounds == want[4] == cell.bounds
 
     def test_miss_carries_the_smallest_excursion(self):
         cell, cases, edges = self._two_candidate_rows()
-        _, closest = reference_fit(cell, cases[:1], edges[:1], 2, 1e-6)
+        _, closest = reference_fit(cell, cases[:1], sampled_reference(edges[:1]), 1e-6)
         assert closest == pytest.approx(1.0 / 24.0, rel=1e-12)
-        misses = segmentation._fit_stack([cell], [cases[:1]], edges[:1], 2, 1e-6)
+        misses = segmentation._fit_stack([cell], [cases[:1]], edges[:1], 1e-6)
         assert misses[cell].residual == closest
         assert cell.case is None
 
@@ -964,14 +1098,14 @@ def search_candidates(cells):
     for i, cell in enumerate(cells):
         u0, u1, v0, v1 = cell.bounds
         su, sv = cell.retained_sample
-        local = [*cell.arc.polygon[[0, -1]], ((su - u0) / (u1 - u0), (sv - v0) / (v1 - v0))]
+        local = [*cell.arc[[0, -1]], ((su - u0) / (u1 - u0), (sv - v0) / (v1 - v0))]
         for case in _SEARCH_CASES:
             (x0, y0), (x1, y1), sample = (to_frame(cell, case, p) for p in local)
             if abs(y0) > 1e-9 or abs(y1 - 1.0) > 1e-9 or abs(max(x0, x1) - 1.0) > 1e-9:
                 continue
             reflects = bool(case.s_axis ^ case.s_reversed ^ t_reversed(cell, case))
             probes.append((i, case, (x1 > x0) == reflects, sample))
-    x_arc = _frame_arcs([cells[i] for i, *_ in probes], [case for _, case, *_ in probes],
+    x_arc = height_arcs([cells[i] for i, *_ in probes], [case for _, case, *_ in probes],
                         np.reshape([sy for *_, (_, sy) in probes], (-1, 1)))[:, 0]
     candidates = [[] for _ in cells]
     for (i, case, later, (sx, _)), x in zip(probes, x_arc):

@@ -18,7 +18,9 @@ stacked patches, 441 samples each), the march of a tilted arc at step
 monotone split parameters of the demo's trim, the pre-stitch gap
 measurement and the lifting of a dense domain curve, the segmentation of
 the demo's side a at step 0.005, its batched keep test at every retained
-sample, its one batched arc solve and its vectorized boundary fit, a
+sample, its edge samples and its vectorized boundary fit, the keep test
+of the step-0.0025 demo's trim on a 401 x 401 grid and at 5,001 points
+on the trim itself, a
 model_io save and a load of that demo's model and of the tilted arc's at
 step 0.01, the stacked composition of 300 nets,
 one batched subpatch extraction of every cell of the step-0.005 demo's
@@ -37,8 +39,8 @@ from watertight.bezier import (
     PiecewiseBezierCurve,
     _subpatch_nets,
     compose_reparameterize,
+    _elevate_axis0,
     compose_reparameterize_many,
-    degree_elevate_curve,
     degree_reduce_curve,
 )
 from watertight import model_io
@@ -211,6 +213,31 @@ def test_keep_predicate_demo_retained_samples(benchmark, fine_demo):
     assert kept.all()
 
 
+@pytest.fixture(scope="module")
+def finest_demo_trim():
+    """Side a's trim of the demo at step 0.0025, cut at its turning points."""
+    data = build_intersection_data(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), 0.0025, MARCH_TOL)
+    curve = data.domain_curve_a
+    return cut_trims([curve], [monotone_split_params(curve)])[0][0]
+
+
+def test_keep_predicate_401x401_grid(benchmark, finest_demo_trim):
+    # Most grid points leave their segment's hull after a few halvings.
+    ts = np.linspace(0.0, 1.0, 401)
+    u, v = (a.reshape(-1) for a in np.meshgrid(ts, ts, indexing="ij"))
+    keep = keep_region_fn("outside", finest_demo_trim)
+    kept = benchmark(keep, u, v)
+    assert 0.8 < kept.mean() < 0.9
+
+
+def test_keep_predicate_5001_points_on_the_trim(benchmark, finest_demo_trim):
+    # Points on the trim to rounding: the path that runs every halving.
+    u, v = finest_demo_trim.evaluate_many(np.linspace(0.0, 1.0, 5001)).T
+    keep = keep_region_fn("outside", finest_demo_trim)
+    kept = benchmark(keep, u, v)
+    assert kept.shape == (5001,)
+
+
 def _saved_model(surfaces, result):
     return model_io.ModelFile(
         surfaces=surfaces,
@@ -328,8 +355,7 @@ def test_march_step_tilted_arc(benchmark):
 
 
 def test_degree_reduce_8_to_3(benchmark):
-    cubic = BezierCurve(np.random.default_rng(3).standard_normal((4, 3)))
-    curve = degree_elevate_curve(cubic, 8)
+    curve = BezierCurve(_elevate_axis0(np.random.default_rng(3).standard_normal((4, 3)), 8))
     reduced = benchmark(degree_reduce_curve, curve, 3, 1e-8)
     assert reduced.degree == 3
 

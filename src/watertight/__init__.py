@@ -12,12 +12,9 @@ from .bezier import (
     BoundaryPolynomial,
     Edge,
     PiecewiseBezierCurve,
-    bernstein_basis,
     bernstein_from_monomial,
     compose_reparameterize,
-    degree_elevate_curve,
     degree_reduce_curve,
-    extract_subpatch,
 )
 from .errors import (
     AlignmentError,
@@ -43,12 +40,9 @@ __all__ = [
     "BoundaryPolynomial",
     "Edge",
     "PiecewiseBezierCurve",
-    "bernstein_basis",
     "bernstein_from_monomial",
     "compose_reparameterize",
-    "degree_elevate_curve",
     "degree_reduce_curve",
-    "extract_subpatch",
     "AlignmentError",
     "AmbiguousCaseError",
     "DegenerateCellError",

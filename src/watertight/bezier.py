@@ -86,13 +86,6 @@ def all_bernstein(degree: int, x) -> np.ndarray:
     return vals.T.reshape(x.shape + (degree + 1,))
 
 
-def bernstein_basis(k: int, degree: int, x: float) -> float:
-    """B_{k,degree}(x) = C(degree,k) x^k (1-x)^(degree-k)."""
-    if not 0 <= k <= degree:
-        raise IndexError(f"basis index {k} out of range for degree {degree}")
-    return float(all_bernstein(degree, x)[k])
-
-
 def de_casteljau(points: np.ndarray, t: float) -> np.ndarray:
     """Evaluate the Bezier combination of a control polygon at t.
 
@@ -200,25 +193,6 @@ class BezierCurve:
     def degree(self) -> int:
         return self.control_points.shape[0] - 1
 
-    @property
-    def dim(self) -> int:
-        return self.control_points.shape[1]
-
-    def evaluate(self, t: float) -> np.ndarray:
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"curve parameter {t} outside [0, 1]")
-        return de_casteljau(self.control_points, t)
-
-    def derivative(self) -> "BezierCurve":
-        """The hodograph: degree * forward differences (zero for a constant)."""
-        if self.degree == 0:
-            return BezierCurve(np.zeros((1, self.dim)))
-        return BezierCurve(self.degree * np.diff(self.control_points, axis=0))
-
-    def split(self, t: float):
-        left, right = de_casteljau_split(self.control_points, t)
-        return BezierCurve(left), BezierCurve(right)
-
 
 def _elevate_axis0(points: np.ndarray, target: int) -> np.ndarray:
     """Elevate Bernstein coefficients along axis 0 to degree `target`; a copy.
@@ -238,11 +212,6 @@ def _elevate_axis0(points: np.ndarray, target: int) -> np.ndarray:
         new[1:-1] = a * pts[:-1] + (1.0 - a) * pts[1:]
         pts = new
     return pts
-
-
-def degree_elevate_curve(curve: BezierCurve, target: int) -> BezierCurve:
-    """Exact re-expression of a curve at a higher (or equal) degree."""
-    return BezierCurve(_elevate_axis0(curve.control_points, target))
 
 
 # Polygons per check product in `degree_reduce_many`: the 257 samples of
@@ -480,8 +449,7 @@ class BezierSurface:
         and stops at two points in the same way.  S is the tensor de
         Casteljau value, and at u or v in {0, 1} a blend of one control row
         or point with weight 1, so the net's corners come back exactly; the
-        partials agree with `partial_u()` / `partial_v()` evaluated there to
-        rounding.
+        partials agree with the hodograph nets' values there to rounding.
         """
         if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
             raise DomainError(f"surface parameters ({u}, {v}) outside [0, 1]^2")
@@ -520,18 +488,6 @@ class BezierSurface:
         """
         uv = np.asarray(uv, dtype=float)
         return evaluate_stacked(self.control_net[None], uv[None])[0][0]
-
-    def partial_u(self) -> "BezierSurface":
-        net = self.control_net
-        if self.degree_u == 0:
-            return BezierSurface(np.zeros_like(net))
-        return BezierSurface(self.degree_u * np.diff(net, axis=0))
-
-    def partial_v(self) -> "BezierSurface":
-        net = self.control_net
-        if self.degree_v == 0:
-            return BezierSurface(np.zeros_like(net))
-        return BezierSurface(self.degree_v * np.diff(net, axis=1))
 
 
 def evaluate_pointwise(nets: np.ndarray, uv: np.ndarray) -> np.ndarray:
@@ -683,17 +639,6 @@ def _subpatch_nets(net: np.ndarray, boxes) -> np.ndarray:
     return np.ascontiguousarray(nets.transpose(0, 2, 1, 3))
 
 
-def extract_subpatch(surface: BezierSurface, u0: float, u1: float,
-                     v0: float, v1: float) -> BezierSurface:
-    """Patch equal to the surface restricted to [u0,u1] x [v0,v1], same bidegree.
-
-    The one-box case of `_subpatch_nets`.
-    """
-    if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
-        raise DomainError(f"invalid subpatch box [{u0},{u1}]x[{v0},{v1}]")
-    return BezierSurface(_subpatch_nets(surface.control_net, [(u0, u1, v0, v1)])[0])
-
-
 # ---------------------------------------------------------------------------
 # Basis conversion
 # ---------------------------------------------------------------------------
@@ -829,9 +774,6 @@ class BoundaryPolynomial:
     @property
     def degree(self) -> int:
         return self.coefficients.shape[0] - 1
-
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, self.coefficients)
 
     def unit_range(self):
         """(min, max) of f over [0,1]: the one-polynomial case of `unit_ranges`.

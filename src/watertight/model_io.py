@@ -543,9 +543,3 @@ def load_model(path: str) -> ModelFile:
         patch_sets=patch_sets,
         reports=reports,
     )
-
-
-def decode_patch_surfaces(patch_set_record: dict) -> list:
-    """BezierSurface patches of an `encode_patch_set` record."""
-    return [BezierSurface(np.array(rec["control_points"], dtype=float))
-            for rec in patch_set_record["patches"]]

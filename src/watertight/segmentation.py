@@ -40,26 +40,26 @@ Conventions used throughout:
   the relabeling into an (s, t) frame, so the segment's control polygon
   mapped into either is the edge's exact Bezier form there (affine
   invariance).  The edge f of each candidate frame is sampled on that
-  polygon at the arc's own parameter w; the retained sample and cell
-  membership solve on it for one coordinate value.  Nothing evaluates
-  the trim curve again.
+  polygon at the arc's own parameter w, and the retained sample sits at
+  the height of its point at w = 1/2.  Membership and the keep tests need
+  only which side of an arc a point lies on, which convex-hull
+  subdivision of the polygon decides (`_left_of_arcs`); no arc is solved
+  for a coordinate value.  Nothing evaluates the trim curve again.
 * Batched passes: after `decompose_trim`, every step runs over all cells
-  of a decomposition at once.  Membership queries are answered by one
-  stacked Newton solver, `_solve_arcs`, one value per arc; a
-  decomposition makes one solve for the retained samples of each
-  monotone segment.  The edge of every (cell, candidate frame) is one
-  Bernstein product at the uniform w of `_EDGE_WS`.  The fit is one
-  vectorized pass per degree over every open (cell, candidate) row:
-  coefficients from each row's weighted normal equations, residuals and
-  ranges from stacked Horner evaluation and closed-form roots; the
-  samples are dropped once the cells are fitted.  The cells that miss
-  are tightened through one `_trapezoids` call, one solve for all their
-  retained samples, and get a second fit pass.  Every cell's subpatch is
-  then cut from the surface net in one batched de Casteljau restriction
-  (`bezier._subpatch_nets`), rectangles at their bounds and trapezoids at
-  their patch bounds, and normalization relabels and composes the
-  trapezoids of each (frame, deg f) in one `compose_reparameterize_many`
-  call; each patch is built once.
+  of a decomposition at once.  The retained samples of a decomposition's
+  cells are one Bernstein product at w = 1/2 per arc degree, and the
+  edge of every (cell, candidate frame) is one at the uniform w of
+  `_EDGE_WS`.  The fit is one vectorized pass per degree over every open
+  (cell, candidate) row: coefficients from each row's weighted normal
+  equations, residuals and ranges from stacked Horner evaluation and
+  closed-form roots; the samples are dropped once the cells are fitted.
+  The cells that miss are tightened through one `_trapezoids` call, which
+  places all their retained samples, and get a second fit pass.  Every
+  cell's subpatch is then cut from the surface net in one batched de
+  Casteljau restriction (`bezier._subpatch_nets`), rectangles at their
+  bounds and trapezoids at their patch bounds, and normalization relabels
+  and composes the trapezoids of each (frame, deg f) in one
+  `compose_reparameterize_many` call; each patch is built once.
   Each step is elementwise or row by row, so a cell's bits do not depend
   on the rest of its batch: they equal its one-cell call's.
 * Cell membership is half-open (lower/left edges inclusive, upper/right
@@ -81,6 +81,7 @@ from .bezier import (
     Edge,
     PiecewiseBezierCurve,
     _dot,
+    _split_rows,
     _subpatch_nets,
     _trim_rows,
     all_bernstein,
@@ -101,9 +102,11 @@ _CUT_TOL = 1e-7
 # are those of a quadratic.
 _MAX_TRIM_DEGREE = 3
 # Uniform values of an arc's own Bezier parameter w: the samples each
-# candidate edge is fitted and checked at, and the seed table of every arc
-# solve.
+# candidate edge is fitted and checked at.
 _EDGE_WS = np.linspace(0.0, 1.0, 257)
+# Halvings of an arc in `_left_of_arcs`: 2^-64 of its parameter range is
+# below rounding.
+_HALVINGS = 64
 
 
 class GraphAxis(Enum):
@@ -150,50 +153,40 @@ def _edge_basis(degree: int) -> np.ndarray:
     return basis
 
 
-def _solve_arcs(polygons: np.ndarray, coords, values) -> np.ndarray:
-    """(C, K, 2) points of C arcs of one degree where a coordinate meets values.
+def _left_of_arcs(polygons: np.ndarray, x, y) -> np.ndarray:
+    """Whether each point (x[i], y[i]) lies strictly left of arc i, x below
+    the arc's x at height y.
 
-    `polygons` is (C, d+1, 2), arcs in their cells' local frames; arc c is
-    solved for coordinate `coords[c]` equal to each of `values[c]`, (C, K).
-    Each sample is seeded from its arc's table of that coordinate at
-    `_EDGE_WS`, then takes at most 8 Newton steps and stops on its own
-    once within 1e-13, so its bits do not depend on the rest of the batch.
-    Values at or beyond an arc's range in its coordinate return its end
-    point there.
+    `polygons` is (N, d+1, 2), columns (x, y); each arc is monotone in y
+    and its end points straddle y[i].  Convex-hull subdivision (Lane and
+    Riesenfeld): a point is decided once x leaves its piece's control
+    polygon x-range, else the piece is halved at w = 1/2 by `_split_rows`
+    and the half whose ends straddle y is kept.  After `_HALVINGS` halvings
+    the piece is below rounding, and its first x decides.  The steps are
+    elementwise, so a row's answer does not depend on the rest of the batch.
     """
-    polygons = np.asarray(polygons, dtype=float)
-    values = np.asarray(values, dtype=float)
-    count, samples = values.shape
-    degree = polygons.shape[1] - 1
-    heights = polygons[np.arange(count), :, np.asarray(coords, dtype=int)]
-    table = _dot(_edge_basis(degree), heights[:, None, :])
-    rising = table[:, -1] >= table[:, 0]
-    low = np.where(rising, table[:, 0], table[:, -1])[:, None]
-    high = np.where(rising, table[:, -1], table[:, 0])[:, None]
-    s = np.concatenate([
-        np.interp(v, t, _EDGE_WS) if up else np.interp(v, t[::-1], _EDGE_WS[::-1])
-        for v, t, up in zip(np.clip(values, low, high), table, rising)
-    ])
-    target = values.reshape(-1)
-    row = np.repeat(np.arange(count), samples)
-    slopes = degree * np.diff(heights, axis=1)
-    running = np.ones(s.shape, dtype=bool)
-    for _ in range(8):
-        live = np.flatnonzero(running)
-        if live.shape[0] == 0:
-            break
-        err = _dot(all_bernstein(degree, s[live]), heights[row[live]]) - target[live]
-        moving = np.abs(err) > 1e-13
-        running[live[~moving]] = False
-        live, err = live[moving], err[moving]
-        slope = _dot(all_bernstein(degree - 1, s[live]), slopes[row[live]])
-        slope = np.where(slope == 0.0, 1.0, slope)
-        s[live] = np.clip(s[live] - err / slope, 0.0, 1.0)
-    basis = all_bernstein(degree, s.reshape(count, samples))
-    pts = np.stack([_dot(basis, polygons[:, None, :, k]) for k in range(2)], axis=-1)
-    first, last = polygons[:, None, 0], polygons[:, None, -1]
-    pts = np.where((values <= low)[..., None], np.where(rising[:, None, None], first, last), pts)
-    return np.where((values >= high)[..., None], np.where(rising[:, None, None], last, first), pts)
+    pieces = np.asarray(polygons, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    end = pieces[:, -1, 1]
+    sign = np.where(end >= pieces[:, 0, 1], 1.0, -1.0)
+    left = np.zeros(x.shape, dtype=bool)
+    rows = np.arange(x.shape[0])
+    for _ in range(_HALVINGS):
+        xs = pieces[..., 0]
+        below = x[rows] < xs.min(axis=1)
+        left[rows[below]] = True
+        open_ = ~below & (x[rows] < xs.max(axis=1))
+        rows, pieces = rows[open_], pieces[open_]
+        if rows.shape[0] == 0:
+            return left
+        first, second = _split_rows(pieces, np.full(rows.shape, 0.5))
+        mid, at = first[:, -1, 1], y[rows]
+        # A height the midpoint meets goes with the first half, unless it is
+        # the arc's end height: a flat end then keeps its own end point.
+        lower = (sign[rows] * (mid - at) >= 0.0) & ((mid != at) | (at != end[rows]))
+        pieces = np.where(lower[:, None, None], first, second)
+    left[rows] = x[rows] < pieces[:, 0, 0]
+    return left
 
 
 def odd_crossings(polygons: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -203,8 +196,8 @@ def odd_crossings(polygons: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndar
 
     A segment straddles v when its end points do, half-open.  Bisection
     finds the one straddling segment of each run of segments heading one
-    way in v.  The ray crosses it when u lies below its control polygon's
-    u-range; within that range `_solve_arcs` gives the arc's u at v.
+    way in v.  The ray crosses it when the query lies left of it, by
+    `_left_of_arcs`.
     """
     ends = np.append(polygons[:, 0, 1], polygons[-1, -1, 1])
     trend = np.sign(np.diff(ends))
@@ -220,12 +213,7 @@ def odd_crossings(polygons: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndar
         queries.append(hit)
         segments.append(first + k[hit])
     q, s = np.concatenate(queries), np.concatenate(segments)
-    lo, hi = polygons[s, :, 0].min(axis=1), polygons[s, :, 0].max(axis=1)
-    cross = u[q] < lo
-    solve = np.flatnonzero(~cross & (u[q] <= hi))
-    if solve.shape[0]:
-        arc = _solve_arcs(polygons[s[solve]], np.ones(solve.shape[0], dtype=int), v[q[solve], None])
-        cross[solve] = arc[:, 0, 0] > u[q[solve]]
+    cross = _left_of_arcs(polygons[s], u[q], v[q])
     return np.bincount(q[cross], minlength=u.shape[0]) % 2 == 1
 
 
@@ -236,17 +224,6 @@ def _arc_stacks(cells):
     for size in np.unique(sizes).tolist():
         idx = np.flatnonzero(sizes == size)
         yield idx, np.stack([cells[i].arc for i in idx])
-
-
-def _arc_points(cells, coords, values) -> np.ndarray:
-    """(C, K, 2) local points of each cell's arc where coordinate `coords[c]`
-    equals `values[c]`: one `_solve_arcs` per arc degree."""
-    coords = np.asarray(coords, dtype=int)
-    values = np.asarray(values, dtype=float)
-    pts = np.empty(values.shape + (2,))
-    for idx, polygons in _arc_stacks(cells):
-        pts[idx] = _solve_arcs(polygons, coords[idx], values[idx])
-    return pts
 
 
 def _frames(cells, cases):
@@ -490,11 +467,13 @@ def _cell_bounds_from_graph(axis: GraphAxis, x_extent, y_extent):
 
 
 def _trapezoids(curve: PiecewiseBezierCurve, axis: GraphAxis, specs) -> list:
-    """Trapezoid cells and their retained samples, from one batched arc solve.
+    """Trapezoid cells and their retained samples.
 
     `specs` holds one (segment, toward_far, x_extent, y_extent) per cell.  A
-    cell's sample lies at mid-band, halfway between the arc and the cell
-    edge on the retained side.
+    cell's sample lies at the height of its arc's point at w = 1/2, halfway
+    along the independent axis between that point and the cell edge on the
+    retained side.  One Bernstein product per arc degree evaluates the
+    points on the arcs' local control polygons.
     """
     cells = [
         DomainCell(
@@ -507,13 +486,15 @@ def _trapezoids(curve: PiecewiseBezierCurve, axis: GraphAxis, specs) -> list:
         )
         for segment, toward_far, x_extent, y_extent in specs
     ]
-    xi, yi = _graph_indices(axis)
-    arc_x = _arc_points(cells, [yi] * len(cells), np.full((len(cells), 1), 0.5))[:, 0, xi]
-    for cell, x in zip(cells, arc_x):
-        local = [0.5, 0.5]
-        local[xi] = 0.5 * (x + (1.0 if cell.toward_far_edge else 0.0))
-        u0, u1, v0, v1 = cell.bounds
-        cell.retained_sample = (u0 + local[0] * (u1 - u0), v0 + local[1] * (v1 - v0))
+    local = np.empty((len(cells), 2))
+    for idx, polygons in _arc_stacks(cells):
+        local[idx] = _dot(all_bernstein(polygons.shape[1] - 1, 0.5), polygons.transpose(0, 2, 1))
+    xi, _ = _graph_indices(axis)
+    local[:, xi] = 0.5 * (local[:, xi] + [float(cell.toward_far_edge) for cell in cells])
+    bounds = np.array([cell.bounds for cell in cells]).reshape(-1, 2, 2)
+    samples = bounds[:, :, 0] + local * (bounds[:, :, 1] - bounds[:, :, 0])
+    for cell, sample in zip(cells, samples.tolist()):
+        cell.retained_sample = tuple(sample)
     return cells
 
 
@@ -558,7 +539,12 @@ def _rectangle_cell(bounds) -> DomainCell:
 
 
 def cell_contains(cell: DomainCell, u: float, v: float) -> bool:
-    """Half-open membership; the curved edge itself belongs to its trapezoid."""
+    """Half-open membership; the curved edge itself belongs to its trapezoid.
+
+    A trapezoid holds a point of its box on the retained side of its arc:
+    `_left_of_arcs` on the arc's local columns in graph order, negated
+    along the independent axis when the cell lies on the arc's lower side.
+    """
     u0, u1, v0, v1 = cell.bounds
 
     def in_range(x, lo, hi):
@@ -571,10 +557,9 @@ def cell_contains(cell: DomainCell, u: float, v: float) -> bool:
         return True
     xi, yi = _graph_indices(cell.axis)
     point = _local_coords(cell, u, v)
-    x_arc = _solve_arcs(cell.arc[None], [yi], [[point[yi]]])[0, 0, xi]
-    if cell.toward_far_edge:
-        return point[xi] >= x_arc
-    return point[xi] <= x_arc
+    sign = 1.0 if cell.toward_far_edge else -1.0
+    arc = cell.arc[None][..., [xi, yi]] * (sign, 1.0)
+    return not _left_of_arcs(arc, [sign * point[xi]], [point[yi]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +827,8 @@ def _tighten_cells(cells) -> list:
     admits the cross orientation.  A tight cell plus its filler (None when
     empty) covers exactly the same region as the original cell.  The cells
     share one trim curve and graph axis, as the trapezoids of one
-    decomposition do, so one `_trapezoids` call, one arc solve, finds all
-    their retained samples.  Returns (tight, filler) per cell.
+    decomposition do, so one `_trapezoids` call places all their retained
+    samples.  Returns (tight, filler) per cell.
     """
     if not cells:
         return []

@@ -218,11 +218,6 @@ def _end(edge: Edge) -> int:
     return 0 if edge in (Edge.U0, Edge.V0) else -1
 
 
-def _edge_row(net: np.ndarray, edge: Edge) -> np.ndarray:
-    """The edge's control row of a net; a view."""
-    return _rows(net, edge)[_end(edge)]
-
-
 def _elevate_rows(curves: np.ndarray, target: int) -> np.ndarray:
     """Curves along axis -2 of a stack, elevated exactly to degree `target`."""
     return np.moveaxis(_elevate_axis0(np.moveaxis(curves, -2, 0), target), 0, -2)

@@ -21,12 +21,9 @@ from watertight import (
     PiecewiseBezierCurve,
     ReductionError,
     UnsupportedDegreeError,
-    bernstein_basis,
     bernstein_from_monomial,
     compose_reparameterize,
-    degree_elevate_curve,
     degree_reduce_curve,
-    extract_subpatch,
 )
 from watertight.bezier import (
     _elevate_axis0,
@@ -36,6 +33,7 @@ from watertight.bezier import (
     compose_reparameterize_many,
     de_casteljau,
     de_casteljau_many,
+    de_casteljau_split,
     degree_reduce_many,
     evaluate_grid_products,
     evaluate_pointwise,
@@ -83,10 +81,34 @@ def random_unit_polynomial(rng, p):
     return BoundaryPolynomial(monomial_from_bernstein(bern))
 
 
+def f_at(f, t):
+    """A boundary polynomial's value at t, from its monomial coefficients."""
+    return np.polynomial.polynomial.polyval(t, f.coefficients)
+
+
 def bernstein_sum(coeffs, t):
     """sum_k coeffs[k] B_k(t) by the direct closed form; coeffs may be point-valued."""
     l = coeffs.shape[0] - 1
     return sum(direct_bernstein(k, l, t) * coeffs[k] for k in range(l + 1))
+
+
+def hodograph(points):
+    """A polygon's hodograph along axis 0: degree times its forward
+    differences, zero for a constant."""
+    degree = points.shape[0] - 1
+    return degree * np.diff(points, axis=0) if degree else np.zeros_like(points)
+
+
+def hodograph_surfaces(surface):
+    """The (S_u, S_v) hodograph nets of a surface, as surfaces."""
+    net = surface.control_net
+    return (BezierSurface(hodograph(net)),
+            BezierSurface(hodograph(net.transpose(1, 0, 2)).transpose(1, 0, 2).copy()))
+
+
+def subpatch(surface, u0, u1, v0, v1):
+    """The surface restricted to one box, by `_subpatch_nets`."""
+    return BezierSurface(_subpatch_nets(surface.control_net, [(u0, u1, v0, v1)])[0])
 
 
 def bilinear_flat():
@@ -99,20 +121,18 @@ def bilinear_flat():
 
 class TestBernsteinBasis:
     def test_known_value(self):
-        assert bernstein_basis(1, 3, 0.5) == pytest.approx(0.375, abs=1e-15)
+        assert all_bernstein(3, 0.5)[1] == pytest.approx(0.375, abs=1e-15)
 
     def test_endpoint(self):
-        assert bernstein_basis(0, 4, 0.0) == 1.0
+        assert all_bernstein(4, 0.0)[0] == 1.0
 
     def test_partition_of_unity_degree7(self):
-        total = math.fsum(bernstein_basis(k, 7, 0.3) for k in range(8))
+        total = math.fsum(all_bernstein(7, 0.3))
         assert abs(total - 1.0) <= 1e-14
 
-    def test_out_of_range_index(self):
+    def test_negative_degree_raises(self):
         with pytest.raises(IndexError):
-            bernstein_basis(4, 3, 0.5)
-        with pytest.raises(IndexError):
-            bernstein_basis(-1, 3, 0.5)
+            all_bernstein(-1, 0.5)
 
     @given(
         l=st.integers(min_value=0, max_value=12),
@@ -125,10 +145,8 @@ class TestBernsteinBasis:
     def test_matches_direct_form(self):
         for l in range(9):
             for x in np.linspace(0.0, 1.0, 11):
-                for k in range(l + 1):
-                    assert bernstein_basis(k, l, x) == pytest.approx(
-                        direct_bernstein(k, l, x), abs=1e-14
-                    )
+                for k, value in enumerate(all_bernstein(l, x)):
+                    assert value == pytest.approx(direct_bernstein(k, l, x), abs=1e-14)
 
 
 class TestSurfaceEvaluation:
@@ -200,8 +218,9 @@ class TestFusedEvaluation:
         # times the net's largest coordinate) times the m + n levels of
         # rounding that one tensor pass accumulates.
         scale = max(m + n, 1) * np.abs(net).max()
-        assert np.abs(partial_u - s.partial_u().evaluate(u, v)).max() <= 1e-15 * max(m, 1) * scale
-        assert np.abs(partial_v - s.partial_v().evaluate(u, v)).max() <= 1e-15 * max(n, 1) * scale
+        su, sv = hodograph_surfaces(s)
+        assert np.abs(partial_u - su.evaluate(u, v)).max() <= 1e-15 * max(m, 1) * scale
+        assert np.abs(partial_v - sv.evaluate(u, v)).max() <= 1e-15 * max(n, 1) * scale
 
     def test_domain_check(self):
         with pytest.raises(DomainError):
@@ -220,9 +239,9 @@ class TestGridProducts:
         assert np.allclose(value, pointwise, rtol=0.0, atol=1e-14)
         assert np.array_equal(evaluate_grid_products(nets, 21), value)
         for k, net in enumerate(nets):
-            s = BezierSurface(net)
-            assert np.allclose(partial_u[k], s.partial_u().evaluate_grid(ts, ts), rtol=0.0, atol=1e-13)
-            assert np.allclose(partial_v[k], s.partial_v().evaluate_grid(ts, ts), rtol=0.0, atol=1e-13)
+            su, sv = hodograph_surfaces(BezierSurface(net))
+            assert np.allclose(partial_u[k], su.evaluate_grid(ts, ts), rtol=0.0, atol=1e-13)
+            assert np.allclose(partial_v[k], sv.evaluate_grid(ts, ts), rtol=0.0, atol=1e-13)
 
 
 class TestPiecewiseCurve:
@@ -243,7 +262,7 @@ class TestPiecewiseCurve:
         cps2[0] = cps1[-1]
         c = PiecewiseBezierCurve(np.stack([cps1, cps2]), np.array([0.0, 0.5, 1.0]))
         # Manual segment-local evaluation as the oracle.
-        want = BezierCurve(cps2).evaluate((0.75 - 0.5) / 0.5)
+        want = de_casteljau(cps2, (0.75 - 0.5) / 0.5)
         assert np.allclose(c.evaluate(0.75), want, atol=1e-15)
 
     def test_junction_mismatch_rejected(self):
@@ -288,18 +307,17 @@ class TestPiecewiseCurve:
 
 def scanned_subdivide(curve, params):
     """`subdivide_at` as it was, testing each parameter against every
-    breakpoint with a scan and splitting per-segment curve objects."""
-    segments = [BezierCurve(polygon.copy()) for polygon in curve.polygons]
+    breakpoint with a scan and splitting a list of per-segment polygons."""
+    segments = [polygon.copy() for polygon in curve.polygons]
     breaks = list(curve.breakpoints)
     for t in sorted(set(float(p) for p in params)):
         if any(abs(t - b) <= 1e-13 for b in breaks):
             continue
         idx = int(np.searchsorted(breaks, t, side="right")) - 1
         lo, hi = breaks[idx], breaks[idx + 1]
-        left, right = segments[idx].split((t - lo) / (hi - lo))
-        segments[idx:idx + 1] = [left, right]
+        segments[idx:idx + 1] = de_casteljau_split(segments[idx], (t - lo) / (hi - lo))
         breaks.insert(idx + 1, t)
-    return PiecewiseBezierCurve(np.array([seg.control_points for seg in segments]), np.array(breaks))
+    return PiecewiseBezierCurve(np.array(segments), np.array(breaks))
 
 
 def split_rows(pts, t):
@@ -331,7 +349,7 @@ class TestSubpatchExtraction:
                 u0, u1, v0, v1 = box
                 want = restrict_rows(s.control_net, u0, u1)
                 want = restrict_rows(want.transpose(1, 0, 2), v0, v1).transpose(1, 0, 2)
-                got = extract_subpatch(s, u0, u1, v0, v1).control_net
+                got = subpatch(s, u0, u1, v0, v1).control_net
                 assert np.array_equal(got, want)
 
     def test_batched_boxes_match_one_box_calls_bitwise(self):
@@ -352,17 +370,17 @@ class TestSubpatchExtraction:
             want = restrict_rows(want.transpose(1, 0, 2), box[2], box[3]).transpose(1, 0, 2)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-            assert np.array_equal(got, extract_subpatch(s, *box).control_net)
+            assert np.array_equal(got, subpatch(s, *box).control_net)
         assert np.array_equal(np.signbit(nets[0]), np.signbit(net))
 
     def test_full_domain_identity(self):
         rng = np.random.default_rng(19)
         s = random_surface(rng, 3, 3)
-        sub = extract_subpatch(s, 0.0, 1.0, 0.0, 1.0)
+        sub = subpatch(s, 0.0, 1.0, 0.0, 1.0)
         assert np.array_equal(sub.control_net, s.control_net)
 
     def test_bilinear_half(self):
-        sub = extract_subpatch(bilinear_flat(), 0.0, 0.5, 0.0, 1.0)
+        sub = subpatch(bilinear_flat(), 0.0, 0.5, 0.0, 1.0)
         corners = sub.control_net
         assert np.allclose(corners[0, 0], [0.0, 0.0, 0.0], atol=1e-15)
         assert np.allclose(corners[1, 0], [0.5, 0.0, 0.0], atol=1e-15)
@@ -372,19 +390,12 @@ class TestSubpatchExtraction:
     def test_sampled_equality_oracle(self):
         rng = np.random.default_rng(23)
         s = random_surface(rng, 3, 3)
-        sub = extract_subpatch(s, 0.25, 0.75, 0.25, 0.75)
+        sub = subpatch(s, 0.25, 0.75, 0.25, 0.75)
         assert sub.degree_u == 3 and sub.degree_v == 3
         for a in np.linspace(0, 1, 11):
             for b in np.linspace(0, 1, 11):
                 want = s.evaluate(0.25 + a * 0.5, 0.25 + b * 0.5)
                 assert np.linalg.norm(sub.evaluate(a, b) - want) <= 1e-12
-
-    def test_invalid_interval(self):
-        s = bilinear_flat()
-        with pytest.raises(DomainError):
-            extract_subpatch(s, 0.5, 0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            extract_subpatch(s, 0.0, 1.2, 0.0, 1.0)
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -398,7 +409,7 @@ class TestSubpatchExtraction:
         v0, v1 = sorted(rng.uniform(0.0, 1.0, 2))
         if u1 - u0 < 1e-3 or v1 - v0 < 1e-3:
             return
-        sub = extract_subpatch(s, u0, u1, v0, v1)
+        sub = subpatch(s, u0, u1, v0, v1)
         for a in np.linspace(0, 1, 5):
             for b in np.linspace(0, 1, 5):
                 want = s.evaluate(u0 + a * (u1 - u0), v0 + b * (v1 - v0))
@@ -425,8 +436,7 @@ class TestDegreeElevation:
         for degree in range(0, 5):
             for target in range(degree, 9):
                 pts = rng.uniform(-10, 10, size=(degree + 1, 3))
-                e = degree_elevate_curve(BezierCurve(pts), target)
-                assert np.array_equal(e.control_points, loop_elevate(pts, target))
+                assert np.array_equal(_elevate_axis0(pts, target), loop_elevate(pts, target))
 
     def test_surface_elevation_matches_per_row_loops_bitwise(self):
         # A net elevated along u (axis 0) or, transposed, along v.
@@ -443,32 +453,31 @@ class TestDegreeElevation:
             _elevate_axis0(net, 1)
 
     def test_linear_to_quadratic_midpoint(self):
-        c = BezierCurve(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 0.0]]))
-        e = degree_elevate_curve(c, 2)
+        e = _elevate_axis0(np.array([[0.0, 0.0, 0.0], [2.0, 2.0, 0.0]]), 2)
         assert np.allclose(
-            e.control_points,
+            e,
             [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
             atol=1e-15,
         )
 
     def test_identity_at_same_degree(self):
         rng = np.random.default_rng(29)
-        c = BezierCurve(rng.standard_normal((4, 3)))
-        e = degree_elevate_curve(c, 3)
-        assert np.array_equal(e.control_points, c.control_points)
+        c = rng.standard_normal((4, 3))
+        e = _elevate_axis0(c, 3)
+        assert np.array_equal(e, c)
+        assert e is not c
 
     def test_cubic_to_degree9_pointwise(self):
         rng = np.random.default_rng(31)
-        c = BezierCurve(rng.standard_normal((4, 3)))
-        e = degree_elevate_curve(c, 9)
-        assert e.degree == 9
+        c = rng.standard_normal((4, 3))
+        e = _elevate_axis0(c, 9)
+        assert e.shape == (10, 3)
         for t in np.linspace(0, 1, 21):
-            assert np.linalg.norm(c.evaluate(t) - e.evaluate(t)) <= 1e-12
+            assert np.linalg.norm(de_casteljau(c, t) - de_casteljau(e, t)) <= 1e-12
 
     def test_target_below_degree_rejected(self):
-        c = BezierCurve(np.zeros((4, 3)))
         with pytest.raises(ValueError):
-            degree_elevate_curve(c, 2)
+            _elevate_axis0(np.zeros((4, 3)), 2)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -477,19 +486,19 @@ class TestDegreeElevation:
     @settings(max_examples=40, deadline=None)
     def test_elevation_exactness_property(self, seed, target):
         rng = np.random.default_rng(seed)
-        c = BezierCurve(rng.uniform(-10, 10, size=(4, 3)))
-        e = degree_elevate_curve(c, target)
+        c = rng.uniform(-10, 10, size=(4, 3))
+        e = _elevate_axis0(c, target)
         for t in np.linspace(0, 1, 9):
-            assert np.linalg.norm(c.evaluate(t) - e.evaluate(t)) <= 1e-12
+            assert np.linalg.norm(de_casteljau(c, t) - de_casteljau(e, t)) <= 1e-12
 
 
 class TestDegreeReduction:
     def test_recovers_elevated_cubic(self):
         rng = np.random.default_rng(37)
-        cubic = BezierCurve(rng.standard_normal((4, 3)))
-        elevated = degree_elevate_curve(cubic, 5)
+        cubic = rng.standard_normal((4, 3))
+        elevated = BezierCurve(_elevate_axis0(cubic, 5))
         reduced = degree_reduce_curve(elevated, 3, tol=1e-8)
-        assert np.allclose(reduced.control_points, cubic.control_points, atol=1e-10)
+        assert np.allclose(reduced.control_points, cubic, atol=1e-10)
 
     def test_line_stored_as_cubic(self):
         p0 = np.array([0.0, 0.0, 0.0])
@@ -501,9 +510,8 @@ class TestDegreeReduction:
     def test_infeasible_reduction_reports_deviation(self):
         cps = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
         curve = BezierCurve(cps)
-        line = BezierCurve(cps[[0, -1]])
         actual = max(
-            np.linalg.norm(curve.evaluate(t) - line.evaluate(t))
+            np.linalg.norm(de_casteljau(cps, t) - de_casteljau(cps[[0, -1]], t))
             for t in np.linspace(0, 1, 257)
         )
         with pytest.raises(ReductionError) as err:
@@ -528,8 +536,7 @@ def reducible_and_bumped(rng, degree, target, count):
     """`count` polygons of `degree`: even ones elevated from `target`, odd
     ones the same with a bump of 1e-2 at one interior control point."""
     rows = np.stack([
-        degree_elevate_curve(BezierCurve(rng.standard_normal((target + 1, 3))), degree).control_points
-        for _ in range(count)
+        _elevate_axis0(rng.standard_normal((target + 1, 3)), degree) for _ in range(count)
     ])
     rows[1::2, degree // 2] += 1e-2 * rng.standard_normal((count // 2, 3))
     return rows
@@ -680,7 +687,7 @@ class TestComposition:
             worst = 0.0
             for a in np.linspace(0, 1, 21):
                 for b in np.linspace(0, 1, 21):
-                    want = s.evaluate(min(max(a * float(f(b)), 0.0), 1.0), b)
+                    want = s.evaluate(min(max(a * float(f_at(f, b)), 0.0), 1.0), b)
                     worst = max(worst, float(np.linalg.norm(out.evaluate(a, b) - want)))
             assert worst <= 1e-9
 
@@ -710,7 +717,7 @@ def polyroots_range(coeffs):
         for root in np.polynomial.polynomial.polyroots(dc):
             if abs(root.imag) < 1e-9 and -1e-9 < root.real < 1.0 + 1e-9:
                 ts.append(min(max(float(root.real), 0.0), 1.0))
-    values = f(np.array(ts))
+    values = f_at(f, np.array(ts))
     return float(values.min()), float(values.max())
 
 
@@ -736,7 +743,7 @@ class TestStackedComposition:
             surface, composed = BezierSurface(net), BezierSurface(got)
             for a in ts:
                 for b in ts:
-                    want = surface.evaluate(min(max(a * float(f(b)), 0.0), 1.0), b)
+                    want = surface.evaluate(min(max(a * float(f_at(f, b)), 0.0), 1.0), b)
                     assert np.abs(composed.evaluate(a, b) - want).max() <= 1e-12 * 10.0
 
     def test_mixed_degrees_rejected(self):
@@ -854,19 +861,18 @@ class TestAffineEquivariance:
         for u, v in [(0.3, 0.8), (0.0, 1.0), (0.6, 0.2)]:
             assert np.allclose(apply(s.evaluate(u, v)[None])[0], s_t.evaluate(u, v), atol=1e-11)
 
-        sub = extract_subpatch(s, 0.2, 0.9, 0.1, 0.7)
-        sub_t = extract_subpatch(s_t, 0.2, 0.9, 0.1, 0.7)
+        sub = subpatch(s, 0.2, 0.9, 0.1, 0.7)
+        sub_t = subpatch(s_t, 0.2, 0.9, 0.1, 0.7)
         assert np.allclose(
             apply(sub.control_net.reshape(-1, 3)).reshape(sub.control_net.shape),
             sub_t.control_net,
             atol=1e-11,
         )
 
-        c = BezierCurve(rng.uniform(-3, 3, size=(4, 3)))
-        c_t = BezierCurve(apply(c.control_points))
-        e = degree_elevate_curve(c, 7)
-        e_t = degree_elevate_curve(c_t, 7)
-        assert np.allclose(apply(e.control_points), e_t.control_points, atol=1e-11)
+        c = rng.uniform(-3, 3, size=(4, 3))
+        e = _elevate_axis0(c, 7)
+        e_t = _elevate_axis0(apply(c), 7)
+        assert np.allclose(apply(e), e_t, atol=1e-11)
 
         f = random_unit_polynomial(rng, 2)
         comp = compose_reparameterize(s, f)
@@ -906,7 +912,7 @@ def hodograph_at(curve, t):
     """The global-parameter derivative at t, from the segment's own hodograph."""
     idx, local = curve.locate(t)
     span = curve.breakpoints[idx + 1] - curve.breakpoints[idx]
-    return BezierCurve(curve.polygons[idx]).derivative().evaluate(local) / span
+    return de_casteljau(hodograph(curve.polygons[idx]), local) / span
 
 
 def kernel_params(rng, curve):
@@ -986,7 +992,7 @@ class TestBatchedKernels:
         assert value.shape == su.shape == sv.shape == (3, 34, 3)
         for p, s in enumerate(surfaces):
             scale = np.abs(s.control_net).max() * max(m, n, 1)
-            pu, pv = s.partial_u(), s.partial_v()
+            pu, pv = hodograph_surfaces(s)
             for k, (u, v) in enumerate(uv[p]):
                 assert np.abs(value[p, k] - s.evaluate(u, v)).max() <= 1e-14 * scale
                 assert np.abs(su[p, k] - pu.evaluate(u, v)).max() <= 1e-13 * scale

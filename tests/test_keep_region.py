@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from watertight import BezierCurve, DomainError, EmptyRegionError, PiecewiseBezierCurve
+from watertight import DomainError, EmptyRegionError, PiecewiseBezierCurve
+from watertight.bezier import de_casteljau
 from watertight.intersect import build_intersection_data
 from watertight.pipeline import KEEP_CHOICES, MARCH_TOL, PipelineConfig, keep_region_fn, run_pipeline
 from watertight.segmentation import cut_trims, decompose_trim, monotone_split_params
@@ -71,8 +72,9 @@ def analytic_keeps(curve, circle, u, v, band=BAND):
     dist = np.hypot(u - cx, v - cy)
     disk = dist < r
     checked = np.abs(dist - r) > band
-    middle = BezierCurve(curve.polygons[curve.polygons.shape[0] // 2])
-    p, d = middle.evaluate(0.5), middle.derivative().evaluate(0.5)
+    middle = curve.polygons[curve.polygons.shape[0] // 2]
+    p = de_casteljau(middle, 0.5)
+    d = de_casteljau((middle.shape[0] - 1) * np.diff(middle, axis=0), 0.5)
     ccw = (p[0] - cx) * d[1] - (p[1] - cy) * d[0] > 0.0
     left = disk if ccw else ~disk
     inside = disk

@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from watertight import (
     AmbiguousCaseError,
-    BezierCurve,
     BezierSurface,
     BoundaryPolynomial,
     DegenerateCellError,
@@ -20,8 +21,6 @@ from watertight import (
     PiecewiseBezierCurve,
     StageError,
     UnsupportedDegreeError,
-    degree_elevate_curve,
-    extract_subpatch,
 )
 import watertight.bezier
 import watertight.segmentation as segmentation
@@ -32,6 +31,8 @@ from watertight.bezier import (
     _elevate_axis0,
     _subpatch_nets,
     _trim_rows,
+    all_bernstein,
+    de_casteljau,
     evaluate_stacked,
     polyval_rows,
     unit_ranges,
@@ -44,15 +45,15 @@ from watertight.segmentation import (
     DomainCell,
     GraphAxis,
     TrapezoidCase,
-    _arc_points,
+    _arc_stacks,
     _classify_candidates,
     _fit_cells,
     _fit_rows,
     _frame_edges,
     _frames,
+    _left_of_arcs,
     _normalize_trapezoids,
     _relabel,
-    _solve_arcs,
     _tighten_cells,
     _to_frame,
     build_patch_decomposition,
@@ -114,6 +115,28 @@ def line_cell(p0, p1, bounds, axis, sample):
     return linear_trapezoid_cell(p0, p1, bounds, axis, bool(sample[xi] > x_edge), sample)
 
 
+def subpatch(surface, bounds):
+    """The surface restricted to one box (u0, u1, v0, v1), by `_subpatch_nets`."""
+    return BezierSurface(_subpatch_nets(surface.control_net, [bounds])[0])
+
+
+def f_at(f, t):
+    """A boundary polynomial's value at t, from its monomial coefficients."""
+    return np.polynomial.polynomial.polyval(t, f.coefficients)
+
+
+def edge_row(net, edge):
+    """The edge's control row of a net; a view."""
+    return stitching._rows(net, edge)[stitching._end(edge)]
+
+
+def hodograph(points):
+    """A polygon's hodograph along axis 0: degree times its forward
+    differences, zero for a constant."""
+    degree = points.shape[0] - 1
+    return degree * np.diff(points, axis=0) if degree else np.zeros_like(points)
+
+
 def candidates_of(cell):
     return _classify_candidates([cell])[0]
 
@@ -151,7 +174,7 @@ def domain_point(cell, edge, p1, p2):
     local = [p1, p2]
     if cell.kind == TRAPEZOID:
         s, t = (p1, p2) if edge is Edge.U1 else (p2, p1)
-        x, y, case = s * float(cell.boundary_fn(t)), t, cell.case
+        x, y, case = s * float(f_at(cell.boundary_fn, t)), t, cell.case
         start, end = cell.arc[[0, -1], 1 - case.s_axis]
         local[case.s_axis] = 1.0 - x if case.s_reversed else x
         local[1 - case.s_axis] = 1.0 - y if end < start else y
@@ -168,7 +191,7 @@ def hodograph_at(curve, w):
     """The global-parameter derivative at w, from the segment's own hodograph."""
     idx, local = curve.locate(w)
     span = curve.breakpoints[idx + 1] - curve.breakpoints[idx]
-    return BezierCurve(curve.polygons[idx]).derivative().evaluate(local) / span
+    return de_casteljau(hodograph(curve.polygons[idx]), local) / span
 
 
 def loop_split_params(curve):
@@ -242,8 +265,8 @@ class TestSplitMonotone:
         # A C0 trim whose dv/dw jumps from + to - at its inner breakpoint;
         # no segment has an interior turning point.
         legs = [np.array([[0.2, 0.0], [0.5, 0.5]]), np.array([[0.5, 0.5], [0.8, 0.0]])]
-        curve = PiecewiseBezierCurve([degree_elevate_curve(BezierCurve(leg), degree).control_points
-                                      for leg in legs], np.array([0.0, junction, 1.0]))
+        curve = PiecewiseBezierCurve([_elevate_axis0(leg, degree) for leg in legs],
+                                     np.array([0.0, junction, 1.0]))
         cut, cuts = cut_at_roots(curve)
         assert cuts == [1]
         assert len(split_monotone(cut, cuts)) == 2
@@ -282,6 +305,14 @@ class TestDecomposeDomain:
         (seg,) = split_monotone(*cut_at_roots(curve))
         with pytest.raises(ValueError):
             decompose_domain(seg, "sideways")
+
+
+class TestDomainCell:
+    def test_degenerate_bounds_rejected(self):
+        # The box check that guards every cell's subpatch extraction.
+        for bounds in ((0.5, 0.5, 0.0, 1.0), (0.0, 1.2, 0.0, 1.0)):
+            with pytest.raises(DegenerateCellError, match="degenerate"):
+                DomainCell(kind=RECTANGLE, bounds=bounds)
 
 
 class TestDecomposeTrim:
@@ -484,8 +515,9 @@ class TestArc:
                 assert got[0, 1] == 0.0 and got[-1, 1] == 1.0
                 assert np.all(np.diff(got[:, 1]) >= 0.0)
 
-    def test_circle_arc_solve_matches_brentq_on_the_trim(self):
-        # The solve that membership and the retained samples still use.
+    def test_circle_side_test_matches_brentq_on_the_trim(self):
+        # Points 1e-12 either side of the arc's x at each height, as brentq
+        # finds it on the trim, lie on that side in every candidate frame.
         curve = domain_circle(16)
         _, cells = decompose_trim(*cut_at_roots(curve), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
@@ -500,8 +532,11 @@ class TestArc:
                 return to_frame(cell, case, ((u - u0) / (u1 - u0), (v - v0) / (v1 - v0)))
 
             for case in candidates_of(cell):
+                polygon = _to_frame(cell.arc[None], *_frames([cell], [case]))
+                # The heights the arc spans in this frame, ends included.
+                ys = polygon[0, 0, 1] + ts * (polygon[0, -1, 1] - polygon[0, 0, 1])
                 want = []
-                for t in ts:
+                for t in ys:
                     h0, h1 = framed(w0, case)[1] - t, framed(w1, case)[1] - t
                     if abs(h0) <= 1e-14:
                         w = w0
@@ -510,42 +545,82 @@ class TestArc:
                     else:
                         w = brentq(lambda w: framed(w, case)[1] - t, w0, w1, xtol=1e-16)
                     want.append(framed(w, case)[0])
-                got = height_arcs([cell], [case], ts)[0]
-                assert np.abs(got - np.array(want)).max() <= 1e-12
+                arcs = np.repeat(polygon, ys.shape[0], axis=0)
+                assert np.all(_left_of_arcs(arcs, np.array(want) - 1e-12, ys))
+                assert not np.any(_left_of_arcs(arcs, np.array(want) + 1e-12, ys))
 
-    def test_batched_solver_matches_one_arc_calls_bit_for_bit(self):
+    def test_side_test_rows_match_one_row_calls_bit_for_bit(self):
         _, cells = decompose_trim(*cut_at_roots(domain_circle(16)), outside_circle)
         traps = [c for c in cells if c.kind == TRAPEZOID]
-        polygons = np.stack([c.arc for c in traps])
-        coords = np.arange(len(traps)) % 2
-        # Heights inside, at and beyond each arc's range: the samples stop
-        # after different numbers of Newton steps.
+        # Each arc read against u and against v, at heights inside and at
+        # the ends of its range, and at x on, near and away from the arc:
+        # the rows stop after different numbers of halvings.
+        polygons = np.concatenate([np.stack([c.arc for c in traps]),
+                                   np.stack([c.arc[:, ::-1] for c in traps])])
         rng = np.random.default_rng(7)
-        values = np.hstack([
-            rng.uniform(-0.1, 1.1, (len(traps), 40)), np.tile([0.0, 0.5, 1.0], (len(traps), 1))
-        ])
-        batch = _solve_arcs(polygons, coords, values)
-        for cell, coord, row, got in zip(traps, coords, values, batch):
-            assert np.array_equal(_solve_arcs(cell.arc[None], [coord], row[None])[0], got)
-            for k in (0, 17, 41):
-                one = _solve_arcs(cell.arc[None], [coord], row[None, k:k + 1])[0]
-                assert np.array_equal(one, got[k:k + 1])
-        smaller = _solve_arcs(polygons[3:9], coords[3:9], values[3:9, 5:20])
-        assert np.array_equal(smaller, batch[3:9, 5:20])
+        ws = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(0.0, 1.0, 37)])
+        on = np.einsum("kj,pjd->pkd", all_bernstein(polygons.shape[1] - 1, ws), polygons)
+        offsets = np.concatenate([[0.0, 0.0, 0.0], rng.choice([0.0, 1e-15, -1e-9, 0.3], 37)])
+        arcs = np.repeat(polygons, ws.shape[0], axis=0)
+        x, y = (on[..., 0] + offsets).reshape(-1), on[..., 1].reshape(-1)
+        batch = _left_of_arcs(arcs, x, y)
+        assert batch.any() and not batch.all()
+        for k in range(0, x.shape[0], 7):
+            assert _left_of_arcs(arcs[k:k + 1], x[k:k + 1], y[k:k + 1])[0] == batch[k]
+        assert np.array_equal(_left_of_arcs(arcs[30:300], x[30:300], y[30:300]), batch[30:300])
 
-    def test_demo_arc_solves_take_one_value_per_arc(self, monkeypatch):
-        # Edges are sampled at the arc's own parameter; only the retained
-        # samples, the keep queries and cell membership solve, one value each.
-        solve = segmentation._solve_arcs
-        widths = []
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        falling=st.booleans(),
+        gaps=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+        distance=st.floats(1e-9, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_cubic_sides_match_brentq(self, seed, falling, gaps, distance):
+        # Monotone cubics (increasing control heights), points at least
+        # 1e-9 in x from the arc at their height, the end heights included.
+        rng = np.random.default_rng(seed)
+        heights = np.concatenate([[0.0], np.cumsum(gaps)])
+        arc = np.stack([rng.uniform(0.0, 1.0, 4), heights[::-1] if falling else heights], axis=-1)
+        ys = np.concatenate([[heights[0], heights[-1]], rng.uniform(heights[0], heights[-1], 14)])
+        x_at = []
+        for y in ys:
+            if y == arc[0, 1]:
+                w = 0.0
+            elif y == arc[-1, 1]:
+                w = 1.0
+            else:
+                w = brentq(lambda w: de_casteljau(arc, w)[1] - y, 0.0, 1.0, xtol=1e-16)
+            x_at.append(de_casteljau(arc, w)[0])
+        signs = rng.choice([-1.0, 1.0], ys.shape[0])
+        x = np.array(x_at) + signs * distance
+        arcs = np.repeat(arc[None], ys.shape[0], axis=0)
+        got = _left_of_arcs(arcs, x, ys)
+        assert np.array_equal(got, signs < 0.0)
+        for k in range(ys.shape[0]):
+            assert _left_of_arcs(arcs[k:k + 1], x[k:k + 1], ys[k:k + 1])[0] == got[k]
 
-        def counted(polygons, coords, values):
-            widths.append(np.shape(values)[1])
-            return solve(polygons, coords, values)
+    def test_demo_and_benchmark_keep_queries_are_decided_by_the_hulls(self, monkeypatch):
+        # Every keep query leaves its piece's x-range before the last
+        # halving, so no answer rests on the fallback at rounding level.
+        split, side = segmentation._split_rows, segmentation._left_of_arcs
+        halvings, calls = [0], []
 
-        monkeypatch.setattr(segmentation, "_solve_arcs", counted)
-        run_pipeline(paraboloid_patch(), plane_patch(0.0, 0.0, 0.04), PipelineConfig())
-        assert widths and set(widths) == {1}
+        def counted_split(*args):
+            halvings[0] += 1
+            return split(*args)
+
+        def counted_side(*args):
+            halvings[0] = 0
+            out = side(*args)
+            calls.append(halvings[0])
+            return out
+
+        monkeypatch.setattr(segmentation, "_split_rows", counted_split)
+        monkeypatch.setattr(segmentation, "_left_of_arcs", counted_side)
+        for name, (s1, s2, config) in _FIT_CASES.items():
+            run_pipeline(s1, s2, config)
+        assert calls and max(calls) < segmentation._HALVINGS
 
 
 class TestTightenCell:
@@ -578,7 +653,7 @@ class TestTightenCell:
         tight, filler = tighten_cell(self._quadrant_cells()[index])
         fit_one(tight, 1e-2)
         patch, edge = normalized(surface, tight)
-        pieces = [(patch, tight, edge), (extract_subpatch(surface, *filler.bounds), filler, None)]
+        pieces = [(patch, tight, edge), (subpatch(surface, filler.bounds), filler, None)]
         for piece, cell, edge in pieces:
             for s in np.linspace(0.0, 1.0, 11):
                 for t in np.linspace(0.0, 1.0, 11):
@@ -612,7 +687,7 @@ class TestBoundaryFit:
     def test_constant_edge(self):
         poly, residual = fit_boundary_polynomial(sampled(lambda v: 0.5), 1, 1e-9)
         assert poly.degree == 0
-        assert float(poly(0.3)) == pytest.approx(0.5, abs=1e-14)
+        assert float(f_at(poly, 0.3)) == pytest.approx(0.5, abs=1e-14)
         assert residual <= 1e-12
 
     @pytest.mark.parametrize("p0, p1, bounds, axis, sample", _line_cells())
@@ -692,7 +767,7 @@ class TestNormalization:
         rects = [(c, p) for c, p in zip(dec.cells, dec.patches) if c.kind == RECTANGLE]
         assert rects
         for cell, patch in rects:
-            want = extract_subpatch(surface, *cell.bounds)
+            want = subpatch(surface, cell.bounds)
             assert np.array_equal(patch.control_net, want.control_net)
 
     def test_flat_diagonal_matches_composition_example(self):
@@ -743,7 +818,7 @@ class TestNormalization:
         for idx in dec.boundary_indices:
             cell = dec.cells[idx]
             patch = dec.patches[idx]
-            edge_curve = BezierCurve(stitching._edge_row(patch.control_net, dec.curved_edges[idx]))
+            edge_curve = edge_row(patch.control_net, dec.curved_edges[idx])
             w0, w1 = cell.w_span
             for frac in np.linspace(0, 1, 9):
                 w = w0 + frac * (w1 - w0)
@@ -757,16 +832,15 @@ def _surface_lipschitz(surface):
     worst = 0.0
     for u in np.linspace(0, 1, 11):
         for v in np.linspace(0, 1, 11):
-            su = surface.partial_u().evaluate(u, v)
-            sv = surface.partial_v().evaluate(u, v)
+            _, su, sv = surface.evaluate_with_partials(u, v)
             worst = max(worst, float(np.linalg.norm(su)), float(np.linalg.norm(sv)))
     return worst
 
 
-def _closest_on_curve(curve, point):
+def _closest_on_curve(polygon, point):
     best = None
     for t in np.linspace(0, 1, 201):
-        d = curve.evaluate(t) - point
+        d = de_casteljau(polygon, t) - point
         if best is None or np.linalg.norm(d) < np.linalg.norm(best):
             best = d
     return best
@@ -920,14 +994,25 @@ _CHECK_TS = np.linspace(0.0, 1.0, 257)
 
 
 def height_arcs(cells, cases, heights):
-    """(R, K) x of each row's arc at heights y of its (s, t) frame, by arc
-    solves: the edge samples `_frame_edges` replaced.  `heights` is (K,),
-    shared by every row, or (R, K)."""
+    """(R, K) x of each row's arc at heights y of its (s, t) frame: the edge
+    samples `_frame_edges` replaced.  Bisection of w, 60 halvings, on the
+    arc's control polygon mapped into the frame, where y rises with w; a
+    height outside the arc's range gives its end point there.  `heights`
+    is (K,), shared by every row, or (R, K)."""
     heights = np.asarray(heights, dtype=float)
     values = np.broadcast_to(heights, (len(cells), heights.shape[-1]))
-    s_axis, s_reversed, t_reversed = _frames(cells, cases)
-    pts = _arc_points(cells, 1 - s_axis, np.where(t_reversed[:, None], 1.0 - values, values))
-    return _to_frame(pts, s_axis, s_reversed, t_reversed)[..., 0]
+    frames = _frames(cells, cases)
+    out = np.empty(values.shape)
+    for idx, polygons in _arc_stacks(cells):
+        framed = _to_frame(polygons, *(column[idx] for column in frames))
+        degree = framed.shape[1] - 1
+        lo, hi = np.zeros(values[idx].shape), np.ones(values[idx].shape)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = np.einsum("rkj,rj->rk", all_bernstein(degree, mid), framed[..., 1]) < values[idx]
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        out[idx] = np.einsum("rkj,rj->rk", all_bernstein(degree, 0.5 * (lo + hi)), framed[..., 0])
+    return out
 
 
 def height_fit(fit_values, check_values, degree):
@@ -1078,6 +1163,39 @@ class TestStackedFit:
         misses = segmentation._fit_stack([cell], [cases[:1]], edges[:1], 1e-6)
         assert misses[cell].residual == closest
         assert cell.case is None
+
+
+class TestRetainedSamples:
+    @pytest.mark.parametrize("name", ["demo", "tight-fit/level-circle", "tight-fit/mirror"])
+    def test_samples_sit_inside_their_cells_at_the_arc_midpoint_height(self, name, monkeypatch):
+        # Every trapezoid `_trapezoids` builds, tightened ones included.
+        s1, s2, config = _FIT_CASES[name]
+        trapezoids, tighten = segmentation._trapezoids, segmentation._tighten_cells
+        cells, tightened = [], []
+
+        def kept(*args):
+            out = trapezoids(*args)
+            cells.extend(out)
+            return out
+
+        def counted(missed):
+            tightened.append(len(missed))
+            return tighten(missed)
+
+        monkeypatch.setattr(segmentation, "_trapezoids", kept)
+        monkeypatch.setattr(segmentation, "_tighten_cells", counted)
+        run_pipeline(s1, s2, config)
+        assert cells
+        if name.startswith("tight-fit"):
+            assert sum(tightened) > 0
+        for cell in cells:
+            u0, u1, v0, v1 = cell.bounds
+            su, sv = cell.retained_sample
+            assert u0 < su < u1 and v0 < sv < v1
+            _, yi = (1, 0) if cell.axis is GraphAxis.U_OF_V else (0, 1)
+            mid = de_casteljau(cell.parent_curve.polygons[cell.segment], 0.5)
+            assert abs(cell.retained_sample[yi] - mid[yi]) <= 1e-15
+            assert cell_contains(cell, su, sv)
 
 
 # The four orientations the search tries, in its order.

@@ -14,8 +14,8 @@ from watertight.bezier import (
     Edge,
     _elevate_axis0,
     all_bernstein,
+    de_casteljau,
     de_casteljau_many,
-    degree_elevate_curve,
     degree_reduce_curve,
 )
 from watertight.intersect import build_intersection_data, invert_points, measure_gap
@@ -33,15 +33,20 @@ from watertight.stitching import (
 )
 
 
+def edge_row(net, edge):
+    """The edge's control row of a net; a view."""
+    return stitching._rows(net, edge)[stitching._end(edge)]
+
+
 def edge_curve(patch, edge):
     """A patch's edge as a curve: a copy of its control row."""
-    return BezierCurve(stitching._edge_row(patch.control_net, edge).copy())
+    return BezierCurve(edge_row(patch.control_net, edge).copy())
 
 
 def with_edge(patch, edge, points):
     """A copy of a patch whose edge row holds `points`."""
     net = patch.control_net.copy()
-    stitching._edge_row(net, edge)[...] = points
+    edge_row(net, edge)[...] = points
     return BezierSurface(net)
 
 
@@ -103,9 +108,9 @@ class TestAlignment:
                 curve_edge = edge_curve(patch_set.patches[idx], edge)
                 start = data.curve_c.evaluate(span[0])
                 end = data.curve_c.evaluate(span[1])
-                d_start = np.linalg.norm(curve_edge.evaluate(0.0) - start)
-                d_end = np.linalg.norm(curve_edge.evaluate(1.0) - end)
-                swapped = np.linalg.norm(curve_edge.evaluate(0.0) - end)
+                d_start = np.linalg.norm(de_casteljau(curve_edge.control_points, 0.0) - start)
+                d_end = np.linalg.norm(de_casteljau(curve_edge.control_points, 1.0) - end)
+                swapped = np.linalg.norm(de_casteljau(curve_edge.control_points, 0.0) - end)
                 assert d_start < swapped
                 assert max(d_start, d_end) < 0.05
 
@@ -214,7 +219,7 @@ class TestStitching:
             for w, t_edge in ((triple.w_span[0], 0.0), (triple.w_span[1], 1.0)):
                 if any(abs(b - w) <= 1e-12 for b in breaks):
                     want = data.curve_c.evaluate(w)
-                    assert np.linalg.norm(edge.evaluate(t_edge) - want) <= 1e-12
+                    assert np.linalg.norm(de_casteljau(edge.control_points, t_edge) - want) <= 1e-12
 
     def test_segment_above_both_edge_degrees_is_absorbed(self, demo):
         # A segment one degree above both edges of its pair: both patches
@@ -224,17 +229,17 @@ class TestStitching:
         triple = align_boundary(data, set_a, set_b)[0]
         patch_a, patch_b = set_a.patches[triple.patch_a], set_b.patches[triple.patch_b]
         # One above the larger edge degree: its control-point count.
-        degree = max(len(stitching._edge_row(patch_a.control_net, triple.edge_a)),
-                     len(stitching._edge_row(patch_b.control_net, triple.edge_b)))
+        degree = max(len(edge_row(patch_a.control_net, triple.edge_a)),
+                     len(edge_row(patch_b.control_net, triple.edge_b)))
         polygon = _elevate_axis0(triple.segment.control_points, degree)
         polygon[degree // 2, 2] += 1e-4
         model = stitch_boundary(set_a, set_b, [replace(triple, segment=BezierCurve(polygon))])
         assert model.shared_boundary[0].degree == degree
         for before, after, edge in ((patch_a, model.set_a.patches[triple.patch_a], triple.edge_a),
                                     (patch_b, model.set_b.patches[triple.patch_b], triple.edge_b)):
-            assert np.array_equal(stitching._edge_row(after.control_net, edge), polygon)
+            assert np.array_equal(edge_row(after.control_net, edge), polygon)
             want = elevated(before, 1 if edge in (Edge.U0, Edge.U1) else 0, degree).control_net
-            stitching._edge_row(want, edge)[...] = polygon
+            edge_row(want, edge)[...] = polygon
             assert np.array_equal(after.control_net, want)
         assert verify_watertight(model).max_gap == 0.0
 
@@ -270,7 +275,7 @@ class TestStitching:
         model = stitch_boundary(set_a, set_b, triples)
         triple = model.triples[0]
         net = model.set_a.patches[triple.patch_a].control_net.copy()
-        row = stitching._edge_row(net, triple.edge_a)
+        row = edge_row(net, triple.edge_a)
         row[len(row) // 2, 2] += 1e-6  # a view into net
         model.set_a.patches[triple.patch_a] = BezierSurface(net)
         report = verify_watertight(model)
@@ -587,8 +592,8 @@ def per_triple_gap(model, samples):
     ts = np.linspace(0.0, 1.0, samples)
     side_a, side_b = [], []
     for triple in model.triples:
-        cps_a = stitching._edge_row(model.set_a.patches[triple.patch_a].control_net, triple.edge_a)
-        cps_b = stitching._edge_row(model.set_b.patches[triple.patch_b].control_net, triple.edge_b)
+        cps_a = edge_row(model.set_a.patches[triple.patch_a].control_net, triple.edge_a)
+        cps_b = edge_row(model.set_b.patches[triple.patch_b].control_net, triple.edge_b)
         side_a.append(de_casteljau_many(cps_a, ts))
         side_b.append(de_casteljau_many(cps_b, ts))
     return float(np.linalg.norm(np.concatenate(side_a) - np.concatenate(side_b), axis=1).max())
@@ -667,7 +672,7 @@ def internal_seam_gaps(patches, skip, samples=17, near=1e-8):
     keys = [(i, edge) for i in range(len(patches)) for edge in Edge]
     curves = [edge_curve(patches[i], edge) for i, edge in keys]
     degree = max(curve.degree for curve in curves)
-    polys = np.stack([degree_elevate_curve(curve, degree).control_points for curve in curves])
+    polys = np.stack([_elevate_axis0(curve.control_points, degree) for curve in curves])
     owners = np.array([i for i, _ in keys])
     pts = np.einsum("ki,eid->ekd", all_bernstein(degree, np.linspace(0.0, 1.0, samples)), polys)
     on_domain_edge = np.abs(pts[..., :2, None] - [0.0, 1.0]).max(axis=1).min(axis=(1, 2)) < 1e-12
